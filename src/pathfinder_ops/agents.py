@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from scipy.special import expit
-
 from .errors import DuplicateId, EmptyCandidateSet
 
 
@@ -82,8 +80,13 @@ def utility_accept(profile: AgentProfile) -> float:
 
 
 def p_accept(profile: AgentProfile) -> float:
-    """Acceptance probability: logistic of beta times the accept utility."""
-    return float(expit(profile.beta * utility_accept(profile)))
+    """Acceptance probability: logistic of beta times the accept utility.
+    Each branch takes exp of a non-positive number, so it cannot overflow."""
+    x = profile.beta * utility_accept(profile)
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def p_reject(profile: AgentProfile) -> float:

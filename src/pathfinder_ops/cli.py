@@ -84,7 +84,7 @@ _SECTION_KEYS = {
     "chain": {"p_good", "p_accept", "p_success"},
     "worst_case": {"n", "u_minus", "u_plus", "beta", "delta", "alpha_grid"},
     "social": {"s", "gamma", "r"},
-    "noise": {"kind", "theta", "theta_grid", "gh_nodes"},
+    "noise": {"kind", "theta", "gh_nodes"},
     "sim": {"seed", "steps", "burn_in", "rounds", "alpha"},
     "gradmap": {"n_values", "u_abs_values", "alpha_grid", "theta_grid", "beta"},
 }
@@ -125,13 +125,28 @@ def _build(factory, **kwargs):
         raise ConfigError(str(exc))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_list(section: dict, where: str, key: str, default):
+    """section[key], which must be a non-empty list of numbers, or `default`
+    when the key is absent."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
+    return value
+
+
 def _grid_values(section: dict, key: str) -> list[float]:
     if key not in section:
         return default_grid()
     value = section[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return [float(value)]
-    if isinstance(value, list) and value:
+    if isinstance(value, list) and value and all(map(_is_number, value)):
         return [float(v) for v in value]
     raise ConfigError(f"chain.{key} must be a number or a non-empty list of numbers")
 
@@ -255,14 +270,10 @@ def cmd_worst(args) -> int:
     scn = _scenario_from(cfg)
     soc = _social_from(cfg)
     noise = _noise_from(cfg)
-    section = cfg["worst_case"]
-    if "alpha_grid" in section:
-        raw = section["alpha_grid"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("worst_case.alpha_grid must be a non-empty list")
-        alphas = [float(a) for a in raw]
-    else:
-        alphas = [i / 100.0 for i in range(101)]
+    raw = _number_list(
+        cfg["worst_case"], "worst_case", "alpha_grid", [i / 100.0 for i in range(101)]
+    )
+    alphas = [float(a) for a in raw]
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ConfigError(f"worst_case.alpha_grid values must lie in [0, 1], got {a!r}")
@@ -273,34 +284,17 @@ def cmd_worst(args) -> int:
         except NoTippingPoint:
             return None
 
-    alpha_star = _tip(tipping_point, scn)
-    alpha_star_social = _tip(social_tipping_point, scn, soc) if soc is not None else None
-    alpha_star_noisy = _tip(noisy_tipping_point, scn, noise) if noise is not None else None
-
-    header = ["alpha", "W"]
+    # Each W column is one kernel call over the whole alpha grid.
+    columns = {"alpha": alphas, "W": worst_case_prob(scn, alphas).tolist()}
+    stars = {"alpha_star": _tip(tipping_point, scn)}
     if soc is not None:
-        header.append("W_social")
+        columns["W_social"] = social_worst_case_prob(scn, soc, alphas).tolist()
+        stars["alpha_star_social"] = _tip(social_tipping_point, scn, soc)
     if noise is not None:
-        header.append("W_noisy")
-    header.append("alpha_star")
-    if soc is not None:
-        header.append("alpha_star_social")
-    if noise is not None:
-        header.append("alpha_star_noisy")
-
-    rows = []
-    for a in alphas:
-        row = {"alpha": a, "W": worst_case_prob(scn, a)}
-        if soc is not None:
-            row["W_social"] = social_worst_case_prob(scn, soc, a)
-        if noise is not None:
-            row["W_noisy"] = noisy_worst_case_prob(scn, noise, a)
-        row["alpha_star"] = alpha_star
-        if soc is not None:
-            row["alpha_star_social"] = alpha_star_social
-        if noise is not None:
-            row["alpha_star_noisy"] = alpha_star_noisy
-        rows.append(row)
+        columns["W_noisy"] = noisy_worst_case_prob(scn, noise, alphas).tolist()
+        stars["alpha_star_noisy"] = _tip(noisy_tipping_point, scn, noise)
+    header = [*columns, *stars]
+    rows = [dict(zip(columns, values), **stars) for values in zip(*columns.values())]
 
     if args.format == "json":
         _emit_json({"rows": rows}, args.out)
@@ -325,11 +319,11 @@ def cmd_gradmap(args) -> int:
     gh_nodes = noise.gh_nodes if noise is not None else DEFAULT_GH_NODES
     try:
         rows = gradient_sign_map(
-            n_values=section.get("n_values", DEFAULT_N_VALUES),
-            u_abs_values=section.get("u_abs_values", DEFAULT_U_ABS_VALUES),
+            n_values=_number_list(section, "gradmap", "n_values", DEFAULT_N_VALUES),
+            u_abs_values=_number_list(section, "gradmap", "u_abs_values", DEFAULT_U_ABS_VALUES),
             noise_kind=kind,
-            alpha_grid=section.get("alpha_grid", DEFAULT_ALPHA_GRID),
-            theta_grid=section.get("theta_grid", DEFAULT_THETA_GRID),
+            alpha_grid=_number_list(section, "gradmap", "alpha_grid", DEFAULT_ALPHA_GRID),
+            theta_grid=_number_list(section, "gradmap", "theta_grid", DEFAULT_THETA_GRID),
             beta=section.get("beta", 1.0),
             gh_nodes=gh_nodes,
             collect_cells=args.cells_out is not None,
@@ -414,6 +408,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.format != "json":
+        raise ConfigError("simulate writes JSON only")
     cfg = _load_config(args.config)
     sim = _require_section(cfg, "sim")
     seed = args.seed if args.seed is not None else sim.get("seed")
@@ -495,12 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON scenario config")
+    def add_common(p, default_format="csv"):
+        p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help="output format"
+            "--format", choices=("csv", "json"), default=default_format, help="output format"
         )
 
     p_steady = sub.add_parser("steady", help="stationary-distribution parameter sweep")
@@ -534,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_sim = sub.add_parser("simulate", help="seeded chain / selection-round simulation")
-    add_common(p_sim)
+    add_common(p_sim, default_format="json")
     p_sim.add_argument("--seed", type=int, default=None, help="overrides sim.seed")
     p_sim.add_argument(
         "--compare-analytic",

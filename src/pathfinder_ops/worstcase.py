@@ -2,44 +2,51 @@
 
 Agents split into a rejective group with representative utility u_minus < 0
 and a receptive group with u_plus > 0; each is rejective independently with
-probability alpha. The probability that all n agents reject is
+probability alpha. Every variant computes one quantity,
 
-    W(alpha) = (alpha * p_rejective + (1 - alpha) * p_receptive) ** n
+    W(alpha) = E_xi[(alpha * p_rej(xi) + (1 - alpha) * p_rec(xi)) ** n],
 
-with the group rejection probabilities given by the logistic model. Two
-extensions: a system-awareness term (1 - S) * gamma * R added to utilities
-(selfless behavior), and a zero-mean utility shift xi shared by all agents
-(environmental noise), where W becomes an expectation over xi. Shared
-Gaussian noise is integrated by Gauss-Hermite quadrature; Rademacher noise
-has an exact two-point form.
+where p_rej(xi) and p_rec(xi) are the logistic rejection probabilities of
+the two groups after a utility shift xi shared by all agents. Only the law of
+xi differs: a point mass at 0 (the plain model), a point mass at
+(1 - S) * gamma * R (system awareness, i.e. selfless behavior), or zero-mean
+environmental noise of scale theta, either Rademacher (+/- theta, exact) or
+Gaussian (Gauss-Hermite quadrature, nodes cached per rule size).
 
-The tipping point alpha* solves W(alpha*) = delta. Without noise it has a
-closed form; with noise it is found by bisection (W is strictly increasing
-in alpha), and its sensitivity d(alpha*)/d(theta) follows from the implicit
-function theorem with both partials taken by central finite differences.
+The tipping point alpha* solves W(alpha*) = delta: in closed form for a point
+mass, by bisection under noise (W is strictly increasing in alpha). The
+partials dW/dalpha and dW/dtheta are exact expectations over the same nodes
+as W, using dp/dxi = -beta * p * (1 - p). They give the sensitivity
+d(alpha*)/d(theta) by the implicit function theorem, and the noise-gradient
+sign map. Both noise laws are symmetric, so dW/dtheta is exactly 0 at
+theta = 0.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint
 from .fileio import fmt12
 
-# Central finite-difference step for both alpha and theta, clamped to
-# one-sided at domain boundaries.
-FD_STEP = 1e-4
-
-# Finite-difference values above -1e-12 count as zero when classifying
-# gradient signs, so round-off never masquerades as a negative gradient.
+# Gradient values above -1e-12 count as zero when classifying gradient
+# signs, so round-off never masquerades as a negative gradient.
 NEGATIVE_GRADIENT_CUTOFF = -1e-12
 
 DEFAULT_GH_NODES = 61
+# numpy's hermgauss(370) still integrates E[cos Z] to 2e-16; from 371 nodes
+# its weights overflow to zero and W would be NaN.
+MAX_GH_NODES = 370
+
+# Upper bound on the alpha x theta x node values the gradient map evaluates
+# at once (2 MiB per temporary); larger theta grids are taken in blocks.
+_GRADMAP_BLOCK_VALUES = 1 << 18
 
 
 class NoiseKind(enum.Enum):
@@ -105,8 +112,9 @@ class SocialParams:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Shared zero-mean utility noise: Gaussian with std theta, or
-    Rademacher taking +/- theta with equal probability. gh_nodes controls
-    the Gauss-Hermite rule used for the Gaussian expectation."""
+    Rademacher taking +/- theta with equal probability. gh_nodes (1 to
+    MAX_GH_NODES) sets the Gauss-Hermite rule used for the Gaussian
+    expectation."""
 
     kind: NoiseKind
     theta: float
@@ -119,31 +127,170 @@ class NoiseSpec:
         if math.isnan(theta) or theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
-        if not isinstance(self.gh_nodes, int) or self.gh_nodes < 1:
-            raise ValueError(f"gh_nodes must be a positive integer, got {self.gh_nodes!r}")
+        gh = self.gh_nodes
+        if not isinstance(gh, int) or isinstance(gh, bool) or not 1 <= gh <= MAX_GH_NODES:
+            raise ValueError(
+                f"gh_nodes must be an integer in [1, {MAX_GH_NODES}], got {self.gh_nodes!r}"
+            )
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return alpha
+# --- the shifted-mixture kernel ---------------------------------------------
+
+
+def _logistic(x):
+    """Elementwise 1 / (1 + exp(-x)). Both branches use exp(-|x|), so the
+    result never overflows and keeps its relative accuracy in both tails."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class ShiftLaw(NamedTuple):
+    """Discrete law of the shared utility shift: xi takes the values on the
+    last axis of `shifts` with probabilities `weights`. `slopes` holds
+    d(xi)/d(theta) per value: the unit nodes of a noise law scaled by theta,
+    zero for a point mass. Leading axes of `shifts` hold further laws (one
+    per theta in the gradient map)."""
+
+    shifts: np.ndarray
+    slopes: np.ndarray
+    weights: np.ndarray
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+_ONE = _read_only([1.0])
+_ZERO = _read_only([0.0])
+_RADEMACHER_NODES = (_read_only([1.0, -1.0]), _read_only([0.5, 0.5]))
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_hermite_nodes(gh_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of the gh_nodes-point rule for E[f(Z)],
+    Z ~ N(0, 1) (Golub & Welsch 1969). Cached per rule size; the arrays are
+    read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(gh_nodes)
+    return _read_only(math.sqrt(2.0) * nodes), _read_only(weights / weights.sum())
+
+
+def _unit_nodes(noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the noise law at theta = 1."""
+    if noise.kind is NoiseKind.RADEMACHER:
+        return _RADEMACHER_NODES
+    return gauss_hermite_nodes(noise.gh_nodes)
+
+
+def _point_law(shift: float = 0.0) -> ShiftLaw:
+    return ShiftLaw(np.array([shift]), _ZERO, _ONE)
+
+
+def _social_shift(soc: SocialParams) -> float:
+    """The system-awareness utility term (1 - S) * gamma * R."""
+    return (1.0 - soc.s) * soc.gamma * soc.r
+
+
+def noise_law(noise: NoiseSpec) -> ShiftLaw:
+    """xi = theta * Z. At theta = 0 this is the point mass at 0, so noisy
+    results reduce exactly to the plain ones."""
+    if noise.theta == 0.0:
+        return _point_law()
+    nodes, weights = _unit_nodes(noise)
+    return ShiftLaw(noise.theta * nodes, nodes, weights)
+
+
+def _reject_probs(scn: WorstCaseScenario, shifts):
+    return (
+        _logistic(-scn.beta * (scn.u_minus + shifts)),
+        _logistic(-scn.beta * (scn.u_plus + shifts)),
+    )
+
+
+def _mixture(alphas, p_rej, p_rec):
+    """alpha broadcast against the shift axis, and the mixture
+    m = alpha * p_rej + (1 - alpha) * p_rec per shift value."""
+    a = np.asarray(alphas, dtype=float)[..., None]
+    return a, a * p_rej + (1.0 - a) * p_rec
+
+
+def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
+    _, m = _mixture(alphas, *probs)
+    return (m**n) @ weights
+
+
+def mixture_w(scn: WorstCaseScenario, alphas, law: ShiftLaw) -> np.ndarray:
+    """W = E[m^n] for each alpha in `alphas` (any shape; the law's leading
+    axes follow the alpha axes in the result)."""
+    return _mixture_w(scn.n, alphas, _reject_probs(scn, law.shifts), law.weights)
+
+
+def mixture_partials(
+    scn: WorstCaseScenario, alphas, law: ShiftLaw
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (dW/dalpha, dW/dtheta), shaped like mixture_w's result:
+
+        dW/dalpha = E[n m^(n-1) (p_rej - p_rec)]
+        dW/dtheta = E[dxi/dtheta * n m^(n-1) * dm/dxi],
+        dm/dxi = -beta * [alpha p_rej (1 - p_rej) + (1 - alpha) p_rec (1 - p_rec)].
+    """
+    p_rej, p_rec = _reject_probs(scn, law.shifts)
+    a, m = _mixture(alphas, p_rej, p_rec)
+    power = m ** (scn.n - 1)
+    q_rej, q_rec = p_rej * (1.0 - p_rej), p_rec * (1.0 - p_rec)
+    d_alpha = scn.n * ((power * (p_rej - p_rec)) @ law.weights)
+    spread = q_rec + a * (q_rej - q_rec)
+    d_theta = -scn.beta * scn.n * ((power * spread) @ (law.slopes * law.weights))
+    return d_alpha, d_theta
+
+
+# --- public analyses ----------------------------------------------------------
+
+
+def _check_alpha(alpha) -> np.ndarray:
+    alphas = np.asarray(alpha, dtype=float)
+    bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
+    if bad.size:
+        raise ValueError(f"alpha must lie in [0, 1], got {float(bad[0])!r}")
+    return alphas
+
+
+def _w(scn: WorstCaseScenario, alpha, law: ShiftLaw):
+    w = mixture_w(scn, _check_alpha(alpha), law)
+    return float(w) if w.ndim == 0 else w
 
 
 def group_reject_probs(scn: WorstCaseScenario) -> tuple[float, float]:
     """(p_rejective, p_receptive): logistic rejection probabilities of the
     two groups. p_rejective > 0.5 > p_receptive since u_minus < 0 < u_plus."""
-    return (
-        float(expit(-scn.beta * scn.u_minus)),
-        float(expit(-scn.beta * scn.u_plus)),
-    )
+    p_rej, p_rec = _reject_probs(scn, 0.0)
+    return float(p_rej), float(p_rec)
 
 
-def worst_case_prob(scn: WorstCaseScenario, alpha: float) -> float:
-    """Probability that all n agents reject, for rejective fraction alpha."""
-    alpha = _check_alpha(alpha)
-    p_rej, p_rec = group_reject_probs(scn)
-    return (alpha * p_rej + (1.0 - alpha) * p_rec) ** scn.n
+def social_reject_probs(scn: WorstCaseScenario, soc: SocialParams) -> tuple[float, float]:
+    """Group rejection probabilities with the system-awareness utility term
+    (1 - S) * gamma * R added to both representative utilities."""
+    p_rej, p_rec = _reject_probs(scn, _social_shift(soc))
+    return float(p_rej), float(p_rec)
+
+
+def worst_case_prob(scn: WorstCaseScenario, alpha):
+    """Probability that all n agents reject, for rejective fraction alpha
+    (a float, or an array of them)."""
+    return _w(scn, alpha, _point_law())
+
+
+def social_worst_case_prob(scn: WorstCaseScenario, soc: SocialParams, alpha):
+    return _w(scn, alpha, _point_law(_social_shift(soc)))
+
+
+def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha):
+    """All-reject probability under a single noise realization shared by all
+    agents, averaged over that realization. theta = 0 reduces exactly to
+    worst_case_prob."""
+    return _w(scn, alpha, noise_law(noise))
 
 
 def _tipping_from_probs(n: int, delta: float, p_rej: float, p_rec: float) -> float:
@@ -160,60 +307,12 @@ def _tipping_from_probs(n: int, delta: float, p_rej: float, p_rec: float) -> flo
 def tipping_point(scn: WorstCaseScenario) -> float:
     """Closed-form alpha* with W(alpha*) = delta; raises NoTippingPoint when
     delta is unreachable."""
-    p_rej, p_rec = group_reject_probs(scn)
-    return _tipping_from_probs(scn.n, scn.delta, p_rej, p_rec)
-
-
-def social_reject_probs(scn: WorstCaseScenario, soc: SocialParams) -> tuple[float, float]:
-    """Group rejection probabilities with the system-awareness utility term
-    (1 - S) * gamma * R added to both representative utilities."""
-    shift = (1.0 - soc.s) * soc.gamma * soc.r
-    return (
-        float(expit(-scn.beta * (scn.u_minus + shift))),
-        float(expit(-scn.beta * (scn.u_plus + shift))),
-    )
-
-
-def social_worst_case_prob(scn: WorstCaseScenario, soc: SocialParams, alpha: float) -> float:
-    alpha = _check_alpha(alpha)
-    p_rej, p_rec = social_reject_probs(scn, soc)
-    return (alpha * p_rej + (1.0 - alpha) * p_rec) ** scn.n
+    return _tipping_from_probs(scn.n, scn.delta, *group_reject_probs(scn))
 
 
 def social_tipping_point(scn: WorstCaseScenario, soc: SocialParams) -> float:
     """Closed-form tipping point under the system-awareness adjustment."""
-    p_rej, p_rec = social_reject_probs(scn, soc)
-    return _tipping_from_probs(scn.n, scn.delta, p_rej, p_rec)
-
-
-def _noise_points(noise: NoiseSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shift values and probability weights for the shared-noise expectation."""
-    if noise.kind is NoiseKind.RADEMACHER:
-        return np.array([theta, -theta]), np.array([0.5, 0.5])
-    nodes, weights = np.polynomial.hermite.hermgauss(noise.gh_nodes)
-    return math.sqrt(2.0) * theta * nodes, weights / weights.sum()
-
-
-def _noisy_w_vector(
-    scn: WorstCaseScenario, noise: NoiseSpec, alphas: np.ndarray, theta: float
-) -> np.ndarray:
-    """W(alpha, theta) for an array of alphas at a single theta."""
-    if theta == 0.0:
-        p_rej, p_rec = group_reject_probs(scn)
-        return (alphas * p_rej + (1.0 - alphas) * p_rec) ** scn.n
-    shifts, weights = _noise_points(noise, theta)
-    p_rej = expit(-scn.beta * (scn.u_minus + shifts))
-    p_rec = expit(-scn.beta * (scn.u_plus + shifts))
-    mixture = np.outer(alphas, p_rej) + np.outer(1.0 - alphas, p_rec)
-    return (mixture**scn.n) @ weights
-
-
-def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha: float) -> float:
-    """All-reject probability under a single noise realization shared by all
-    agents, averaged over that realization. theta = 0 reduces exactly to
-    worst_case_prob."""
-    alpha = _check_alpha(alpha)
-    return float(_noisy_w_vector(scn, noise, np.array([alpha]), noise.theta)[0])
+    return _tipping_from_probs(scn.n, scn.delta, *social_reject_probs(scn, soc))
 
 
 def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
@@ -222,9 +321,14 @@ def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     W is strictly increasing in alpha (the integrand is, for every noise
     realization), so a sign bracket on [0, 1] suffices.
     """
+    law = noise_law(noise)
+    probs = _reject_probs(scn, law.shifts)  # alpha-free: computed once
+
+    def w(alpha: float) -> float:
+        return float(_mixture_w(scn.n, alpha, probs, law.weights))
+
     delta = scn.delta
-    w0 = noisy_worst_case_prob(scn, noise, 0.0)
-    w1 = noisy_worst_case_prob(scn, noise, 1.0)
+    w0, w1 = w(0.0), w(1.0)
     if not w0 - 1e-12 <= delta <= w1 + 1e-12:
         raise NoTippingPoint(
             f"delta = {delta:.6g} outside [W(0) = {w0:.6g}, W(1) = {w1:.6g}]"
@@ -237,7 +341,7 @@ def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     mid = 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        w_mid = noisy_worst_case_prob(scn, noise, mid)
+        w_mid = w(mid)
         if abs(w_mid - delta) <= 1e-11 or hi - lo < 1e-15:
             return mid
         if w_mid < delta:
@@ -247,37 +351,16 @@ def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     raise ArithmeticError("bisection failed to reach the 1e-10 residual target")
 
 
-def _w_at(scn: WorstCaseScenario, noise: NoiseSpec, alpha: float, theta: float) -> float:
-    return float(_noisy_w_vector(scn, noise, np.array([alpha]), theta)[0])
-
-
-def _dw_dtheta(scn, noise, alpha: float, theta: float, h: float = FD_STEP) -> float:
-    if theta >= h:
-        return (_w_at(scn, noise, alpha, theta + h) - _w_at(scn, noise, alpha, theta - h)) / (
-            2.0 * h
-        )
-    return (_w_at(scn, noise, alpha, theta + h) - _w_at(scn, noise, alpha, theta)) / h
-
-
-def _dw_dalpha(scn, noise, alpha: float, theta: float, h: float = FD_STEP) -> float:
-    if alpha < h:
-        return (_w_at(scn, noise, alpha + h, theta) - _w_at(scn, noise, alpha, theta)) / h
-    if alpha > 1.0 - h:
-        return (_w_at(scn, noise, alpha, theta) - _w_at(scn, noise, alpha - h, theta)) / h
-    return (_w_at(scn, noise, alpha + h, theta) - _w_at(scn, noise, alpha - h, theta)) / (2.0 * h)
-
-
 def tipping_point_gradient(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     """d(alpha*)/d(theta) at the current noise scale, via the implicit
     function theorem: -(dW/dtheta) / (dW/dalpha) at (alpha*, theta)."""
     alpha_star = noisy_tipping_point(scn, noise)
-    d_theta = _dw_dtheta(scn, noise, alpha_star, noise.theta)
-    d_alpha = _dw_dalpha(scn, noise, alpha_star, noise.theta)
+    d_alpha, d_theta = mixture_partials(scn, alpha_star, noise_law(noise))
     if abs(d_alpha) < 1e-14:
         raise DegenerateGradient(
-            f"dW/dalpha = {d_alpha:.3e} at the tipping point; implicit derivative undefined"
+            f"dW/dalpha = {float(d_alpha):.3e} at the tipping point; implicit derivative undefined"
         )
-    return -d_theta / d_alpha
+    return float(-d_theta / d_alpha)
 
 
 @dataclass(frozen=True)
@@ -309,55 +392,60 @@ def gradient_sign_map(
     gh_nodes: int = DEFAULT_GH_NODES,
     collect_cells: bool = False,
 ) -> list[GradientSignRow]:
-    """For each (n, |U|), the fraction of (alpha, theta) cells where
-    dW/dtheta < -1e-12 (central differences, one-sided at theta = 0).
+    """For each (n, |U|), the fraction of (alpha, theta) cells where the
+    exact dW/dtheta < -1e-12. It is exactly 0 at theta = 0.
 
-    Scenarios use u_plus = |U|, u_minus = -|U| and a common beta.
+    Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
+    (n, |U|) row is one alpha x theta x node array program.
     """
     n_values = list(n_values)
     u_abs_values = [float(u) for u in u_abs_values]
-    alphas = np.array([_check_alpha(a) for a in alpha_grid])
-    thetas = [float(t) for t in theta_grid]
+    # "+ 0.0" turns -0.0 into 0.0, so each grid value has one printed form.
+    alphas = _check_alpha([float(a) for a in alpha_grid]) + 0.0
+    thetas = np.array([float(t) for t in theta_grid]) + 0.0
     if not n_values or not u_abs_values:
         raise EmptyGrid("n_values and u_abs_values must be non-empty")
-    if alphas.size == 0 or not thetas:
+    if alphas.size == 0 or thetas.size == 0:
         raise EmptyGrid("alpha_grid and theta_grid must be non-empty")
     if any(u <= 0.0 for u in u_abs_values):
         raise ValueError("u_abs values must be > 0")
-    if any(t < 0.0 or math.isnan(t) for t in thetas):
+    if np.isnan(thetas).any() or (thetas < 0.0).any():
         raise ValueError("theta grid values must be >= 0")
 
+    nodes, weights = _unit_nodes(NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes))
+    step = max(1, _GRADMAP_BLOCK_VALUES // (alphas.size * nodes.size))
+    laws = [
+        ShiftLaw(thetas[i : i + step, None] * nodes, nodes, weights)
+        for i in range(0, thetas.size, step)
+    ]
+    at_zero = thetas == 0.0
+    if collect_cells:
+        # Cells run theta-major, alpha-minor.
+        cell_alphas = np.tile(alphas, thetas.size).tolist()
+        cell_thetas = np.repeat(thetas, alphas.size).tolist()
+
     rows = []
-    h = FD_STEP
     for n in n_values:
         for u_abs in u_abs_values:
             # delta plays no role in the gradient map; any interior value works.
             scn = WorstCaseScenario(n=n, u_minus=-u_abs, u_plus=u_abs, beta=beta, delta=0.5)
-            noise = NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes)
-            negative = 0
-            cells = [] if collect_cells else None
-            for theta in thetas:
-                if theta >= h:
-                    w_hi = _noisy_w_vector(scn, noise, alphas, theta + h)
-                    w_lo = _noisy_w_vector(scn, noise, alphas, theta - h)
-                    grad = (w_hi - w_lo) / (2.0 * h)
-                else:
-                    w_hi = _noisy_w_vector(scn, noise, alphas, theta + h)
-                    w_lo = _noisy_w_vector(scn, noise, alphas, theta)
-                    grad = (w_hi - w_lo) / h
-                negative += int(np.sum(grad < NEGATIVE_GRADIENT_CUTOFF))
-                if cells is not None:
-                    cells.extend(
-                        (float(a), theta, float(g)) for a, g in zip(alphas, grad)
-                    )
-            fraction = negative / (alphas.size * len(thetas))
+            grad = np.concatenate(
+                [mixture_partials(scn, alphas[:, None], law)[1] for law in laws], axis=1
+            )
+            # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
+            # 0, where the quadrature sum would leave rounding.
+            grad[:, at_zero] = 0.0
+            negative = int(np.count_nonzero(grad < NEGATIVE_GRADIENT_CUTOFF))
+            cells = None
+            if collect_cells:
+                cells = tuple(zip(cell_alphas, cell_thetas, grad.T.ravel().tolist()))
             rows.append(
                 GradientSignRow(
                     n=n,
                     u_abs=u_abs,
                     noise_kind=noise_kind,
-                    fraction_negative=fraction,
-                    cells=tuple(cells) if cells is not None else None,
+                    fraction_negative=negative / grad.size,
+                    cells=cells,
                 )
             )
     return rows
@@ -377,13 +465,22 @@ def gradient_sign_map_to_csv(rows: list[GradientSignRow]) -> str:
 
 
 def gradient_cells_to_csv(rows: list[GradientSignRow]) -> str:
+    """Per-cell CSV. Grid values repeat across cells, so each distinct alpha
+    and theta is formatted once."""
     lines = [GRADMAP_CELLS_CSV_HEADER]
+    grid_text: dict[float, str] = {}
+
+    def grid(x: float) -> str:
+        text = grid_text.get(x)
+        if text is None:
+            text = grid_text[x] = fmt12(x)
+        return text
+
     for row in rows:
         if row.cells is None:
             continue
-        for alpha, theta, grad in row.cells:
-            lines.append(
-                f"{row.n},{fmt12(row.u_abs)},{row.noise_kind.value},"
-                f"{fmt12(alpha)},{fmt12(theta)},{fmt12(grad)}"
-            )
+        prefix = f"{row.n},{fmt12(row.u_abs)},{row.noise_kind.value},"
+        lines.extend(
+            f"{prefix}{grid(alpha)},{grid(theta)},{fmt12(grad)}" for alpha, theta, grad in row.cells
+        )
     return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from pathfinder_ops.cli import main
 
 from test_ntml import load_fixture
@@ -20,6 +22,14 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_refused(code, err, needle):
+    """Exit 2 with exactly one error[...] line naming `needle`."""
+    lines = err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error[config_invalid]: "), err
+    assert needle in lines[0]
 
 
 def project_fixture(tmp_path):
@@ -74,6 +84,12 @@ class TestSteady:
         cfg = write_config(tmp_path, {"chain": {"p_good": 0.5, "p_bogus": 1.0}})
         assert main(["steady", "--config", cfg]) == 2
         assert "chain.p_bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[{}], ["x"], [True]])
+    def test_non_numeric_grid_refused(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path, {"chain": {"p_good": grid, "p_accept": 0.5, "p_success": 0.5}})
+        code = main(["steady", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, "chain.p_good")
 
     def test_all_cells_degenerate_exits_3(self, tmp_path, capsys):
         cfg = write_config(
@@ -146,6 +162,28 @@ class TestWorst:
         cfg = write_config(tmp_path, doc)
         assert main(["worst", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("grid", [["x"], [0.5, True], "0.5", []])
+    def test_non_numeric_alpha_grid_refused(self, tmp_path, capsys, grid):
+        doc = {"worst_case": dict(FIG3_WORST["worst_case"], alpha_grid=grid)}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "worst.csv"
+        code = main(["worst", "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, "worst_case.alpha_grid")
+        assert not out.exists()
+
+    def test_gaussian_column_matches_library(self, tmp_path):
+        from pathfinder_ops import NoiseKind, NoiseSpec, WorstCaseScenario, noisy_worst_case_prob
+
+        doc = dict(FIG3_WORST, noise={"kind": "gaussian", "theta": 1.0})
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "worst.csv")
+        assert main(["worst", "--config", cfg, "--out", out]) == 0
+        scn = WorstCaseScenario(**FIG3_WORST["worst_case"])
+        noise = NoiseSpec(NoiseKind.GAUSSIAN, 1.0)
+        for row in read_csv(out):
+            expected = noisy_worst_case_prob(scn, noise, float(row["alpha"]))
+            assert float(row["W_noisy"]) == pytest.approx(expected, rel=1e-11)
+
 
 class TestGradmap:
     SMALL = {
@@ -191,6 +229,39 @@ class TestGradmap:
         cfg = write_config(tmp_path, doc)
         assert main(["gradmap", "--config", cfg]) == 2
         assert "noise.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha_grid", "theta_grid", "n_values", "u_abs_values"])
+    def test_string_grid_refused(self, tmp_path, capsys, key):
+        doc = {"gradmap": dict(self.SMALL["gradmap"], **{key: "1"})}
+        cfg = write_config(tmp_path, doc)
+        code = main(["gradmap", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, f"gradmap.{key}")
+
+    def test_noise_theta_grid_is_unknown(self, tmp_path, capsys):
+        doc = dict(self.SMALL, noise={"kind": "gaussian", "theta_grid": [0.0, 1.0]})
+        cfg = write_config(tmp_path, doc)
+        code = main(["gradmap", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, "noise.theta_grid")
+
+    def test_gh_nodes_upper_bound(self, tmp_path):
+        doc = dict(self.SMALL, noise={"kind": "gaussian", "gh_nodes": 370})
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "grad.csv")
+        assert main(["gradmap", "--config", cfg, "--out", out]) == 0
+        assert len(read_csv(out)) == 2
+
+    @pytest.mark.parametrize("gh_nodes", [371, 100000])
+    def test_gh_nodes_beyond_bound_refused_before_any_rule_is_built(
+        self, tmp_path, capsys, monkeypatch, gh_nodes
+    ):
+        def no_rule(*args):
+            raise AssertionError("hermgauss called for a refused gh_nodes")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
+        doc = dict(self.SMALL, noise={"kind": "gaussian", "gh_nodes": gh_nodes})
+        cfg = write_config(tmp_path, doc)
+        code = main(["gradmap", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, "gh_nodes")
 
 
 class TestClassify:
@@ -352,6 +423,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 2
         assert "sim.alpha" in capsys.readouterr().err
+
+    def test_csv_format_refused_and_nothing_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CHAIN_DOC)
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--format", "csv"])
+        assert_refused(code, capsys.readouterr().err, "simulate writes JSON only")
+        assert not out.exists()
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_json_format_is_the_default(self, tmp_path):
+        cfg = write_config(tmp_path, self.CHAIN_DOC)
+        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["simulate", "--config", cfg, "--out", out1]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out2, "--format", "json"]) == 0
+        assert open(out1).read() == open(out2).read()
 
     def test_idle_sim_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"sim": {"seed": 1}})

@@ -22,9 +22,16 @@ from pathfinder_ops import (
     tipping_point_gradient,
     worst_case_prob,
 )
-from pathfinder_ops.worstcase import gradient_cells_to_csv, gradient_sign_map_to_csv
+from pathfinder_ops.worstcase import (
+    MAX_GH_NODES,
+    gauss_hermite_nodes,
+    gradient_cells_to_csv,
+    gradient_sign_map_to_csv,
+    mixture_partials,
+    noise_law,
+)
 
-from oracles import binomial_sum_w, mc_gaussian_w
+from oracles import binomial_sum_w, central_diff, mc_gaussian_w
 
 # 1/(1 + e^-2) and 1/(1 + e^2) to double precision (mpmath-checked).
 P_REJ = 0.8807970779778823
@@ -53,6 +60,16 @@ class TestValidation:
             NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=-0.5)
         with pytest.raises(ValueError):
             worst_case_prob(BASE, 1.5)
+        with pytest.raises(ValueError):
+            worst_case_prob(BASE, [0.5, float("nan")])
+
+    def test_gh_nodes_bounded_where_hermgauss_stays_accurate(self):
+        assert MAX_GH_NODES == 370
+        noise = NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0, gh_nodes=370)
+        assert math.isfinite(noisy_worst_case_prob(BASE, noise, 0.5))
+        for bad in (0, 371, 100000, 61.0, True):
+            with pytest.raises(ValueError, match="gh_nodes"):
+                NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0, gh_nodes=bad)
 
 
 class TestGroupProbs:
@@ -233,6 +250,29 @@ class TestNoisyWorstCase:
         assert quad >= mc - 3 * se - 1e-8
         assert quad <= mc + 3 * se + 1e-8
 
+    def test_array_alphas_match_scalar_calls(self):
+        alphas = np.linspace(0.0, 1.0, 11)
+        soc = SocialParams(s=0.5, gamma=2.5, r=0.5)
+        for noise in (NoiseSpec(NoiseKind.GAUSSIAN, 1.3), NoiseSpec(NoiseKind.RADEMACHER, 0.7)):
+            vector = noisy_worst_case_prob(BASE, noise, alphas)
+            scalar = [noisy_worst_case_prob(BASE, noise, a) for a in alphas]
+            assert np.abs(vector - scalar).max() <= 1e-15
+        assert list(worst_case_prob(BASE, alphas)) == [worst_case_prob(BASE, a) for a in alphas]
+        assert list(social_worst_case_prob(BASE, soc, alphas)) == [
+            social_worst_case_prob(BASE, soc, a) for a in alphas
+        ]
+
+    def test_cached_nodes_are_read_only(self):
+        nodes, weights = gauss_hermite_nodes(61)
+        assert gauss_hermite_nodes(61)[0] is nodes
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        rademacher = noise_law(NoiseSpec(NoiseKind.RADEMACHER, 1.0))
+        with pytest.raises(ValueError):
+            rademacher.weights[0] = 1.0
+
     def test_monotone_in_alpha_for_noisy_variant(self):
         for kind in NoiseKind:
             noise = NoiseSpec(kind=kind, theta=1.5)
@@ -283,13 +323,10 @@ class TestTippingPointGradient:
         assert abs(implicit - direct) <= 1e-4
 
     def test_sign_agrees_with_noise_partial(self):
-        from pathfinder_ops.worstcase import _dw_dalpha, _dw_dtheta
-
         for kappa in (0.5, 2.0):
             noise = NoiseSpec(kind=NoiseKind.RADEMACHER, theta=kappa)
             star = noisy_tipping_point(BASE, noise)
-            d_theta = _dw_dtheta(BASE, noise, star, kappa)
-            d_alpha = _dw_dalpha(BASE, noise, star, kappa)
+            d_alpha, d_theta = mixture_partials(BASE, star, noise_law(noise))
             assert d_alpha > 0
             gradient = tipping_point_gradient(BASE, noise)
             assert math.copysign(1.0, gradient) == -math.copysign(1.0, d_theta)
@@ -312,18 +349,70 @@ class TestTippingPointGradient:
             tipping_point_gradient(BASE, noise)
 
 
+class TestExactPartials:
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_partials_match_central_differences(self, kind, theta, alpha):
+        d_alpha, d_theta = mixture_partials(BASE, alpha, noise_law(NoiseSpec(kind, theta)))
+
+        def w_of_theta(t):
+            return noisy_worst_case_prob(BASE, NoiseSpec(kind, t), alpha)
+
+        # An interior alpha point keeps the difference inside [0, 1].
+        a0 = min(max(alpha, 1e-3), 1.0 - 1e-3)
+        d_alpha_at_a0, _ = mixture_partials(BASE, a0, noise_law(NoiseSpec(kind, theta)))
+        fd_theta = central_diff(w_of_theta, theta, 1e-4)
+        fd_alpha = central_diff(
+            lambda a: noisy_worst_case_prob(BASE, NoiseSpec(kind, theta), a), a0, 1e-4
+        )
+        assert d_theta == pytest.approx(fd_theta, rel=1e-6, abs=1e-11)
+        assert d_alpha_at_a0 == pytest.approx(fd_alpha, rel=1e-6, abs=1e-11)
+        assert d_alpha > 0.0
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_noise_partial_is_exactly_zero_at_theta_zero(self, kind):
+        for alpha in (0.0, 0.3, 1.0):
+            _, d_theta = mixture_partials(BASE, alpha, noise_law(NoiseSpec(kind, 0.0)))
+            assert d_theta == 0.0
+
+
 class TestGradientSignMap:
-    def test_theta_zero_grid_uses_one_sided_difference(self):
-        # For n=10, |U|=2 the all-reject probability is locally convex in the
-        # shared shift, so the one-sided difference at theta = 0 is
-        # nonnegative everywhere and the negative fraction is exactly zero.
+    def test_theta_zero_grid_has_exactly_zero_gradient(self):
         rows = gradient_sign_map(
             n_values=[10],
             u_abs_values=[2.0],
             noise_kind=NoiseKind.RADEMACHER,
             theta_grid=[0.0],
+            collect_cells=True,
         )
         assert rows[0].fraction_negative == 0.0
+        assert all(g == 0.0 for _, _, g in rows[0].cells)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_no_theta_zero_cell_counts_as_negative_on_default_grid(self, kind):
+        rows = gradient_sign_map(noise_kind=kind, collect_cells=True)
+        assert len(rows) == 16
+        at_zero = [g for row in rows for _, t, g in row.cells if t == 0.0]
+        assert len(at_zero) == 16 * 51
+        assert all(g == 0.0 for g in at_zero)
+
+    def test_large_theta_grid_is_evaluated_in_blocks(self):
+        # 60 x 100 x 61 values exceed one block; blocks may only change rounding.
+        alphas = [round(0.01 * i, 10) for i in range(60)]
+        thetas = [round(0.1 * i, 10) for i in range(100)]
+        (whole,) = gradient_sign_map(
+            n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
+            alpha_grid=alphas, theta_grid=thetas, collect_cells=True,
+        )
+        for theta in (thetas[3], thetas[97]):
+            (single,) = gradient_sign_map(
+                n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
+                alpha_grid=alphas, theta_grid=[theta], collect_cells=True,
+            )
+            part = np.array([c for c in whole.cells if c[1] == theta])
+            np.testing.assert_array_equal(part[:, :2], np.array(single.cells)[:, :2])
+            np.testing.assert_allclose(part[:, 2], np.array(single.cells)[:, 2], rtol=1e-12)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_negative_cells_exist_for_small_n_large_u(self, kind):
