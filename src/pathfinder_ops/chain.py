@@ -8,14 +8,14 @@ balance equations with the normalization constraint; a rank test on the
 balance system detects parameterizations whose stationary distribution is
 not unique and refuses to pick one.
 
-All functions here are pure; returned arrays are freshly allocated and safe
-to share across threads.
+All functions here are pure. One batched kernel, `steady_states`, solves a
+whole stack of chains at once; the single-chain and sweep entry points are
+thin wrappers over it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,6 +33,12 @@ STRUCTURAL_ZEROS = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 
 # Singular values of the balance system below this are treated as rank
 # deficiency, i.e. a second recurrent class.
 _RANK_TOL = 1e-10
+
+_EYE = np.eye(N_STATES)
+# Right-hand side of the normalized balance system: zeros, then sum(pi) = 1.
+_NORMALIZATION_RHS = np.array([[0.0], [0.0], [0.0], [1.0]])
+_EYE.setflags(write=False)
+_NORMALIZATION_RHS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -60,64 +66,100 @@ class SweepRow:
     status: str
 
 
+def transition_matrices(p_good, p_accept, p_success) -> np.ndarray:
+    """Stack of 4x4 row-stochastic transition matrices.
+
+    The three arguments broadcast against each other; the result has their
+    broadcast shape followed by (4, 4).
+    """
+    g, a, s = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (p_good, p_accept, p_success))
+    )
+    matrices = np.zeros(g.shape + (N_STATES, N_STATES))
+    matrices[..., 0, 0] = 1.0 - g
+    matrices[..., 0, 1] = g
+    matrices[..., 1, 1] = 1.0 - a
+    matrices[..., 1, 2] = a
+    matrices[..., 2, 0] = 1.0 - s
+    matrices[..., 2, 3] = s
+    matrices[..., 3, 0] = 1.0 - g
+    matrices[..., 3, 3] = g
+    return matrices
+
+
 def build_transition_matrix(params: ChainParams) -> np.ndarray:
     """Return the 4x4 row-stochastic transition matrix for `params`."""
-    g, a, s = params.p_good, params.p_accept, params.p_success
-    return np.array(
-        [
-            [1.0 - g, g, 0.0, 0.0],
-            [0.0, 1.0 - a, a, 0.0],
-            [1.0 - s, 0.0, 0.0, s],
-            [1.0 - g, 0.0, 0.0, g],
-        ]
-    )
+    return transition_matrices(params.p_good, params.p_accept, params.p_success)
 
 
-def _check_row_stochastic(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (N_STATES, N_STATES):
-        raise ValueError(f"expected a {N_STATES}x{N_STATES} matrix, got shape {matrix.shape}")
-    if np.any(matrix < -1e-15) or np.any(matrix > 1.0 + 1e-15):
+def _check_row_stochastic(matrices: np.ndarray) -> np.ndarray:
+    matrices = np.asarray(matrices, dtype=float)
+    if matrices.shape[-2:] != (N_STATES, N_STATES):
+        raise ValueError(f"expected {N_STATES}x{N_STATES} matrices, got shape {matrices.shape}")
+    if (matrices < -1e-15).any() or (matrices > 1.0 + 1e-15).any():
         raise ValueError("transition matrix entries must lie in [0, 1]")
-    row_sums = matrix.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-12):
-        raise ValueError(f"matrix rows must sum to 1 within 1e-12, got sums {row_sums}")
-    return matrix
+    row_sums = matrices.sum(axis=-1)
+    bad = np.abs(row_sums - 1.0) > 1e-12
+    if bad.any():
+        raise ValueError(
+            f"matrix rows must sum to 1 within 1e-12, got sums {row_sums[bad.any(axis=-1)][0]}"
+        )
+    return matrices
+
+
+def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve pi @ P = pi with sum(pi) = 1 for each matrix of a stack.
+
+    `matrices` has shape (..., 4, 4). Returns (pi, unique): pi has shape
+    (..., 4) and unique is a boolean array of shape (...). A cell is not
+    unique when its balance system is rank deficient beyond normalization,
+    i.e. the chain has several recurrent classes; its pi row is NaN.
+
+    Each unique cell solves the balance system with one equation replaced
+    by the normalization constraint (dense LU). Components in [-1e-12, 0)
+    are clamped to zero and the vector renormalized. Raises ArithmeticError
+    if any cell has a component below -1e-12 or a stationarity residual
+    above 1e-10.
+    """
+    matrices = _check_row_stochastic(matrices)
+    balance = np.swapaxes(matrices, -1, -2) - _EYE
+    singular_values = np.linalg.svd(balance, compute_uv=False)
+    unique = singular_values[..., N_STATES - 2] > _RANK_TOL
+    # Rows of the balance system sum to zero, so dropping one loses nothing,
+    # and the normalization row is independent of the rest.
+    system = balance[unique]
+    system[:, -1, :] = 1.0
+    solved = np.linalg.solve(system, _NORMALIZATION_RHS)[:, :, 0]
+
+    if solved.size and solved.min() < -1e-12:
+        worst = solved[solved.min(axis=-1).argmin()]
+        raise ArithmeticError(f"stationary solve produced negative component: {worst}")
+    solved = np.maximum(solved, 0.0)
+    solved /= solved.sum(axis=-1, keepdims=True)
+    residual = np.abs((solved[:, None, :] @ matrices[unique])[:, 0, :] - solved)
+    if residual.size and residual.max() > 1e-10:
+        raise ArithmeticError(f"stationarity residual {residual.max():.3e} exceeds 1e-10")
+    pi = np.full(unique.shape + (N_STATES,), np.nan)
+    pi[unique] = solved
+    return pi, unique
 
 
 def steady_state(matrix: np.ndarray) -> np.ndarray:
-    """Solve pi @ P = pi with sum(pi) = 1 for a row-stochastic P.
+    """Solve pi @ P = pi with sum(pi) = 1 for one row-stochastic 4x4 P.
 
-    Solves the balance system with one equation replaced by the
-    normalization constraint (dense LU). Raises NonUniqueStationary when
-    the balance system is rank deficient beyond normalization, i.e. the
-    chain has several recurrent classes. Components in [-1e-12, 0) are
-    clamped to zero and the vector renormalized.
+    A stack of one through `steady_states`. Raises NonUniqueStationary
+    when the chain has several recurrent classes.
     """
-    matrix = _check_row_stochastic(matrix)
-    balance = matrix.T - np.eye(N_STATES)
-    singular_values = np.linalg.svd(balance, compute_uv=False)
-    if singular_values[N_STATES - 2] <= _RANK_TOL:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (N_STATES, N_STATES):
+        raise ValueError(f"expected a {N_STATES}x{N_STATES} matrix, got shape {matrix.shape}")
+    pi, unique = steady_states(matrix[None])
+    if not unique[0]:
         raise NonUniqueStationary(
             "chain is reducible with more than one recurrent class; "
             "stationary distribution is not unique"
         )
-    # Rows of the balance system sum to zero, so dropping one loses nothing,
-    # and the normalization row is independent of the rest.
-    system = balance.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(N_STATES)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-
-    if pi.min() < -1e-12:
-        raise ArithmeticError(f"stationary solve produced negative component: {pi}")
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = np.max(np.abs(pi @ matrix - pi))
-    if residual > 1e-10:
-        raise ArithmeticError(f"stationarity residual {residual:.3e} exceeds 1e-10")
-    return pi
+    return pi[0]
 
 
 def _validate_grid(values, name: str, low_open: bool) -> list[float]:
@@ -131,30 +173,24 @@ def _validate_grid(values, name: str, low_open: bool) -> list[float]:
     return sorted(values)
 
 
-def _solve_cell(params: ChainParams) -> SweepRow:
-    try:
-        pi = steady_state(build_transition_matrix(params))
-    except NonUniqueStationary:
-        return SweepRow(params, None, "non_unique")
-    return SweepRow(params, pi, "ok")
-
-
-def sweep_steady_state(g_grid, a_grid, s_grid, max_workers: int | None = None) -> list[SweepRow]:
+def sweep_steady_state(g_grid, a_grid, s_grid) -> list[SweepRow]:
     """Stationary distribution over the Cartesian product of the grids.
 
     Rows come back in lexicographic (p_good, p_accept, p_success) order.
     Cells whose stationary distribution is not unique are kept as
-    'non_unique' rows rather than dropped. `max_workers` > 1 evaluates
-    cells in a thread pool; ordering is unaffected.
+    'non_unique' rows rather than dropped. All cells are solved in one
+    `steady_states` call.
     """
     g_grid = _validate_grid(g_grid, "p_good", low_open=True)
     a_grid = _validate_grid(a_grid, "p_accept", low_open=True)
     s_grid = _validate_grid(s_grid, "p_success", low_open=False)
-    cells = [ChainParams(g, a, s) for g, a, s in product(g_grid, a_grid, s_grid)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_solve_cell, cells))
-    return [_solve_cell(params) for params in cells]
+    g, a, s = np.meshgrid(g_grid, a_grid, s_grid, indexing="ij")
+    pis, unique = steady_states(transition_matrices(g.ravel(), a.ravel(), s.ravel()))
+    rows = []
+    for cell, pi, ok in zip(product(g_grid, a_grid, s_grid), pis, unique.tolist()):
+        params = ChainParams(*cell)
+        rows.append(SweepRow(params, pi, "ok") if ok else SweepRow(params, None, "non_unique"))
+    return rows
 
 
 def default_grid(step: float = 0.05) -> list[float]:
@@ -170,14 +206,22 @@ SWEEP_CSV_HEADER = "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status"
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     """Serialize sweep rows to CSV (12 significant digits, trailing newline)."""
+    # Each grid value is formatted once. Zeros skip the cache: 0.0 and -0.0
+    # share a dict key but print differently.
+    grid_text: dict[float, str] = {}
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
         p = row.params
-        cols = [fmt12(p.p_good), fmt12(p.p_accept), fmt12(p.p_success)]
+        cols = []
+        for value in (p.p_good, p.p_accept, p.p_success):
+            text = grid_text.get(value) if value else None
+            if text is None:
+                text = grid_text[value] = fmt12(value)
+            cols.append(text)
         if row.pi is None:
             cols += ["", "", "", ""]
         else:
-            cols += [fmt12(x) for x in row.pi]
+            cols += [fmt12(x) for x in row.pi.tolist()]
         cols.append(row.status)
         lines.append(",".join(cols))
     return "\n".join(lines) + "\n"

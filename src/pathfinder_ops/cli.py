@@ -41,7 +41,13 @@ from .ntml import (
     load_rules,
     read_corpus_csv,
 )
-from .simulate import MixtureBatchResult, SimConfig, mixture_batch, simulate_chain
+from .simulate import (
+    MixtureBatchResult,
+    SimConfig,
+    check_batch,
+    mixture_batch,
+    simulate_chain,
+)
 from .worstcase import (
     NoiseKind,
     NoiseSpec,
@@ -68,9 +74,6 @@ from .worstcase import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
-
-THREADS_ENV = "PATHFINDER_THREADS"
-
 
 class ConfigError(Exception):
     """Invalid usage, config file, or rules file; exits 2."""
@@ -117,10 +120,11 @@ def _require_section(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
-def _build(factory, **kwargs):
-    """Construct a domain value, converting validation errors to ConfigError."""
+def _build(factory, *args, **kwargs):
+    """Construct or check a domain value, converting validation errors to
+    ConfigError."""
     try:
-        return factory(**kwargs)
+        return factory(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -190,19 +194,6 @@ def _noise_from(cfg: dict) -> NoiseSpec | None:
     )
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -239,10 +230,11 @@ def cmd_steady(args) -> int:
             _grid_values(section, "p_good"),
             _grid_values(section, "p_accept"),
             _grid_values(section, "p_success"),
-            max_workers=_max_workers(),
         )
     except (ValueError, EmptyGrid) as exc:
         raise ConfigError(str(exc))
+    except ArithmeticError as exc:
+        raise ComputeError(str(exc))
     if all(row.status != "ok" for row in rows):
         raise ComputeError("no sweep cell has a unique stationary distribution")
     if args.format == "json":
@@ -415,12 +407,12 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else sim.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: set sim.seed or pass --seed")
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if "steps" not in sim and "rounds" not in sim:
+        raise ConfigError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
 
-    result: dict = {}
-    ran_anything = False
-
+    # Validate both parts before either runs.
     if "steps" in sim:
         section = _require_section(cfg, "chain")
         values = {}
@@ -434,6 +426,14 @@ def cmd_simulate(args) -> int:
         sim_cfg = _build(
             SimConfig, seed=seed, steps=sim["steps"], burn_in=sim.get("burn_in", 0)
         )
+    if "rounds" in sim:
+        scn = _scenario_from(cfg)
+        if "alpha" not in sim:
+            raise ConfigError("config key 'sim.alpha' is required for selection rounds")
+        alpha = _build(check_batch, scn, sim["alpha"], sim["rounds"], seed)
+
+    result: dict = {}
+    if "steps" in sim:
         occupancy = simulate_chain(params, sim_cfg)
         block = {
             "seed": seed,
@@ -451,30 +451,15 @@ def cmd_simulate(args) -> int:
             block["max_abs_error"] = error
             block["within_tolerance"] = bool(error <= 0.01)
         result["chain"] = block
-        ran_anything = True
-
     if "rounds" in sim:
-        scn = _scenario_from(cfg)
-        if "alpha" not in sim:
-            raise ConfigError("config key 'sim.alpha' is required for selection rounds")
-        rounds = sim["rounds"]
-        if not isinstance(rounds, int):
-            raise ConfigError(f"sim.rounds must be an integer, got {rounds!r}")
-        try:
-            batch: MixtureBatchResult = mixture_batch(scn, sim["alpha"], rounds, seed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc))
+        batch: MixtureBatchResult = mixture_batch(scn, alpha, sim["rounds"], seed)
         result["selection"] = {
             "seed": seed,
             "rounds": batch.rounds,
             "all_reject_rate": batch.all_reject_rate,
             "mean_offers": batch.mean_offers,
-            "analytic_all_reject": worst_case_prob(scn, float(sim["alpha"])),
+            "analytic_all_reject": worst_case_prob(scn, alpha),
         }
-        ran_anything = True
-
-    if not ran_anything:
-        raise ConfigError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
     _emit_json(result, args.out)
     return EXIT_OK
 

@@ -14,11 +14,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import ControllerCandidate, ControllerContext, p_accept, rank_candidates
-from .chain import ChainParams
+from .chain import N_STATES, ChainParams
 from .errors import EmptyCandidateSet
 from .worstcase import WorstCaseScenario, group_reject_probs
 
 _MAX_SEED = 2**64
+
+# Excursions drawn per chunk by simulate_chain. Each chunk's arrays stay in
+# cache (2**13 to 2**14 was fastest on 2e6 steps).
+_CHUNK = 2**14
+
+# Size caps, checked before anything is allocated. simulate_chain keeps about
+# 2 MiB whatever the walk length and runs at 2.7e7 steps/s or more (2-CPU
+# machine, worst case p_good = p_accept = 1, p_success = 0), so MAX_STEPS
+# bounds time: about 40 s. mixture_batch holds about 27 bytes per agent draw
+# at peak (rounds x n draws), so MAX_ROUND_DRAWS bounds memory: about
+# 430 MiB, and under 2 s at 1e7 draws/s or more.
+MAX_STEPS = 10**9
+MAX_ROUND_DRAWS = 2**24
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -27,8 +49,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Distinct streams give non-overlapping sequences for the same seed, so
     unrelated consumers of one master seed stay statistically independent.
     """
-    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -46,11 +67,12 @@ class SimConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.steps, int) or self.steps <= 0:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not isinstance(self.burn_in, int) or not 0 <= self.burn_in < self.steps:
+        _check_seed(self.seed)
+        if not _is_int(self.steps) or not 0 < self.steps <= MAX_STEPS:
+            raise ValueError(
+                f"steps must be an integer in 1..{MAX_STEPS}, got {self.steps!r}"
+            )
+        if not _is_int(self.burn_in) or not 0 <= self.burn_in < self.steps:
             raise ValueError(
                 f"burn_in must satisfy 0 <= burn_in < steps, got {self.burn_in!r}"
             )
@@ -67,29 +89,68 @@ class SelectionOutcome:
     order_used: tuple[str, ...]
 
 
+def _holding_times(exp_draws: np.ndarray, leave_p: float, cap: int):
+    """Steps spent in a state that is left with probability leave_p per
+    step, one per Exp(1) draw: floor(E / -log(1 - leave_p)) + 1 is
+    Geometric(leave_p) on {1, 2, ...}. Clipped to `cap`; a state that is
+    never left holds for `cap` steps, which outlasts the walk."""
+    if leave_p == 1.0:
+        return 1.0
+    if leave_p == 0.0:
+        return cap
+    scale = -1.0 / math.log1p(-leave_p)
+    if math.isinf(scale):  # subnormal leave_p: never left within the cap
+        return cap
+    return np.minimum(np.floor(exp_draws * scale) + 1.0, cap)
+
+
 def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
     """State-visit frequencies of the chain started in Gate Closed.
 
     Runs cfg.steps transitions, discards the first cfg.burn_in visited
     states, and normalizes the remaining visit counts.
+
+    The walk is drawn by holding times rather than step by step. Every
+    excursion from Gate Closed visits 0, 1 and 2 and then, with probability
+    p_success, 3 before it returns to 0. States 0, 1 and 3 loop on
+    themselves, so each visit lasts a geometric number of steps; state 2 is
+    always left after one. Excursions are drawn in chunks of at most
+    _CHUNK, so memory is O(chunk) and time O(jumps). Times are whole
+    numbers held in float64; MAX_STEPS keeps every time and sum far below
+    2**53, so all of them are exact.
     """
     g, a, s = params.p_good, params.p_accept, params.p_success
     rng = make_rng(cfg.seed, _STREAM_CHAIN)
-    uniforms = rng.random(cfg.steps).tolist()
-    # Each state has at most two successors: jump target with the listed
-    # probability, fallback otherwise.
-    jump_to = (1, 2, 3, 3)
-    stay_at = (0, 1, 0, 0)
-    jump_p = (g, a, s, g)
-    counts = [0, 0, 0, 0]
-    state = 0
-    burn_in = cfg.burn_in
-    for t, u in enumerate(uniforms):
-        state = jump_to[state] if u < jump_p[state] else stay_at[state]
-        if t >= burn_in:
-            counts[state] += 1
-    total = cfg.steps - cfg.burn_in
-    return np.array(counts, dtype=float) / total
+    # X_0 = Gate Closed; the visited states X_t with lo <= t < hi are counted.
+    lo, hi = cfg.burn_in + 1, cfg.steps + 1
+    # An excursion lasts at least 3 steps, so a walk of fewer than 3 * _CHUNK
+    # steps needs only one chunk, sized to it.
+    chunk = min(_CHUNK, hi // 3 + 1)
+    counts = np.zeros(N_STATES)
+    start = 0.0  # time at which the next excursion enters Gate Closed
+    while start < hi:
+        exp_draws = rng.standard_exponential((3, chunk))
+        opened = rng.random(chunk) < s
+        stays = (
+            _holding_times(exp_draws[0], g, hi),
+            _holding_times(exp_draws[1], a, hi),
+            1.0,
+            np.where(opened, _holding_times(exp_draws[2], 1.0 - g, hi), 0.0),
+        )
+        length = stays[0] + stays[1] + stays[2] + stays[3]
+        # Visit boundaries, from each excursion's entry into Gate Closed to
+        # its return. A visit [u, v) covers clip(v) - clip(u) counted steps,
+        # clip clamping to [lo, hi], so each state's count is the difference
+        # of the clipped sums of its two boundaries.
+        bound = np.cumsum(length)
+        bound += start - length
+        clipped_sums = [np.clip(bound, lo, hi).sum()]
+        for stay in stays:
+            bound = bound + stay
+            clipped_sums.append(np.clip(bound, lo, hi).sum())
+        counts += np.diff(clipped_sums)
+        start = bound[-1]
+    return counts / (hi - lo)
 
 
 def run_selection_round(
@@ -114,6 +175,26 @@ class MixtureBatchResult:
     mean_offers: float
 
 
+def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
+    """Validate mixture_batch's arguments without allocating anything;
+    return alpha as a float. rounds x scn.n must not exceed MAX_ROUND_DRAWS.
+    """
+    if isinstance(alpha, bool):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    alpha = float(alpha)
+    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    if not _is_int(rounds) or rounds <= 0:
+        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
+    if rounds * scn.n > MAX_ROUND_DRAWS:
+        raise ValueError(
+            f"rounds x n must not exceed {MAX_ROUND_DRAWS} agent draws, "
+            f"got {rounds} x {scn.n}"
+        )
+    _check_seed(seed)
+    return alpha
+
+
 def mixture_batch(
     scn: WorstCaseScenario, alpha: float, rounds: int, seed: int
 ) -> MixtureBatchResult:
@@ -125,11 +206,7 @@ def mixture_batch(
     acceptance. The all-reject frequency is the empirical counterpart of
     worst_case_prob(scn, alpha).
     """
-    alpha = float(alpha)
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not isinstance(rounds, int) or rounds <= 0:
-        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
+    alpha = check_batch(scn, alpha, rounds, seed)
     rng = make_rng(seed, _STREAM_MIXTURE)
     p_rej, p_rec = group_reject_probs(scn)
     rejective = rng.random((rounds, scn.n)) < alpha

@@ -66,7 +66,7 @@ class WorstCaseScenario:
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         u_minus, u_plus = float(self.u_minus), float(self.u_plus)
         if math.isnan(u_minus) or math.isnan(u_plus) or not u_minus < 0.0 < u_plus:

@@ -62,3 +62,30 @@ def closed_form_pi(g, a, s):
 
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def expected_visit_counts(matrix, steps, burn_in):
+    """Expected visits to each state among X_{burn_in+1}, ..., X_steps of
+    the chain started at X_0 = state 0, i.e. the states entered by the
+    transitions t = burn_in, ..., steps - 1: the sum of row 0 of P^(t+1)
+    over that range, by explicit matrix powers."""
+    matrix = np.asarray(matrix, dtype=float)
+    return sum(
+        np.linalg.matrix_power(matrix, t + 1)[0] for t in range(burn_in, steps)
+    )
+
+
+def deterministic_walk_occupancy(matrix, steps, burn_in):
+    """Occupancy of a chain whose every row is a unit vector, walked one
+    step at a time from state 0 with the first burn_in visited states
+    dropped."""
+    matrix = np.asarray(matrix, dtype=float)
+    assert np.all((matrix == 0.0) | (matrix == 1.0)), "chain is not deterministic"
+    successor = matrix.argmax(axis=1)
+    counts = np.zeros(matrix.shape[0])
+    state = 0
+    for t in range(steps):
+        state = successor[state]
+        if t >= burn_in:
+            counts[state] += 1
+    return counts / (steps - burn_in)

@@ -13,7 +13,13 @@ from pathfinder_ops import (
     sweep_steady_state,
     sweep_to_csv,
 )
-from pathfinder_ops.chain import STRUCTURAL_ZEROS
+from pathfinder_ops.chain import (
+    STRUCTURAL_ZEROS,
+    SWEEP_CSV_HEADER,
+    steady_states,
+    transition_matrices,
+)
+from pathfinder_ops.fileio import fmt12
 
 from oracles import closed_form_pi, power_iteration
 
@@ -207,15 +213,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_steady_state([0.5], [1.5], [0.5])
 
-    def test_parallel_matches_serial(self):
-        grid = [0.2, 0.5, 0.8]
-        serial = sweep_steady_state(grid, grid, [0.5, 1.0])
-        parallel = sweep_steady_state(grid, grid, [0.5, 1.0], max_workers=4)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.params == b.params and a.status == b.status
-            np.testing.assert_array_equal(a.pi, b.pi)
-
     def test_csv_shape_and_precision(self):
         rows = sweep_steady_state([0.5, 1.0], [0.5], [0.0])
         text = sweep_to_csv(rows)
@@ -229,9 +226,86 @@ class TestSweep:
         assert bad_cols[3:7] == ["", "", "", ""]
         assert bad_cols[-1] == "non_unique"
 
+    def test_csv_matches_per_value_formatting(self):
+        # Grid values are formatted once per value; the bytes must equal
+        # formatting every field of every row, signed zero included.
+        rows = sweep_steady_state([0.05, 0.5, 1.0], [0.3, 1.0], [-0.0, 0.0, 0.25, 1.0])
+        lines = [SWEEP_CSV_HEADER]
+        for row in rows:
+            p = row.params
+            pi = ["", "", "", ""] if row.pi is None else [fmt12(x) for x in row.pi]
+            fields = [fmt12(p.p_good), fmt12(p.p_accept), fmt12(p.p_success), *pi]
+            lines.append(",".join(fields + [row.status]))
+        text = sweep_to_csv(rows)
+        assert text == "\n".join(lines) + "\n"
+        assert [line.split(",")[2] for line in lines[1:5]] == ["-0", "0", "0.25", "1"]
+
     def test_default_grid(self):
         grid = default_grid()
         assert grid[0] == pytest.approx(0.05)
         assert grid[-1] == pytest.approx(0.95)
         assert len(grid) == 19
         assert all(0.0 < g < 1.0 for g in grid)
+
+
+class TestBatchedSweep:
+    # Boundary values on every axis: g = 1 and s = 0 leave two recurrent
+    # classes; a = 1 and s in {0, 1} make rows deterministic.
+    G = [0.05, 0.3, 0.7, 0.95, 1.0]
+    A = [0.05, 0.4, 1.0]
+    S = [0.0, 0.2, 0.9, 1.0]
+
+    def test_every_cell_equals_the_single_chain_solve(self):
+        rows = sweep_steady_state(self.G, self.A, self.S)
+        assert len(rows) == len(self.G) * len(self.A) * len(self.S)
+        for row in rows:
+            p = row.params
+            try:
+                expected = steady_state(build_transition_matrix(p))
+            except NonUniqueStationary:
+                assert row.status == "non_unique" and row.pi is None
+                continue
+            assert row.status == "ok"
+            np.testing.assert_array_equal(row.pi, expected)
+
+    def test_non_unique_set_is_exactly_closed_loop_cells(self):
+        rows = sweep_steady_state(self.G, self.A, self.S)
+        non_unique = {
+            (r.params.p_good, r.params.p_accept, r.params.p_success)
+            for r in rows
+            if r.status == "non_unique"
+        }
+        assert non_unique == {(1.0, a, 0.0) for a in self.A}
+
+    def test_interior_cells_match_closed_form(self):
+        rows = sweep_steady_state(self.G[:-1], self.A, self.S)
+        for row in rows:
+            p = row.params
+            expected = closed_form_pi(p.p_good, p.p_accept, p.p_success)
+            np.testing.assert_allclose(row.pi, expected, rtol=0, atol=1e-12)
+
+    def test_stack_shape_and_layout(self):
+        g = np.array([[0.2, 0.5, 0.9], [0.1, 0.6, 0.8]])
+        matrices = transition_matrices(g, 0.7, [[0.3], [1.0]])
+        assert matrices.shape == (2, 3, 4, 4)
+        pi, unique = steady_states(matrices)
+        assert pi.shape == (2, 3, 4) and unique.shape == (2, 3) and unique.all()
+        for i in range(2):
+            for j in range(3):
+                s = 0.3 if i == 0 else 1.0
+                P = build_transition_matrix(ChainParams(g[i, j], 0.7, s))
+                np.testing.assert_array_equal(matrices[i, j], P)
+                np.testing.assert_array_equal(pi[i, j], steady_state(P))
+
+    def test_non_unique_rows_are_nan(self):
+        pi, unique = steady_states(transition_matrices([0.5, 1.0], 0.5, 0.0))
+        assert unique.tolist() == [True, False]
+        assert np.isnan(pi[1]).all() and not np.isnan(pi[0]).any()
+
+    def test_rejects_non_stochastic_stack(self):
+        matrices = transition_matrices([0.2, 0.5], 0.5, 0.5)
+        matrices[1, 2, 0] += 1e-6
+        with pytest.raises(ValueError):
+            steady_states(matrices)
+        with pytest.raises(ValueError):
+            steady_states(np.ones((2, 3, 3)) / 3)

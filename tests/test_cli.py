@@ -8,9 +8,11 @@ import pytest
 
 import numpy as np
 
+import pathfinder_ops.simulate as simulate_module
 from pathfinder_ops.cli import main
 
 from test_ntml import load_fixture
+from test_simulate import no_rng
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -98,6 +100,16 @@ class TestSteady:
         assert main(["steady", "--config", cfg]) == 3
         assert "error[computation_failed]" in capsys.readouterr().err
 
+    def test_failed_stationarity_check_exits_3(self, tmp_path, capsys):
+        # A near-reducible cell whose solve fails the negative-component check.
+        cfg = write_config(
+            tmp_path, {"chain": {"p_good": 0.999999999, "p_accept": 1e-12, "p_success": 0.0}}
+        )
+        code = main(["steady", "--config", cfg])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
+
     def test_json_format(self, tmp_path):
         cfg = write_config(
             tmp_path, {"chain": {"p_good": 0.5, "p_accept": 1.0, "p_success": 1.0}}
@@ -106,21 +118,6 @@ class TestSteady:
         assert main(["steady", "--config", cfg, "--out", out, "--format", "json"]) == 0
         doc = json.loads(open(out).read())
         assert doc[0]["pi"][0] == pytest.approx(1 / 3, abs=1e-10)
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path,
-            {"chain": {"p_good": [0.2, 0.5, 0.8], "p_accept": [0.5, 0.9], "p_success": 1.0}},
-        )
-        out_serial = str(tmp_path / "serial.csv")
-        out_thread = str(tmp_path / "threaded.csv")
-        monkeypatch.delenv("PATHFINDER_THREADS", raising=False)
-        assert main(["steady", "--config", cfg, "--out", out_serial]) == 0
-        monkeypatch.setenv("PATHFINDER_THREADS", "4")
-        assert main(["steady", "--config", cfg, "--out", out_thread]) == 0
-        assert open(out_serial).read() == open(out_thread).read()
-        monkeypatch.setenv("PATHFINDER_THREADS", "zero")
-        assert main(["steady", "--config", cfg, "--out", out_thread]) == 2
 
 
 class TestWorst:
@@ -443,6 +440,79 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"sim": {"seed": 1}})
         assert main(["simulate", "--config", cfg]) == 2
 
+    BOTH_DOC = dict(
+        FIG3_WORST,
+        chain={"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9},
+        sim={"seed": 1, "steps": 100, "burn_in": 10, "rounds": 100, "alpha": 0.5},
+    )
+
+    @pytest.mark.parametrize("key", ["seed", "steps", "burn_in", "rounds"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_sim_value_refused(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(simulate_module, "make_rng", no_rng)
+        doc = dict(self.BOTH_DOC, sim=dict(self.BOTH_DOC["sim"], **{key: value}))
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,needle", [("worst_case", "n", "n must"), ("sim", "alpha", "alpha")]
+    )
+    def test_boolean_selection_value_refused(self, tmp_path, capsys, section, key, needle):
+        doc = dict(FIG3_WORST, sim={"seed": 1, "rounds": 100, "alpha": 0.5})
+        doc[section] = dict(doc[section], **{key: True})
+        cfg = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, needle)
+
+    @pytest.mark.parametrize("sim", [{"seed": -1, "steps": 100}, {"seed": 2**64, "rounds": 10}])
+    def test_out_of_range_seed_refused(self, tmp_path, capsys, sim):
+        cfg = write_config(tmp_path, dict(self.BOTH_DOC, sim=dict(sim, alpha=0.5)))
+        code = main(["simulate", "--config", cfg])
+        assert_refused(code, capsys.readouterr().err, "seed")
+
+    @pytest.mark.parametrize(
+        "sim,needle",
+        [
+            ({"steps": 10**9 + 1}, "steps"),
+            ({"steps": 10**30}, "steps"),
+            ({"rounds": 2**24 // 10 + 1}, "rounds x n"),
+            ({"rounds": 10**30}, "rounds x n"),
+        ],
+    )
+    def test_oversized_request_refused_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, sim, needle
+    ):
+        # The valid other half of the request must not run either.
+        monkeypatch.setattr(simulate_module, "make_rng", no_rng)
+        doc = dict(self.BOTH_DOC, sim=dict(self.BOTH_DOC["sim"], **sim))
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, needle)
+        assert not out.exists()
+
+    def test_benchmark_sized_requests_pass_validation(self, tmp_path, monkeypatch):
+        # 2e6 steps and 1e6 rounds of n = 10 get past every check and reach
+        # the generator, which is stubbed so nothing runs.
+        monkeypatch.setattr(simulate_module, "make_rng", no_rng)
+        for sim in ({"steps": 2_000_000}, {"rounds": 1_000_000}):
+            doc = dict(FIG3_WORST, chain=self.BOTH_DOC["chain"], sim=dict(sim, seed=1, alpha=0.5))
+            cfg = write_config(tmp_path, doc)
+            with pytest.raises(AssertionError, match="make_rng called"):
+                main(["simulate", "--config", cfg])
+
+
+def module_env():
+    """Environment in which `python -m pathfinder_ops` imports the package
+    under test, whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(simulate_module.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -453,6 +523,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "pathfinder_ops", "steady", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -462,5 +533,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "pathfinder_ops", "steady"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 2

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import pathfinder_ops.simulate as simulate_module
 from pathfinder_ops import (
     AgentProfile,
     ChainParams,
@@ -12,12 +14,22 @@ from pathfinder_ops import (
     SimConfig,
     WorstCaseScenario,
     build_transition_matrix,
+    make_rng,
     mixture_batch,
     run_selection_round,
     simulate_chain,
     steady_state,
     worst_case_prob,
 )
+from pathfinder_ops.simulate import MAX_ROUND_DRAWS, MAX_STEPS, check_batch
+
+from oracles import deterministic_walk_occupancy, expected_visit_counts
+
+
+def no_rng(*args, **kwargs):
+    """Stand-in for make_rng in tests of requests refused before any draw."""
+    raise AssertionError("make_rng called for a refused request")
+
 
 CTX = ControllerContext(delta_d_ideal=100.0)
 
@@ -45,6 +57,29 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=0, steps=10, burn_in=10)
         SimConfig(seed=2**64 - 1, steps=10, burn_in=9)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": True, "steps": 10},
+            {"seed": 0, "steps": True},
+            {"seed": 0, "steps": 10, "burn_in": False},
+        ],
+    )
+    def test_rejects_booleans(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    def test_steps_cap(self):
+        assert SimConfig(seed=0, steps=MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(ValueError, match="steps"):
+            SimConfig(seed=0, steps=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="steps"):
+            SimConfig(seed=0, steps=10**30)
+
+    def test_make_rng_rejects_boolean_seed(self):
+        with pytest.raises(ValueError):
+            make_rng(True)
 
 
 class TestSimulateChain:
@@ -84,6 +119,53 @@ class TestSimulateChain:
             occ = simulate_chain(params, SimConfig(seed=1000 + trial, steps=10**6, burn_in=1000))
             pi = steady_state(build_transition_matrix(params))
             assert np.max(np.abs(occ - pi)) <= 0.01
+
+
+class TestHoldingTimeWalk:
+    # Mean visit counts of many seeded short walks against the exact
+    # expectation from matrix powers. steps = 12 and burn_in = 3 count
+    # X_4, ..., X_12; an off-by-one in the first visit or in burn-in moves
+    # the means by far more than 4 standard errors.
+    STEPS, BURN_IN, RUNS = 12, 3, 2000
+
+    @pytest.mark.parametrize(
+        "g,a,s",
+        [
+            (0.3, 0.6, 0.7),  # interior
+            (0.4, 0.0, 0.5),  # a = 0: Pathfinder Selection absorbs
+            (1.0, 0.7, 0.4),  # g = 1, s > 0: Gate Opened absorbs
+            (0.5, 0.6, 0.0),  # s = 0: Gate Opened is never entered
+            (0.5, 0.6, 1.0),  # s = 1: Pathfinding always opens the gate
+        ],
+    )
+    def test_mean_counts_match_matrix_powers(self, g, a, s):
+        params = ChainParams(g, a, s)
+        counted = self.STEPS - self.BURN_IN
+        counts = np.array(
+            [
+                simulate_chain(params, SimConfig(seed=seed, steps=self.STEPS, burn_in=self.BURN_IN))
+                * counted
+                for seed in range(self.RUNS)
+            ]
+        )
+        expected = expected_visit_counts(build_transition_matrix(params), self.STEPS, self.BURN_IN)
+        se = counts.std(axis=0, ddof=1) / math.sqrt(self.RUNS)
+        assert np.all(np.abs(counts.mean(axis=0) - expected) <= 4 * se + 1e-12), (
+            counts.mean(axis=0),
+            expected,
+            se,
+        )
+
+    @pytest.mark.parametrize("g,a,s", list(itertools.product([0.0, 1.0], repeat=3)))
+    @pytest.mark.parametrize("steps,burn_in", [(1, 0), (10, 0), (10, 4), (100_003, 17)])
+    def test_deterministic_chains_are_exact(self, g, a, s, steps, burn_in):
+        # With every probability in {0, 1} each row of P is a unit vector,
+        # so any walk equals the one-step-at-a-time walk, including the
+        # never-left states (leave probability 0).
+        params = ChainParams(g, a, s)
+        occ = simulate_chain(params, SimConfig(seed=3, steps=steps, burn_in=burn_in))
+        expected = deterministic_walk_occupancy(build_transition_matrix(params), steps, burn_in)
+        np.testing.assert_array_equal(occ, expected)
 
 
 class TestSelectionRound:
@@ -165,3 +247,26 @@ class TestMixtureBatch:
             mixture_batch(scn, alpha=1.2, rounds=10, seed=0)
         with pytest.raises(ValueError):
             mixture_batch(scn, alpha=0.5, rounds=0, seed=0)
+
+    def test_rejects_boolean_rounds_and_seed(self):
+        scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        with pytest.raises(ValueError, match="rounds"):
+            mixture_batch(scn, alpha=0.5, rounds=True, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            mixture_batch(scn, alpha=0.5, rounds=10, seed=True)
+
+    def test_draw_cap(self):
+        # Only the checks run here: a request at the cap would allocate
+        # several hundred MiB.
+        scn = WorstCaseScenario(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        assert check_batch(scn, 0.5, 10**6, 0) == 0.5
+        assert check_batch(scn, 0.5, MAX_ROUND_DRAWS // 10, 0) == 0.5
+        with pytest.raises(ValueError, match="rounds x n"):
+            check_batch(scn, 0.5, MAX_ROUND_DRAWS // 10 + 1, 0)
+
+    @pytest.mark.parametrize("rounds,n", [(MAX_ROUND_DRAWS + 1, 1), (10**6, 10**6), (10**40, 2)])
+    def test_oversized_batch_refused_before_allocation(self, monkeypatch, rounds, n):
+        monkeypatch.setattr(simulate_module, "make_rng", no_rng)
+        scn = WorstCaseScenario(n=n, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        with pytest.raises(ValueError, match="rounds x n"):
+            mixture_batch(scn, alpha=0.5, rounds=rounds, seed=0)

@@ -50,8 +50,9 @@ class TestValidation:
             WorstCaseScenario(n=10, u_minus=-2.0, u_plus=-0.1, beta=1.0, delta=0.1)
 
     def test_counts_and_ranges(self):
-        with pytest.raises(ValueError):
-            WorstCaseScenario(n=0, u_minus=-1.0, u_plus=1.0, beta=1.0, delta=0.1)
+        for bad_n in (0, True, 2.0):
+            with pytest.raises(ValueError, match="n must"):
+                WorstCaseScenario(n=bad_n, u_minus=-1.0, u_plus=1.0, beta=1.0, delta=0.1)
         with pytest.raises(ValueError):
             WorstCaseScenario(n=5, u_minus=-1.0, u_plus=1.0, beta=1.0, delta=1.0)
         with pytest.raises(ValueError):
