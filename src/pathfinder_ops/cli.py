@@ -10,28 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import reprlib
 import sys
 
 import numpy as np
 
 from . import __version__
 from .chain import (
+    MAX_SWEEP_CELLS,
     ChainParams,
     SweepRow,
+    _validate_grid,
     build_transition_matrix,
     default_grid,
     steady_state,
     sweep_steady_state,
     sweep_to_csv,
 )
-from .errors import (
-    EmptyGrid,
-    InsufficientData,
-    NonUniqueStationary,
-    NoTippingPoint,
-)
-from .fileio import atomic_write_text, fmt12
+from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint
+from .fileio import atomic_write_text, csv_text, json_text
 from .ntml import (
     calibrated_steady_state,
     classify_corpus,
@@ -41,14 +40,13 @@ from .ntml import (
     load_rules,
     read_corpus_csv,
 )
-from .simulate import (
-    MixtureBatchResult,
-    SimConfig,
-    check_batch,
-    mixture_batch,
-    simulate_chain,
-)
+from .simulate import SimConfig, check_batch, mixture_batch, simulate_chain
 from .worstcase import (
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_GH_NODES,
+    DEFAULT_N_VALUES,
+    DEFAULT_THETA_GRID,
+    DEFAULT_U_ABS_VALUES,
     NoiseKind,
     NoiseSpec,
     SocialParams,
@@ -63,17 +61,11 @@ from .worstcase import (
     tipping_point,
     worst_case_prob,
 )
-from .worstcase import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_GH_NODES,
-    DEFAULT_N_VALUES,
-    DEFAULT_THETA_GRID,
-    DEFAULT_U_ABS_VALUES,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
+
 
 class ConfigError(Exception):
     """Invalid usage, config file, or rules file; exits 2."""
@@ -83,35 +75,107 @@ class ComputeError(Exception):
     """Computation or input-data failure; exits 3."""
 
 
-_SECTION_KEYS = {
-    "chain": {"p_good", "p_accept", "p_success"},
-    "worst_case": {"n", "u_minus", "u_plus", "beta", "delta", "alpha_grid"},
-    "social": {"s", "gamma", "r"},
-    "noise": {"kind", "theta", "gh_nodes"},
-    "sim": {"seed", "steps", "burn_in", "rounds", "alpha"},
-    "gradmap": {"n_values", "u_abs_values", "alpha_grid", "theta_grid", "beta"},
+# --- config schema ----------------------------------------------------------
+
+
+def _finite(value) -> bool:
+    """An int or float, never a bool, that is finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _integer(value) -> bool:
+    """An int, never a bool, within the float range."""
+    return type(value) is int and _finite(value)
+
+
+def _list_of(item):
+    return lambda value: type(value) is list and bool(value) and all(map(item, value))
+
+
+_NOISE_KINDS = [kind.value for kind in NoiseKind]
+
+# Value types: (check, what the error message says a value must be).
+NUMBER = (_finite, "a number")
+INTEGER = (_integer, "an integer")
+NUMBERS = (_list_of(_finite), "a non-empty list of numbers")
+INTEGERS = (_list_of(_integer), "a non-empty list of integers")
+GRID = (lambda v: _finite(v) or NUMBERS[0](v), "a number or a non-empty list of numbers")
+KIND = (lambda v: isinstance(v, str) and v.lower() in _NOISE_KINDS, f"one of {_NOISE_KINDS}")
+
+REQUIRED = object()
+
+# Every config key, as section -> key -> (type, default). A present section
+# must set its REQUIRED keys; a None default leaves the key unset. Ranges are
+# checked by the library's constructors, not here.
+SCHEMA = {
+    "chain": {key: (GRID, default_grid()) for key in ("p_good", "p_accept", "p_success")},
+    "worst_case": {
+        "n": (INTEGER, REQUIRED),
+        "u_minus": (NUMBER, REQUIRED),
+        "u_plus": (NUMBER, REQUIRED),
+        "beta": (NUMBER, REQUIRED),
+        "delta": (NUMBER, REQUIRED),
+        "alpha_grid": (NUMBERS, [i / 100.0 for i in range(101)]),
+    },
+    "social": {"s": (NUMBER, REQUIRED), "gamma": (NUMBER, REQUIRED), "r": (NUMBER, REQUIRED)},
+    "noise": {
+        "kind": (KIND, REQUIRED), "theta": (NUMBER, 0.0), "gh_nodes": (INTEGER, DEFAULT_GH_NODES),
+    },
+    "sim": {
+        "seed": (INTEGER, None), "steps": (INTEGER, None), "burn_in": (INTEGER, 0),
+        "rounds": (INTEGER, None), "alpha": (NUMBER, None),
+    },
+    "gradmap": {
+        "n_values": (INTEGERS, DEFAULT_N_VALUES),
+        "u_abs_values": (NUMBERS, DEFAULT_U_ABS_VALUES),
+        "alpha_grid": (NUMBERS, DEFAULT_ALPHA_GRID),
+        "theta_grid": (NUMBERS, DEFAULT_THETA_GRID),
+        "beta": (NUMBER, 1.0),
+    },
 }
 
 
+def _checked(section: str, body: dict) -> dict:
+    """`body` with every key of `section` type-checked and defaults filled in."""
+    keys = SCHEMA[section]
+    unknown = [key for key in body if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {section + '.' + unknown[0]!r}")
+    out = {}
+    for key, ((check, kind), default) in keys.items():
+        if key not in body:
+            if default is REQUIRED:
+                raise ConfigError(f"config key '{section}.{key}' is required")
+            out[key] = default
+        elif check(body[key]):
+            out[key] = body[key]
+        else:
+            raise ConfigError(f"{section}.{key} must be {kind}, got {reprlib.repr(body[key])}")
+    return out
+
+
 def _load_config(path: str) -> dict:
+    """The config at `path`, checked against SCHEMA, with defaults filled in."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config top level must be a JSON object")
+    cfg = {}
     for section, body in doc.items():
-        if section not in _SECTION_KEYS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        for key in body:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown config key {section + '.' + key!r}")
-    return doc
+        cfg[section] = _checked(section, body)
+    return cfg
 
 
 def _require_section(cfg: dict, name: str) -> dict:
@@ -120,78 +184,43 @@ def _require_section(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
-def _build(factory, *args, **kwargs):
-    """Construct or check a domain value, converting validation errors to
-    ConfigError."""
-    try:
-        return factory(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+# Domain objects straight from a checked config. Their constructors check
+# ranges and raise ValueError, which main() reports as a config error.
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _scenario(cfg: dict) -> WorstCaseScenario:
+    wc = _require_section(cfg, "worst_case")
+    return WorstCaseScenario(wc["n"], wc["u_minus"], wc["u_plus"], wc["beta"], wc["delta"])
 
 
-def _number_list(section: dict, where: str, key: str, default):
-    """section[key], which must be a non-empty list of numbers, or `default`
-    when the key is absent."""
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
-        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
-    return value
+def _social(cfg: dict) -> SocialParams | None:
+    return SocialParams(**cfg["social"]) if "social" in cfg else None
 
 
-def _grid_values(section: dict, key: str) -> list[float]:
-    if key not in section:
-        return default_grid()
-    value = section[key]
-    if _is_number(value):
-        return [float(value)]
-    if isinstance(value, list) and value and all(map(_is_number, value)):
-        return [float(v) for v in value]
-    raise ConfigError(f"chain.{key} must be a number or a non-empty list of numbers")
-
-
-def _scenario_from(cfg: dict) -> WorstCaseScenario:
-    section = _require_section(cfg, "worst_case")
-    kwargs = {k: section[k] for k in ("n", "u_minus", "u_plus", "beta", "delta") if k in section}
-    missing = [k for k in ("n", "u_minus", "u_plus", "beta", "delta") if k not in section]
-    if missing:
-        raise ConfigError(f"config key 'worst_case.{missing[0]}' is required")
-    return _build(WorstCaseScenario, **kwargs)
-
-
-def _social_from(cfg: dict) -> SocialParams | None:
-    if "social" not in cfg:
-        return None
-    section = cfg["social"]
-    missing = [k for k in ("s", "gamma", "r") if k not in section]
-    if missing:
-        raise ConfigError(f"config key 'social.{missing[0]}' is required")
-    return _build(SocialParams, s=section["s"], gamma=section["gamma"], r=section["r"])
-
-
-def _noise_from(cfg: dict) -> NoiseSpec | None:
+def _noise(cfg: dict) -> NoiseSpec | None:
     if "noise" not in cfg:
         return None
-    section = cfg["noise"]
-    if "kind" not in section:
-        raise ConfigError("config key 'noise.kind' is required")
+    noise = cfg["noise"]
+    return NoiseSpec(NoiseKind(noise["kind"].lower()), noise["theta"], noise["gh_nodes"])
+
+
+def _colon_grid(text: str) -> list[float]:
+    """The p_good values of a lo:hi:step grid, counted and bounded before any
+    is built."""
     try:
-        kind = NoiseKind(str(section["kind"]).lower())
+        lo, hi, step = map(float, text.split(":"))
     except ValueError:
-        raise ConfigError(
-            f"noise.kind must be one of {[k.value for k in NoiseKind]}, got {section['kind']!r}"
-        )
-    return _build(
-        NoiseSpec,
-        kind=kind,
-        theta=section.get("theta", 0.0),
-        gh_nodes=section.get("gh_nodes", DEFAULT_GH_NODES),
-    )
+        raise ConfigError(f"--g-grid must be lo:hi:step, got {text!r}")
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and lo <= hi):
+        raise ConfigError(f"--g-grid needs finite lo <= hi and step > 0, got {text!r}")
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SWEEP_CELLS:
+        raise ConfigError(f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got {text!r}")
+    values = [round(lo + i * step, 12) for i in range(int(span) + 1)]
+    try:
+        return _validate_grid(values, "p_good", low_open=False)
+    except ValueError as exc:
+        raise ConfigError(f"--g-grid: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -201,57 +230,26 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write_text(out, text)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
-
-
-def _parse_colon_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"grid must be numeric lo:hi:step, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"grid needs step > 0 and hi >= lo, got {text!r}")
-    count = int((hi - lo) / step + 1e-9)
-    return [round(lo + i * step, 12) for i in range(count + 1)]
-
-
 # --- steady -----------------------------------------------------------------
 
 
 def cmd_steady(args) -> int:
-    cfg = _load_config(args.config)
-    section = _require_section(cfg, "chain")
-    try:
-        rows = sweep_steady_state(
-            _grid_values(section, "p_good"),
-            _grid_values(section, "p_accept"),
-            _grid_values(section, "p_success"),
-        )
-    except (ValueError, EmptyGrid) as exc:
-        raise ConfigError(str(exc))
-    except ArithmeticError as exc:
-        raise ComputeError(str(exc))
+    chain = _require_section(_load_config(args.config), "chain")
+    # The schema keeps key order: p_good, p_accept, p_success.
+    rows = sweep_steady_state(*(v if isinstance(v, list) else [v] for v in chain.values()))
     if all(row.status != "ok" for row in rows):
         raise ComputeError("no sweep cell has a unique stationary distribution")
     if args.format == "json":
-        _emit_json([_sweep_row_dict(row) for row in rows], args.out)
+        table = [
+            {"p_good": r.params.p_good, "p_accept": r.params.p_accept,
+             "p_success": r.params.p_success, "pi": None if r.pi is None else r.pi.tolist(),
+             "status": r.status}
+            for r in rows
+        ]
+        _emit(json_text(table), args.out)
     else:
         _emit(sweep_to_csv(rows), args.out)
     return EXIT_OK
-
-
-def _sweep_row_dict(row: SweepRow) -> dict:
-    return {
-        "p_good": row.params.p_good,
-        "p_accept": row.params.p_accept,
-        "p_success": row.params.p_success,
-        "pi": None if row.pi is None else [float(x) for x in row.pi],
-        "status": row.status,
-    }
 
 
 # --- worst ------------------------------------------------------------------
@@ -259,16 +257,8 @@ def _sweep_row_dict(row: SweepRow) -> dict:
 
 def cmd_worst(args) -> int:
     cfg = _load_config(args.config)
-    scn = _scenario_from(cfg)
-    soc = _social_from(cfg)
-    noise = _noise_from(cfg)
-    raw = _number_list(
-        cfg["worst_case"], "worst_case", "alpha_grid", [i / 100.0 for i in range(101)]
-    )
-    alphas = [float(a) for a in raw]
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ConfigError(f"worst_case.alpha_grid values must lie in [0, 1], got {a!r}")
+    scn, soc, noise = _scenario(cfg), _social(cfg), _noise(cfg)
+    alphas = [float(a) for a in cfg["worst_case"]["alpha_grid"]]
 
     def _tip(fn, *fn_args) -> float | None:
         try:
@@ -286,17 +276,12 @@ def cmd_worst(args) -> int:
         columns["W_noisy"] = noisy_worst_case_prob(scn, noise, alphas).tolist()
         stars["alpha_star_noisy"] = _tip(noisy_tipping_point, scn, noise)
     header = [*columns, *stars]
-    rows = [dict(zip(columns, values), **stars) for values in zip(*columns.values())]
+    rows = [[*values, *stars.values()] for values in zip(*columns.values())]
 
     if args.format == "json":
-        _emit_json({"rows": rows}, args.out)
+        _emit(json_text({"rows": [dict(zip(header, row)) for row in rows]}), args.out)
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join("" if row[col] is None else fmt12(row[col]) for col in header)
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(csv_text(header, rows), args.out)
     return EXIT_OK
 
 
@@ -305,36 +290,21 @@ def cmd_worst(args) -> int:
 
 def cmd_gradmap(args) -> int:
     cfg = _load_config(args.config)
-    section = cfg.get("gradmap", {})
-    noise = _noise_from(cfg)
-    kind = noise.kind if noise is not None else NoiseKind.RADEMACHER
-    gh_nodes = noise.gh_nodes if noise is not None else DEFAULT_GH_NODES
-    try:
-        rows = gradient_sign_map(
-            n_values=_number_list(section, "gradmap", "n_values", DEFAULT_N_VALUES),
-            u_abs_values=_number_list(section, "gradmap", "u_abs_values", DEFAULT_U_ABS_VALUES),
-            noise_kind=kind,
-            alpha_grid=_number_list(section, "gradmap", "alpha_grid", DEFAULT_ALPHA_GRID),
-            theta_grid=_number_list(section, "gradmap", "theta_grid", DEFAULT_THETA_GRID),
-            beta=section.get("beta", 1.0),
-            gh_nodes=gh_nodes,
-            collect_cells=args.cells_out is not None,
-        )
-    except (ValueError, EmptyGrid, TypeError) as exc:
-        raise ConfigError(str(exc))
+    grids = cfg["gradmap"] if "gradmap" in cfg else _checked("gradmap", {})
+    noise = _noise(cfg)
+    rows = gradient_sign_map(
+        **grids,
+        noise_kind=noise.kind if noise is not None else NoiseKind.RADEMACHER,
+        gh_nodes=noise.gh_nodes if noise is not None else DEFAULT_GH_NODES,
+        collect_cells=args.cells_out is not None,
+    )
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "n": row.n,
-                    "u_abs": row.u_abs,
-                    "noise_kind": row.noise_kind.value,
-                    "fraction_negative": row.fraction_negative,
-                }
-                for row in rows
-            ],
-            args.out,
-        )
+        table = [
+            {"n": r.n, "u_abs": r.u_abs, "noise_kind": r.noise_kind.value,
+             "fraction_negative": r.fraction_negative}
+            for r in rows
+        ]
+        _emit(json_text(table), args.out)
     else:
         _emit(gradient_sign_map_to_csv(rows), args.out)
     if args.cells_out is not None:
@@ -346,14 +316,15 @@ def cmd_gradmap(args) -> int:
 
 
 def _sibling_path(out: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(out)
-    return stem + suffix
+    return os.path.splitext(out)[0] + suffix
 
 
 def cmd_classify(args) -> int:
+    # The flags and the rules are checked before the corpus is read.
+    g_grid = _colon_grid(args.g_grid) if args.calibrate else None
     try:
         rules = load_rules(args.rules) if args.rules else default_rules()
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ConfigError(str(exc))
     try:
         records = read_corpus_csv(args.input_csv)
@@ -364,33 +335,16 @@ def cmd_classify(args) -> int:
 
     labeled, counts = classify_corpus(records, rules)
     atomic_write_text(args.out, labeled_to_csv(labeled))
-
     counts_out = args.counts_out or _sibling_path(args.out, ".counts.json")
-    counts_doc = dict(counts.as_dict(), total=counts.total())
-    atomic_write_text(counts_out, json.dumps(counts_doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(counts_out, json_text(dict(counts.as_dict(), total=counts.total())))
 
-    try:
-        p_accept, p_success = estimate_params(counts)
-    except InsufficientData as exc:
-        raise ComputeError(str(exc))
+    p_accept, p_success = estimate_params(counts)
     params_out = args.params_out or _sibling_path(args.out, ".params.json")
-    atomic_write_text(
-        params_out,
-        json.dumps({"p_accept": p_accept, "p_success": p_success}, indent=2, sort_keys=True)
-        + "\n",
-    )
+    atomic_write_text(params_out, json_text({"p_accept": p_accept, "p_success": p_success}))
 
-    if args.calibrate:
-        g_grid = _parse_colon_grid(args.g_grid)
-        try:
-            table = calibrated_steady_state(counts, g_grid)
-        except (ValueError, EmptyGrid) as exc:
-            raise ConfigError(str(exc))
-        except NonUniqueStationary as exc:
-            raise ComputeError(str(exc))
-        rows = [
-            SweepRow(ChainParams(g, p_accept, p_success), pi, "ok") for g, pi in table
-        ]
+    if g_grid is not None:
+        table = calibrated_steady_state(counts, g_grid)
+        rows = [SweepRow(ChainParams(g, p_accept, p_success), pi, "ok") for g, pi in table]
         steady_out = args.steady_out or _sibling_path(args.out, ".steady.csv")
         atomic_write_text(steady_out, sweep_to_csv(rows))
     return EXIT_OK
@@ -404,36 +358,29 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate writes JSON only")
     cfg = _load_config(args.config)
     sim = _require_section(cfg, "sim")
-    seed = args.seed if args.seed is not None else sim.get("seed")
+    seed = sim["seed"] if args.seed is None else args.seed
+    steps, rounds = sim["steps"], sim["rounds"]
     if seed is None:
         raise ConfigError("a seed is required: set sim.seed or pass --seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if "steps" not in sim and "rounds" not in sim:
+    if steps is None and rounds is None:
         raise ConfigError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
 
     # Validate both parts before either runs.
-    if "steps" in sim:
-        section = _require_section(cfg, "chain")
-        values = {}
-        for key in ("p_good", "p_accept", "p_success"):
-            if key not in section:
-                raise ConfigError(f"config key 'chain.{key}' is required for simulation")
-            if not isinstance(section[key], (int, float)) or isinstance(section[key], bool):
-                raise ConfigError(f"chain.{key} must be a scalar for simulation")
-            values[key] = float(section[key])
-        params = _build(ChainParams, **values)
-        sim_cfg = _build(
-            SimConfig, seed=seed, steps=sim["steps"], burn_in=sim.get("burn_in", 0)
-        )
-    if "rounds" in sim:
-        scn = _scenario_from(cfg)
-        if "alpha" not in sim:
+    if steps is not None:
+        chain = _require_section(cfg, "chain")
+        for key, value in chain.items():
+            if isinstance(value, list):
+                raise ConfigError(f"chain.{key} must be a single number for simulation")
+        params = ChainParams(**chain)
+        sim_cfg = SimConfig(seed=seed, steps=steps, burn_in=sim["burn_in"])
+    if rounds is not None:
+        scn = _scenario(cfg)
+        if sim["alpha"] is None:
             raise ConfigError("config key 'sim.alpha' is required for selection rounds")
-        alpha = _build(check_batch, scn, sim["alpha"], sim["rounds"], seed)
+        alpha = check_batch(scn, sim["alpha"], rounds, seed)
 
     result: dict = {}
-    if "steps" in sim:
+    if steps is not None:
         occupancy = simulate_chain(params, sim_cfg)
         block = {
             "seed": seed,
@@ -442,17 +389,14 @@ def cmd_simulate(args) -> int:
             "occupancy": [float(x) for x in occupancy],
         }
         if args.compare_analytic:
-            try:
-                pi = steady_state(build_transition_matrix(params))
-            except NonUniqueStationary as exc:
-                raise ComputeError(str(exc))
+            pi = steady_state(build_transition_matrix(params))
             error = float(np.max(np.abs(occupancy - pi)))
             block["analytic_pi"] = [float(x) for x in pi]
             block["max_abs_error"] = error
             block["within_tolerance"] = bool(error <= 0.01)
         result["chain"] = block
-    if "rounds" in sim:
-        batch: MixtureBatchResult = mixture_batch(scn, alpha, sim["rounds"], seed)
+    if rounds is not None:
+        batch = mixture_batch(scn, alpha, rounds, seed)
         result["selection"] = {
             "seed": seed,
             "rounds": batch.rounds,
@@ -460,7 +404,7 @@ def cmd_simulate(args) -> int:
             "mean_offers": batch.mean_offers,
             "analytic_all_reject": worst_case_prob(scn, alpha),
         }
-    _emit_json(result, args.out)
+    _emit(json_text(result), args.out)
     return EXIT_OK
 
 
@@ -525,19 +469,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: str, exc: BaseException, status: int) -> int:
+    print(f"error[{code}]: {exc}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error[config_invalid]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ComputeError as exc:
-        print(f"error[computation_failed]: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    except (ConfigError, ValueError) as exc:
+        # Past the schema, config values reach the library's constructors and
+        # grid checks, which refuse out-of-range values with ValueError.
+        return _fail("config_invalid", exc, EXIT_CONFIG)
+    except (ComputeError, ArithmeticError, NonUniqueStationary, InsufficientData) as exc:
+        return _fail("computation_failed", exc, EXIT_COMPUTE)
     except OSError as exc:
-        print(f"error[io_failed]: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return _fail("io_failed", exc, EXIT_COMPUTE)
 
 
 if __name__ == "__main__":

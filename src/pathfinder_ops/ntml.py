@@ -29,8 +29,8 @@ from importlib import resources
 
 import numpy as np
 
-from .chain import ChainParams, build_transition_matrix, steady_state
-from .errors import EmptyGrid, InsufficientData
+from .chain import ChainParams, _validate_grid, build_transition_matrix, steady_state
+from .errors import InsufficientData
 from .simulate import STREAM_CORPUS, make_rng
 
 
@@ -249,13 +249,12 @@ def calibrated_steady_state(
     counts: LabelCounts, g_grid
 ) -> list[tuple[float, np.ndarray]]:
     """Stationary distributions over a weather-reliability grid, with
-    acceptance and success probabilities estimated from the counts."""
+    acceptance and success probabilities estimated from the counts. The
+    grid is checked before the counts."""
+    g_values = _validate_grid(g_grid, "p_good", low_open=False)
     p_accept, p_success = estimate_params(counts)
-    g_values = [float(g) for g in g_grid]
-    if not g_values:
-        raise EmptyGrid("p_good grid must be non-empty")
     out = []
-    for g in sorted(g_values):
+    for g in g_values:
         params = ChainParams(p_good=g, p_accept=p_accept, p_success=p_success)
         out.append((g, steady_state(build_transition_matrix(params))))
     return out

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint
-from .fileio import fmt12
+from .fileio import csv_text, fmt12, grid_formatter
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -45,8 +45,15 @@ DEFAULT_GH_NODES = 61
 MAX_GH_NODES = 370
 
 # Upper bound on the alpha x theta x node values the gradient map evaluates
-# at once (2 MiB per temporary); larger theta grids are taken in blocks.
+# at once (2 MiB per temporary); larger grids are taken in blocks of alphas
+# and thetas.
 _GRADMAP_BLOCK_VALUES = 1 << 18
+
+# Cap on the n x |U| x alpha x theta cells of one map, checked before anything
+# is allocated. The per-cell dump holds about 270 bytes per cell at peak
+# (tracemalloc) and a cell costs at most about 22 us (Gaussian, 370 nodes,
+# 2-CPU machine), so the cap bounds memory to about 270 MiB and time to 25 s.
+MAX_GRADMAP_CELLS = 2**20
 
 
 class NoiseKind(enum.Enum):
@@ -396,7 +403,9 @@ def gradient_sign_map(
     exact dW/dtheta < -1e-12. It is exactly 0 at theta = 0.
 
     Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
-    (n, |U|) row is one alpha x theta x node array program.
+    (n, |U|) row is one alpha x theta x node array program, taken in blocks
+    of at most _GRADMAP_BLOCK_VALUES values. A map of more than
+    MAX_GRADMAP_CELLS cells is refused first.
     """
     n_values = list(n_values)
     u_abs_values = [float(u) for u in u_abs_values]
@@ -411,12 +420,17 @@ def gradient_sign_map(
         raise ValueError("u_abs values must be > 0")
     if np.isnan(thetas).any() or (thetas < 0.0).any():
         raise ValueError("theta grid values must be >= 0")
+    cells = len(n_values) * len(u_abs_values) * alphas.size * thetas.size
+    if cells > MAX_GRADMAP_CELLS:
+        raise ValueError(f"a gradient map may have at most {MAX_GRADMAP_CELLS} cells, got {cells}")
 
     nodes, weights = _unit_nodes(NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes))
-    step = max(1, _GRADMAP_BLOCK_VALUES // (alphas.size * nodes.size))
+    a_step = max(1, _GRADMAP_BLOCK_VALUES // nodes.size)
+    alpha_blocks = [alphas[i : i + a_step, None] for i in range(0, alphas.size, a_step)]
+    t_step = max(1, _GRADMAP_BLOCK_VALUES // (min(alphas.size, a_step) * nodes.size))
     laws = [
-        ShiftLaw(thetas[i : i + step, None] * nodes, nodes, weights)
-        for i in range(0, thetas.size, step)
+        ShiftLaw(thetas[i : i + t_step, None] * nodes, nodes, weights)
+        for i in range(0, thetas.size, t_step)
     ]
     at_zero = thetas == 0.0
     if collect_cells:
@@ -430,7 +444,10 @@ def gradient_sign_map(
             # delta plays no role in the gradient map; any interior value works.
             scn = WorstCaseScenario(n=n, u_minus=-u_abs, u_plus=u_abs, beta=beta, delta=0.5)
             grad = np.concatenate(
-                [mixture_partials(scn, alphas[:, None], law)[1] for law in laws], axis=1
+                [
+                    np.concatenate([mixture_partials(scn, block, law)[1] for law in laws], axis=1)
+                    for block in alpha_blocks
+                ]
             )
             # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
             # 0, where the quadrature sum would leave rounding.
@@ -456,26 +473,17 @@ GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 
 def gradient_sign_map_to_csv(rows: list[GradientSignRow]) -> str:
-    lines = [GRADMAP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.n},{fmt12(row.u_abs)},{row.noise_kind.value},{fmt12(row.fraction_negative)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        GRADMAP_CSV_HEADER.split(","),
+        ((row.n, row.u_abs, row.noise_kind.value, row.fraction_negative) for row in rows),
+    )
 
 
 def gradient_cells_to_csv(rows: list[GradientSignRow]) -> str:
     """Per-cell CSV. Grid values repeat across cells, so each distinct alpha
     and theta is formatted once."""
     lines = [GRADMAP_CELLS_CSV_HEADER]
-    grid_text: dict[float, str] = {}
-
-    def grid(x: float) -> str:
-        text = grid_text.get(x)
-        if text is None:
-            text = grid_text[x] = fmt12(x)
-        return text
-
+    grid = grid_formatter()
     for row in rows:
         if row.cells is None:
             continue

@@ -13,7 +13,9 @@ from pathfinder_ops import (
     sweep_steady_state,
     sweep_to_csv,
 )
+import pathfinder_ops.chain as chain_module
 from pathfinder_ops.chain import (
+    MAX_SWEEP_CELLS,
     STRUCTURAL_ZEROS,
     SWEEP_CSV_HEADER,
     steady_states,
@@ -212,6 +214,27 @@ class TestSweep:
             sweep_steady_state([0.0], [0.5], [0.5])  # g must be > 0
         with pytest.raises(ValueError):
             sweep_steady_state([0.5], [1.5], [0.5])
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(np, "meshgrid", kernel_called)
+        monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
+        monkeypatch.setattr(chain_module, "steady_states", kernel_called)
+
+    @pytest.mark.parametrize("sizes", [(64, 64, 65), (1000, 1000, 1000)])
+    def test_cell_cap_checked_before_any_kernel(self, no_kernel, sizes):
+        grids = [[(i + 1) / size for i in range(size)] for size in sizes]
+        with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_CELLS} cells"):
+            sweep_steady_state(*grids)
+
+    def test_sweep_at_the_cap_reaches_the_kernel(self, no_kernel):
+        assert 64**3 == MAX_SWEEP_CELLS
+        grid = [(i + 1) / 64 for i in range(64)]
+        with pytest.raises(AssertionError, match="kernel called"):
+            sweep_steady_state(grid, grid, grid)
 
     def test_csv_shape_and_precision(self):
         rows = sweep_steady_state([0.5, 1.0], [0.5], [0.0])

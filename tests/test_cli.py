@@ -8,7 +8,11 @@ import pytest
 
 import numpy as np
 
+import pathfinder_ops.chain as chain_module
+import pathfinder_ops.cli as cli_module
 import pathfinder_ops.simulate as simulate_module
+import pathfinder_ops.worstcase as worstcase_module
+from pathfinder_ops.chain import MAX_SWEEP_CELLS
 from pathfinder_ops.cli import main
 
 from test_ntml import load_fixture
@@ -47,6 +51,22 @@ def project_fixture(tmp_path):
 
 
 FIG3_WORST = {"worst_case": {"n": 10, "u_minus": -2.0, "u_plus": 2.0, "beta": 1.0, "delta": 0.1}}
+
+
+def kernel_called(*args, **kwargs):
+    """Stand-in for a compute kernel in tests of requests refused before it."""
+    raise AssertionError("kernel called")
+
+
+def no_kernels(monkeypatch):
+    """Make every sweep and gradient-map kernel raise, so an oversized
+    request that slipped past validation fails at once instead of
+    allocating."""
+    monkeypatch.setattr(np, "meshgrid", kernel_called)
+    monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
+    monkeypatch.setattr(chain_module, "steady_states", kernel_called)
+    monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
+    monkeypatch.setattr(worstcase_module, "mixture_partials", kernel_called)
 
 
 class TestSteady:
@@ -118,6 +138,25 @@ class TestSteady:
         assert main(["steady", "--config", cfg, "--out", out, "--format", "json"]) == 0
         doc = json.loads(open(out).read())
         assert doc[0]["pi"][0] == pytest.approx(1 / 3, abs=1e-10)
+
+    def test_oversized_sweep_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch):
+        # Three 1,000-value grids (a 20 KB config) would ask for 1e9 cells.
+        no_kernels(monkeypatch)
+        axis = [i / 1000 for i in range(1, 1001)]
+        cfg = write_config(tmp_path, {"chain": {"p_good": axis, "p_accept": axis, "p_success": axis}})
+        out = tmp_path / "steady.csv"
+        code = main(["steady", "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, f"at most {MAX_SWEEP_CELLS} cells")
+        assert not out.exists()
+
+    def test_benchmark_sized_sweep_passes_validation(self, tmp_path, monkeypatch):
+        # The benchmark's 25 x 25 x 26 = 16,250-cell grid reaches the kernel.
+        no_kernels(monkeypatch)
+        axis = [round(0.04 * k, 12) for k in range(1, 25)] + [1.0]
+        s_axis = [round(0.04 * k, 12) for k in range(26)]
+        cfg = write_config(tmp_path, {"chain": {"p_good": axis, "p_accept": axis, "p_success": s_axis}})
+        with pytest.raises(AssertionError, match="kernel called"):
+            main(["steady", "--config", cfg])
 
 
 class TestWorst:
@@ -260,6 +299,23 @@ class TestGradmap:
         code = main(["gradmap", "--config", cfg])
         assert_refused(code, capsys.readouterr().err, "gh_nodes")
 
+    def test_oversized_map_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch):
+        no_kernels(monkeypatch)
+        grid = [i / 1000 for i in range(1001)]
+        doc = {"gradmap": dict(self.SMALL["gradmap"], alpha_grid=grid, theta_grid=grid)}
+        cfg = write_config(tmp_path, dict(doc, noise={"kind": "gaussian"}))
+        out, cells = tmp_path / "grad.csv", tmp_path / "cells.csv"
+        code = main(["gradmap", "--config", cfg, "--out", str(out), "--cells-out", str(cells)])
+        assert_refused(code, capsys.readouterr().err, "at most 1048576 cells")
+        assert not out.exists() and not cells.exists()
+
+    def test_default_map_passes_validation(self, tmp_path, monkeypatch):
+        # The default 4 x 4 x 51 x 51 = 41,616-cell map reaches the kernel.
+        no_kernels(monkeypatch)
+        cfg = write_config(tmp_path, {"noise": {"kind": "gaussian"}})
+        with pytest.raises(AssertionError, match="kernel called"):
+            main(["gradmap", "--config", cfg, "--cells-out", str(tmp_path / "cells.csv")])
+
 
 class TestClassify:
     def test_fixture_corpus_end_to_end(self, tmp_path):
@@ -362,6 +418,53 @@ class TestClassify:
         assert rows[0]["label"] == "Failed"
         assert rows[0]["rule"] == "failed:scrubbed"
 
+    @pytest.mark.parametrize(
+        "g_grid",
+        [
+            "nan:1:0.1",
+            "0:1:nan",
+            "0:inf:0.1",
+            "0.1:0.9:inf",
+            "0.1:1.5:0.1",
+            "0.1:x:0.1",
+            "0.1:0.9",
+            "0.9:0.1:0.1",
+            "0:1:1e-6",
+        ],
+    )
+    def test_bad_g_grid_refused_before_anything_is_written(
+        self, tmp_path, capsys, monkeypatch, g_grid
+    ):
+        # "0:1:1e-6" asks for about 1e6 values, over the MAX_SWEEP_CELLS cap.
+        monkeypatch.setattr(cli_module, "calibrated_steady_state", kernel_called)
+        corpus, _ = project_fixture(tmp_path)
+        out = tmp_path / "l.csv"
+        code = main(["classify", corpus, "--out", str(out), "--calibrate", "--g-grid", g_grid])
+        assert_refused(code, capsys.readouterr().err, "--g-grid")
+        for name in ("l.csv", "l.counts.json", "l.params.json", "l.steady.csv"):
+            assert not (tmp_path / name).exists()
+
+    def test_g_grid_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-corpus.csv")
+        out = str(tmp_path / "l.csv")
+        code = main(["classify", missing, "--out", out, "--calibrate", "--g-grid", "0:inf:0.1"])
+        assert_refused(code, capsys.readouterr().err, "--g-grid")
+
+    def test_non_unique_calibration_exits_3(self, tmp_path, capsys):
+        # Only failed runs: p_success = 0, so the chain at p_good = 1 has two
+        # recurrent classes.
+        path = tmp_path / "corpus.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "facility", "comment"])
+            writer.writerow(["2024-01-01T00:00:00Z", "ZNY", "pathfinder not good"])
+        out = tmp_path / "l.csv"
+        argv = ["classify", str(path), "--out", str(out), "--calibrate", "--g-grid", "0.5:1:0.5"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error[computation_failed]: ")
+        # As for a corpus that cannot calibrate, the labels are still written.
+        assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "l.counts.json", "l.csv", "l.params.json"]
+
     def test_malformed_rules_exit_2(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"labels": {}}))
@@ -436,6 +539,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out2, "--format", "json"]) == 0
         assert open(out1).read() == open(out2).read()
 
+    def test_failed_analytic_solve_exits_3(self, tmp_path, capsys):
+        # A near-reducible chain: the walk runs, the analytic solve fails its
+        # negative-component check.
+        doc = {"chain": {"p_good": 0.999999999, "p_accept": 1e-12, "p_success": 0.0},
+               "sim": {"seed": 1, "steps": 1000}}
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--compare-analytic"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
+        assert not out.exists()
+
     def test_idle_sim_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"sim": {"seed": 1}})
         assert main(["simulate", "--config", cfg]) == 2
@@ -503,6 +619,69 @@ class TestSimulate:
             cfg = write_config(tmp_path, doc)
             with pytest.raises(AssertionError, match="make_rng called"):
                 main(["simulate", "--config", cfg])
+
+
+class TestConfigSchema:
+    """Each key's JSON type is checked once, when the config is loaded."""
+
+    SOCIAL = {"s": 0.5, "gamma": 2.5, "r": 0.5}
+    NOISE = {"kind": "gaussian", "theta": 1.0}
+
+    @pytest.mark.parametrize(
+        "command,doc,needle",
+        [
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], u_plus=True)}, "worst_case.u_plus must be a number, got True"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], u_plus="2")}, "worst_case.u_plus must be a number, got '2'"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], beta=True)}, "worst_case.beta"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], u_minus="-inf")}, "worst_case.u_minus"),
+            ("worst", dict(FIG3_WORST, social=dict(SOCIAL, s=True)), "social.s"),
+            ("worst", dict(FIG3_WORST, social=dict(SOCIAL, gamma="1e3")), "social.gamma"),
+            ("worst", dict(FIG3_WORST, noise=dict(NOISE, theta=True)), "noise.theta"),
+            ("worst", dict(FIG3_WORST, noise=dict(NOISE, theta="2")), "noise.theta"),
+            ("worst", dict(FIG3_WORST, noise=dict(NOISE, theta=float("inf"))), "noise.theta"),
+            ("gradmap", {"gradmap": {"beta": True}}, "gradmap.beta"),
+            ("gradmap", {"gradmap": {"beta": "2"}}, "gradmap.beta"),
+            ("gradmap", {"gradmap": {"n_values": [2.0]}}, "gradmap.n_values must be a non-empty list of integers"),
+            ("simulate", dict(FIG3_WORST, sim={"seed": 1, "rounds": 10, "alpha": "0.5"}), "sim.alpha"),
+            ("steady", {"chain": {"p_good": float("nan")}}, "chain.p_good"),
+            ("steady", {"chain": {"p_good": [0.5, -float("inf")]}}, "chain.p_good"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], u_plus=10**400)}, "worst_case.u_plus"),
+            ("simulate", {"sim": {"seed": 10**400, "steps": 10}}, "sim.seed must be an integer"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], n=None)}, "worst_case.n"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], delta={})}, "worst_case.delta"),
+            ("worst", dict(FIG3_WORST, noise={"kind": 1}), "noise.kind"),
+        ],
+    )
+    def test_wrong_type_refused_naming_the_key(self, tmp_path, capsys, command, doc, needle):
+        cfg = write_config(tmp_path, doc)  # NaN and Infinity become JSON literals
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, needle)
+        assert not out.exists()
+
+    def test_present_section_is_checked_for_every_command(self, tmp_path, capsys):
+        # steady does not read `social`, but an incomplete section is refused.
+        doc = {"chain": {"p_good": 0.5}, "social": {"s": 0.5, "gamma": 2.5}}
+        code = main(["steady", "--config", write_config(tmp_path, doc)])
+        assert_refused(code, capsys.readouterr().err, "config key 'social.r' is required")
+
+    def test_noise_kind_is_case_insensitive(self, tmp_path):
+        doc = dict(FIG3_WORST, noise={"kind": "Rademacher", "theta": 1})
+        out = str(tmp_path / "worst.csv")
+        assert main(["worst", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        assert "W_noisy" in read_csv(out)[0]
+
+    def test_simulation_needs_a_single_chain(self, tmp_path, capsys):
+        doc = {"chain": {"p_good": [0.5, 0.6], "p_accept": 0.5, "p_success": 0.5},
+               "sim": {"seed": 1, "steps": 10}}
+        code = main(["simulate", "--config", write_config(tmp_path, doc)])
+        assert_refused(code, capsys.readouterr().err, "chain.p_good must be a single number")
+
+    def test_deeply_nested_junk_refused(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main(["steady", "--config", str(path)])
+        assert_refused(code, capsys.readouterr().err, "not valid JSON")
 
 
 def module_env():

@@ -226,6 +226,10 @@ class TestCalibratedSteadyState:
         with pytest.raises(EmptyGrid):
             calibrated_steady_state(self.COUNTS, [])
 
+    def test_grid_checked_before_counts(self):
+        with pytest.raises(ValueError, match="p_good grid values must lie in"):
+            calibrated_steady_state(LabelCounts(n_mentioned=5), [0.5, 1.5])
+
     def test_insufficient_data_propagates(self):
         with pytest.raises(InsufficientData):
             calibrated_steady_state(LabelCounts(n_mentioned=5), [0.5])

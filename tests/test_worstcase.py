@@ -22,7 +22,9 @@ from pathfinder_ops import (
     tipping_point_gradient,
     worst_case_prob,
 )
+import pathfinder_ops.worstcase as worstcase_module
 from pathfinder_ops.worstcase import (
+    MAX_GRADMAP_CELLS,
     MAX_GH_NODES,
     gauss_hermite_nodes,
     gradient_cells_to_csv,
@@ -414,6 +416,58 @@ class TestGradientSignMap:
             part = np.array([c for c in whole.cells if c[1] == theta])
             np.testing.assert_array_equal(part[:, :2], np.array(single.cells)[:, :2])
             np.testing.assert_allclose(part[:, 2], np.array(single.cells)[:, 2], rtol=1e-12)
+
+    def test_long_alpha_grid_is_evaluated_in_blocks(self):
+        # 5,000 alphas x 61 nodes exceed one block, so alphas are split too;
+        # blocks may only change rounding.
+        alphas = [i / 4999 for i in range(5000)]
+        thetas = [0.5, 3.0]
+        (whole,) = gradient_sign_map(
+            n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
+            alpha_grid=alphas, theta_grid=thetas, collect_cells=True,
+        )
+        picked = alphas[::997]
+        (part,) = gradient_sign_map(
+            n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
+            alpha_grid=picked, theta_grid=thetas, collect_cells=True,
+        )
+        expected = {(a, t): g for a, t, g in part.cells}
+        got = {(a, t): g for a, t, g in whole.cells if a in picked}
+        assert got.keys() == expected.keys()
+        for cell, grad in got.items():
+            assert grad == pytest.approx(expected[cell], rel=1e-12, abs=1e-300)
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
+        monkeypatch.setattr(worstcase_module, "mixture_partials", kernel_called)
+
+    @pytest.mark.parametrize(
+        "n_values,alphas,thetas", [([2, 3], 513, 1024), ([2], 1001, 1048), ([2] * 4, 10**3, 10**3)]
+    )
+    def test_cell_cap_checked_before_any_kernel(self, no_kernel, n_values, alphas, thetas):
+        with pytest.raises(ValueError, match=f"at most {MAX_GRADMAP_CELLS} cells"):
+            gradient_sign_map(
+                n_values=n_values,
+                u_abs_values=[1.0],
+                noise_kind=NoiseKind.GAUSSIAN,
+                alpha_grid=[i / alphas for i in range(alphas)],
+                theta_grid=[i / 100 for i in range(thetas)],
+                collect_cells=True,
+            )
+
+    def test_map_at_the_cap_reaches_the_kernel(self, no_kernel):
+        assert 2 * 512 * 1024 == MAX_GRADMAP_CELLS
+        with pytest.raises(AssertionError, match="kernel called"):
+            gradient_sign_map(
+                n_values=[2, 3],
+                u_abs_values=[1.0],
+                alpha_grid=[i / 512 for i in range(512)],
+                theta_grid=[i / 100 for i in range(1024)],
+            )
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_negative_cells_exist_for_small_n_large_u(self, kind):
