@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .agents import (
     AgentProfile,
@@ -25,7 +25,6 @@ from .agents import (
 )
 from .chain import (
     ChainParams,
-    SweepRow,
     build_transition_matrix,
     default_grid,
     steady_state,

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import EmptyGrid, NonUniqueStationary
-from .fileio import fmt12, grid_formatter
+from .fileio import csv_columns
 
 N_STATES = 4
 STATE_NAMES = ("Gate Closed", "Pathfinder Selection", "Pathfinding", "Gate Opened")
@@ -41,8 +40,8 @@ _EYE.setflags(write=False)
 _NORMALIZATION_RHS.setflags(write=False)
 
 # Cap on the cells of one sweep, checked before anything is allocated. A sweep
-# holds about 650 bytes per cell at peak with CSV output and 2.2 KB with JSON
-# (tracemalloc), so the cap bounds memory to about 160 and 550 MiB; it runs
+# holds about 740 bytes per cell at peak with CSV output and 2.1 KB with JSON
+# (tracemalloc), so the cap bounds memory to about 190 and 530 MiB; it runs
 # in about 3 s (8e4 cells/s, 2-CPU machine).
 MAX_SWEEP_CELLS = 2**18
 
@@ -63,13 +62,12 @@ class ChainParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One cell of a parameter sweep: status is 'ok' or 'non_unique'."""
-
-    params: ChainParams
-    pi: np.ndarray | None
-    status: str
+# One record per sweep cell. pi is NaN and status 'non_unique' where the
+# chain has several recurrent classes; status is 'ok' elsewhere.
+SWEEP_DTYPE = np.dtype(
+    [("p_good", float), ("p_accept", float), ("p_success", float),
+     ("pi", float, (N_STATES,)), ("status", "U10")]
+)
 
 
 def transition_matrices(p_good, p_accept, p_success) -> np.ndarray:
@@ -179,14 +177,23 @@ def _validate_grid(values, name: str, low_open: bool) -> list[float]:
     return sorted(values)
 
 
-def sweep_steady_state(g_grid, a_grid, s_grid) -> list[SweepRow]:
+def sweep_records(p_good, p_accept, p_success, pi, unique) -> np.recarray:
+    """Sweep records from per-cell columns: pi has shape (cells, 4), and the
+    other arguments broadcast against the cell axis."""
+    records = np.recarray(len(pi), dtype=SWEEP_DTYPE)
+    records["p_good"], records["p_accept"], records["p_success"] = p_good, p_accept, p_success
+    records["pi"], records["status"] = pi, np.where(unique, "ok", "non_unique")
+    return records
+
+
+def sweep_steady_state(g_grid, a_grid, s_grid) -> np.recarray:
     """Stationary distribution over the Cartesian product of the grids.
 
-    Rows come back in lexicographic (p_good, p_accept, p_success) order.
-    Cells whose stationary distribution is not unique are kept as
-    'non_unique' rows rather than dropped. All cells are solved in one
-    `steady_states` call; a sweep of more than MAX_SWEEP_CELLS cells is
-    refused first.
+    Returns a record array (dtype SWEEP_DTYPE) with one record per cell, in
+    lexicographic (p_good, p_accept, p_success) order. Cells whose
+    stationary distribution is not unique are kept, with a NaN pi and
+    status 'non_unique'. All cells are solved in one `steady_states` call;
+    a sweep of more than MAX_SWEEP_CELLS cells is refused first.
     """
     g_grid = _validate_grid(g_grid, "p_good", low_open=True)
     a_grid = _validate_grid(a_grid, "p_accept", low_open=True)
@@ -194,13 +201,9 @@ def sweep_steady_state(g_grid, a_grid, s_grid) -> list[SweepRow]:
     cells = len(g_grid) * len(a_grid) * len(s_grid)
     if cells > MAX_SWEEP_CELLS:
         raise ValueError(f"a sweep may have at most {MAX_SWEEP_CELLS} cells, got {cells}")
-    g, a, s = np.meshgrid(g_grid, a_grid, s_grid, indexing="ij")
-    pis, unique = steady_states(transition_matrices(g.ravel(), a.ravel(), s.ravel()))
-    rows = []
-    for cell, pi, ok in zip(product(g_grid, a_grid, s_grid), pis, unique.tolist()):
-        params = ChainParams(*cell)
-        rows.append(SweepRow(params, pi, "ok") if ok else SweepRow(params, None, "non_unique"))
-    return rows
+    g, a, s = (axis.ravel() for axis in np.meshgrid(g_grid, a_grid, s_grid, indexing="ij"))
+    pi, unique = steady_states(transition_matrices(g, a, s))
+    return sweep_records(g, a, s, pi, unique)
 
 
 def default_grid(step: float = 0.05) -> list[float]:
@@ -214,17 +217,8 @@ def default_grid(step: float = 0.05) -> list[float]:
 SWEEP_CSV_HEADER = "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status"
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """Serialize sweep rows to CSV (12 significant digits, trailing newline)."""
-    grid = grid_formatter()
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        p = row.params
-        cols = [grid(p.p_good), grid(p.p_accept), grid(p.p_success)]
-        if row.pi is None:
-            cols += ["", "", "", ""]
-        else:
-            cols += [fmt12(x) for x in row.pi.tolist()]
-        cols.append(row.status)
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+def sweep_to_csv(records: np.ndarray) -> str:
+    """Sweep records as CSV (12 significant digits, empty pi fields for
+    non-unique cells, trailing newline)."""
+    cells = [records[name] for name in ("p_good", "p_accept", "p_success")]
+    return csv_columns(SWEEP_CSV_HEADER.split(","), [*cells, *records["pi"].T, records["status"]])

@@ -21,16 +21,16 @@ from . import __version__
 from .chain import (
     MAX_SWEEP_CELLS,
     ChainParams,
-    SweepRow,
     _validate_grid,
     build_transition_matrix,
     default_grid,
     steady_state,
+    sweep_records,
     sweep_steady_state,
     sweep_to_csv,
 )
 from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint
-from .fileio import atomic_write_text, csv_text, json_text
+from .fileio import atomic_write_text, csv_columns, json_text
 from .ntml import (
     calibrated_steady_state,
     classify_corpus,
@@ -236,19 +236,19 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_steady(args) -> int:
     chain = _require_section(_load_config(args.config), "chain")
     # The schema keeps key order: p_good, p_accept, p_success.
-    rows = sweep_steady_state(*(v if isinstance(v, list) else [v] for v in chain.values()))
-    if all(row.status != "ok" for row in rows):
+    records = sweep_steady_state(*(v if isinstance(v, list) else [v] for v in chain.values()))
+    if not (records["status"] == "ok").any():
         raise ComputeError("no sweep cell has a unique stationary distribution")
     if args.format == "json":
+        cells = zip(*(records[name].tolist() for name in records.dtype.names))
         table = [
-            {"p_good": r.params.p_good, "p_accept": r.params.p_accept,
-             "p_success": r.params.p_success, "pi": None if r.pi is None else r.pi.tolist(),
-             "status": r.status}
-            for r in rows
+            {"p_good": g, "p_accept": a, "p_success": s,
+             "pi": pi if status == "ok" else None, "status": status}
+            for g, a, s, pi, status in cells
         ]
         _emit(json_text(table), args.out)
     else:
-        _emit(sweep_to_csv(rows), args.out)
+        _emit(sweep_to_csv(records), args.out)
     return EXIT_OK
 
 
@@ -275,13 +275,13 @@ def cmd_worst(args) -> int:
     if noise is not None:
         columns["W_noisy"] = noisy_worst_case_prob(scn, noise, alphas).tolist()
         stars["alpha_star_noisy"] = _tip(noisy_tipping_point, scn, noise)
-    header = [*columns, *stars]
-    rows = [[*values, *stars.values()] for values in zip(*columns.values())]
+    columns.update((name, [star] * len(alphas)) for name, star in stars.items())
 
     if args.format == "json":
-        _emit(json_text({"rows": [dict(zip(header, row)) for row in rows]}), args.out)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        _emit(json_text({"rows": rows}), args.out)
     else:
-        _emit(csv_text(header, rows), args.out)
+        _emit(csv_columns(list(columns), list(columns.values())), args.out)
     return EXIT_OK
 
 
@@ -296,7 +296,6 @@ def cmd_gradmap(args) -> int:
         **grids,
         noise_kind=noise.kind if noise is not None else NoiseKind.RADEMACHER,
         gh_nodes=noise.gh_nodes if noise is not None else DEFAULT_GH_NODES,
-        collect_cells=args.cells_out is not None,
     )
     if args.format == "json":
         table = [
@@ -343,10 +342,10 @@ def cmd_classify(args) -> int:
     atomic_write_text(params_out, json_text({"p_accept": p_accept, "p_success": p_success}))
 
     if g_grid is not None:
-        table = calibrated_steady_state(counts, g_grid)
-        rows = [SweepRow(ChainParams(g, p_accept, p_success), pi, "ok") for g, pi in table]
+        g_values, pis = zip(*calibrated_steady_state(counts, g_grid))
+        records = sweep_records(g_values, p_accept, p_success, np.array(pis), True)
         steady_out = args.steady_out or _sibling_path(args.out, ".steady.csv")
-        atomic_write_text(steady_out, sweep_to_csv(rows))
+        atomic_write_text(steady_out, sweep_to_csv(records))
     return EXIT_OK
 
 

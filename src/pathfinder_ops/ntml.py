@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chain import ChainParams, _validate_grid, build_transition_matrix, steady_state
+from .chain import _validate_grid, steady_state, transition_matrices
 from .errors import InsufficientData
 from .simulate import STREAM_CORPUS, make_rng
 
@@ -253,11 +253,7 @@ def calibrated_steady_state(
     grid is checked before the counts."""
     g_values = _validate_grid(g_grid, "p_good", low_open=False)
     p_accept, p_success = estimate_params(counts)
-    out = []
-    for g in g_values:
-        params = ChainParams(p_good=g, p_accept=p_accept, p_success=p_success)
-        out.append((g, steady_state(build_transition_matrix(params))))
-    return out
+    return [(g, steady_state(transition_matrices(g, p_accept, p_success))) for g in g_values]
 
 
 CORPUS_CSV_HEADER = ["timestamp", "facility", "comment"]

@@ -27,13 +27,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint
-from .fileio import csv_text, fmt12, grid_formatter
+from .fileio import csv_columns
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -50,10 +50,17 @@ MAX_GH_NODES = 370
 _GRADMAP_BLOCK_VALUES = 1 << 18
 
 # Cap on the n x |U| x alpha x theta cells of one map, checked before anything
-# is allocated. The per-cell dump holds about 270 bytes per cell at peak
-# (tracemalloc) and a cell costs at most about 22 us (Gaussian, 370 nodes,
-# 2-CPU machine), so the cap bounds memory to about 270 MiB and time to 25 s.
+# is allocated. The map keeps 24 bytes per cell, the per-cell dump holds about
+# 400 bytes per cell at peak (tracemalloc), and a cell costs at most about
+# 22 us (Gaussian, 370 nodes, 2-CPU machine), so the cap bounds memory to
+# about 400 MiB and time to 25 s.
 MAX_GRADMAP_CELLS = 2**20
+
+# Cap on the alpha x shift-value pairs of one W call (alphas times 1, 2 or
+# gh_nodes), checked before the kernel runs. W peaks at about 8 bytes per
+# alpha plus 16 per pair (tracemalloc), so the cap bounds memory to about
+# 130 MiB with many nodes and 190 MiB with one.
+MAX_ALPHA_NODES = 2**23
 
 
 class NoiseKind(enum.Enum):
@@ -76,13 +83,14 @@ class WorstCaseScenario:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         u_minus, u_plus = float(self.u_minus), float(self.u_plus)
-        if math.isnan(u_minus) or math.isnan(u_plus) or not u_minus < 0.0 < u_plus:
+        if not -math.inf < u_minus < 0.0 < u_plus < math.inf:
             raise ValueError(
-                f"need u_minus < 0 < u_plus, got u_minus={self.u_minus!r}, u_plus={self.u_plus!r}"
+                f"need finite u_minus < 0 < u_plus, got u_minus={self.u_minus!r}, "
+                f"u_plus={self.u_plus!r}"
             )
         beta = float(self.beta)
-        if math.isnan(beta) or beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
         delta = float(self.delta)
         if math.isnan(delta) or not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
@@ -106,8 +114,8 @@ class SocialParams:
         if math.isnan(s) or not 0.0 <= s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {self.s!r}")
         gamma = float(self.gamma)
-        if math.isnan(gamma) or gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
         r = float(self.r)
         if math.isnan(r) or not 0.0 <= r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
@@ -131,8 +139,8 @@ class NoiseSpec:
         if not isinstance(self.kind, NoiseKind):
             raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
         theta = float(self.theta)
-        if math.isnan(theta) or theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta!r}")
+        if not 0.0 <= theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
         gh = self.gh_nodes
         if not isinstance(gh, int) or isinstance(gh, bool) or not 1 <= gh <= MAX_GH_NODES:
@@ -265,7 +273,11 @@ def _check_alpha(alpha) -> np.ndarray:
 
 
 def _w(scn: WorstCaseScenario, alpha, law: ShiftLaw):
-    w = mixture_w(scn, _check_alpha(alpha), law)
+    alphas = _check_alpha(alpha)
+    if alphas.size * law.weights.size > MAX_ALPHA_NODES:
+        pairs = f"{alphas.size} x {law.weights.size}"
+        raise ValueError(f"W takes at most {MAX_ALPHA_NODES} alpha x shift pairs, got {pairs}")
+    w = mixture_w(scn, alphas, law)
     return float(w) if w.ndim == 0 else w
 
 
@@ -373,14 +385,16 @@ def tipping_point_gradient(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
 @dataclass(frozen=True)
 class GradientSignRow:
     """Fraction of (alpha, theta) grid cells with a strictly negative noise
-    gradient, for one (n, |U|) instance. `cells` carries per-cell
-    (alpha, theta, dW/dtheta) diagnostics when requested."""
+    gradient, for one (n, |U|) instance. `cells` is a float array of shape
+    (alphas * thetas, 3) holding [alpha, theta, dW/dtheta] per cell,
+    theta-major."""
 
     n: int
     u_abs: float
     noise_kind: NoiseKind
     fraction_negative: float
-    cells: tuple[tuple[float, float, float], ...] | None = None
+    # An array has no single truth value, so rows compare by the fields above.
+    cells: np.ndarray = field(repr=False, compare=False)
 
 
 DEFAULT_ALPHA_GRID = tuple(round(0.02 * i, 10) for i in range(51))
@@ -397,15 +411,16 @@ def gradient_sign_map(
     theta_grid=DEFAULT_THETA_GRID,
     beta: float = 1.0,
     gh_nodes: int = DEFAULT_GH_NODES,
-    collect_cells: bool = False,
 ) -> list[GradientSignRow]:
     """For each (n, |U|), the fraction of (alpha, theta) cells where the
     exact dW/dtheta < -1e-12. It is exactly 0 at theta = 0.
 
     Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
     (n, |U|) row is one alpha x theta x node array program, taken in blocks
-    of at most _GRADMAP_BLOCK_VALUES values. A map of more than
-    MAX_GRADMAP_CELLS cells is refused first.
+    of at most _GRADMAP_BLOCK_VALUES values, and keeps every cell's
+    [alpha, theta, dW/dtheta] in its `cells` array (24 bytes a cell). The
+    grids, the scenarios and the MAX_GRADMAP_CELLS cap are checked before
+    any kernel runs.
     """
     n_values = list(n_values)
     u_abs_values = [float(u) for u in u_abs_values]
@@ -416,13 +431,15 @@ def gradient_sign_map(
         raise EmptyGrid("n_values and u_abs_values must be non-empty")
     if alphas.size == 0 or thetas.size == 0:
         raise EmptyGrid("alpha_grid and theta_grid must be non-empty")
-    if any(u <= 0.0 for u in u_abs_values):
-        raise ValueError("u_abs values must be > 0")
-    if np.isnan(thetas).any() or (thetas < 0.0).any():
-        raise ValueError("theta grid values must be >= 0")
+    if not all(0.0 < u < math.inf for u in u_abs_values):
+        raise ValueError("u_abs values must be finite and > 0")
+    if not ((thetas >= 0.0) & (thetas < math.inf)).all():
+        raise ValueError("theta grid values must be finite and >= 0")
     cells = len(n_values) * len(u_abs_values) * alphas.size * thetas.size
     if cells > MAX_GRADMAP_CELLS:
         raise ValueError(f"a gradient map may have at most {MAX_GRADMAP_CELLS} cells, got {cells}")
+    # delta plays no role in the gradient map; any interior value works.
+    scenarios = [WorstCaseScenario(n, -u, u, beta, 0.5) for n in n_values for u in u_abs_values]
 
     nodes, weights = _unit_nodes(NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes))
     a_step = max(1, _GRADMAP_BLOCK_VALUES // nodes.size)
@@ -433,38 +450,23 @@ def gradient_sign_map(
         for i in range(0, thetas.size, t_step)
     ]
     at_zero = thetas == 0.0
-    if collect_cells:
-        # Cells run theta-major, alpha-minor.
-        cell_alphas = np.tile(alphas, thetas.size).tolist()
-        cell_thetas = np.repeat(thetas, alphas.size).tolist()
+    # Cells run theta-major, alpha-minor.
+    cell_alphas, cell_thetas = np.tile(alphas, thetas.size), np.repeat(thetas, alphas.size)
 
     rows = []
-    for n in n_values:
-        for u_abs in u_abs_values:
-            # delta plays no role in the gradient map; any interior value works.
-            scn = WorstCaseScenario(n=n, u_minus=-u_abs, u_plus=u_abs, beta=beta, delta=0.5)
-            grad = np.concatenate(
-                [
-                    np.concatenate([mixture_partials(scn, block, law)[1] for law in laws], axis=1)
-                    for block in alpha_blocks
-                ]
-            )
-            # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
-            # 0, where the quadrature sum would leave rounding.
-            grad[:, at_zero] = 0.0
-            negative = int(np.count_nonzero(grad < NEGATIVE_GRADIENT_CUTOFF))
-            cells = None
-            if collect_cells:
-                cells = tuple(zip(cell_alphas, cell_thetas, grad.T.ravel().tolist()))
-            rows.append(
-                GradientSignRow(
-                    n=n,
-                    u_abs=u_abs,
-                    noise_kind=noise_kind,
-                    fraction_negative=negative / grad.size,
-                    cells=cells,
-                )
-            )
+    for scn in scenarios:
+        grad = np.concatenate(
+            [
+                np.concatenate([mixture_partials(scn, block, law)[1] for law in laws], axis=1)
+                for block in alpha_blocks
+            ]
+        )
+        # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
+        # 0, where the quadrature sum would leave rounding.
+        grad[:, at_zero] = 0.0
+        negative = int(np.count_nonzero(grad < NEGATIVE_GRADIENT_CUTOFF))
+        table = np.column_stack([cell_alphas, cell_thetas, grad.T.ravel()])
+        rows.append(GradientSignRow(scn.n, scn.u_plus, noise_kind, negative / grad.size, table))
     return rows
 
 
@@ -473,22 +475,15 @@ GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 
 def gradient_sign_map_to_csv(rows: list[GradientSignRow]) -> str:
-    return csv_text(
-        GRADMAP_CSV_HEADER.split(","),
-        ((row.n, row.u_abs, row.noise_kind.value, row.fraction_negative) for row in rows),
-    )
+    table = [(row.n, row.u_abs, row.noise_kind.value, row.fraction_negative) for row in rows]
+    return csv_columns(GRADMAP_CSV_HEADER.split(","), list(zip(*table)))
 
 
 def gradient_cells_to_csv(rows: list[GradientSignRow]) -> str:
-    """Per-cell CSV. Grid values repeat across cells, so each distinct alpha
-    and theta is formatted once."""
-    lines = [GRADMAP_CELLS_CSV_HEADER]
-    grid = grid_formatter()
-    for row in rows:
-        if row.cells is None:
-            continue
-        prefix = f"{row.n},{fmt12(row.u_abs)},{row.noise_kind.value},"
-        lines.extend(
-            f"{prefix}{grid(alpha)},{grid(theta)},{fmt12(grad)}" for alpha, theta, grad in row.cells
-        )
-    return "\n".join(lines) + "\n"
+    """Per-cell CSV: each row's cells under its n, |U| and noise kind."""
+    sizes = [len(row.cells) for row in rows]
+    keys = zip(*((row.n, row.u_abs, row.noise_kind.value) for row in rows))
+    cells = np.concatenate([np.empty((0, 3)), *(row.cells for row in rows)])
+    return csv_columns(
+        GRADMAP_CELLS_CSV_HEADER.split(","), [*(np.repeat(key, sizes) for key in keys), *cells.T]
+    )

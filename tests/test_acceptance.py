@@ -220,9 +220,7 @@ def test_criterion_10_gradient_sign_fractions():
     for kind in NoiseKind:
         (typical,) = gradient_sign_map(n_values=[10], u_abs_values=[2.0], noise_kind=kind)
         low = typical.fraction_negative < 0.2
-        (edge,) = gradient_sign_map(
-            n_values=[2], u_abs_values=[8.0], noise_kind=kind, collect_cells=True
-        )
+        (edge,) = gradient_sign_map(n_values=[2], u_abs_values=[8.0], noise_kind=kind)
         high_alpha_negative = any(
             g < -1e-12 and a >= 0.5 for a, _, g in edge.cells
         )

@@ -18,6 +18,7 @@ from pathfinder_ops.chain import (
     MAX_SWEEP_CELLS,
     STRUCTURAL_ZEROS,
     SWEEP_CSV_HEADER,
+    SWEEP_DTYPE,
     steady_states,
     transition_matrices,
 )
@@ -182,7 +183,7 @@ class TestSweep:
 
     def test_calibrated_endpoints(self):
         rows = sweep_steady_state([0.1, 0.9], [0.81], [0.87])
-        assert [r.params.p_good for r in rows] == [0.1, 0.9]
+        assert [r.p_good for r in rows] == [0.1, 0.9]
         assert rows[0].pi[0] == pytest.approx(0.757, abs=5e-3)
         assert rows[1].pi[3] == pytest.approx(0.722, abs=5e-3)
 
@@ -192,18 +193,25 @@ class TestSweep:
         assert len(rows) == 81
         for row in rows:
             assert row.status == "ok"
-            assert abs(row.pi[2] - row.params.p_accept * row.pi[1]) <= 1e-10
+            assert abs(row.pi[2] - row.p_accept * row.pi[1]) <= 1e-10
 
     def test_lexicographic_order_even_for_unsorted_input(self):
         rows = sweep_steady_state([0.9, 0.1], [0.5, 0.3], [1.0, 0.2])
-        keys = [(r.params.p_good, r.params.p_accept, r.params.p_success) for r in rows]
+        keys = [(r.p_good, r.p_accept, r.p_success) for r in rows]
         assert keys == sorted(keys)
+
+    def test_result_is_one_record_per_cell(self):
+        rows = sweep_steady_state([0.5, 1.0], [0.5], [0.0, 0.5])
+        assert rows.dtype == SWEEP_DTYPE and rows.shape == (4,)
+        assert rows["status"].tolist() == ["ok", "ok", "non_unique", "ok"]
+        assert np.isnan(rows["pi"][2]).all() and not np.isnan(rows["pi"][[0, 1, 3]]).any()
+        assert rows["p_success"].tolist() == [0.0, 0.5, 0.0, 0.5]
 
     def test_degenerate_cells_become_error_rows(self):
         # g=1, s=0 has no unique stationary distribution.
         rows = sweep_steady_state([0.5, 1.0], [0.5], [0.0])
         assert [r.status for r in rows] == ["ok", "non_unique"]
-        assert rows[1].pi is None
+        assert np.isnan(rows[1].pi).all()
 
     def test_empty_grid_raises(self):
         with pytest.raises(EmptyGrid):
@@ -255,9 +263,8 @@ class TestSweep:
         rows = sweep_steady_state([0.05, 0.5, 1.0], [0.3, 1.0], [-0.0, 0.0, 0.25, 1.0])
         lines = [SWEEP_CSV_HEADER]
         for row in rows:
-            p = row.params
-            pi = ["", "", "", ""] if row.pi is None else [fmt12(x) for x in row.pi]
-            fields = [fmt12(p.p_good), fmt12(p.p_accept), fmt12(p.p_success), *pi]
+            pi = ["", "", "", ""] if row.status == "non_unique" else [fmt12(x) for x in row.pi]
+            fields = [fmt12(row.p_good), fmt12(row.p_accept), fmt12(row.p_success), *pi]
             lines.append(",".join(fields + [row.status]))
         text = sweep_to_csv(rows)
         assert text == "\n".join(lines) + "\n"
@@ -282,29 +289,24 @@ class TestBatchedSweep:
         rows = sweep_steady_state(self.G, self.A, self.S)
         assert len(rows) == len(self.G) * len(self.A) * len(self.S)
         for row in rows:
-            p = row.params
+            p = ChainParams(row.p_good, row.p_accept, row.p_success)
             try:
                 expected = steady_state(build_transition_matrix(p))
             except NonUniqueStationary:
-                assert row.status == "non_unique" and row.pi is None
+                assert row.status == "non_unique" and np.isnan(row.pi).all()
                 continue
             assert row.status == "ok"
             np.testing.assert_array_equal(row.pi, expected)
 
     def test_non_unique_set_is_exactly_closed_loop_cells(self):
         rows = sweep_steady_state(self.G, self.A, self.S)
-        non_unique = {
-            (r.params.p_good, r.params.p_accept, r.params.p_success)
-            for r in rows
-            if r.status == "non_unique"
-        }
+        non_unique = {(r.p_good, r.p_accept, r.p_success) for r in rows if r.status == "non_unique"}
         assert non_unique == {(1.0, a, 0.0) for a in self.A}
 
     def test_interior_cells_match_closed_form(self):
         rows = sweep_steady_state(self.G[:-1], self.A, self.S)
         for row in rows:
-            p = row.params
-            expected = closed_form_pi(p.p_good, p.p_accept, p.p_success)
+            expected = closed_form_pi(row.p_good, row.p_accept, row.p_success)
             np.testing.assert_allclose(row.pi, expected, rtol=0, atol=1e-12)
 
     def test_stack_shape_and_layout(self):

@@ -13,6 +13,7 @@ import pathfinder_ops.cli as cli_module
 import pathfinder_ops.simulate as simulate_module
 import pathfinder_ops.worstcase as worstcase_module
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
+from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import main
 
 from test_ntml import load_fixture
@@ -206,6 +207,26 @@ class TestWorst:
         code = main(["worst", "--config", cfg, "--out", str(out)])
         assert_refused(code, capsys.readouterr().err, "worst_case.alpha_grid")
         assert not out.exists()
+
+    def test_alpha_grid_too_long_for_the_rule_refused(self, tmp_path, capsys):
+        # 22,672 alphas x 370 nodes is one pair over the cap.
+        alphas = [i / 30000 for i in range(MAX_ALPHA_NODES // 370 + 1)]
+        doc = {"worst_case": dict(FIG3_WORST["worst_case"], alpha_grid=alphas),
+               "noise": {"kind": "gaussian", "theta": 1.0, "gh_nodes": 370}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "worst.csv"
+        code = main(["worst", "--config", cfg, "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, f"at most {MAX_ALPHA_NODES}")
+        assert not out.exists()
+
+    def test_benchmark_sized_noisy_worst_runs(self, tmp_path):
+        # The benchmark's 101 alphas x 61 nodes, with the social column too.
+        doc = dict(FIG3_WORST, social={"s": 0.5, "gamma": 2.5, "r": 0.5},
+                   noise={"kind": "gaussian", "theta": 1.0, "gh_nodes": 61})
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "worst.csv")
+        assert main(["worst", "--config", cfg, "--out", out]) == 0
+        assert len(read_csv(out)) == 101
 
     def test_gaussian_column_matches_library(self, tmp_path):
         from pathfinder_ops import NoiseKind, NoiseSpec, WorstCaseScenario, noisy_worst_case_prob

@@ -24,6 +24,7 @@ from pathfinder_ops import (
 )
 import pathfinder_ops.worstcase as worstcase_module
 from pathfinder_ops.worstcase import (
+    MAX_ALPHA_NODES,
     MAX_GRADMAP_CELLS,
     MAX_GH_NODES,
     gauss_hermite_nodes,
@@ -40,6 +41,7 @@ P_REJ = 0.8807970779778823
 P_REC = 0.11920292202211755
 
 BASE = WorstCaseScenario(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+INF, NAN = float("inf"), float("nan")
 SOCIAL = SocialParams(s=0.0, gamma=2.5, r=0.5)
 SELFISH = SocialParams(s=1.0, gamma=2.5, r=0.5)
 
@@ -65,6 +67,26 @@ class TestValidation:
             worst_case_prob(BASE, 1.5)
         with pytest.raises(ValueError):
             worst_case_prob(BASE, [0.5, float("nan")])
+
+    @pytest.mark.parametrize(
+        "u_minus,u_plus,beta",
+        [(-INF, 2.0, 1.0), (-2.0, INF, 1.0), (-2.0, 2.0, INF), (NAN, 2.0, 1.0)],
+    )
+    def test_non_finite_scenario_refused(self, u_minus, u_plus, beta):
+        with pytest.raises(ValueError, match="finite"):
+            WorstCaseScenario(n=10, u_minus=u_minus, u_plus=u_plus, beta=beta, delta=0.1)
+
+    @pytest.mark.parametrize("gamma", [INF, NAN])
+    def test_non_finite_gamma_refused(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            SocialParams(s=0.5, gamma=gamma, r=0.5)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("theta", [INF, NAN])
+    def test_non_finite_theta_refused(self, kind, theta):
+        # At theta = inf the middle Gauss-Hermite node would give 0 * inf.
+        with pytest.raises(ValueError, match="theta must be finite"):
+            NoiseSpec(kind=kind, theta=theta)
 
     def test_gh_nodes_bounded_where_hermgauss_stays_accurate(self):
         assert MAX_GH_NODES == 370
@@ -283,6 +305,33 @@ class TestNoisyWorstCase:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class TestAlphaNodeCap:
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(worstcase_module, "mixture_w", kernel_called)
+
+    @pytest.mark.parametrize("gh_nodes", [61, 370])
+    def test_cap_checked_before_the_kernel(self, no_kernel, gh_nodes):
+        noise = NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0, gh_nodes=gh_nodes)
+        alphas = np.zeros(MAX_ALPHA_NODES // gh_nodes + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_ALPHA_NODES}"):
+            noisy_worst_case_prob(BASE, noise, alphas)
+
+    def test_benchmark_sized_request_reaches_the_kernel(self, no_kernel):
+        # The benchmark's worst call: 101 alphas x 61 Gauss-Hermite nodes.
+        noise = NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0, gh_nodes=61)
+        with pytest.raises(AssertionError, match="kernel called"):
+            noisy_worst_case_prob(BASE, noise, np.linspace(0.0, 1.0, 101))
+
+    def test_at_the_cap_reaches_the_kernel(self, no_kernel):
+        noise = NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0, gh_nodes=370)
+        with pytest.raises(AssertionError, match="kernel called"):
+            noisy_worst_case_prob(BASE, noise, np.zeros(MAX_ALPHA_NODES // 370))
+
+
 class TestNoisyTippingPoint:
     def test_zero_scale_matches_closed_form(self):
         for kind in NoiseKind:
@@ -387,14 +436,13 @@ class TestGradientSignMap:
             u_abs_values=[2.0],
             noise_kind=NoiseKind.RADEMACHER,
             theta_grid=[0.0],
-            collect_cells=True,
         )
         assert rows[0].fraction_negative == 0.0
         assert all(g == 0.0 for _, _, g in rows[0].cells)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_no_theta_zero_cell_counts_as_negative_on_default_grid(self, kind):
-        rows = gradient_sign_map(noise_kind=kind, collect_cells=True)
+        rows = gradient_sign_map(noise_kind=kind)
         assert len(rows) == 16
         at_zero = [g for row in rows for _, t, g in row.cells if t == 0.0]
         assert len(at_zero) == 16 * 51
@@ -406,12 +454,12 @@ class TestGradientSignMap:
         thetas = [round(0.1 * i, 10) for i in range(100)]
         (whole,) = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-            alpha_grid=alphas, theta_grid=thetas, collect_cells=True,
+            alpha_grid=alphas, theta_grid=thetas,
         )
         for theta in (thetas[3], thetas[97]):
             (single,) = gradient_sign_map(
                 n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-                alpha_grid=alphas, theta_grid=[theta], collect_cells=True,
+                alpha_grid=alphas, theta_grid=[theta],
             )
             part = np.array([c for c in whole.cells if c[1] == theta])
             np.testing.assert_array_equal(part[:, :2], np.array(single.cells)[:, :2])
@@ -424,12 +472,12 @@ class TestGradientSignMap:
         thetas = [0.5, 3.0]
         (whole,) = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-            alpha_grid=alphas, theta_grid=thetas, collect_cells=True,
+            alpha_grid=alphas, theta_grid=thetas,
         )
         picked = alphas[::997]
         (part,) = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-            alpha_grid=picked, theta_grid=thetas, collect_cells=True,
+            alpha_grid=picked, theta_grid=thetas,
         )
         expected = {(a, t): g for a, t, g in part.cells}
         got = {(a, t): g for a, t, g in whole.cells if a in picked}
@@ -456,7 +504,6 @@ class TestGradientSignMap:
                 noise_kind=NoiseKind.GAUSSIAN,
                 alpha_grid=[i / alphas for i in range(alphas)],
                 theta_grid=[i / 100 for i in range(thetas)],
-                collect_cells=True,
             )
 
     def test_map_at_the_cap_reaches_the_kernel(self, no_kernel):
@@ -475,7 +522,6 @@ class TestGradientSignMap:
             n_values=[2],
             u_abs_values=[8.0],
             noise_kind=kind,
-            collect_cells=True,
         )
         high_alpha_negative = [
             (a, t, g) for a, t, g in rows[0].cells if g < -1e-12 and a >= 0.5
@@ -497,6 +543,28 @@ class TestGradientSignMap:
         with pytest.raises(ValueError):
             gradient_sign_map(u_abs_values=[0.0])
 
+    @pytest.mark.parametrize(
+        "grids",
+        [{"theta_grid": [0.0, INF]}, {"theta_grid": [NAN]}, {"u_abs_values": [2.0, INF]},
+         {"u_abs_values": [NAN]}, {"beta": INF}],
+    )
+    def test_non_finite_grid_values_refused(self, no_kernel, grids):
+        # A NaN cell would be counted as not negative.
+        with pytest.raises(ValueError, match="finite"):
+            gradient_sign_map(**grids)
+
+    def test_cells_are_a_theta_major_array(self):
+        alphas, thetas = [0.0, 0.5, 1.0], [0.0, 1.0]
+        (row,) = gradient_sign_map(
+            n_values=[3], u_abs_values=[2.0], alpha_grid=alphas, theta_grid=thetas
+        )
+        assert row.cells.dtype == float and row.cells.shape == (6, 3)
+        assert row.cells[:, :2].tolist() == [[a, t] for t in thetas for a in alphas]
+        scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.5)
+        for alpha, theta, grad in row.cells[3:]:
+            law = noise_law(NoiseSpec(kind=NoiseKind.RADEMACHER, theta=theta))
+            assert grad == pytest.approx(mixture_partials(scn, alpha, law)[1], rel=1e-12)
+
     def test_csv_serialization(self):
         rows = gradient_sign_map(
             n_values=[2, 10],
@@ -504,7 +572,6 @@ class TestGradientSignMap:
             noise_kind=NoiseKind.RADEMACHER,
             alpha_grid=[0.0, 0.5, 1.0],
             theta_grid=[0.0, 1.0],
-            collect_cells=True,
         )
         table = gradient_sign_map_to_csv(rows)
         lines = table.strip().split("\n")
