@@ -9,9 +9,16 @@ counts feed the ratio estimators for the chain's acceptance and success
 probabilities.
 
 Keyword lists and the flight-number pattern live in a JSON rules file so
-they can be extended without touching code; matching happens on normalized
-text (lowercased, apostrophes removed, other punctuation collapsed to
-whitespace).
+they can be extended without touching code. Comments and keywords are
+normalized alike: lowercased, apostrophes removed, every other character
+outside [a-z0-9] and whitespace turned into a space, whitespace collapsed.
+A keyword matches as a whole word of the normalized comment, which on such
+text is a plain substring test of the space-padded forms; the first
+keyword to match, in precedence then list order, names the rule. The
+flight-number pattern is searched only when an Assigned keyword matches.
+
+`generate_corpus` draws seeded synthetic corpora whose labels are known by
+construction, for fixtures and stress tests.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ class Label(enum.Enum):
 PRECEDENCE = (Label.FAILED, Label.REJECTED, Label.ASSIGNED, Label.REQUESTED)
 
 FALLBACK_RULE = "fallback"
+# Looking a member up on the Enum class costs about 0.15 us; the matcher
+# runs once per comment.
+_ASSIGNED, _MENTIONED = Label.ASSIGNED, Label.MENTIONED
 
 
 @dataclass(frozen=True)
@@ -83,19 +93,6 @@ class LabelCounts:
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{f.name} must be a nonnegative integer, got {value!r}")
 
-    @classmethod
-    def from_labels(cls, labels) -> "LabelCounts":
-        tally = {label: 0 for label in Label}
-        for label in labels:
-            tally[label] += 1
-        return cls(
-            n_assigned=tally[Label.ASSIGNED],
-            n_requested=tally[Label.REQUESTED],
-            n_rejected=tally[Label.REJECTED],
-            n_failed=tally[Label.FAILED],
-            n_mentioned=tally[Label.MENTIONED],
-        )
-
     def total(self) -> int:
         return (
             self.n_assigned
@@ -109,30 +106,35 @@ class LabelCounts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_APOSTROPHES = str.maketrans({"’": "", "‘": "", "'": ""})
 _NON_ALNUM = re.compile(r"[^a-z0-9\s]")
-_WHITESPACE = re.compile(r"\s+")
+# Bytes _NON_ALNUM matches become spaces; only the ASCII half is ever used.
+_ASCII_TABLE = bytes(32 if _NON_ALNUM.match(chr(c)) else c for c in range(256))
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, drop apostrophes, turn other punctuation into spaces,
-    collapse whitespace."""
-    t = text.lower().translate(_APOSTROPHES)
-    t = _NON_ALNUM.sub(" ", t)
-    return _WHITESPACE.sub(" ", t).strip()
+    collapse whitespace. The result holds only [a-z0-9] and single spaces.
 
-
-def _compile_keyword(keyword: str) -> re.Pattern:
-    return re.compile(r"\b" + re.escape(normalize_text(keyword)) + r"\b")
+    ASCII text, the common case once curly apostrophes are gone, goes
+    through a byte table; other text through the regex."""
+    t = text.lower()
+    if not t.isascii():
+        t = t.replace("’", "").replace("‘", "")
+    if t.isascii():
+        t = t.encode().translate(_ASCII_TABLE, b"'").decode()
+    else:
+        t = _NON_ALNUM.sub(" ", t.replace("'", ""))
+    return " ".join(t.split())
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Compiled classification rules: per-label keyword patterns plus the
-    flight-number pattern gating the Assigned label."""
+    """Classification rules: the flight-number pattern gating the Assigned
+    label, and every keyword as (label, " <normalized keyword> ", rule id)
+    in match order: label precedence, then list order."""
 
     flight_number: re.Pattern
-    keywords: dict[Label, tuple[tuple[str, re.Pattern], ...]]
+    keywords: tuple[tuple[Label, str, str], ...]
 
 
 def parse_rules(doc) -> RuleSet:
@@ -153,7 +155,7 @@ def parse_rules(doc) -> RuleSet:
     if not isinstance(labels_doc, dict):
         raise ValueError("rules file: 'labels' must be an object mapping label to keyword list")
     by_value = {label.value: label for label in PRECEDENCE}
-    keywords: dict[Label, tuple[tuple[str, re.Pattern], ...]] = {}
+    keywords: dict[Label, list[tuple[Label, str, str]]] = {}
     for name, entries in labels_doc.items():
         if name == Label.MENTIONED.value:
             raise ValueError(
@@ -163,18 +165,27 @@ def parse_rules(doc) -> RuleSet:
             raise ValueError(f"rules file: unknown label {name!r}")
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"rules file: labels.{name} must be a non-empty list")
-        compiled = []
+        label = by_value[name]
+        keywords[label] = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, str) or not entry.strip():
                 raise ValueError(
                     f"rules file: labels.{name}[{i}] must be a non-empty string"
                 )
-            compiled.append((entry, _compile_keyword(entry)))
-        keywords[by_value[name]] = tuple(compiled)
+            normalized = normalize_text(entry)
+            if not normalized:
+                raise ValueError(
+                    f"rules file: labels.{name}[{i}] must keep a letter or digit "
+                    f"after normalization, got {entry!r}"
+                )
+            keywords[label].append((label, f" {normalized} ", f"{name.lower()}:{entry}"))
     missing = [label.value for label in PRECEDENCE if label not in keywords]
     if missing:
         raise ValueError(f"rules file: missing keyword list for label {missing[0]!r}")
-    return RuleSet(flight_number=flight_number, keywords=keywords)
+    return RuleSet(
+        flight_number=flight_number,
+        keywords=tuple(kw for label in PRECEDENCE for kw in keywords[label]),
+    )
 
 
 def load_rules(path: str) -> RuleSet:
@@ -192,6 +203,17 @@ def default_rules() -> RuleSet:
     return parse_rules(json.loads(text))
 
 
+def _match(text: str, rules: RuleSet) -> tuple[Label, str]:
+    """(label, rule id) of normalized text. As the text holds only [a-z0-9]
+    and single spaces, a keyword matches as a whole word exactly when its
+    space-padded form is a substring of the space-padded text."""
+    padded = f" {text} "
+    for label, keyword, rule in rules.keywords:
+        if keyword in padded and (label is not _ASSIGNED or rules.flight_number.search(text)):
+            return label, rule
+    return _MENTIONED, FALLBACK_RULE
+
+
 def classify(record: LogRecord, rules: RuleSet | None = None) -> tuple[Label, str]:
     """Label one comment; returns (label, rule id of the match).
 
@@ -200,15 +222,7 @@ def classify(record: LogRecord, rules: RuleSet | None = None) -> tuple[Label, st
     """
     if rules is None:
         rules = default_rules()
-    text = normalize_text(record.comment)
-    has_flight = bool(rules.flight_number.search(text))
-    for label in PRECEDENCE:
-        if label is Label.ASSIGNED and not has_flight:
-            continue
-        for raw, pattern in rules.keywords[label]:
-            if pattern.search(text):
-                return label, f"{label.value.lower()}:{raw}"
-    return Label.MENTIONED, FALLBACK_RULE
+    return _match(normalize_text(record.comment), rules)
 
 
 def classify_corpus(
@@ -217,11 +231,18 @@ def classify_corpus(
     """Label every record, preserving input order, and tally the labels."""
     if rules is None:
         rules = default_rules()
+    label_of = {rule: label for label, _, rule in rules.keywords}
+    label_of[FALLBACK_RULE] = Label.MENTIONED
+    hits = dict.fromkeys(label_of, 0)
     labeled = []
     for record in records:
-        label, rule = classify(record, rules)
-        labeled.append(LabeledRecord(record=record, label=label, rule=rule))
-    counts = LabelCounts.from_labels(lr.label for lr in labeled)
+        label, rule = _match(normalize_text(record.comment), rules)
+        hits[rule] += 1
+        labeled.append(LabeledRecord(record, label, rule))
+    tally = dict.fromkeys(Label, 0)
+    for rule, n in hits.items():
+        tally[label_of[rule]] += n
+    counts = LabelCounts(**{f"n_{label.name.lower()}": n for label, n in tally.items()})
     return labeled, counts
 
 
@@ -363,25 +384,37 @@ _LABEL_WEIGHTS = {
 
 
 def generate_corpus(size: int, seed: int) -> list[tuple[LogRecord, Label]]:
-    """Sample a synthetic labeled corpus; deterministic in (size, seed)."""
+    """Sample a synthetic labeled corpus; deterministic in (size, seed).
+
+    Every random column is drawn as one array; only the strings are built
+    row by row."""
     if not isinstance(size, int) or size <= 0:
         raise ValueError(f"size must be a positive integer, got {size!r}")
     rng = make_rng(seed, STREAM_CORPUS)
-    labels = list(_LABEL_WEIGHTS)
+    labels = tuple(_LABEL_WEIGHTS)
     weights = np.array([_LABEL_WEIGHTS[label] for label in labels])
-    weights = weights / weights.sum()
-    when = datetime(2022, 12, 22, 0, 0, tzinfo=timezone.utc)
+    label_idx = rng.choice(len(labels), size=size, p=weights / weights.sum())
+    templates = [_TEMPLATES[label] for label in labels]
+    columns = (
+        label_idx,
+        rng.integers(np.array([len(t) for t in templates])[label_idx]),
+        rng.integers(len(_AIRLINES), size=size),
+        rng.integers(1, 10000, size=size),
+        rng.integers(len(_FIXES), size=size),
+        rng.integers(len(_FACILITIES), size=size),
+        rng.integers(len(_FACILITIES), size=size),
+        np.cumsum(rng.integers(5, 600, size=size)),
+    )
+    start, minute = datetime(2022, 12, 22, 0, 0, tzinfo=timezone.utc), timedelta(minutes=1)
     out = []
-    for _ in range(size):
-        label = labels[rng.choice(len(labels), p=weights)]
-        template = _TEMPLATES[label][rng.integers(len(_TEMPLATES[label]))]
-        flight = f"{_AIRLINES[rng.integers(len(_AIRLINES))]}{rng.integers(1, 10000)}"
-        comment = template.format(
-            flight=flight,
-            fix=_FIXES[rng.integers(len(_FIXES))],
-            facility=_FACILITIES[rng.integers(len(_FACILITIES))],
+    for label_i, template_i, airline, number, fix, named, facility, minutes in zip(
+        *(column.tolist() for column in columns)
+    ):
+        comment = templates[label_i][template_i].format(
+            flight=f"{_AIRLINES[airline]}{number}",
+            fix=_FIXES[fix],
+            facility=_FACILITIES[named],
         )
-        facility = _FACILITIES[rng.integers(len(_FACILITIES))]
-        when = when + timedelta(minutes=int(rng.integers(5, 600)))
-        out.append((LogRecord(timestamp=when, facility=facility, comment=comment), label))
+        record = LogRecord(start + minute * minutes, _FACILITIES[facility], comment)
+        out.append((record, labels[label_i]))
     return out

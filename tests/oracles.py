@@ -3,10 +3,13 @@
 Everything here deliberately avoids the code paths it checks: power
 iteration instead of the linear solve, the explicit binomial summation
 instead of the closed-form power, plain Monte Carlo with numpy's default
-generator instead of quadrature, and central differences for derivatives.
+generator instead of quadrature, central differences for derivatives, and
+per-keyword regular expressions instead of substring tests on normalized
+text.
 """
 
 import math
+import re
 
 import numpy as np
 from scipy.special import expit
@@ -89,3 +92,32 @@ def deterministic_walk_occupancy(matrix, steps, burn_in):
         if t >= burn_in:
             counts[state] += 1
     return counts / (steps - burn_in)
+
+
+# --- log classification -----------------------------------------------------
+
+LABEL_PRECEDENCE = ("Failed", "Rejected", "Assigned", "Requested")
+
+
+def regex_normalize(text):
+    """Lowercase, drop the three apostrophes, turn every character outside
+    [a-z0-9] and whitespace into a space, collapse whitespace: one regex per
+    step."""
+    t = text.lower().translate(str.maketrans({"’": "", "‘": "", "'": ""}))
+    t = re.sub(r"[^a-z0-9\s]", " ", t)
+    return re.sub(r"\s+", " ", t).strip()
+
+
+def regex_classify(comment, doc):
+    """(label, rule id) of a comment under a rules document (the parsed
+    JSON), matching each keyword as `\\b<normalized keyword>\\b`; the flight
+    pattern gates Assigned."""
+    text = regex_normalize(comment)
+    has_flight = re.search(doc["flight_number_pattern"], text) is not None
+    for label in LABEL_PRECEDENCE:
+        if label == "Assigned" and not has_flight:
+            continue
+        for raw in doc["labels"][label]:
+            if re.search(r"\b" + re.escape(regex_normalize(raw)) + r"\b", text):
+                return label, f"{label.lower()}:{raw}"
+    return "Mentioned", "fallback"

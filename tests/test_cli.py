@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -485,6 +486,42 @@ class TestClassify:
         assert capsys.readouterr().err.startswith("error[computation_failed]: ")
         # As for a corpus that cannot calibrate, the labels are still written.
         assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "l.counts.json", "l.csv", "l.params.json"]
+
+    def test_fixture_outputs_are_pinned(self, tmp_path):
+        # sha256 of what classify --calibrate writes for the fixture, as the
+        # per-keyword regex classifier of 0.3.0 wrote it.
+        corpus, _ = project_fixture(tmp_path)
+        assert main(["classify", corpus, "--out", str(tmp_path / "l.csv"), "--calibrate"]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("l.csv", "l.counts.json", "l.params.json")
+        }
+        assert digests == {
+            "l.csv": "a162c7f20a020cdb5f57204b8fd4d53b641c035088650a6ff3fa30185f4d4b9f",
+            "l.counts.json": "abbd5fbfa9ec4cf4658d7c5f073e3e4e649d02d22f207296a185219075722637",
+            "l.params.json": "12f7e8e3322e9f8602878c8ad2698fb0fd8445990c642ae38115d9d24424143d",
+        }
+
+    def test_keyword_without_letter_or_digit_exit_2(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps(
+                {
+                    "flight_number_pattern": "\\b[a-z]{2,3}[0-9]{1,4}\\b",
+                    "labels": {
+                        "Failed": ["!!!"],
+                        "Rejected": ["declined"],
+                        "Assigned": ["assigned"],
+                        "Requested": ["requesting"],
+                    },
+                }
+            )
+        )
+        corpus, _ = project_fixture(tmp_path)
+        out = tmp_path / "labeled.csv"
+        code = main(["classify", corpus, "--rules", str(rules), "--out", str(out)])
+        assert_refused(code, capsys.readouterr().err, "labels.Failed[0]")
+        assert not out.exists()
 
     def test_malformed_rules_exit_2(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"

@@ -3,6 +3,7 @@ import json
 import os
 from datetime import datetime, timezone
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,9 +25,45 @@ from pathfinder_ops import (
     labeled_to_csv,
     read_corpus_csv,
 )
-from pathfinder_ops.ntml import normalize_text, parse_rules
+from pathfinder_ops.ntml import PRECEDENCE, RuleSet, normalize_text, parse_rules
+
+from oracles import regex_classify, regex_normalize
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_corpus.csv")
+
+DEFAULT_RULES_DOC = json.loads(
+    resources.files("pathfinder_ops").joinpath("data/default_rules.json").read_text()
+)
+PERMUTED_RULES_DOC = {
+    "flight_number_pattern": "\\b[a-z]{2,3}[0-9]{1,4}\\b",
+    "labels": {
+        "Failed": ["didn't make it", "deviated", "not good"],
+        "Rejected": ["not available", "still waiting", "no pathfinder", "declined"],
+        "Assigned": ["released", "approved", "assigned"],
+        "Requested": ["requesting", "can we get one", "asking for pathfinder"],
+    },
+}
+
+# ASCII plus the characters where normalization is easiest to get wrong:
+# curly apostrophes, Unicode whitespace (NEL, NBSP, em space, file
+# separator), characters whose lowercase is ASCII or longer (Kelvin sign,
+# dotted capital I), characters with no lowercase mapping to [a-z] (sharp s,
+# the fi ligature) and Arabic-Indic digits.
+SPECIAL_CHARS = "’‘\x85\xa0\u2003\x1c\u212aİßﬁ" + "".join(map(chr, range(0x660, 0x66A)))
+CHARS = st.one_of(st.characters(max_codepoint=127), st.sampled_from(SPECIAL_CHARS))
+FRAGMENTS = sorted(
+    {kw for words in DEFAULT_RULES_DOC["labels"].values() for kw in words}
+    | {"DIDN’T MAKE IT", "didn‘t", "make", "Not Good", "no", "pathfinder", "get one"}
+    | {"UAL1234", "dal9", "jbu77", "\u212aL12", "ab12345", "1234"}
+)
+COMMENTS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(FRAGMENTS), st.text(CHARS, max_size=3)),
+        st.text(CHARS, max_size=2),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda pairs: "".join(part + sep for part, sep in pairs)).filter(str.strip)
 
 NOW = datetime(2024, 6, 1, 12, 0, tzinfo=timezone.utc)
 
@@ -60,6 +97,19 @@ class TestNormalization:
 
     def test_apostrophes_removed(self):
         assert normalize_text("didn’t make it, DIDN'T") == "didnt make it didnt"
+
+    def test_non_ascii_text(self):
+        assert normalize_text("\u212aL12\xa0İ ß-ﬁ’x ٣") == "kl12 i x"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(CHARS))
+    def test_matches_regex_reference(self, text):
+        assert normalize_text(text) == regex_normalize(text)
+
+    def test_matches_regex_reference_on_every_code_point(self):
+        # Letters around each code point tell a dropped character from a space.
+        text = "a".join(map(chr, range(0x110000)))
+        assert normalize_text(text) == regex_normalize(text)
 
 
 class TestClassify:
@@ -100,20 +150,7 @@ class TestClassify:
         assert upper == lower
 
     def test_keyword_order_within_category_never_changes_label(self):
-        rules_doc = json.loads(
-            json.dumps(
-                {
-                    "flight_number_pattern": "\\b[a-z]{2,3}[0-9]{1,4}\\b",
-                    "labels": {
-                        "Failed": ["didn't make it", "deviated", "not good"],
-                        "Rejected": ["not available", "still waiting", "no pathfinder", "declined"],
-                        "Assigned": ["released", "approved", "assigned"],
-                        "Requested": ["requesting", "can we get one", "asking for pathfinder"],
-                    },
-                }
-            )
-        )
-        permuted = parse_rules(rules_doc)
+        permuted = parse_rules(PERMUTED_RULES_DOC)
         records, _ = load_fixture()
         for rec in records:
             default_label, _ = classify(rec)
@@ -123,6 +160,47 @@ class TestClassify:
     def test_empty_comment_rejected_at_construction(self):
         with pytest.raises(ValueError):
             record("   ")
+
+    def test_keyword_matches_whole_words_only(self):
+        assert classify(record("UAL1 reassigned, unreleased"))[0] is Label.MENTIONED
+        assert classify(record("UAL1 assigned2 no-pathfinders"))[0] is Label.MENTIONED
+        assert classify(record("no.pathfinder!")) == (Label.REJECTED, "rejected:no pathfinder")
+
+    def test_flight_pattern_searched_only_when_an_assigned_keyword_matches(self):
+        searched = []
+
+        class Spy:
+            def search(self, text):
+                searched.append(text)
+                return None
+
+        rules = RuleSet(flight_number=Spy(), keywords=default_rules().keywords)
+        assert classify(record("UAL1234 requesting pathfinder"), rules)[0] is Label.REQUESTED
+        assert classify(record("UAL1234 declined, approved earlier"), rules)[0] is Label.REJECTED
+        assert searched == []
+        assert classify(record("UAL1234 Approved, requesting"), rules)[0] is Label.REQUESTED
+        assert searched == ["ual1234 approved requesting"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(comment=COMMENTS)
+    def test_matches_regex_reference_under_default_rules(self, comment):
+        label, rule = classify(record(comment))
+        assert (label.value, rule) == regex_classify(comment, DEFAULT_RULES_DOC)
+
+    @settings(max_examples=200, deadline=None)
+    @given(comment=COMMENTS)
+    def test_matches_regex_reference_under_permuted_rules(self, comment):
+        label, rule = classify(record(comment), parse_rules(PERMUTED_RULES_DOC))
+        assert (label.value, rule) == regex_classify(comment, PERMUTED_RULES_DOC)
+
+    def test_classify_corpus_matches_classify(self):
+        records, _ = load_fixture()
+        labeled, counts = classify_corpus(records)
+        pairs = [classify(rec) for rec in records]
+        assert [(lr.label, lr.rule) for lr in labeled] == pairs
+        assert counts == LabelCounts(
+            **{f"n_{want.name.lower()}": sum(label is want for label, _ in pairs) for want in Label}
+        )
 
 
 class TestCorpus:
@@ -158,6 +236,18 @@ class TestCorpus:
         a = generate_corpus(50, seed=9)
         b = generate_corpus(50, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    def test_generated_labels_agree_with_classify(self, seed):
+        pairs = generate_corpus(2000, seed)
+        assert pairs == generate_corpus(2000, seed)
+        assert [classify(rec)[0] for rec, _ in pairs] == [label for _, label in pairs]
+        stamps = [rec.timestamp for rec, _ in pairs]
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        assert {label for _, label in pairs} == set(Label)
+
+    def test_generator_seeds_give_different_corpora(self):
+        assert generate_corpus(50, seed=9) != generate_corpus(50, seed=10)
 
 
 class TestEstimateParams:
@@ -342,4 +432,22 @@ class TestRulesFile:
 
     def test_default_rules_load(self):
         rules = default_rules()
-        assert Label.FAILED in rules.keywords
+        assert rules.keywords[0] == (Label.FAILED, " not good ", "failed:not good")
+        assert [label for label, _, _ in rules.keywords] == sorted(
+            (label for label, _, _ in rules.keywords), key=PRECEDENCE.index
+        )
+
+    @pytest.mark.parametrize("keyword", ["!!!", "'", "’’", " - "])
+    def test_keyword_without_letter_or_digit_refused(self, keyword):
+        # Such a keyword normalizes to nothing and would match every comment.
+        doc = {
+            "flight_number_pattern": "x",
+            "labels": {
+                "Failed": ["a"],
+                "Rejected": ["b"],
+                "Assigned": ["c"],
+                "Requested": ["d", keyword],
+            },
+        }
+        with pytest.raises(ValueError, match=r"labels\.Requested\[1\] must keep a letter or digit"):
+            parse_rules(doc)
