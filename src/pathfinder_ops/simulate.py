@@ -20,16 +20,18 @@ from .worstcase import WorstCaseScenario, group_reject_probs
 
 _MAX_SEED = 2**64
 
-# Excursions drawn per chunk by simulate_chain. Each chunk's arrays stay in
-# cache (2**13 to 2**14 was fastest on 2e6 steps).
+# Excursions drawn per chunk by simulate_chain, and rounds per chunk by
+# mixture_batch. Each chunk's arrays stay in cache (2**13 to 2**14 was
+# fastest on 2e6 steps).
 _CHUNK = 2**14
 
-# Size caps, checked before anything is allocated. simulate_chain keeps about
-# 2 MiB whatever the walk length and runs at 2.7e7 steps/s or more (2-CPU
-# machine, worst case p_good = p_accept = 1, p_success = 0), so MAX_STEPS
-# bounds time: about 40 s. mixture_batch holds about 27 bytes per agent draw
-# at peak (rounds x n draws), so MAX_ROUND_DRAWS bounds memory: about
-# 430 MiB, and under 2 s at 1e7 draws/s or more.
+# Size caps, checked before anything is allocated. Both simulations keep
+# O(_CHUNK) memory, about 1-2 MiB whatever the request, so both caps bound
+# time (2-CPU machine). simulate_chain runs at 2.7e7 steps/s or more (worst
+# case p_good = p_accept = 1, p_success = 0): about 40 s at MAX_STEPS.
+# mixture_batch runs at about 1.2e7 rounds/s for n = 1 and 0.9e7 for
+# n = 10, so the slowest request at MAX_ROUND_DRAWS, 2**24 rounds of one
+# agent, takes about 1.5 s.
 MAX_STEPS = 10**9
 MAX_ROUND_DRAWS = 2**24
 
@@ -89,17 +91,18 @@ class SelectionOutcome:
     order_used: tuple[str, ...]
 
 
-def _holding_times(exp_draws: np.ndarray, leave_p: float, cap: int):
-    """Steps spent in a state that is left with probability leave_p per
-    step, one per Exp(1) draw: floor(E / -log(1 - leave_p)) + 1 is
-    Geometric(leave_p) on {1, 2, ...}. Clipped to `cap`; a state that is
-    never left holds for `cap` steps, which outlasts the walk."""
-    if leave_p == 1.0:
+def _geometric(exp_draws: np.ndarray, p: float, cap: int):
+    """Trials up to and including the first success, success probability p
+    per trial, one per Exp(1) draw: floor(E / -log(1 - p)) + 1 is
+    Geometric(p) on {1, 2, ...} (Devroye 1986, ch. X). Clipped to `cap`; a
+    trial that never succeeds gives `cap`, which callers choose beyond any
+    count they test. Degenerate p gives a scalar."""
+    if p == 1.0:
         return 1.0
-    if leave_p == 0.0:
+    if p == 0.0:
         return cap
-    scale = -1.0 / math.log1p(-leave_p)
-    if math.isinf(scale):  # subnormal leave_p: never left within the cap
+    scale = -1.0 / math.log1p(-p)
+    if math.isinf(scale):  # subnormal p: no success within the cap
         return cap
     return np.minimum(np.floor(exp_draws * scale) + 1.0, cap)
 
@@ -132,10 +135,10 @@ def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
         exp_draws = rng.standard_exponential((3, chunk))
         opened = rng.random(chunk) < s
         stays = (
-            _holding_times(exp_draws[0], g, hi),
-            _holding_times(exp_draws[1], a, hi),
+            _geometric(exp_draws[0], g, hi),
+            _geometric(exp_draws[1], a, hi),
             1.0,
-            np.where(opened, _holding_times(exp_draws[2], 1.0 - g, hi), 0.0),
+            np.where(opened, _geometric(exp_draws[2], 1.0 - g, hi), 0.0),
         )
         length = stays[0] + stays[1] + stays[2] + stays[3]
         # Visit boundaries, from each excursion's entry into Gate Closed to
@@ -205,22 +208,39 @@ def mixture_batch(
     (receptive agents first, mirroring payoff-descending ranking) until an
     acceptance. The all-reject frequency is the empirical counterpart of
     worst_case_prob(scn, alpha).
+
+    A round takes three draws, not one per agent. K ~ Binomial(n, alpha)
+    agents are rejective. Offers within a group are independent trials, so
+    the first acceptance among the n - K receptive agents, offered first,
+    lies at g_rec ~ Geometric(1 - p_rec), and the first among the K
+    rejective agents at g_rej ~ Geometric(1 - p_rej), both drawn from
+    Exp(1) variates. The round makes g_rec offers if g_rec <= n - K, else
+    (n - K) + g_rej if g_rej <= K, else all n agents reject. This is the law
+    of the per-agent walk. Rounds run in chunks of _CHUNK with two running
+    counts, so memory is O(chunk) and time O(rounds) whatever n is.
     """
     alpha = check_batch(scn, alpha, rounds, seed)
     rng = make_rng(seed, _STREAM_MIXTURE)
     p_rej, p_rec = group_reject_probs(scn)
-    rejective = rng.random((rounds, scn.n)) < alpha
-    # Receptive agents have the higher acceptance probability, hence the
-    # higher payoff; a stable sort keeps index order within each group.
-    order = np.argsort(rejective, axis=1, kind="stable")
-    rejective_sorted = np.take_along_axis(rejective, order, axis=1)
-    p_reject_each = np.where(rejective_sorted, p_rej, p_rec)
-    accepts = rng.random((rounds, scn.n)) >= p_reject_each
-    any_accept = accepts.any(axis=1)
-    first_accept = accepts.argmax(axis=1)
-    offers = np.where(any_accept, first_accept + 1, scn.n)
+    n = scn.n
+    all_reject = offers = 0
+    for start in range(0, rounds, _CHUNK):
+        size = min(_CHUNK, rounds - start)
+        rejective = rng.binomial(n, alpha, size)
+        exp_draws = rng.standard_exponential((2, size))
+        receptive = n - rejective
+        # Capped at n + 1: beyond every group size.
+        g_rec = _geometric(exp_draws[0], 1.0 - p_rec, n + 1)
+        g_rej = _geometric(exp_draws[1], 1.0 - p_rej, n + 1)
+        rec_accepts = g_rec <= receptive
+        # Offers past the receptive group: receptive + g_rej, or n when
+        # every rejective agent refuses too (g_rej > K).
+        offers += int(
+            np.where(rec_accepts, g_rec, np.minimum(receptive + g_rej, n)).sum()
+        )
+        all_reject += int(np.count_nonzero(~rec_accepts & (g_rej > rejective)))
     return MixtureBatchResult(
         rounds=rounds,
-        all_reject_rate=float(1.0 - any_accept.mean()),
-        mean_offers=float(offers.mean()),
+        all_reject_rate=all_reject / rounds,
+        mean_offers=offers / rounds,
     )

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths it checks: power
 iteration instead of the linear solve, the explicit binomial summation
 instead of the closed-form power, plain Monte Carlo with numpy's default
-generator instead of quadrature, central differences for derivatives, and
-per-keyword regular expressions instead of substring tests on normalized
-text.
+generator instead of quadrature, the per-agent offer walk and an exact
+enumeration instead of three-draw offer rounds, central differences for
+derivatives, and per-keyword regular expressions instead of substring tests
+on normalized text.
 """
 
 import math
@@ -39,6 +40,49 @@ def binomial_sum_w(n, alpha, p_rej, p_rec):
             * p_rec ** (n - k)
         )
     return total
+
+
+def per_agent_rounds(n, alpha, p_rej, p_rec, rounds, seed):
+    """(all_reject, offers), one entry per offer round, by the per-agent
+    walk: each agent is rejective with probability alpha, a stable sort puts
+    the receptive agents first, and offers go down that order until the
+    first acceptance (all n offers when every agent rejects)."""
+    rng = np.random.default_rng(seed)
+    rejective = rng.random((rounds, n)) < alpha
+    order = np.argsort(rejective, axis=1, kind="stable")
+    rejective_sorted = np.take_along_axis(rejective, order, axis=1)
+    accepts = rng.random((rounds, n)) >= np.where(rejective_sorted, p_rej, p_rec)
+    any_accept = accepts.any(axis=1)
+    offers = np.where(any_accept, accepts.argmax(axis=1) + 1, n)
+    return ~any_accept, offers
+
+
+def _offers_survival(n, alpha, p_rej, p_rec):
+    """P(offers > j) for j = 0, ..., n - 1, i.e. the probability that the
+    first j offers of a round are all rejected: with k rejective agents the
+    n - k receptive ones are offered first, summed over k."""
+    survival = [0.0] * n
+    for k in range(n + 1):
+        weight = math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k)
+        receptive = n - k
+        for j in range(n):
+            survival[j] += (
+                weight * p_rec ** min(j, receptive) * p_rej ** max(0, j - receptive)
+            )
+    return survival
+
+
+def exact_mean_offers(n, alpha, p_rej, p_rec):
+    """E[offers made in a round] = sum over j of P(offers > j)."""
+    return sum(_offers_survival(n, alpha, p_rej, p_rec))
+
+
+def exact_offers_variance(n, alpha, p_rej, p_rec):
+    """Var[offers made in a round], from E[X^2] = sum over j of
+    (2j + 1) P(X > j)."""
+    survival = _offers_survival(n, alpha, p_rej, p_rec)
+    second = sum((2 * j + 1) * q for j, q in enumerate(survival))
+    return second - sum(survival) ** 2
 
 
 def mc_gaussian_w(n, u_minus, u_plus, beta, sigma, alpha, draws, seed):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from pathfinder_ops import (
     ControllerCandidate,
     ControllerContext,
     EmptyCandidateSet,
+    MixtureBatchResult,
     SimConfig,
     WorstCaseScenario,
     build_transition_matrix,
+    group_reject_probs,
     make_rng,
     mixture_batch,
     run_selection_round,
@@ -21,9 +24,16 @@ from pathfinder_ops import (
     steady_state,
     worst_case_prob,
 )
-from pathfinder_ops.simulate import MAX_ROUND_DRAWS, MAX_STEPS, check_batch
+from pathfinder_ops.simulate import _CHUNK, MAX_ROUND_DRAWS, MAX_STEPS, check_batch
 
-from oracles import deterministic_walk_occupancy, expected_visit_counts
+from oracles import (
+    binomial_sum_w,
+    deterministic_walk_occupancy,
+    exact_mean_offers,
+    exact_offers_variance,
+    expected_visit_counts,
+    per_agent_rounds,
+)
 
 
 def no_rng(*args, **kwargs):
@@ -256,8 +266,7 @@ class TestMixtureBatch:
             mixture_batch(scn, alpha=0.5, rounds=10, seed=True)
 
     def test_draw_cap(self):
-        # Only the checks run here: a request at the cap would allocate
-        # several hundred MiB.
+        # Only the checks run here, so the test allocates nothing.
         scn = WorstCaseScenario(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
         assert check_batch(scn, 0.5, 10**6, 0) == 0.5
         assert check_batch(scn, 0.5, MAX_ROUND_DRAWS // 10, 0) == 0.5
@@ -270,3 +279,90 @@ class TestMixtureBatch:
         scn = WorstCaseScenario(n=n, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
         with pytest.raises(ValueError, match="rounds x n"):
             mixture_batch(scn, alpha=0.5, rounds=rounds, seed=0)
+
+
+class TestMixtureBatchLaw:
+    # Three-draw rounds against independent references: the explicit
+    # binomial sum for the all-reject rate, an exact enumeration for the
+    # mean offers, and the per-agent walk (numpy's default generator) for
+    # both, each within 4 standard errors.
+    POINTS = [
+        # (n, alpha, |u|)
+        (1, 0.5, 0.5),
+        (3, 0.3, 1.0),
+        (10, 0.5, 2.0),
+        (10, 0.9, 0.5),
+        (25, 0.7, 1.0),
+    ]
+    ROUNDS = 200_000
+
+    @staticmethod
+    def scenario(n, u):
+        return WorstCaseScenario(n=n, u_minus=-u, u_plus=u, beta=1.0, delta=0.1)
+
+    @pytest.mark.parametrize("n,alpha,u", POINTS)
+    def test_all_reject_rate_matches_binomial_sum(self, n, alpha, u):
+        scn = self.scenario(n, u)
+        result = mixture_batch(scn, alpha=alpha, rounds=self.ROUNDS, seed=n)
+        w = binomial_sum_w(n, alpha, *group_reject_probs(scn))
+        se = math.sqrt(w * (1.0 - w) / self.ROUNDS)
+        assert abs(result.all_reject_rate - w) <= 4 * se
+
+    @pytest.mark.parametrize("n,alpha,u", POINTS)
+    def test_mean_offers_matches_exact_enumeration(self, n, alpha, u):
+        scn = self.scenario(n, u)
+        result = mixture_batch(scn, alpha=alpha, rounds=self.ROUNDS, seed=100 + n)
+        probs = group_reject_probs(scn)
+        mean = exact_mean_offers(n, alpha, *probs)
+        se = math.sqrt(exact_offers_variance(n, alpha, *probs) / self.ROUNDS)
+        assert abs(result.mean_offers - mean) <= 4 * se
+
+    @pytest.mark.parametrize("n,alpha,u", POINTS)
+    def test_agrees_with_per_agent_walk(self, n, alpha, u):
+        scn = self.scenario(n, u)
+        probs = group_reject_probs(scn)
+        result = mixture_batch(scn, alpha=alpha, rounds=self.ROUNDS, seed=200 + n)
+        oracle_rounds = 100_000
+        all_reject, offers = per_agent_rounds(n, alpha, *probs, oracle_rounds, seed=300 + n)
+        scale = math.sqrt(1.0 / self.ROUNDS + 1.0 / oracle_rounds)
+        w = binomial_sum_w(n, alpha, *probs)
+        assert abs(result.all_reject_rate - all_reject.mean()) <= 4 * math.sqrt(w * (1.0 - w)) * scale
+        sd = math.sqrt(exact_offers_variance(n, alpha, *probs))
+        assert abs(result.mean_offers - offers.mean()) <= 4 * sd * scale
+
+
+class TestMixtureBatchEdges:
+    @pytest.mark.parametrize("rounds", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_boundaries(self, rounds):
+        n = 5
+        scn = WorstCaseScenario(n=n, u_minus=-0.5, u_plus=0.5, beta=1.0, delta=0.1)
+        a = mixture_batch(scn, alpha=0.6, rounds=rounds, seed=41)
+        assert a == mixture_batch(scn, alpha=0.6, rounds=rounds, seed=41)
+        assert a.rounds == rounds
+        # Both statistics are whole counts over rounds.
+        for stat in (a.all_reject_rate, a.mean_offers):
+            assert round(stat * rounds) / rounds == stat
+        assert 0.0 <= a.all_reject_rate <= 1.0
+        assert 1.0 <= a.mean_offers <= n
+
+    @pytest.mark.parametrize("n,rounds", [(1, 1000), (7, 1000), (2**20, 16)])
+    def test_extreme_utilities(self, n, rounds):
+        scn = WorstCaseScenario(n=n, u_minus=-50.0, u_plus=50.0, beta=1.0, delta=0.1)
+        assert group_reject_probs(scn)[0] == 1.0
+        with np.errstate(all="raise"):
+            always = mixture_batch(scn, alpha=1.0, rounds=rounds, seed=5)
+            never = mixture_batch(scn, alpha=0.0, rounds=rounds, seed=5)
+            mixture_batch(scn, alpha=0.5, rounds=rounds, seed=5)
+        assert always == MixtureBatchResult(rounds=rounds, all_reject_rate=1.0, mean_offers=float(n))
+        assert never == MixtureBatchResult(rounds=rounds, all_reject_rate=0.0, mean_offers=1.0)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # Per-agent arrays would peak at about 270 MiB here.
+        scn = WorstCaseScenario(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        tracemalloc.start()
+        try:
+            mixture_batch(scn, alpha=0.5, rounds=2**20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
