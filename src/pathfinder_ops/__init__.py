@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .agents import (
     AgentProfile,
@@ -25,8 +25,8 @@ from .agents import (
 )
 from .chain import (
     ChainParams,
-    build_transition_matrix,
     default_grid,
+    stationary,
     steady_state,
     sweep_steady_state,
     sweep_to_csv,

@@ -2,15 +2,20 @@
 
 States are indexed 0..3: Gate Closed, Pathfinder Selection, Pathfinding,
 Gate Opened. Transitions are driven by three probabilities: favorable
-weather observation (p_good), offer acceptance (p_accept), and pathfinding
-success (p_success). The stationary distribution is obtained by solving the
-balance equations with the normalization constraint; a rank test on the
-balance system detects parameterizations whose stationary distribution is
-not unique and refuses to pick one.
+weather observation (p_good = g), offer acceptance (p_accept = a), and
+pathfinding success (p_success = s).
 
-All functions here are pure. One batched kernel, `steady_states`, solves a
-whole stack of chains at once; the single-chain and sweep entry points are
-thin wrappers over it.
+The balance equations of this chain solve by hand. On the whole cube
+[0, 1]^3 the stationary distribution is proportional to
+
+    (a(1-g), g(1-g), a g (1-g), a s g),
+
+and it is unique unless all four terms vanish, that is when g = 1 and
+(a = 0 or s = 0), or g = 0 and a = 0; those chains have two closed classes.
+Uniqueness is therefore decided from the parameters, with no tolerance.
+
+All functions here are pure. One broadcasting kernel, `stationary`, serves
+single chains and whole sweeps alike.
 """
 
 from __future__ import annotations
@@ -24,25 +29,18 @@ from .errors import EmptyGrid, NonUniqueStationary
 from .fileio import csv_columns
 
 N_STATES = 4
-STATE_NAMES = ("Gate Closed", "Pathfinder Selection", "Pathfinding", "Gate Opened")
 
 # Entries of the 4x4 transition matrix that are structurally zero.
 STRUCTURAL_ZEROS = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2))
 
-# Singular values of the balance system below this are treated as rank
-# deficiency, i.e. a second recurrent class.
-_RANK_TOL = 1e-10
-
-_EYE = np.eye(N_STATES)
-# Right-hand side of the normalized balance system: zeros, then sum(pi) = 1.
-_NORMALIZATION_RHS = np.array([[0.0], [0.0], [0.0], [1.0]])
-_EYE.setflags(write=False)
-_NORMALIZATION_RHS.setflags(write=False)
+# Largest stationarity residual `stationary` accepts from its own result.
+_RESIDUAL_TOL = 1e-10
 
 # Cap on the cells of one sweep, checked before anything is allocated. A sweep
-# holds about 740 bytes per cell at peak with CSV output and 2.1 KB with JSON
-# (tracemalloc), so the cap bounds memory to about 190 and 530 MiB; it runs
-# in about 3 s (8e4 cells/s, 2-CPU machine).
+# holds about 670 bytes per cell at peak with CSV output and 2.1 KB with JSON
+# (tracemalloc), so the cap bounds memory to about 170 and 530 MiB. At the cap
+# a sweep takes about 1 s with CSV output and 5.5 s with JSON (2-CPU machine),
+# nearly all of it formatting: the solve itself takes about 0.08 s.
 MAX_SWEEP_CELLS = 2**18
 
 
@@ -70,15 +68,25 @@ SWEEP_DTYPE = np.dtype(
 )
 
 
+def _probabilities(p_good, p_accept, p_success) -> list[np.ndarray]:
+    """The three arguments as broadcast float arrays, each checked to lie in
+    [0, 1] (NaN fails the check)."""
+    arrays = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (p_good, p_accept, p_success))
+    )
+    for name, values in zip(("p_good", "p_accept", "p_success"), arrays):
+        if not ((values >= 0.0) & (values <= 1.0)).all():
+            raise ValueError(f"{name} values must lie in [0, 1]")
+    return arrays
+
+
 def transition_matrices(p_good, p_accept, p_success) -> np.ndarray:
     """Stack of 4x4 row-stochastic transition matrices.
 
     The three arguments broadcast against each other; the result has their
     broadcast shape followed by (4, 4).
     """
-    g, a, s = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (p_good, p_accept, p_success))
-    )
+    g, a, s = _probabilities(p_good, p_accept, p_success)
     matrices = np.zeros(g.shape + (N_STATES, N_STATES))
     matrices[..., 0, 0] = 1.0 - g
     matrices[..., 0, 1] = g
@@ -91,79 +99,72 @@ def transition_matrices(p_good, p_accept, p_success) -> np.ndarray:
     return matrices
 
 
-def build_transition_matrix(params: ChainParams) -> np.ndarray:
-    """Return the 4x4 row-stochastic transition matrix for `params`."""
-    return transition_matrices(params.p_good, params.p_accept, params.p_success)
+def _closed_form(g, a, s) -> np.ndarray:
+    """pi proportional to (a(1-g), g(1-g), a g (1-g), a s g), normalized.
 
-
-def _check_row_stochastic(matrices: np.ndarray) -> np.ndarray:
-    matrices = np.asarray(matrices, dtype=float)
-    if matrices.shape[-2:] != (N_STATES, N_STATES):
-        raise ValueError(f"expected {N_STATES}x{N_STATES} matrices, got shape {matrices.shape}")
-    if (matrices < -1e-15).any() or (matrices > 1.0 + 1e-15).any():
-        raise ValueError("transition matrix entries must lie in [0, 1]")
-    row_sums = matrices.sum(axis=-1)
-    bad = np.abs(row_sums - 1.0) > 1e-12
-    if bad.any():
-        raise ValueError(
-            f"matrix rows must sum to 1 within 1e-12, got sums {row_sums[bad.any(axis=-1)][0]}"
-        )
-    return matrices
-
-
-def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve pi @ P = pi with sum(pi) = 1 for each matrix of a stack.
-
-    `matrices` has shape (..., 4, 4). Returns (pi, unique): pi has shape
-    (..., 4) and unique is a boolean array of shape (...). A cell is not
-    unique when its balance system is rank deficient beyond normalization,
-    i.e. the chain has several recurrent classes; its pi row is NaN.
-
-    Each unique cell solves the balance system with one equation replaced
-    by the normalization constraint (dense LU). Components in [-1e-12, 0)
-    are clamped to zero and the vector renormalized. Raises ArithmeticError
-    if any cell has a component below -1e-12 or a stationarity residual
-    above 1e-10.
+    For g < 1 the terms are divided by 1 - g, so pi is proportional to
+    (a, g, a g, a s q) with q = g / (1 - g) <= 2^53. With T their sum, pi0 =
+    a / T, pi1 = g / T, pi2 = a pi1 and pi3 = s (a q / T), where a q / T is
+    taken as q pi0 for q <= 1 and as (q a) / T for q > 1, so no product of
+    two small factors is formed before the division. Every component is then
+    accurate to a few ulps, or to a few subnormal ulps where its value
+    underflows. At g = 1 only the last term is left and pi = e3. Cells with
+    no unique distribution come out NaN or e3; the caller masks them.
     """
-    matrices = _check_row_stochastic(matrices)
-    balance = np.swapaxes(matrices, -1, -2) - _EYE
-    singular_values = np.linalg.svd(balance, compute_uv=False)
-    unique = singular_values[..., N_STATES - 2] > _RANK_TOL
-    # Rows of the balance system sum to zero, so dropping one loses nothing,
-    # and the normalization row is independent of the rest.
-    system = balance[unique]
-    system[:, -1, :] = 1.0
-    solved = np.linalg.solve(system, _NORMALIZATION_RHS)[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = g / (1.0 - g)
+        total = a + g + a * g + a * s * q
+        pi0, pi1 = a / total, g / total
+        pi3 = s * np.where(q > 1.0, q * a / total, q * pi0)
+        pi = np.stack([pi0, pi1, a * pi1, pi3], axis=-1)
+    return np.where((g == 1.0)[..., None], np.eye(N_STATES)[3], pi)
 
-    if solved.size and solved.min() < -1e-12:
-        worst = solved[solved.min(axis=-1).argmin()]
-        raise ArithmeticError(f"stationary solve produced negative component: {worst}")
-    solved = np.maximum(solved, 0.0)
-    solved /= solved.sum(axis=-1, keepdims=True)
-    residual = np.abs((solved[:, None, :] @ matrices[unique])[:, 0, :] - solved)
-    if residual.size and residual.max() > 1e-10:
-        raise ArithmeticError(f"stationarity residual {residual.max():.3e} exceeds 1e-10")
-    pi = np.full(unique.shape + (N_STATES,), np.nan)
-    pi[unique] = solved
+
+def _balance_residual(pi, g, a, s) -> np.ndarray:
+    """|inflow - outflow| at each state, from the four balance equations."""
+    pi0, pi1, pi2, pi3 = np.moveaxis(pi, -1, 0)
+    h = 1.0 - g
+    return np.abs(np.stack([
+        (1.0 - s) * pi2 + h * pi3 - g * pi0,
+        g * pi0 - a * pi1,
+        a * pi1 - pi2,
+        s * pi2 - h * pi3,
+    ], axis=-1))
+
+
+def stationary(p_good, p_accept, p_success) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary distribution of every chain of a broadcast stack.
+
+    The three arguments broadcast against each other (shape S). Returns
+    (pi, unique): pi has shape S + (4,), and unique is a boolean array of
+    shape S. A chain is not unique when it has two closed classes, exactly
+    when g = 1 and (a = 0 or s = 0), or g = 0 and a = 0; its pi row is NaN.
+
+    Raises ValueError if a probability lies outside [0, 1] or is NaN, and
+    ArithmeticError if a unique cell's balance residual exceeds 1e-10 (a
+    self-check of the closed form).
+    """
+    g, a, s = _probabilities(p_good, p_accept, p_success)
+    unique = ~(((g == 1.0) & ((a == 0.0) | (s == 0.0))) | ((g == 0.0) & (a == 0.0)))
+    pi = np.where(unique[..., None], _closed_form(g, a, s), np.nan)
+    residual = np.where(unique[..., None], _balance_residual(pi, g, a, s), 0.0)
+    worst = residual.max(initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        raise ArithmeticError(f"stationarity residual {worst:.3e} exceeds {_RESIDUAL_TOL:g}")
     return pi, unique
 
 
-def steady_state(matrix: np.ndarray) -> np.ndarray:
-    """Solve pi @ P = pi with sum(pi) = 1 for one row-stochastic 4x4 P.
-
-    A stack of one through `steady_states`. Raises NonUniqueStationary
-    when the chain has several recurrent classes.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (N_STATES, N_STATES):
-        raise ValueError(f"expected a {N_STATES}x{N_STATES} matrix, got shape {matrix.shape}")
-    pi, unique = steady_states(matrix[None])
-    if not unique[0]:
+def steady_state(p_good, p_accept, p_success) -> np.ndarray:
+    """`stationary` for chains that must have a unique distribution: returns
+    pi alone, and raises NonUniqueStationary if any chain has two closed
+    classes."""
+    pi, unique = stationary(p_good, p_accept, p_success)
+    if not unique.all():
         raise NonUniqueStationary(
             "chain is reducible with more than one recurrent class; "
             "stationary distribution is not unique"
         )
-    return pi[0]
+    return pi
 
 
 def _validate_grid(values, name: str, low_open: bool) -> list[float]:
@@ -192,7 +193,7 @@ def sweep_steady_state(g_grid, a_grid, s_grid) -> np.recarray:
     Returns a record array (dtype SWEEP_DTYPE) with one record per cell, in
     lexicographic (p_good, p_accept, p_success) order. Cells whose
     stationary distribution is not unique are kept, with a NaN pi and
-    status 'non_unique'. All cells are solved in one `steady_states` call;
+    status 'non_unique'. All cells are solved in one `stationary` call;
     a sweep of more than MAX_SWEEP_CELLS cells is refused first.
     """
     g_grid = _validate_grid(g_grid, "p_good", low_open=True)
@@ -202,7 +203,7 @@ def sweep_steady_state(g_grid, a_grid, s_grid) -> np.recarray:
     if cells > MAX_SWEEP_CELLS:
         raise ValueError(f"a sweep may have at most {MAX_SWEEP_CELLS} cells, got {cells}")
     g, a, s = (axis.ravel() for axis in np.meshgrid(g_grid, a_grid, s_grid, indexing="ij"))
-    pi, unique = steady_states(transition_matrices(g, a, s))
+    pi, unique = stationary(g, a, s)
     return sweep_records(g, a, s, pi, unique)
 
 

@@ -22,7 +22,6 @@ from .chain import (
     MAX_SWEEP_CELLS,
     ChainParams,
     _validate_grid,
-    build_transition_matrix,
     default_grid,
     steady_state,
     sweep_records,
@@ -388,7 +387,7 @@ def cmd_simulate(args) -> int:
             "occupancy": [float(x) for x in occupancy],
         }
         if args.compare_analytic:
-            pi = steady_state(build_transition_matrix(params))
+            pi = steady_state(params.p_good, params.p_accept, params.p_success)
             error = float(np.max(np.abs(occupancy - pi)))
             block["analytic_pi"] = [float(x) for x in pi]
             block["max_abs_error"] = error

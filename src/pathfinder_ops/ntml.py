@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chain import _validate_grid, steady_state, transition_matrices
+from .chain import _validate_grid, steady_state
 from .errors import InsufficientData
 from .simulate import STREAM_CORPUS, make_rng
 
@@ -270,11 +270,13 @@ def calibrated_steady_state(
     counts: LabelCounts, g_grid
 ) -> list[tuple[float, np.ndarray]]:
     """Stationary distributions over a weather-reliability grid, with
-    acceptance and success probabilities estimated from the counts. The
-    grid is checked before the counts."""
+    acceptance and success probabilities estimated from the counts, all
+    solved in one `steady_state` call. The grid is checked before the
+    counts; NonUniqueStationary is raised if any chain on it has two closed
+    classes."""
     g_values = _validate_grid(g_grid, "p_good", low_open=False)
     p_accept, p_success = estimate_params(counts)
-    return [(g, steady_state(transition_matrices(g, p_accept, p_success))) for g in g_values]
+    return list(zip(g_values, steady_state(g_values, p_accept, p_success)))
 
 
 CORPUS_CSV_HEADER = ["timestamp", "facility", "comment"]

@@ -1,7 +1,9 @@
 """Independent test oracles.
 
-Everything here deliberately avoids the code paths it checks: power
-iteration instead of the linear solve, the explicit binomial summation
+Everything here deliberately avoids the code paths it checks: exact
+rational elimination on the balance system and power iteration instead of
+the closed-form stationary distribution, a reachability graph instead of
+the parameter rule for uniqueness, the explicit binomial summation
 instead of the closed-form power, plain Monte Carlo with numpy's default
 generator instead of quadrature, the per-agent offer walk and an exact
 enumeration instead of three-draw offer rounds, central differences for
@@ -11,6 +13,7 @@ on normalized text.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit
@@ -26,6 +29,58 @@ def power_iteration(matrix, tol=1e-12, max_iter=10**6):
             return nxt / nxt.sum()
         pi = nxt
     raise RuntimeError("power iteration did not converge")
+
+
+def exact_transition_matrix(g, a, s):
+    """The gate chain's 4x4 transition matrix as lists of Fractions: each
+    float probability is the rational number it represents, and its
+    complement is exact."""
+    g, a, s = (Fraction(x) for x in (g, a, s))
+    return [
+        [1 - g, g, 0, 0],
+        [0, 1 - a, a, 0],
+        [1 - s, 0, 0, s],
+        [1 - g, 0, 0, g],
+    ]
+
+
+def exact_stationary(matrix):
+    """pi with pi P = pi and sum(pi) = 1, by Gauss-Jordan elimination on the
+    dense balance system stacked on the normalization row, in exact rational
+    arithmetic. Returns a list of Fractions, or None when the system has
+    rank below n, i.e. the stationary distribution is not unique."""
+    n = len(matrix)
+    rows = [[Fraction(matrix[i][j]) - (i == j) for i in range(n)] + [Fraction(0)] for j in range(n)]
+    rows.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next((r for r in range(col, n + 1) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n + 1):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] for i in range(n)]
+
+
+def closed_class_count(matrix):
+    """Number of closed communicating classes, from the reachability graph
+    of the positive entries (Warshall's transitive closure). The stationary
+    distribution is unique exactly when this is 1."""
+    n = len(matrix)
+    reach = [[i == j or matrix[i][j] > 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    closed = {
+        frozenset(j for j in range(n) if reach[i][j])
+        for i in range(n)
+        if all(reach[j][i] for j in range(n) if reach[i][j])
+    }
+    return len(closed)
 
 
 def binomial_sum_w(n, alpha, p_rej, p_rec):
@@ -101,7 +156,9 @@ def closed_form_pi(g, a, s):
     """Hand-solved stationary distribution for interior parameters.
 
     From the balance equations: pi1 = (g/a) pi0, pi2 = g pi0,
-    pi3 = s g pi0 / (1 - g), then normalize.
+    pi3 = s g pi0 / (1 - g), then normalize. This is the library's own
+    formula in another arrangement, so it is a consistency check only;
+    `exact_stationary` is the independent one.
     """
     pi0 = 1.0 / (1.0 + g / a + g + s * g / (1.0 - g))
     return np.array([pi0, g / a * pi0, g * pi0, s * g / (1.0 - g) * pi0])

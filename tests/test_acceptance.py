@@ -19,7 +19,6 @@ from pathfinder_ops import (
     SocialParams,
     SimConfig,
     WorstCaseScenario,
-    build_transition_matrix,
     classify_corpus,
     estimate_params,
     gradient_sign_map,
@@ -47,7 +46,7 @@ def report(criterion, ok, detail):
 
 
 def pi_for(g, a, s):
-    return steady_state(build_transition_matrix(ChainParams(g, a, s)))
+    return steady_state(g, a, s)
 
 
 def test_criterion_01_calibrated_endpoint_reproduction():
@@ -150,7 +149,7 @@ def test_criterion_06_chain_monte_carlo_oracle():
         g, a, s = rng.uniform(0.05, 0.95, 3)
         params = ChainParams(g, a, s)
         occ = simulate_chain(params, SimConfig(seed=5000 + trial, steps=10**6, burn_in=1000))
-        pi = steady_state(build_transition_matrix(params))
+        pi = steady_state(g, a, s)
         worst = max(worst, float(np.max(np.abs(occ - pi))))
     report(6, worst <= 0.01, f"max |occupancy - pi| = {worst:.4f} over 20 seeded triples")
 

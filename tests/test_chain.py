@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,8 @@ from pathfinder_ops import (
     ChainParams,
     EmptyGrid,
     NonUniqueStationary,
-    build_transition_matrix,
     default_grid,
+    stationary,
     steady_state,
     sweep_steady_state,
     sweep_to_csv,
@@ -19,16 +22,21 @@ from pathfinder_ops.chain import (
     STRUCTURAL_ZEROS,
     SWEEP_CSV_HEADER,
     SWEEP_DTYPE,
-    steady_states,
     transition_matrices,
 )
 from pathfinder_ops.fileio import fmt12
 
-from oracles import closed_form_pi, power_iteration
+from oracles import (
+    closed_class_count,
+    closed_form_pi,
+    exact_stationary,
+    exact_transition_matrix,
+    power_iteration,
+)
 
 
 def pi_for(g, a, s):
-    return steady_state(build_transition_matrix(ChainParams(g, a, s)))
+    return steady_state(g, a, s)
 
 
 class TestChainParams:
@@ -49,7 +57,7 @@ class TestChainParams:
 class TestTransitionMatrix:
     def test_exact_layout(self):
         g, a, s = 0.3, 0.81, 0.87
-        P = build_transition_matrix(ChainParams(g, a, s))
+        P = transition_matrices(g, a, s)
         expected = np.array(
             [
                 [1 - g, g, 0.0, 0.0],
@@ -61,7 +69,7 @@ class TestTransitionMatrix:
         np.testing.assert_allclose(P, expected, atol=0)
 
     def test_structural_zero_pattern(self):
-        P = build_transition_matrix(ChainParams(0.3, 0.4, 0.5))
+        P = transition_matrices(0.3, 0.4, 0.5)
         for i, j in STRUCTURAL_ZEROS:
             assert P[i, j] == 0.0
         nonzero = {(i, j) for i in range(4) for j in range(4)} - set(STRUCTURAL_ZEROS)
@@ -69,24 +77,24 @@ class TestTransitionMatrix:
             assert P[i, j] > 0.0
 
     def test_zero_weather_forces_closed_rows(self):
-        P = build_transition_matrix(ChainParams(0.0, 0.5, 0.5))
+        P = transition_matrices(0.0, 0.5, 0.5)
         np.testing.assert_array_equal(P[0], [1, 0, 0, 0])
         np.testing.assert_array_equal(P[3], [1, 0, 0, 0])
 
     def test_deterministic_accept_success_rows(self):
-        P = build_transition_matrix(ChainParams(0.5, 1.0, 1.0))
+        P = transition_matrices(0.5, 1.0, 1.0)
         np.testing.assert_array_equal(P[1], [0, 0, 1, 0])
         np.testing.assert_array_equal(P[2], [0, 0, 0, 1])
 
     def test_pathfinding_row_from_calibrated_values(self):
-        P = build_transition_matrix(ChainParams(0.3, 0.81, 0.87))
+        P = transition_matrices(0.3, 0.81, 0.87)
         np.testing.assert_allclose(P[2], [0.13, 0.0, 0.0, 0.87], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             g, a, s = rng.uniform(0, 1, 3)
-            P = build_transition_matrix(ChainParams(g, a, s))
+            P = transition_matrices(g, a, s)
             np.testing.assert_allclose(P.sum(axis=1), np.ones(4), atol=1e-12)
 
 
@@ -110,8 +118,8 @@ class TestSteadyState:
         for _ in range(100):
             g, a = rng.uniform(0.01, 0.99, 2)
             s = rng.uniform(0.0, 1.0)
-            P = build_transition_matrix(ChainParams(g, a, s))
-            pi = steady_state(P)
+            P = transition_matrices(g, a, s)
+            pi = steady_state(g, a, s)
             assert np.max(np.abs(pi @ P - pi)) <= 1e-10
             assert abs(pi.sum() - 1.0) <= 1e-10
             assert np.all(pi >= 0.0)
@@ -140,8 +148,8 @@ class TestSteadyState:
         rng = np.random.default_rng(23)
         for _ in range(20):
             g, a, s = rng.uniform(0.05, 0.95, 3)
-            P = build_transition_matrix(ChainParams(g, a, s))
-            np.testing.assert_allclose(steady_state(P), power_iteration(P), atol=1e-8)
+            P = transition_matrices(g, a, s)
+            np.testing.assert_allclose(steady_state(g, a, s), power_iteration(P), atol=1e-8)
 
     def test_monotone_in_weather(self):
         a, s = 0.6, 0.7
@@ -165,13 +173,18 @@ class TestSteadyState:
         with pytest.raises(NonUniqueStationary):
             pi_for(1.0, 0.5, 0.0)
 
-    def test_rejects_non_stochastic_matrix(self):
-        P = build_transition_matrix(ChainParams(0.5, 0.5, 0.5))
-        P[0, 0] += 1e-6
-        with pytest.raises(ValueError):
-            steady_state(P)
-        with pytest.raises(ValueError):
-            steady_state(np.eye(3))
+    @pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-15, float("nan"), float("inf")])
+    def test_rejects_out_of_range_probabilities(self, bad):
+        for args in ([bad, 0.5, 0.5], [0.5, [0.5, bad], 0.5], [0.5, 0.5, [[bad]]]):
+            with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+                stationary(*args)
+            with pytest.raises(ValueError):
+                transition_matrices(*args)
+
+    def test_single_chain_is_a_0d_stack(self):
+        pi, unique = stationary(0.5, 1.0, 1.0)
+        assert pi.shape == (4,) and unique.shape == () and unique
+        np.testing.assert_array_equal(steady_state(0.5, 1.0, 1.0), pi)
 
 
 class TestSweep:
@@ -230,7 +243,7 @@ class TestSweep:
 
         monkeypatch.setattr(np, "meshgrid", kernel_called)
         monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
-        monkeypatch.setattr(chain_module, "steady_states", kernel_called)
+        monkeypatch.setattr(chain_module, "stationary", kernel_called)
 
     @pytest.mark.parametrize("sizes", [(64, 64, 65), (1000, 1000, 1000)])
     def test_cell_cap_checked_before_any_kernel(self, no_kernel, sizes):
@@ -289,9 +302,8 @@ class TestBatchedSweep:
         rows = sweep_steady_state(self.G, self.A, self.S)
         assert len(rows) == len(self.G) * len(self.A) * len(self.S)
         for row in rows:
-            p = ChainParams(row.p_good, row.p_accept, row.p_success)
             try:
-                expected = steady_state(build_transition_matrix(p))
+                expected = steady_state(row.p_good, row.p_accept, row.p_success)
             except NonUniqueStationary:
                 assert row.status == "non_unique" and np.isnan(row.pi).all()
                 continue
@@ -311,26 +323,124 @@ class TestBatchedSweep:
 
     def test_stack_shape_and_layout(self):
         g = np.array([[0.2, 0.5, 0.9], [0.1, 0.6, 0.8]])
-        matrices = transition_matrices(g, 0.7, [[0.3], [1.0]])
+        s = [[0.3], [1.0]]
+        matrices = transition_matrices(g, 0.7, s)
         assert matrices.shape == (2, 3, 4, 4)
-        pi, unique = steady_states(matrices)
+        pi, unique = stationary(g, 0.7, s)
         assert pi.shape == (2, 3, 4) and unique.shape == (2, 3) and unique.all()
         for i in range(2):
             for j in range(3):
-                s = 0.3 if i == 0 else 1.0
-                P = build_transition_matrix(ChainParams(g[i, j], 0.7, s))
-                np.testing.assert_array_equal(matrices[i, j], P)
-                np.testing.assert_array_equal(pi[i, j], steady_state(P))
+                cell = (g[i, j], 0.7, s[i][0])
+                np.testing.assert_array_equal(matrices[i, j], transition_matrices(*cell))
+                np.testing.assert_array_equal(pi[i, j], steady_state(*cell))
 
     def test_non_unique_rows_are_nan(self):
-        pi, unique = steady_states(transition_matrices([0.5, 1.0], 0.5, 0.0))
+        pi, unique = stationary([0.5, 1.0], 0.5, 0.0)
         assert unique.tolist() == [True, False]
         assert np.isnan(pi[1]).all() and not np.isnan(pi[0]).any()
 
-    def test_rejects_non_stochastic_stack(self):
-        matrices = transition_matrices([0.2, 0.5], 0.5, 0.5)
-        matrices[1, 2, 0] += 1e-6
-        with pytest.raises(ValueError):
-            steady_states(matrices)
-        with pytest.raises(ValueError):
-            steady_states(np.ones((2, 3, 3)) / 3)
+
+# Probabilities where floating point is hardest: the ends of [0, 1], the
+# smallest subnormal and normal numbers, and 1 - 2^-k up to the last double
+# below 1.
+EDGE_PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 2.0**-1022, 1e-300, 1e-12]),
+    st.floats(0.0, 2.0**-1022),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+)
+EPS = Fraction(np.finfo(float).eps)
+SUBNORMAL_ULP = Fraction(5e-324)
+
+
+class TestAgainstExactOracle:
+    """`stationary` against exact rational elimination on the balance
+    system (pi) and a reachability graph (uniqueness), both in tests/oracles.py."""
+
+    @staticmethod
+    def check(g, a, s):
+        pi, unique = stationary(g, a, s)
+        P = exact_transition_matrix(g, a, s)
+        exact = exact_stationary(P)
+        assert bool(unique) == (closed_class_count(P) == 1) == (exact is not None), (g, a, s)
+        if not unique:
+            assert np.isnan(pi).all()
+            return
+        # Every component to 8 ulps, or to 4 subnormal ulps where it underflows.
+        for got, want in zip(pi, exact):
+            err = abs(Fraction(float(got)) - want)
+            assert err <= 8 * EPS * want + 4 * SUBNORMAL_ULP, (g, a, s, pi, [float(x) for x in exact])
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=EDGE_PROBABILITIES, a=EDGE_PROBABILITIES, s=EDGE_PROBABILITIES)
+    def test_random_cells(self, g, a, s):
+        self.check(g, a, s)
+
+    def test_edge_cube(self):
+        # Every combination of the hardest values, including the three
+        # faces where uniqueness changes.
+        values = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1 - 1e-9, 1 - 2.0**-53, 1.0]
+        for g, a, s in itertools.product(values, repeat=3):
+            self.check(g, a, s)
+
+    def test_non_unique_set_is_the_parameter_rule(self):
+        values = [0.0, 5e-324, 0.5, 1 - 2.0**-53, 1.0]
+        g, a, s = (v.ravel() for v in np.meshgrid(values, values, values, indexing="ij"))
+        _, unique = stationary(g, a, s)
+        rule = ((g == 1) & ((a == 0) | (s == 0))) | ((g == 0) & (a == 0))
+        np.testing.assert_array_equal(unique, ~rule)
+
+
+class TestOldSolverFaults:
+    """Cells the 0.5.0 SVD-plus-LU solver got wrong."""
+
+    def test_near_reducible_cell_below_one_is_unique(self):
+        # Called non_unique at 0.5.0: a singular value under its 1e-10 rank
+        # tolerance. g < 1, so the chain is irreducible.
+        pi, unique = stationary(1 - 1e-11, 0.5, 0.0)
+        assert unique
+        np.testing.assert_allclose(pi, [0.25, 0.5, 0.25, 0.0], rtol=1e-10)
+        assert pi[3] == 0.0
+
+    @pytest.mark.parametrize("a,s", [(0.5, 1e-11), (1e-300, 1e-300), (5e-324, 5e-324)])
+    def test_gate_opened_absorbs_however_slowly_it_is_reached(self, a, s):
+        # g = 1 with a, s > 0: Gate Opened is the only closed class. At 0.5.0
+        # these were non_unique; a s underflows to 0 for the last two.
+        pi, unique = stationary(1.0, a, s)
+        assert unique
+        np.testing.assert_array_equal(pi, [0.0, 0.0, 0.0, 1.0])
+
+    def test_tiny_acceptance_has_no_negative_component(self):
+        # Refused at 0.5.0 with a -2.2e-8 component from the LU solve.
+        pi = steady_state(0.999999999, 1e-12, 0.0)
+        assert (pi >= 0.0).all() and pi[3] == 0.0
+        exact = exact_stationary(exact_transition_matrix(0.999999999, 1e-12, 0.0))
+        np.testing.assert_allclose(pi, [float(x) for x in exact], rtol=1e-15)
+
+    def test_no_success_means_gate_never_opens_on_the_benchmark_grid(self):
+        # The chain-grid axes. At 0.5.0, 216 of the 600 cells with s = 0 and
+        # g < 1 carried a nonzero pi3 of up to 4e-15.
+        axis = [round(0.04 * k, 12) for k in range(1, 25)] + [1.0]
+        s_axis = [round(0.04 * k, 12) for k in range(26)]
+        rows = sweep_steady_state(axis, axis, s_axis)
+        closed = (rows["p_success"] == 0.0) & (rows["p_good"] < 1.0)
+        assert closed.sum() == 600
+        assert (rows["pi"][closed, 3] == 0.0).all()
+        assert (rows["status"] == "non_unique").sum() == 25
+
+
+class TestResidualSelfCheck:
+    def test_wrong_formula_raises(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "_closed_form", lambda g, a, s: np.full(g.shape + (4,), 0.25))
+        with pytest.raises(ArithmeticError, match="stationarity residual"):
+            stationary([0.5, 0.2], 0.5, 0.5)
+
+    def test_nan_in_a_unique_cell_raises(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "_closed_form", lambda g, a, s: np.full(g.shape + (4,), np.nan))
+        with pytest.raises(ArithmeticError):
+            stationary(0.5, 0.5, 0.5)
+
+    def test_non_unique_cells_are_not_checked(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "_closed_form", lambda g, a, s: np.full(g.shape + (4,), np.nan))
+        pi, unique = stationary([1.0, 0.0], [0.5, 0.0], 0.0)
+        assert not unique.any() and np.isnan(pi).all()

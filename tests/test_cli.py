@@ -60,13 +60,18 @@ def kernel_called(*args, **kwargs):
     raise AssertionError("kernel called")
 
 
+def uniform_pi(g, a, s):
+    """Stand-in for the stationary formula that is wrong for every chain."""
+    return np.full(np.shape(g) + (4,), 0.25)
+
+
 def no_kernels(monkeypatch):
     """Make every sweep and gradient-map kernel raise, so an oversized
     request that slipped past validation fails at once instead of
     allocating."""
     monkeypatch.setattr(np, "meshgrid", kernel_called)
     monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
-    monkeypatch.setattr(chain_module, "steady_states", kernel_called)
+    monkeypatch.setattr(chain_module, "stationary", kernel_called)
     monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
     monkeypatch.setattr(worstcase_module, "mixture_partials", kernel_called)
 
@@ -122,8 +127,9 @@ class TestSteady:
         assert main(["steady", "--config", cfg]) == 3
         assert "error[computation_failed]" in capsys.readouterr().err
 
-    def test_failed_stationarity_check_exits_3(self, tmp_path, capsys):
-        # A near-reducible cell whose solve fails the negative-component check.
+    def test_failed_stationarity_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A wrong stationary formula trips the kernel's residual self-check.
+        monkeypatch.setattr(chain_module, "_closed_form", uniform_pi)
         cfg = write_config(
             tmp_path, {"chain": {"p_good": 0.999999999, "p_accept": 1e-12, "p_success": 0.0}}
         )
@@ -131,6 +137,18 @@ class TestSteady:
         lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
+        assert "stationarity residual" in lines[0]
+
+    def test_near_reducible_cell_is_solved(self, tmp_path):
+        # Refused with exit 3 up to 0.5.0: the LU solve gave a -2.2e-8 component.
+        cfg = write_config(
+            tmp_path, {"chain": {"p_good": 0.999999999, "p_accept": 1e-12, "p_success": 0.0}}
+        )
+        out = str(tmp_path / "steady.csv")
+        assert main(["steady", "--config", cfg, "--out", out]) == 0
+        (row,) = read_csv(out)
+        assert row["status"] == "ok" and row["pi3"] == "0"
+        assert [float(row[f"pi{i}"]) for i in range(3)] == pytest.approx([1e-12, 1.0, 1e-12], rel=1e-9)
 
     def test_json_format(self, tmp_path):
         cfg = write_config(
@@ -597,9 +615,9 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out2, "--format", "json"]) == 0
         assert open(out1).read() == open(out2).read()
 
-    def test_failed_analytic_solve_exits_3(self, tmp_path, capsys):
-        # A near-reducible chain: the walk runs, the analytic solve fails its
-        # negative-component check.
+    def test_failed_analytic_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # The walk runs; the analytic solve then fails its residual self-check.
+        monkeypatch.setattr(chain_module, "_closed_form", uniform_pi)
         doc = {"chain": {"p_good": 0.999999999, "p_accept": 1e-12, "p_success": 0.0},
                "sim": {"seed": 1, "steps": 1000}}
         out = tmp_path / "sim.json"
@@ -609,6 +627,33 @@ class TestSimulate:
         assert code == 3
         assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("g,a,s", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
+    def test_non_unique_boundary_chain_exits_3(self, tmp_path, capsys, g, a, s):
+        # Two absorbing states: Gate Closed and Selection at g = 0, Selection
+        # and Gate Opened at g = 1.
+        doc = {"chain": {"p_good": g, "p_accept": a, "p_success": s}, "sim": {"seed": 1, "steps": 1000}}
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--compare-analytic"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
+        assert "not unique" in lines[0] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "g,a,s,state",
+        [(0.0, 0.6, 0.3, 0), (0.0, 1.0, 0.0, 0), (0.4, 0.0, 0.7, 1), (0.9, 0.0, 0.0, 1), (1.0, 0.5, 1.0, 3)],
+    )
+    def test_boundary_chain_has_one_absorbing_state(self, tmp_path, g, a, s, state):
+        doc = {"chain": {"p_good": g, "p_accept": a, "p_success": s},
+               "sim": {"seed": 1, "steps": 20000, "burn_in": 1000}}
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--compare-analytic"]) == 0
+        block = json.loads(out.read_text())["chain"]
+        assert block["analytic_pi"] == [float(i == state) for i in range(4)]
+        assert block["max_abs_error"] == 0.0 and block["within_tolerance"] is True
 
     def test_idle_sim_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"sim": {"seed": 1}})

@@ -16,6 +16,7 @@ from pathfinder_ops import (
     Label,
     LabelCounts,
     LogRecord,
+    NonUniqueStationary,
     calibrated_steady_state,
     classify,
     classify_corpus,
@@ -24,7 +25,9 @@ from pathfinder_ops import (
     generate_corpus,
     labeled_to_csv,
     read_corpus_csv,
+    stationary,
 )
+import pathfinder_ops.ntml as ntml_module
 from pathfinder_ops.ntml import PRECEDENCE, RuleSet, normalize_text, parse_rules
 
 from oracles import regex_classify, regex_normalize
@@ -323,6 +326,25 @@ class TestCalibratedSteadyState:
     def test_insufficient_data_propagates(self):
         with pytest.raises(InsufficientData):
             calibrated_steady_state(LabelCounts(n_mentioned=5), [0.5])
+
+    def test_whole_grid_in_one_solve(self, monkeypatch):
+        solve, calls = ntml_module.steady_state, []
+        monkeypatch.setattr(ntml_module, "steady_state", lambda *args: calls.append(args) or solve(*args))
+        g_grid = [round(0.1 * i, 10) for i in range(1, 10)]
+        rows = calibrated_steady_state(self.COUNTS, g_grid)
+        assert len(calls) == 1 and len(rows) == 9
+        pi, unique = stationary(g_grid, *estimate_params(self.COUNTS))
+        assert unique.all()
+        for (g, row), expected, g_expected in zip(rows, pi, g_grid):
+            assert g == g_expected
+            np.testing.assert_array_equal(row, expected)
+
+    def test_non_unique_chain_on_the_grid_raises(self):
+        # Only failed runs: p_success = 0, so g = 1 leaves two closed classes.
+        with pytest.raises(NonUniqueStationary):
+            calibrated_steady_state(LabelCounts(n_failed=4, n_rejected=1), [0.5, 1.0])
+        ((_, pi),) = calibrated_steady_state(LabelCounts(n_failed=4, n_rejected=1), [0.0])
+        np.testing.assert_array_equal(pi, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestCsvIo:

@@ -15,7 +15,6 @@ from pathfinder_ops import (
     MixtureBatchResult,
     SimConfig,
     WorstCaseScenario,
-    build_transition_matrix,
     group_reject_probs,
     make_rng,
     mixture_batch,
@@ -24,6 +23,7 @@ from pathfinder_ops import (
     steady_state,
     worst_case_prob,
 )
+from pathfinder_ops.chain import transition_matrices
 from pathfinder_ops.simulate import _CHUNK, MAX_ROUND_DRAWS, MAX_STEPS, check_batch
 
 from oracles import (
@@ -116,9 +116,8 @@ class TestSimulateChain:
         np.testing.assert_array_equal(occ, [1.0, 0.0, 0.0, 0.0])
 
     def test_matches_analytic_distribution(self):
-        params = ChainParams(0.5, 1.0, 1.0)
-        occ = simulate_chain(params, SimConfig(seed=42, steps=10**6, burn_in=1000))
-        pi = steady_state(build_transition_matrix(params))
+        occ = simulate_chain(ChainParams(0.5, 1.0, 1.0), SimConfig(seed=42, steps=10**6, burn_in=1000))
+        pi = steady_state(0.5, 1.0, 1.0)
         assert np.max(np.abs(occ - pi)) <= 0.01
 
     def test_random_triples_against_analytic(self):
@@ -127,7 +126,7 @@ class TestSimulateChain:
             g, a, s = rng.uniform(0.1, 0.9, 3)
             params = ChainParams(g, a, s)
             occ = simulate_chain(params, SimConfig(seed=1000 + trial, steps=10**6, burn_in=1000))
-            pi = steady_state(build_transition_matrix(params))
+            pi = steady_state(g, a, s)
             assert np.max(np.abs(occ - pi)) <= 0.01
 
 
@@ -158,7 +157,7 @@ class TestHoldingTimeWalk:
                 for seed in range(self.RUNS)
             ]
         )
-        expected = expected_visit_counts(build_transition_matrix(params), self.STEPS, self.BURN_IN)
+        expected = expected_visit_counts(transition_matrices(g, a, s), self.STEPS, self.BURN_IN)
         se = counts.std(axis=0, ddof=1) / math.sqrt(self.RUNS)
         assert np.all(np.abs(counts.mean(axis=0) - expected) <= 4 * se + 1e-12), (
             counts.mean(axis=0),
@@ -174,7 +173,7 @@ class TestHoldingTimeWalk:
         # never-left states (leave probability 0).
         params = ChainParams(g, a, s)
         occ = simulate_chain(params, SimConfig(seed=3, steps=steps, burn_in=burn_in))
-        expected = deterministic_walk_occupancy(build_transition_matrix(params), steps, burn_in)
+        expected = deterministic_walk_occupancy(transition_matrices(g, a, s), steps, burn_in)
         np.testing.assert_array_equal(occ, expected)
 
 
