@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .agents import (
     AgentProfile,
@@ -44,8 +44,9 @@ from .errors import (
 from .ntml import (
     Label,
     LabelCounts,
-    LabeledRecord,
+    LogCorpus,
     LogRecord,
+    Match,
     RuleSet,
     calibrated_steady_state,
     classify,

@@ -325,14 +325,14 @@ def cmd_classify(args) -> int:
     except OSError as exc:
         raise ConfigError(str(exc))
     try:
-        records = read_corpus_csv(args.input_csv)
+        corpus = read_corpus_csv(args.input_csv)
     except OSError as exc:
         raise ComputeError(f"cannot read corpus: {exc}")
     except ValueError as exc:
         raise ComputeError(str(exc))
 
-    labeled, counts = classify_corpus(records, rules)
-    atomic_write_text(args.out, labeled_to_csv(labeled))
+    labeled, counts = classify_corpus(corpus.comments, rules)
+    atomic_write_text(args.out, labeled_to_csv(corpus, labeled))
     counts_out = args.counts_out or _sibling_path(args.out, ".counts.json")
     atomic_write_text(counts_out, json_text(dict(counts.as_dict(), total=counts.total())))
 

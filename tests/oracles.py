@@ -7,12 +7,18 @@ the parameter rule for uniqueness, the explicit binomial summation
 instead of the closed-form power, plain Monte Carlo with numpy's default
 generator instead of quadrature, the per-agent offer walk and an exact
 enumeration instead of three-draw offer rounds, central differences for
-derivatives, and per-keyword regular expressions instead of substring tests
-on normalized text.
+derivatives, per-keyword regular expressions instead of substring tests
+on normalized text, and the per-record labeled-CSV pipeline (a parsed
+datetime, a regex label and one written row per record) instead of the
+columnar one.
 """
 
+import csv
+import io
 import math
 import re
+from collections import Counter
+from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
@@ -222,3 +228,22 @@ def regex_classify(comment, doc):
             if re.search(r"\b" + re.escape(regex_normalize(raw)) + r"\b", text):
                 return label, f"{label.lower()}:{raw}"
     return "Mentioned", "fallback"
+
+
+def oracle_labeled_csv(path, doc):
+    """(labeled CSV text, Counter of label names) that `classify` should
+    write for the corpus CSV at `path` under a rules document: each record
+    on its own, its timestamp parsed and printed by `datetime.isoformat()`,
+    its comment labeled by `regex_classify`, and one `writerow` per row."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["timestamp", "facility", "comment", "label", "rule"])
+    tally = Counter()
+    for stamp, facility, comment in rows[1:]:
+        label, rule = regex_classify(comment, doc)
+        tally[label] += 1
+        when = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        writer.writerow([when.isoformat(), facility, comment, label, rule])
+    return buffer.getvalue(), tally

@@ -233,7 +233,7 @@ def test_criterion_10_gradient_sign_fractions():
 
 def test_criterion_11_classifier_fixture_and_estimator():
     records, expected = load_fixture()
-    labeled, _ = classify_corpus(records)
+    labeled, _ = classify_corpus([rec.comment for rec in records])
     agreement = sum(lr.label is want for lr, want in zip(labeled, expected))
     p_accept, p_success = estimate_params(
         LabelCounts(n_requested=87, n_failed=13, n_rejected=23)

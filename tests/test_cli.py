@@ -541,6 +541,30 @@ class TestClassify:
         assert_refused(code, capsys.readouterr().err, "labels.Failed[0]")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("", "empty file"),
+            ("time,comment\n2024-01-01T00:00:00Z,hello\n", "expected header"),
+            ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY\n", "line 2: expected 3 fields"),
+            ("timestamp,facility,comment\nyesterday,ZNY,hello\n", "line 2: timestamp 'yesterday'"),
+            ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,  \n", "line 2: comment must"),
+            (
+                'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,"a\nb\nc"\nnot-a-time,ZNY,hello\n',
+                "line 5: timestamp 'not-a-time'",
+            ),
+        ],
+        ids=["empty", "header", "field-count", "timestamp", "empty-comment", "after-multi-line"],
+    )
+    def test_malformed_corpus_exits_3_and_writes_nothing(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "corpus.csv"
+        path.write_text(text)
+        code = main(["classify", str(path), "--out", str(tmp_path / "l.csv"), "--calibrate"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith(f"error[computation_failed]: {path}: {needle}")
+        assert os.listdir(tmp_path) == ["corpus.csv"]
+
     def test_malformed_rules_exit_2(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"labels": {}}))

@@ -1,7 +1,8 @@
 import csv
 import json
 import os
-from datetime import datetime, timezone
+import tempfile
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from importlib import resources
 
@@ -15,7 +16,9 @@ from pathfinder_ops import (
     InsufficientData,
     Label,
     LabelCounts,
+    LogCorpus,
     LogRecord,
+    Match,
     NonUniqueStationary,
     calibrated_steady_state,
     classify,
@@ -28,9 +31,10 @@ from pathfinder_ops import (
     stationary,
 )
 import pathfinder_ops.ntml as ntml_module
-from pathfinder_ops.ntml import PRECEDENCE, RuleSet, normalize_text, parse_rules
+from pathfinder_ops.cli import main
+from pathfinder_ops.ntml import PRECEDENCE, RuleSet, _timestamp_text, normalize_text, parse_rules
 
-from oracles import regex_classify, regex_normalize
+from oracles import oracle_labeled_csv, regex_classify, regex_normalize
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_corpus.csv")
 
@@ -90,6 +94,19 @@ def load_fixture():
     ]
     labels = [Label(r["label"]) for r in rows]
     return records, labels
+
+
+def comments_of(records):
+    return [rec.comment for rec in records]
+
+
+def write_corpus(path, rows):
+    """Write `timestamp,facility,comment` rows as a corpus CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "facility", "comment"])
+        writer.writerows(rows)
+    return str(path)
 
 
 class TestNormalization:
@@ -198,7 +215,7 @@ class TestClassify:
 
     def test_classify_corpus_matches_classify(self):
         records, _ = load_fixture()
-        labeled, counts = classify_corpus(records)
+        labeled, counts = classify_corpus(comments_of(records))
         pairs = [classify(rec) for rec in records]
         assert [(lr.label, lr.rule) for lr in labeled] == pairs
         assert counts == LabelCounts(
@@ -209,7 +226,7 @@ class TestClassify:
 class TestCorpus:
     def test_fixture_corpus_full_agreement(self):
         records, expected = load_fixture()
-        labeled, counts = classify_corpus(records)
+        labeled, counts = classify_corpus(comments_of(records))
         assert [lr.label for lr in labeled] == expected
         assert counts.total() == 50
 
@@ -220,20 +237,41 @@ class TestCorpus:
 
     def test_order_preserved_and_stateless(self):
         rec = record("requesting pathfinder through WHITE")
-        labeled, counts = classify_corpus([rec, rec, rec])
+        labeled, counts = classify_corpus([rec.comment] * 3)
         assert [lr.label for lr in labeled] == [Label.REQUESTED] * 3
         assert counts.n_requested == 3
 
     def test_counts_conserve_corpus_size(self):
         records, _ = load_fixture()
-        _, counts = classify_corpus(records)
+        _, counts = classify_corpus(comments_of(records))
         assert counts.total() == len(records)
 
     def test_generated_corpus_matches_intended_labels(self):
         pairs = generate_corpus(400, seed=20240601)
-        labeled, counts = classify_corpus([rec for rec, _ in pairs])
+        labeled, counts = classify_corpus([rec.comment for rec, _ in pairs])
         assert [lr.label for lr in labeled] == [label for _, label in pairs]
         assert counts.total() == 400
+
+    def test_each_distinct_comment_is_normalized_once(self, monkeypatch):
+        seen = []
+        normalize = ntml_module.normalize_text
+        monkeypatch.setattr(
+            ntml_module, "normalize_text", lambda text: seen.append(text) or normalize(text)
+        )
+        comments = ["requesting pathfinder", "pathfinder declined", "requesting pathfinder"]
+        labeled, counts = classify_corpus(comments * 2)
+        assert sorted(seen) == ["pathfinder declined", "requesting pathfinder"]
+        assert [m.label for m in labeled] == [Label.REQUESTED, Label.REJECTED, Label.REQUESTED] * 2
+        assert (counts.n_requested, counts.n_rejected, counts.total()) == (4, 2, 6)
+
+    def test_rows_share_one_match_per_rule(self):
+        rules = default_rules()
+        pairs = generate_corpus(10_000, seed=5)
+        labeled, counts = classify_corpus([rec.comment for rec, _ in pairs], rules)
+        assert len(labeled) == 10_000 == counts.total()
+        assert all(type(m) is Match for m in labeled)
+        assert len({id(m) for m in labeled}) <= len(rules.keywords) + 1
+        assert [(m.label, m.rule) for m in labeled] == [classify(rec, rules) for rec, _ in pairs]
 
     def test_generator_deterministic(self):
         a = generate_corpus(50, seed=9)
@@ -358,7 +396,11 @@ class TestCsvIo:
             writer.writerow(["timestamp", "facility", "comment"])
             for rec in records:
                 writer.writerow([rec.timestamp.isoformat(), rec.facility, rec.comment])
-        assert read_corpus_csv(str(path)) == records
+        assert read_corpus_csv(str(path)) == LogCorpus(
+            [rec.timestamp.isoformat() for rec in records],
+            [rec.facility for rec in records],
+            comments_of(records),
+        )
 
     def test_round_trip_with_quoting(self, tmp_path):
         path = tmp_path / "corpus.csv"
@@ -367,11 +409,10 @@ class TestCsvIo:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "facility", "comment"])
             writer.writerow(["2024-01-01T00:00:00Z", "ZNY", tricky])
-        (rec,) = read_corpus_csv(str(path))
-        assert rec.comment == tricky
-        assert rec.timestamp.tzinfo is not None
-        labeled, _ = classify_corpus([rec])
-        text = labeled_to_csv(labeled)
+        corpus = read_corpus_csv(str(path))
+        assert corpus == LogCorpus(["2024-01-01T00:00:00+00:00"], ["ZNY"], [tricky])
+        labeled, _ = classify_corpus(corpus.comments)
+        text = labeled_to_csv(corpus, labeled)
         rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["timestamp", "facility", "comment", "label", "rule"]
         assert rows[1][2] == tricky
@@ -388,6 +429,183 @@ class TestCsvIo:
         path.write_text("timestamp,facility,comment\nyesterday,ZNY,pathfinder maybe\n")
         with pytest.raises(ValueError, match="line 2"):
             read_corpus_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("not-a-time,ZNY,hello", "timestamp 'not-a-time' is not ISO-8601"),
+            ("2024-01-02T00:00:00Z,ZNY", "expected 3 fields, got 2"),
+            ('2024-01-02T00:00:00Z,ZNY," \t "', "comment must be non-empty after trimming"),
+        ],
+    )
+    def test_error_names_the_line_the_record_starts_on(self, tmp_path, bad, message):
+        # Lines 2-4 hold one record with a quoted three-line comment and
+        # line 5 is blank, so the bad record starts on line 6.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,"one\ntwo\nthree"\n\n'
+            + bad
+            + "\n2024-01-03T00:00:00Z,ZNY,fine\n"
+        )
+        with pytest.raises(ValueError) as info:
+            read_corpus_csv(str(path))
+        assert str(info.value) == f"{path}: line 6: {message}"
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ("time,comment\n2024-01-01T00:00:00Z,hello\n", "expected header"),
+            ("timestamp,facility,comment\nx,ZNY,a,b\n", "line 2: expected 3 fields, got 4"),
+            ("timestamp,facility,comment\nnot-a-time,ZNY,hello\n", "line 2: timestamp 'not-a-time'"),
+            ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,\n", "line 2: comment must"),
+        ],
+        ids=["header", "field-count", "timestamp", "empty-comment"],
+    )
+    def test_every_read_error_starts_with_the_path(self, tmp_path, text, prefix):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_corpus_csv(str(path))
+        assert str(info.value).startswith(f"{path}: {prefix}")
+
+
+# Whole, fractional and partial times with either separator, followed by no
+# offset, `Z`, `-00:00` or an offset of whole minutes.
+OFFSETS = st.integers(-24 * 60 + 1, 24 * 60 - 1).map(
+    lambda m: f"{'-' if m < 0 else '+'}{abs(m) // 60:02d}:{abs(m) % 60:02d}"
+)
+STAMPS = st.builds(
+    lambda when, spec, sep, zone: when.isoformat(sep, spec) + zone,
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+    st.sampled_from(["auto", "seconds", "minutes", "milliseconds", "microseconds"]),
+    st.sampled_from(["T", " "]),
+    st.one_of(st.sampled_from(["", "Z", "+00:00", "-00:00", "+05:30"]), OFFSETS),
+)
+
+
+class SpyDatetime(datetime):
+    """A datetime that records each isoformat() call."""
+
+    printed = []
+
+    def isoformat(self, *args, **kwargs):
+        text = super().isoformat(*args, **kwargs)
+        SpyDatetime.printed.append(text)
+        return text
+
+
+class TestTimestampText:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(STAMPS, st.text("0123456789-:+TZ. ", max_size=30)))
+    def test_matches_isoformat_and_passes_through_only_its_own_text(self, text):
+        try:
+            expected = datetime.fromisoformat(text.replace("Z", "+00:00")).isoformat()
+        except ValueError:
+            with pytest.raises(ValueError):
+                _timestamp_text(text)
+            return
+        got = _timestamp_text(text)
+        assert got == expected
+        if got == text:
+            assert datetime.fromisoformat(text).isoformat() == text
+
+    @pytest.mark.parametrize(
+        "text, expected, printed",
+        [
+            ("2024-01-02T03:04:05+00:00", "2024-01-02T03:04:05+00:00", False),
+            ("2024-01-02T03:04:05+05:30", "2024-01-02T03:04:05+05:30", False),
+            ("2024-01-02T03:04:05Z", "2024-01-02T03:04:05+00:00", False),
+            ("2024-01-02T03:04:05-00:00", "2024-01-02T03:04:05+00:00", True),
+            ("2024-01-02T03:04:05-05:30", "2024-01-02T03:04:05-05:30", True),
+            ("2024-01-02T03:04:05.123456+00:00", "2024-01-02T03:04:05.123456+00:00", True),
+            ("2024-01-02T03:04:05.120Z", "2024-01-02T03:04:05.120000+00:00", True),
+            ("2024-01-02 03:04:05+00:00", "2024-01-02T03:04:05+00:00", True),
+            ("2024-01-02T03:04:05", "2024-01-02T03:04:05", True),
+        ],
+    )
+    def test_only_the_strict_form_skips_isoformat(self, monkeypatch, text, expected, printed):
+        monkeypatch.setattr(ntml_module, "datetime", SpyDatetime)
+        SpyDatetime.printed.clear()
+        assert _timestamp_text(text) == expected
+        assert SpyDatetime.printed == ([expected] if printed else [])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2024-13-01T00:00:00+00:00",
+            "2023-02-29T00:00:00+00:00",
+            "2024-01-01T24:00:00+00:00",
+            "2024-01-01T00:60:00+00:00",
+            "2024-01-01T00:00:00+24:00",
+            "0000-01-01T00:00:00+00:00",
+        ],
+    )
+    def test_strict_form_is_still_checked(self, text):
+        with pytest.raises(ValueError):
+            _timestamp_text(text)
+
+
+# Comments the CSV layer must carry unchanged, beside the drawn ones: quoted
+# commas, quotes, newlines and curly apostrophes.
+CSV_COMMENTS = st.one_of(
+    COMMENTS.filter(lambda c: "\x00" not in c),
+    st.sampled_from(
+        [
+            'UAL12 assigned, "released" via gate',
+            "requesting, pathfinder\nthrough WHITE",
+            "pathfinder didn’t make it, \"again\"",
+            "DAL9 approved\r\nrequesting",
+            "  pathfinder ops later  ",
+        ]
+    ),
+)
+CORPUS_ROWS = st.lists(CSV_COMMENTS, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.tuples(
+            st.one_of(STAMPS, st.just("2024-06-01T12:00:00+00:00")),
+            st.sampled_from(["ZNY", "N90", "Z,B", 'a"b', ""]),
+            st.sampled_from(pool),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+
+
+class TestAgainstPerRecordPipeline:
+    """`classify` output bytes and label tallies against the per-record
+    pipeline in `oracles.oracle_labeled_csv`."""
+
+    def check(self, corpus_path, directory):
+        out = os.path.join(directory, "l.csv")
+        code = main(["classify", corpus_path, "--out", out])
+        text, tally = oracle_labeled_csv(corpus_path, DEFAULT_RULES_DOC)
+        with open(out, "rb") as fh:
+            assert fh.read() == text.encode("utf-8")
+        with open(os.path.join(directory, "l.counts.json")) as fh:
+            counts = json.load(fh)
+        assert counts == dict(
+            {f"n_{label.name.lower()}": tally[label.value] for label in Label},
+            total=sum(tally.values()),
+        )
+        # Without requested or failed comments the chain cannot be calibrated.
+        assert code == (0 if tally["Requested"] + tally["Failed"] else 3)
+
+    def test_fixture(self, tmp_path):
+        records, _ = load_fixture()
+        rows = [(rec.timestamp.isoformat(), rec.facility, rec.comment) for rec in records]
+        self.check(write_corpus(tmp_path / "corpus.csv", rows), str(tmp_path))
+
+    def test_generated_corpus(self, tmp_path):
+        pairs = generate_corpus(3000, seed=11)
+        rows = [(rec.timestamp.isoformat(), rec.facility, rec.comment) for rec, _ in pairs]
+        self.check(write_corpus(tmp_path / "corpus.csv", rows), str(tmp_path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=CORPUS_ROWS)
+    def test_drawn_corpora(self, rows):
+        with tempfile.TemporaryDirectory() as directory:
+            self.check(write_corpus(os.path.join(directory, "corpus.csv"), rows), directory)
 
 
 class TestRulesFile:
