@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateId, EmptyCandidateSet
+from .errors import DuplicateId, EmptyCandidateSet, number
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,9 @@ class AgentProfile:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"id must be a non-empty string, got {self.id!r}")
         for name in ("reward", "participation_cost", "failure_cost"):
-            value = float(getattr(self, name))
-            if math.isnan(value) or value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        beta = float(self.beta)
-        if math.isnan(beta) or beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
-        object.__setattr__(self, "beta", beta)
-        p = float(self.p_success_i)
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p_success_i must lie in [0, 1], got {self.p_success_i!r}")
-        object.__setattr__(self, "p_success_i", p)
+            object.__setattr__(self, name, number(name, getattr(self, name), 0))
+        object.__setattr__(self, "beta", number("beta", self.beta, 0, lo_open=True))
+        object.__setattr__(self, "p_success_i", number("p_success_i", self.p_success_i, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -55,10 +46,7 @@ class ControllerCandidate:
     epsilon: float  # effectiveness in [0, 1]
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if math.isnan(eps) or not 0.0 <= eps <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", number("epsilon", self.epsilon, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -66,10 +54,7 @@ class ControllerContext:
     delta_d_ideal: float  # max delay reduction of an ideal pathfinder, >= 0
 
     def __post_init__(self):
-        d = float(self.delta_d_ideal)
-        if math.isnan(d) or d < 0.0:
-            raise ValueError(f"delta_d_ideal must be >= 0, got {self.delta_d_ideal!r}")
-        object.__setattr__(self, "delta_d_ideal", d)
+        object.__setattr__(self, "delta_d_ideal", number("delta_d_ideal", self.delta_d_ideal, 0))
 
 
 def utility_accept(profile: AgentProfile) -> float:
@@ -113,21 +98,27 @@ def rank_candidates(
     return [c.profile.id for c in ranked]
 
 
-_PROFILE_FIELDS = ("id", "reward", "participation_cost", "failure_cost", "beta", "p_success_i")
+_PROFILE_KEYS = ("id", "reward", "participation_cost", "failure_cost", "beta", "p_success_i")
 
 
-def _profile_from_obj(obj, index: int) -> AgentProfile:
+def _record(obj, index: int, names: tuple[str, ...]) -> dict:
+    """`obj` if it is a JSON object with exactly the fields `names`."""
     if not isinstance(obj, dict):
         raise ValueError(f"record {index}: expected an object, got {type(obj).__name__}")
-    missing = [f for f in _PROFILE_FIELDS if f not in obj]
+    missing = [f for f in names if f not in obj]
     if missing:
         raise ValueError(f"record {index}: missing field(s) {', '.join(missing)}")
-    extra = [k for k in obj if k not in _PROFILE_FIELDS]
+    extra = [k for k in obj if k not in names]
     if extra:
         raise ValueError(f"record {index}: unknown field(s) {', '.join(extra)}")
+    return obj
+
+
+def _built(index: int, cls, **kwargs):
+    """cls(**kwargs), with the record index in front of its ValueError."""
     try:
-        return AgentProfile(**obj)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise ValueError(f"record {index}: {exc}") from exc
 
 
@@ -135,7 +126,7 @@ def profiles_from_json(doc) -> list[AgentProfile]:
     """Parse a JSON array of agent-profile objects; errors name the record index."""
     if not isinstance(doc, list):
         raise ValueError(f"expected a JSON array of profiles, got {type(doc).__name__}")
-    return [_profile_from_obj(obj, i) for i, obj in enumerate(doc)]
+    return [_built(i, AgentProfile, **_record(obj, i, _PROFILE_KEYS)) for i, obj in enumerate(doc)]
 
 
 def candidates_from_json(doc) -> list[ControllerCandidate]:
@@ -144,18 +135,9 @@ def candidates_from_json(doc) -> list[ControllerCandidate]:
         raise ValueError(f"expected a JSON array of candidates, got {type(doc).__name__}")
     out = []
     for i, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise ValueError(f"record {i}: expected an object, got {type(obj).__name__}")
-        extra = [k for k in obj if k not in ("profile", "epsilon")]
-        if extra:
-            raise ValueError(f"record {i}: unknown field(s) {', '.join(extra)}")
-        if "profile" not in obj or "epsilon" not in obj:
-            raise ValueError(f"record {i}: candidate needs 'profile' and 'epsilon'")
-        profile = _profile_from_obj(obj["profile"], i)
-        try:
-            out.append(ControllerCandidate(profile=profile, epsilon=obj["epsilon"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"record {i}: {exc}") from exc
+        obj = _record(obj, i, ("profile", "epsilon"))
+        profile = _built(i, AgentProfile, **_record(obj["profile"], i, _PROFILE_KEYS))
+        out.append(_built(i, ControllerCandidate, profile=profile, epsilon=obj["epsilon"]))
     return out
 
 

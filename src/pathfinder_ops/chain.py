@@ -20,12 +20,11 @@ single chains and whole sweeps alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid, NonUniqueStationary
+from .errors import EmptyGrid, NonUniqueStationary, number, number_array
 from .fileio import csv_columns
 
 N_STATES = 4
@@ -54,10 +53,7 @@ class ChainParams:
 
     def __post_init__(self):
         for name in ("p_good", "p_accept", "p_success"):
-            value = float(getattr(self, name))
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, number(name, getattr(self, name), 0, 1))
 
 
 # One record per sweep cell. pi is NaN and status 'non_unique' where the
@@ -70,14 +66,12 @@ SWEEP_DTYPE = np.dtype(
 
 def _probabilities(p_good, p_accept, p_success) -> list[np.ndarray]:
     """The three arguments as broadcast float arrays, each checked to lie in
-    [0, 1] (NaN fails the check)."""
-    arrays = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (p_good, p_accept, p_success))
+    [0, 1]."""
+    return np.broadcast_arrays(
+        number_array("p_good values", p_good, 0, 1),
+        number_array("p_accept values", p_accept, 0, 1),
+        number_array("p_success values", p_success, 0, 1),
     )
-    for name, values in zip(("p_good", "p_accept", "p_success"), arrays):
-        if not ((values >= 0.0) & (values <= 1.0)).all():
-            raise ValueError(f"{name} values must lie in [0, 1]")
-    return arrays
 
 
 def transition_matrices(p_good, p_accept, p_success) -> np.ndarray:
@@ -168,14 +162,12 @@ def steady_state(p_good, p_accept, p_success) -> np.ndarray:
 
 
 def _validate_grid(values, name: str, low_open: bool) -> list[float]:
-    values = [float(v) for v in values]
-    if not values:
+    """A grid of probabilities in [0, 1] or (0, 1], a number or a sequence of
+    them, as a sorted list."""
+    grid = number_array(f"{name} grid values", values, 0, 1, lo_open=low_open).ravel()
+    if not grid.size:
         raise EmptyGrid(f"{name} grid must be non-empty")
-    for v in values:
-        if math.isnan(v) or v > 1.0 or v < 0.0 or (low_open and v == 0.0):
-            bounds = "(0, 1]" if low_open else "[0, 1]"
-            raise ValueError(f"{name} grid values must lie in {bounds}, got {v!r}")
-    return sorted(values)
+    return sorted(grid.tolist())
 
 
 def sweep_records(p_good, p_accept, p_success, pi, unique) -> np.recarray:
@@ -209,8 +201,7 @@ def sweep_steady_state(g_grid, a_grid, s_grid) -> np.recarray:
 
 def default_grid(step: float = 0.05) -> list[float]:
     """Interior probability grid step, 2*step, ..., < 1 used for sweeps."""
-    if not 0.0 < step < 1.0:
-        raise ValueError(f"step must lie in (0, 1), got {step!r}")
+    step = number("step", step, 0, 1, lo_open=True, hi_open=True)
     count = int(round((1.0 - step) / step))
     return [round(i * step, 12) for i in range(1, count + 1) if i * step < 1.0 - 1e-12]
 

@@ -28,7 +28,7 @@ from .chain import (
     sweep_steady_state,
     sweep_to_csv,
 )
-from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint
+from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, integer, number
 from .fileio import atomic_write_text, csv_columns, json_text
 from .ntml import (
     calibrated_steady_state,
@@ -77,31 +77,27 @@ class ComputeError(Exception):
 # --- config schema ----------------------------------------------------------
 
 
-def _finite(value) -> bool:
-    """An int or float, never a bool, that is finite as a float."""
+def _accepts(check, value) -> bool:
+    """Whether `check` (errors.number or errors.integer) takes `value`."""
     try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
+        check("value", value)
+    except ValueError:
         return False
+    return True
 
 
-def _integer(value) -> bool:
-    """An int, never a bool, within the float range."""
-    return type(value) is int and _finite(value)
-
-
-def _list_of(item):
-    return lambda value: type(value) is list and bool(value) and all(map(item, value))
+def _each(check):
+    return lambda v: type(v) is list and bool(v) and all(_accepts(check, x) for x in v)
 
 
 _NOISE_KINDS = [kind.value for kind in NoiseKind]
 
 # Value types: (check, what the error message says a value must be).
-NUMBER = (_finite, "a number")
-INTEGER = (_integer, "an integer")
-NUMBERS = (_list_of(_finite), "a non-empty list of numbers")
-INTEGERS = (_list_of(_integer), "a non-empty list of integers")
-GRID = (lambda v: _finite(v) or NUMBERS[0](v), "a number or a non-empty list of numbers")
+NUMBER = (lambda v: _accepts(number, v), "a number")
+INTEGER = (lambda v: _accepts(integer, v), "an integer")
+NUMBERS = (_each(number), "a non-empty list of numbers")
+INTEGERS = (_each(integer), "a non-empty list of integers")
+GRID = (lambda v: NUMBER[0](v) or NUMBERS[0](v), "a number or a non-empty list of numbers")
 KIND = (lambda v: isinstance(v, str) and v.lower() in _NOISE_KINDS, f"one of {_NOISE_KINDS}")
 
 REQUIRED = object()
@@ -235,7 +231,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_steady(args) -> int:
     chain = _require_section(_load_config(args.config), "chain")
     # The schema keeps key order: p_good, p_accept, p_success.
-    records = sweep_steady_state(*(v if isinstance(v, list) else [v] for v in chain.values()))
+    records = sweep_steady_state(*chain.values())
     if not (records["status"] == "ok").any():
         raise ComputeError("no sweep cell has a unique stationary distribution")
     if args.format == "json":

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chain import _validate_grid, steady_state
-from .errors import InsufficientData
+from .errors import InsufficientData, integer
 from .simulate import STREAM_CORPUS, make_rng
 
 
@@ -108,18 +108,10 @@ class LabelCounts:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{f.name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, f.name, integer(f.name, getattr(self, f.name), 0))
 
     def total(self) -> int:
-        return (
-            self.n_assigned
-            + self.n_requested
-            + self.n_rejected
-            + self.n_failed
-            + self.n_mentioned
-        )
+        return sum(self.as_dict().values())
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -318,38 +310,58 @@ def _timestamp_text(text: str) -> str:
     return text if _ISOFORMAT_SECONDS.fullmatch(text) else parsed.isoformat()
 
 
+def _undecodable_line(path: str) -> int:
+    """The number of the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
+
+
 def read_corpus_csv(path: str) -> LogCorpus:
     """Read a `timestamp,facility,comment` CSV (RFC 4180 quoting) into
-    columns. Errors name the line on which the bad record starts."""
+    columns. Errors are ValueErrors naming the line on which the bad record
+    starts (for text that is not UTF-8, the line holding it), a field over
+    `csv.field_size_limit()` included: that limit is global, so not raised."""
     corpus = LogCorpus([], [], [])
     timestamps, facilities, comments = corpus
+    line = 1
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {CORPUS_CSV_HEADER}")
-        if header != CORPUS_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {CORPUS_CSV_HEADER}, got {header}")
-        line = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != 3:
-                    raise ValueError(f"{path}: line {line}: expected 3 fields, got {len(row)}")
-                stamp, facility, comment = row
-                try:
-                    timestamps.append(_timestamp_text(stamp))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {line}: timestamp {stamp!r} is not ISO-8601"
-                    ) from None
-                if not comment.strip():
-                    raise ValueError(
-                        f"{path}: line {line}: comment must be non-empty after trimming"
-                    )
-                facilities.append(facility)
-                comments.append(comment)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header {CORPUS_CSV_HEADER}")
+            if header != CORPUS_CSV_HEADER:
+                raise ValueError(f"{path}: expected header {CORPUS_CSV_HEADER}, got {header}")
             line = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != 3:
+                        raise ValueError(f"{path}: line {line}: expected 3 fields, got {len(row)}")
+                    stamp, facility, comment = row
+                    try:
+                        timestamps.append(_timestamp_text(stamp))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {line}: timestamp {stamp!r} is not ISO-8601"
+                        ) from None
+                    if not comment.strip():
+                        raise ValueError(
+                            f"{path}: line {line}: comment must be non-empty after trimming"
+                        )
+                    facilities.append(facility)
+                    comments.append(comment)
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {_undecodable_line(path)}: not valid UTF-8 ({exc.reason})"
+            ) from None
     return corpus
 
 
@@ -428,8 +440,7 @@ def generate_corpus(size: int, seed: int) -> list[tuple[LogRecord, Label]]:
 
     Every random column is drawn as one array; only the strings are built
     row by row."""
-    if not isinstance(size, int) or size <= 0:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    size = integer("size", size, 1)
     rng = make_rng(seed, STREAM_CORPUS)
     labels = tuple(_LABEL_WEIGHTS)
     weights = np.array([_LABEL_WEIGHTS[label] for label in labels])

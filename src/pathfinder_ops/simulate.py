@@ -15,10 +15,10 @@ import numpy as np
 
 from .agents import ControllerCandidate, ControllerContext, p_accept, rank_candidates
 from .chain import N_STATES, ChainParams
-from .errors import EmptyCandidateSet
+from .errors import EmptyCandidateSet, integer, number
 from .worstcase import WorstCaseScenario, group_reject_probs
 
-_MAX_SEED = 2**64
+_MAX_SEED = 2**64 - 1
 
 # Excursions drawn per chunk by simulate_chain, and rounds per chunk by
 # mixture_batch. Each chunk's arrays stay in cache (2**13 to 2**14 was
@@ -36,22 +36,13 @@ MAX_STEPS = 10**9
 MAX_ROUND_DRAWS = 2**24
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_seed(seed) -> None:
-    if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-
-
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream).
 
     Distinct streams give non-overlapping sequences for the same seed, so
     unrelated consumers of one master seed stay statistically independent.
     """
-    _check_seed(seed)
+    seed = integer("seed", seed, 0, _MAX_SEED)
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -69,15 +60,9 @@ class SimConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if not _is_int(self.steps) or not 0 < self.steps <= MAX_STEPS:
-            raise ValueError(
-                f"steps must be an integer in 1..{MAX_STEPS}, got {self.steps!r}"
-            )
-        if not _is_int(self.burn_in) or not 0 <= self.burn_in < self.steps:
-            raise ValueError(
-                f"burn_in must satisfy 0 <= burn_in < steps, got {self.burn_in!r}"
-            )
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, _MAX_SEED))
+        object.__setattr__(self, "steps", integer("steps", self.steps, 1, MAX_STEPS))
+        object.__setattr__(self, "burn_in", integer("burn_in", self.burn_in, 0, self.steps - 1))
 
 
 @dataclass(frozen=True)
@@ -182,19 +167,14 @@ def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
     """Validate mixture_batch's arguments without allocating anything;
     return alpha as a float. rounds x scn.n must not exceed MAX_ROUND_DRAWS.
     """
-    if isinstance(alpha, bool):
-        raise ValueError(f"alpha must be a number, got {alpha!r}")
-    alpha = float(alpha)
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not _is_int(rounds) or rounds <= 0:
-        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
+    alpha = number("alpha", alpha, 0, 1)
+    rounds = integer("rounds", rounds, 1)
     if rounds * scn.n > MAX_ROUND_DRAWS:
         raise ValueError(
             f"rounds x n must not exceed {MAX_ROUND_DRAWS} agent draws, "
             f"got {rounds} x {scn.n}"
         )
-    _check_seed(seed)
+    integer("seed", seed, 0, _MAX_SEED)
     return alpha
 
 
@@ -240,7 +220,7 @@ def mixture_batch(
         )
         all_reject += int(np.count_nonzero(~rec_accepts & (g_rej > rejective)))
     return MixtureBatchResult(
-        rounds=rounds,
+        rounds=int(rounds),
         all_reject_rate=all_reject / rounds,
         mean_offers=offers / rounds,
     )

@@ -14,12 +14,12 @@ environmental noise of scale theta, either Rademacher (+/- theta, exact) or
 Gaussian (Gauss-Hermite quadrature, nodes cached per rule size).
 
 The tipping point alpha* solves W(alpha*) = delta: in closed form for a point
-mass, by bisection under noise (W is strictly increasing in alpha). The
-partials dW/dalpha and dW/dtheta are exact expectations over the same nodes
-as W, using dp/dxi = -beta * p * (1 - p). They give the sensitivity
-d(alpha*)/d(theta) by the implicit function theorem, and the noise-gradient
-sign map. Both noise laws are symmetric, so dW/dtheta is exactly 0 at
-theta = 0.
+mass (noise with theta = 0 included), by bisection otherwise (W is strictly
+increasing in alpha). The partials dW/dalpha and dW/dtheta are exact
+expectations over the same nodes as W, using dp/dxi = -beta * p * (1 - p).
+They give the sensitivity d(alpha*)/d(theta) by the implicit function
+theorem, and the noise-gradient sign map. Both noise laws are symmetric, so
+dW/dtheta is exactly 0 at theta = 0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint
+from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint, integer, number, number_array
 from .fileio import csv_columns
 
 # Gradient values above -1e-12 count as zero when classifying gradient
@@ -80,23 +80,11 @@ class WorstCaseScenario:
     delta: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        u_minus, u_plus = float(self.u_minus), float(self.u_plus)
-        if not -math.inf < u_minus < 0.0 < u_plus < math.inf:
-            raise ValueError(
-                f"need finite u_minus < 0 < u_plus, got u_minus={self.u_minus!r}, "
-                f"u_plus={self.u_plus!r}"
-            )
-        beta = float(self.beta)
-        if not 0.0 < beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
-        delta = float(self.delta)
-        if math.isnan(delta) or not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "u_minus", u_minus)
-        object.__setattr__(self, "u_plus", u_plus)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "n", integer("n", self.n, 1))
+        object.__setattr__(self, "u_minus", number("u_minus", self.u_minus, hi=0, hi_open=True))
+        object.__setattr__(self, "u_plus", number("u_plus", self.u_plus, 0, lo_open=True))
+        object.__setattr__(self, "beta", number("beta", self.beta, 0, lo_open=True))
+        delta = number("delta", self.delta, 0, 1, lo_open=True, hi_open=True)
         object.__setattr__(self, "delta", delta)
 
 
@@ -110,18 +98,9 @@ class SocialParams:
     r: float
 
     def __post_init__(self):
-        s = float(self.s)
-        if math.isnan(s) or not 0.0 <= s <= 1.0:
-            raise ValueError(f"s must lie in [0, 1], got {self.s!r}")
-        gamma = float(self.gamma)
-        if not 0.0 < gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
-        r = float(self.r)
-        if math.isnan(r) or not 0.0 <= r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", number("s", self.s, 0, 1))
+        object.__setattr__(self, "gamma", number("gamma", self.gamma, 0, lo_open=True))
+        object.__setattr__(self, "r", number("r", self.r, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -138,15 +117,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.kind, NoiseKind):
             raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
-        theta = float(self.theta)
-        if not 0.0 <= theta < math.inf:
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
-        gh = self.gh_nodes
-        if not isinstance(gh, int) or isinstance(gh, bool) or not 1 <= gh <= MAX_GH_NODES:
-            raise ValueError(
-                f"gh_nodes must be an integer in [1, {MAX_GH_NODES}], got {self.gh_nodes!r}"
-            )
+        object.__setattr__(self, "theta", number("theta", self.theta, 0))
+        object.__setattr__(self, "gh_nodes", integer("gh_nodes", self.gh_nodes, 1, MAX_GH_NODES))
 
 
 # --- the shifted-mixture kernel ---------------------------------------------
@@ -264,16 +236,8 @@ def mixture_partials(
 # --- public analyses ----------------------------------------------------------
 
 
-def _check_alpha(alpha) -> np.ndarray:
-    alphas = np.asarray(alpha, dtype=float)
-    bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
-    if bad.size:
-        raise ValueError(f"alpha must lie in [0, 1], got {float(bad[0])!r}")
-    return alphas
-
-
 def _w(scn: WorstCaseScenario, alpha, law: ShiftLaw):
-    alphas = _check_alpha(alpha)
+    alphas = number_array("alpha", alpha, 0, 1)
     if alphas.size * law.weights.size > MAX_ALPHA_NODES:
         pairs = f"{alphas.size} x {law.weights.size}"
         raise ValueError(f"W takes at most {MAX_ALPHA_NODES} alpha x shift pairs, got {pairs}")
@@ -312,41 +276,26 @@ def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha):
     return _w(scn, alpha, noise_law(noise))
 
 
-def _tipping_from_probs(n: int, delta: float, p_rej: float, p_rec: float) -> float:
-    root = delta ** (1.0 / n)
-    if root < p_rec - 1e-12 or root > p_rej + 1e-12:
-        raise NoTippingPoint(
-            f"delta^(1/n) = {root:.6g} outside [{p_rec:.6g}, {p_rej:.6g}]; "
-            "no mixture reaches the threshold"
-        )
-    alpha_star = (root - p_rec) / (p_rej - p_rec)
-    return min(max(alpha_star, 0.0), 1.0)
-
-
-def tipping_point(scn: WorstCaseScenario) -> float:
-    """Closed-form alpha* with W(alpha*) = delta; raises NoTippingPoint when
-    delta is unreachable."""
-    return _tipping_from_probs(scn.n, scn.delta, *group_reject_probs(scn))
-
-
-def social_tipping_point(scn: WorstCaseScenario, soc: SocialParams) -> float:
-    """Closed-form tipping point under the system-awareness adjustment."""
-    return _tipping_from_probs(scn.n, scn.delta, *social_reject_probs(scn, soc))
-
-
-def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
-    """alpha with |W(alpha, theta) - delta| <= 1e-10, by bisection.
-
-    W is strictly increasing in alpha (the integrand is, for every noise
-    realization), so a sign bracket on [0, 1] suffices.
-    """
-    law = noise_law(noise)
+def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
+    """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint. For a
+    one-node law W^(1/n) is linear in alpha, so alpha* is in closed form;
+    otherwise bisection finds it to |W - delta| <= 1e-10, as W is strictly
+    increasing in alpha (the integrand is, for every shift)."""
     probs = _reject_probs(scn, law.shifts)  # alpha-free: computed once
+    delta = scn.delta
+    if law.weights.size == 1:
+        p_rej, p_rec = float(probs[0][0]), float(probs[1][0])
+        root = delta ** (1.0 / scn.n)
+        if root < p_rec - 1e-12 or root > p_rej + 1e-12:
+            raise NoTippingPoint(
+                f"delta^(1/n) = {root:.6g} outside [{p_rec:.6g}, {p_rej:.6g}]; "
+                "no mixture reaches the threshold"
+            )
+        return min(max((root - p_rec) / (p_rej - p_rec), 0.0), 1.0)
 
     def w(alpha: float) -> float:
         return float(_mixture_w(scn.n, alpha, probs, law.weights))
 
-    delta = scn.delta
     w0, w1 = w(0.0), w(1.0)
     if not w0 - 1e-12 <= delta <= w1 + 1e-12:
         raise NoTippingPoint(
@@ -357,7 +306,6 @@ def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     if abs(w1 - delta) <= 1e-10:
         return 1.0
     lo, hi = 0.0, 1.0
-    mid = 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         w_mid = w(mid)
@@ -368,6 +316,22 @@ def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
         else:
             hi = mid
     raise ArithmeticError("bisection failed to reach the 1e-10 residual target")
+
+
+def tipping_point(scn: WorstCaseScenario) -> float:
+    """Closed-form alpha* with W(alpha*) = delta; raises NoTippingPoint when
+    delta is unreachable."""
+    return _tipping_point(scn, _point_law())
+
+
+def social_tipping_point(scn: WorstCaseScenario, soc: SocialParams) -> float:
+    """Closed-form tipping point under the system-awareness adjustment."""
+    return _tipping_point(scn, _point_law(_social_shift(soc)))
+
+
+def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
+    """Tipping point under shared noise; at theta = 0 exactly tipping_point."""
+    return _tipping_point(scn, noise_law(noise))
 
 
 def tipping_point_gradient(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
@@ -422,20 +386,18 @@ def gradient_sign_map(
     grids, the scenarios and the MAX_GRADMAP_CELLS cap are checked before
     any kernel runs.
     """
-    n_values = list(n_values)
-    u_abs_values = [float(u) for u in u_abs_values]
-    # "+ 0.0" turns -0.0 into 0.0, so each grid value has one printed form.
-    alphas = _check_alpha([float(a) for a in alpha_grid]) + 0.0
-    thetas = np.array([float(t) for t in theta_grid]) + 0.0
-    if not n_values or not u_abs_values:
-        raise EmptyGrid("n_values and u_abs_values must be non-empty")
-    if alphas.size == 0 or thetas.size == 0:
-        raise EmptyGrid("alpha_grid and theta_grid must be non-empty")
-    if not all(0.0 < u < math.inf for u in u_abs_values):
-        raise ValueError("u_abs values must be finite and > 0")
-    if not ((thetas >= 0.0) & (thetas < math.inf)).all():
-        raise ValueError("theta grid values must be finite and >= 0")
-    cells = len(n_values) * len(u_abs_values) * alphas.size * thetas.size
+    # A grid may be one number. "+ 0.0" turns -0.0 into 0.0, so each grid
+    # value has one printed form.
+    grids = (
+        np.asarray(n_values, dtype=object).ravel(),
+        number_array("u_abs values", u_abs_values, 0, lo_open=True).ravel(),
+        number_array("alpha", alpha_grid, 0, 1).ravel() + 0.0,
+        number_array("theta grid values", theta_grid, 0).ravel() + 0.0,
+    )
+    if not all(grid.size for grid in grids):
+        raise EmptyGrid("n_values, u_abs_values, alpha_grid and theta_grid must be non-empty")
+    n_values, u_abs_values, alphas, thetas = grids
+    cells = n_values.size * u_abs_values.size * alphas.size * thetas.size
     if cells > MAX_GRADMAP_CELLS:
         raise ValueError(f"a gradient map may have at most {MAX_GRADMAP_CELLS} cells, got {cells}")
     # delta plays no role in the gradient map; any interior value works.

@@ -32,6 +32,23 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def as_csv_field(value) -> str:
+    """A JSON table value as the CSV writer prints it."""
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def both_formats(tmp_path, command, doc):
+    """(JSON document, CSV rows) of one command on one config."""
+    cfg = write_config(tmp_path, doc)
+    out_json, out_csv = str(tmp_path / "out.json"), str(tmp_path / "out.csv")
+    assert main([command, "--config", cfg, "--out", out_json, "--format", "json"]) == 0
+    assert main([command, "--config", cfg, "--out", out_csv]) == 0
+    with open(out_json) as fh:
+        return json.load(fh), read_csv(out_csv)
+
+
 def assert_refused(code, err, needle):
     """Exit 2 with exactly one error[...] line naming `needle`."""
     lines = err.splitlines()
@@ -151,13 +168,18 @@ class TestSteady:
         assert [float(row[f"pi{i}"]) for i in range(3)] == pytest.approx([1e-12, 1.0, 1e-12], rel=1e-9)
 
     def test_json_format(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"chain": {"p_good": 0.5, "p_accept": 1.0, "p_success": 1.0}}
-        )
-        out = str(tmp_path / "steady.json")
-        assert main(["steady", "--config", cfg, "--out", out, "--format", "json"]) == 0
-        doc = json.loads(open(out).read())
-        assert doc[0]["pi"][0] == pytest.approx(1 / 3, abs=1e-10)
+        # g = 1 with s = 0 has no unique distribution: its pi is null.
+        doc = {"chain": {"p_good": [0.5, 1.0], "p_accept": 1.0, "p_success": [0.0, 1.0]}}
+        table, rows = both_formats(tmp_path, "steady", doc)
+        assert isinstance(table, list) and len(table) == len(rows) == 4
+        assert table[1]["pi"][0] == pytest.approx(1 / 3, abs=1e-10)
+        assert [cell["status"] for cell in table] == ["ok", "ok", "non_unique", "ok"]
+        for cell, row in zip(table, rows):
+            assert set(cell) == {"p_good", "p_accept", "p_success", "pi", "status"}
+            assert (cell["pi"] is None) == (cell["status"] == "non_unique")
+            pi = cell["pi"] or [None] * 4
+            fields = {**{f"pi{i}": p for i, p in enumerate(pi)}, **cell}
+            assert {key: as_csv_field(fields[key]) for key in row} == row
 
     def test_oversized_sweep_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch):
         # Three 1,000-value grids (a 20 KB config) would ask for 1e9 cells.
@@ -226,6 +248,22 @@ class TestWorst:
         code = main(["worst", "--config", cfg, "--out", str(out)])
         assert_refused(code, capsys.readouterr().err, "worst_case.alpha_grid")
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [0.1, 0.9])
+    def test_json_format(self, tmp_path, delta):
+        doc = dict(
+            {"worst_case": dict(FIG3_WORST["worst_case"], delta=delta, alpha_grid=[0.0, 0.5, 1.0])},
+            social={"s": 0.5, "gamma": 2.5, "r": 0.5},
+            noise={"kind": "gaussian", "theta": 1.0},
+        )
+        table, rows = both_formats(tmp_path, "worst", doc)
+        assert set(table) == {"rows"} and len(table["rows"]) == len(rows) == 3
+        stars = ["alpha_star", "alpha_star_social", "alpha_star_noisy"]
+        for cell, row in zip(table["rows"], rows):
+            assert set(cell) == {"alpha", "W", "W_social", "W_noisy", *stars}
+            # delta = 0.9 is out of reach under every law: every star is null.
+            assert all((cell[star] is None) == (delta == 0.9) for star in stars)
+            assert {key: as_csv_field(value) for key, value in cell.items()} == row
 
     def test_alpha_grid_too_long_for_the_rule_refused(self, tmp_path, capsys):
         # 22,672 alphas x 370 nodes is one pair over the cap.
@@ -348,6 +386,14 @@ class TestGradmap:
         code = main(["gradmap", "--config", cfg, "--out", str(out), "--cells-out", str(cells)])
         assert_refused(code, capsys.readouterr().err, "at most 1048576 cells")
         assert not out.exists() and not cells.exists()
+
+    def test_json_format(self, tmp_path):
+        table, rows = both_formats(tmp_path, "gradmap", dict(self.SMALL, noise={"kind": "gaussian"}))
+        assert isinstance(table, list) and len(table) == len(rows) == 2
+        for cell, row in zip(table, rows):
+            assert set(cell) == {"n", "u_abs", "noise_kind", "fraction_negative"}
+            assert cell["noise_kind"] == "gaussian"
+            assert {key: as_csv_field(value) for key, value in cell.items()} == row
 
     def test_default_map_passes_validation(self, tmp_path, monkeypatch):
         # The default 4 x 4 x 51 x 51 = 41,616-cell map reaches the kernel.
@@ -553,12 +599,24 @@ class TestClassify:
                 'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,"a\nb\nc"\nnot-a-time,ZNY,hello\n',
                 "line 5: timestamp 'not-a-time'",
             ),
+            # Past csv's 131,072-character field limit, which is not raised.
+            (
+                'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,ok\n'
+                '2024-01-01T00:00:00Z,ZNY,"' + "x" * 200_000 + '"\n',
+                "line 3: field larger than field limit (131072)",
+            ),
+            (
+                b"timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,ok\n"
+                b"2024-01-01T00:00:00Z,ZNY,caf\xe9\n2024-01-01T00:00:00Z,ZNY,ok\n",
+                "line 3: not valid UTF-8",
+            ),
         ],
-        ids=["empty", "header", "field-count", "timestamp", "empty-comment", "after-multi-line"],
+        ids=["empty", "header", "field-count", "timestamp", "empty-comment", "after-multi-line",
+             "oversized-field", "not-utf-8"],
     )
     def test_malformed_corpus_exits_3_and_writes_nothing(self, tmp_path, capsys, text, needle):
         path = tmp_path / "corpus.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = main(["classify", str(path), "--out", str(tmp_path / "l.csv"), "--calibrate"])
         lines = capsys.readouterr().err.splitlines()
         assert code == 3

@@ -340,6 +340,13 @@ class TestNoisyTippingPoint:
                 tipping_point(BASE), abs=1e-9
             )
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_zero_scale_is_exactly_the_closed_form(self, kind):
+        # Bisection gave 0.8864633577177301 here; the closed form gives
+        # 0.8864633577117113, as does the noisy function once theta = 0.
+        assert noisy_tipping_point(BASE, NoiseSpec(kind, 0.0)) == tipping_point(BASE)
+        assert tipping_point(BASE) == 0.8864633577117113
+
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
     def test_residual_at_root(self, kappa):
         noise = NoiseSpec(kind=NoiseKind.RADEMACHER, theta=kappa)
