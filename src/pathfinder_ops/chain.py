@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, NonUniqueStationary, number, number_array
-from .fileio import csv_columns
+from .fileio import column_fields, grid_csv
 
 N_STATES = 4
 
@@ -36,10 +36,10 @@ STRUCTURAL_ZEROS = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 
 _RESIDUAL_TOL = 1e-10
 
 # Cap on the cells of one sweep, checked before anything is allocated. A sweep
-# holds about 670 bytes per cell at peak with CSV output and 2.1 KB with JSON
-# (tracemalloc), so the cap bounds memory to about 170 and 530 MiB. At the cap
-# a sweep takes about 1 s with CSV output and 5.5 s with JSON (2-CPU machine),
-# nearly all of it formatting: the solve itself takes about 0.08 s.
+# holds about 600 bytes per cell at peak with CSV output and 2.1 KB with JSON
+# (tracemalloc), so the cap bounds memory to about 150 and 530 MiB. At the cap
+# a sweep takes about 0.85 s with CSV output and 5.5 s with JSON (2-CPU
+# machine), nearly all of it formatting: the solve itself takes about 0.08 s.
 MAX_SWEEP_CELLS = 2**18
 
 
@@ -211,6 +211,8 @@ SWEEP_CSV_HEADER = "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status"
 
 def sweep_to_csv(records: np.ndarray) -> str:
     """Sweep records as CSV (12 significant digits, empty pi fields for
-    non-unique cells, trailing newline)."""
-    cells = [records[name] for name in ("p_good", "p_accept", "p_success")]
-    return csv_columns(SWEEP_CSV_HEADER.split(","), [*cells, *records["pi"].T, records["status"]])
+    non-unique cells, trailing newline): each line is its p_good, p_accept,
+    p_success texts, its pi values and its status."""
+    keys = [column_fields(records[name]) for name in ("p_good", "p_accept", "p_success")]
+    status = column_fields(records["status"])
+    return grid_csv(SWEEP_CSV_HEADER.split(","), keys, records["pi"], [status])

@@ -1,5 +1,5 @@
-"""Small output helpers: 12-significant-digit floats, column-wise CSV and JSON
-text, and atomic writes."""
+"""Small output helpers: 12-significant-digit floats, column-wise CSV, grid
+tables filled through one `%` template, JSON text, and atomic writes."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def _field(value) -> str:
 _SHORT_COLUMN = 32
 
 
-def _column_fields(column) -> list[str]:
+def column_fields(column) -> list[str]:
     """The fields of one column. Each distinct value of a long numeric
     column is formatted once; floats are told apart by bit pattern, so 0.0
     and -0.0 print differently. Short and object columns (holding None, say)
@@ -55,8 +55,62 @@ def csv_columns(header: Sequence[str], columns: Sequence) -> str:
     text with a trailing newline. Floats print with 12 significant digits,
     NaN and None as an empty field (so NaN only ever means "no value"), and
     anything else as str()."""
-    fields = [_column_fields(column) for column in columns]
+    fields = [column_fields(column) for column in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*fields, strict=True))]) + "\n"
+
+
+def _escaped(part):
+    """A template part (a str, or a list of them) with "%" doubled, so that
+    `%` formatting prints it as itself."""
+    if isinstance(part, str):
+        return part.replace("%", "%%")
+    return [text.replace("%", "%%") for text in part]
+
+
+def _lines(parts: list, count: int) -> str:
+    """`count` comma-separated lines: field j of line i is parts[j][i], or
+    parts[j] itself where that is a str."""
+    stride = 2 * len(parts)
+    slots = [","] * (stride * count)
+    for j, part in enumerate(parts):
+        slots[2 * j :: stride] = [part] * count if isinstance(part, str) else part
+    slots[stride - 1 :: stride] = ["\n"] * count
+    return "".join(slots)
+
+
+def grid_csv(header: Sequence[str], keys: Sequence, values, tails: Sequence = ()) -> str:
+    """A grid table as CSV text with a trailing newline. Line i holds the
+    key texts keys[0][i], keys[1][i], ..., the floats of row i of the 2-D
+    array `values` with 12 significant digits (an empty field for NaN), and
+    the tail texts tails[0][i], ... Each key or tail is a list of finished
+    field texts, one per line (from `column_fields`, say), or one str for
+    every line.
+
+    The lines are written as one template with a %.12g placeholder for each
+    value that is not NaN, and filled by a single `%` with those values:
+    '%.12g' % v and f"{v:.12g}" are the same routine for every float.
+    """
+    values = np.asarray(values, dtype=float)
+    lines, width = values.shape
+    nan = np.isnan(values)
+    fields = ",".join(["%.12g"] * width)
+    if nan.any():
+        # Rows holding NaN get the field template of their NaN pattern, each
+        # pattern's made once.
+        holes = np.flatnonzero(nan.any(axis=1))
+        patterns = list(map(tuple, nan[holes].tolist()))
+        texts = {p: ",".join("" if m else "%.12g" for m in p) for p in set(patterns)}
+        column = np.empty(lines, dtype=object)
+        column[:] = fields
+        column[holes] = [texts[p] for p in patterns]
+        fields = column.tolist()
+    filled = values[~nan].tolist()
+    body = _lines([*keys, fields, *tails], lines)
+    # Each placeholder brings one "%"; any other comes from a key or tail
+    # text, and all of those are doubled to print as themselves.
+    if body.count("%") != len(filled):
+        body = _lines([*map(_escaped, keys), fields, *map(_escaped, tails)], lines)
+    return (_escaped(",".join(header)) + "\n" + body) % tuple(filled)
 
 
 def json_text(obj) -> str:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint, integer, number, number_array
-from .fileio import csv_columns
+from .fileio import column_fields, csv_columns, grid_csv
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -51,9 +51,9 @@ _GRADMAP_BLOCK_VALUES = 1 << 18
 
 # Cap on the n x |U| x alpha x theta cells of one map, checked before anything
 # is allocated. The map keeps 24 bytes per cell, the per-cell dump holds about
-# 400 bytes per cell at peak (tracemalloc), and a cell costs at most about
-# 22 us (Gaussian, 370 nodes, 2-CPU machine), so the cap bounds memory to
-# about 400 MiB and time to 25 s.
+# 200 bytes per cell at peak (tracemalloc), and a cell costs at most about
+# 12 us with its dump (Gaussian, 370 nodes, 2-CPU machine), so the cap bounds
+# memory to about 200 MiB and time to about 12 s.
 MAX_GRADMAP_CELLS = 2**20
 
 # Cap on the alpha x shift-value pairs of one W call (alphas times 1, 2 or
@@ -196,22 +196,43 @@ def _reject_probs(scn: WorstCaseScenario, shifts):
     )
 
 
-def _mixture(alphas, p_rej, p_rec):
-    """alpha broadcast against the shift axis, and the mixture
-    m = alpha * p_rej + (1 - alpha) * p_rec per shift value."""
-    a = np.asarray(alphas, dtype=float)[..., None]
-    return a, a * p_rej + (1.0 - a) * p_rec
-
-
 def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
-    _, m = _mixture(alphas, *probs)
-    return (m**n) @ weights
+    """E[m^n] with the mixture m = alpha * p_rej + (1 - alpha) * p_rec per
+    shift value, alpha broadcast against the shift axis."""
+    p_rej, p_rec = probs
+    a = np.asarray(alphas, dtype=float)[..., None]
+    return ((a * p_rej + (1.0 - a) * p_rec) ** n) @ weights
 
 
 def mixture_w(scn: WorstCaseScenario, alphas, law: ShiftLaw) -> np.ndarray:
     """W = E[m^n] for each alpha in `alphas` (any shape; the law's leading
     axes follow the alpha axes in the result)."""
     return _mixture_w(scn.n, alphas, _reject_probs(scn, law.shifts), law.weights)
+
+
+def _partials(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, x, y, with_alpha: bool):
+    """(dW/dalpha or None, dW/dtheta) for alphas `a` (with a trailing unit
+    axis) against the law's shifts. x and y are work arrays of the shape
+    they broadcast to, overwritten here. Each step is the numpy operation an
+    unbuffered expression would do, in the same order, written to x or y, so
+    the bits match a fresh array per step."""
+    p_rej, p_rec = _reject_probs(scn, law.shifts)
+    np.multiply(a, p_rej, out=x)
+    np.multiply(1.0 - a, p_rec, out=y)
+    np.add(x, y, out=x)  # m
+    # `**=` picks the loop `m ** (n - 1)` picks (np.square for an exponent
+    # of 2, np.power otherwise), so the bits match.
+    x **= scn.n - 1
+    d_alpha = None
+    if with_alpha:
+        np.multiply(x, p_rej - p_rec, out=y)
+        d_alpha = scn.n * (y @ law.weights)
+    q_rej, q_rec = p_rej * (1.0 - p_rej), p_rec * (1.0 - p_rec)
+    np.multiply(a, q_rej - q_rec, out=y)
+    np.add(q_rec, y, out=y)  # the spread
+    np.multiply(x, y, out=y)
+    d_theta = -scn.beta * scn.n * (y @ (law.slopes * law.weights))
+    return d_alpha, d_theta
 
 
 def mixture_partials(
@@ -223,14 +244,9 @@ def mixture_partials(
         dW/dtheta = E[dxi/dtheta * n m^(n-1) * dm/dxi],
         dm/dxi = -beta * [alpha p_rej (1 - p_rej) + (1 - alpha) p_rec (1 - p_rec)].
     """
-    p_rej, p_rec = _reject_probs(scn, law.shifts)
-    a, m = _mixture(alphas, p_rej, p_rec)
-    power = m ** (scn.n - 1)
-    q_rej, q_rec = p_rej * (1.0 - p_rej), p_rec * (1.0 - p_rec)
-    d_alpha = scn.n * ((power * (p_rej - p_rec)) @ law.weights)
-    spread = q_rec + a * (q_rej - q_rec)
-    d_theta = -scn.beta * scn.n * ((power * spread) @ (law.slopes * law.weights))
-    return d_alpha, d_theta
+    a = np.asarray(alphas, dtype=float)[..., None]
+    shape = np.broadcast_shapes(a.shape, np.shape(law.shifts))
+    return _partials(scn, a, law, np.empty(shape), np.empty(shape), with_alpha=True)
 
 
 # --- public analyses ----------------------------------------------------------
@@ -381,10 +397,11 @@ def gradient_sign_map(
 
     Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
     (n, |U|) row is one alpha x theta x node array program, taken in blocks
-    of at most _GRADMAP_BLOCK_VALUES values, and keeps every cell's
-    [alpha, theta, dW/dtheta] in its `cells` array (24 bytes a cell). The
-    grids, the scenarios and the MAX_GRADMAP_CELLS cap are checked before
-    any kernel runs.
+    of at most _GRADMAP_BLOCK_VALUES values; two work arrays of that size
+    are allocated once and reused by every block of every row, and dW/dalpha
+    is not computed. Each row keeps every cell's [alpha, theta, dW/dtheta]
+    in its `cells` array (24 bytes a cell). The grids, the scenarios and the
+    MAX_GRADMAP_CELLS cap are checked before any kernel runs.
     """
     # A grid may be one number. "+ 0.0" turns -0.0 into 0.0, so each grid
     # value has one printed form.
@@ -405,30 +422,31 @@ def gradient_sign_map(
 
     nodes, weights = _unit_nodes(NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes))
     a_step = max(1, _GRADMAP_BLOCK_VALUES // nodes.size)
-    alpha_blocks = [alphas[i : i + a_step, None] for i in range(0, alphas.size, a_step)]
     t_step = max(1, _GRADMAP_BLOCK_VALUES // (min(alphas.size, a_step) * nodes.size))
-    laws = [
-        ShiftLaw(thetas[i : i + t_step, None] * nodes, nodes, weights)
-        for i in range(0, thetas.size, t_step)
-    ]
+    a_blocks = [slice(i, i + a_step) for i in range(0, alphas.size, a_step)]
+    t_blocks = [slice(i, i + t_step) for i in range(0, thetas.size, t_step)]
+    laws = [ShiftLaw(thetas[t, None] * nodes, nodes, weights) for t in t_blocks]
+    # Two work arrays, as large as the largest block, serve every block.
+    work = np.empty((2, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
     at_zero = thetas == 0.0
-    # Cells run theta-major, alpha-minor.
-    cell_alphas, cell_thetas = np.tile(alphas, thetas.size), np.repeat(thetas, alphas.size)
 
     rows = []
     for scn in scenarios:
-        grad = np.concatenate(
-            [
-                np.concatenate([mixture_partials(scn, block, law)[1] for law in laws], axis=1)
-                for block in alpha_blocks
-            ]
-        )
+        # Cells run theta-major, alpha-minor; grad views their last column.
+        table = np.empty((thetas.size, alphas.size, 3))
+        table[..., 0], table[..., 1] = alphas, thetas[:, None]
+        grad = table[..., 2].T
+        for a in a_blocks:
+            for t, law in zip(t_blocks, laws):
+                shape = (alphas[a].size, *law.shifts.shape)
+                x, y = (w[: math.prod(shape)].reshape(shape) for w in work)
+                grad[a, t] = _partials(scn, alphas[a, None, None], law, x, y, with_alpha=False)[1]
         # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
         # 0, where the quadrature sum would leave rounding.
         grad[:, at_zero] = 0.0
         negative = int(np.count_nonzero(grad < NEGATIVE_GRADIENT_CUTOFF))
-        table = np.column_stack([cell_alphas, cell_thetas, grad.T.ravel()])
-        rows.append(GradientSignRow(scn.n, scn.u_plus, noise_kind, negative / grad.size, table))
+        cells = table.reshape(-1, 3)
+        rows.append(GradientSignRow(scn.n, scn.u_plus, noise_kind, negative / grad.size, cells))
     return rows
 
 
@@ -442,10 +460,19 @@ def gradient_sign_map_to_csv(rows: list[GradientSignRow]) -> str:
 
 
 def gradient_cells_to_csv(rows: list[GradientSignRow]) -> str:
-    """Per-cell CSV: each row's cells under its n, |U| and noise kind."""
-    sizes = [len(row.cells) for row in rows]
+    """Per-cell CSV: each row's cells under its n, |U| and noise kind. The
+    keys are formatted once per row, alpha and theta once per distinct grid
+    of cells; only dW/dtheta is formatted cell by cell."""
     keys = zip(*((row.n, row.u_abs, row.noise_kind.value) for row in rows))
-    cells = np.concatenate([np.empty((0, 3)), *(row.cells for row in rows)])
-    return csv_columns(
-        GRADMAP_CELLS_CSV_HEADER.split(","), [*(np.repeat(key, sizes) for key in keys), *cells.T]
-    )
+    heads, grids, grads = [], [], [np.empty((0, 1))]
+    grid = texts = None
+    for head, row in zip(map(",".join, zip(*map(column_fields, keys))), rows):
+        cells = np.asarray(row.cells, dtype=float)
+        # Bit patterns tell 0.0 from -0.0, which print apart.
+        if grid is None or not np.array_equal(cells[:, :2].view(np.int64), grid):
+            grid = cells[:, :2].view(np.int64)
+            texts = list(map(",".join, zip(*map(column_fields, cells[:, :2].T))))
+        heads += [head] * len(cells)
+        grids += texts
+        grads.append(cells[:, 2:])
+    return grid_csv(GRADMAP_CELLS_CSV_HEADER.split(","), [heads, grids], np.concatenate(grads))

@@ -8,9 +8,11 @@ instead of the closed-form power, plain Monte Carlo with numpy's default
 generator instead of quadrature, the per-agent offer walk and an exact
 enumeration instead of three-draw offer rounds, central differences for
 derivatives, per-keyword regular expressions instead of substring tests
-on normalized text, and the per-record labeled-CSV pipeline (a parsed
+on normalized text, the per-record labeled-CSV pipeline (a parsed
 datetime, a regex label and one written row per record) instead of the
-columnar one.
+columnar one, a fresh array per operation instead of the gradient map's
+reused work arrays, and `csv_columns` over per-cell key columns instead of
+grid tables filled through one `%` template.
 """
 
 import csv
@@ -23,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit
+
+from pathfinder_ops.fileio import csv_columns
 
 
 def power_iteration(matrix, tol=1e-12, max_iter=10**6):
@@ -247,3 +251,76 @@ def oracle_labeled_csv(path, doc):
         when = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
         writer.writerow([when.isoformat(), facility, comment, label, rule])
     return buffer.getvalue(), tally
+
+
+# --- gradient map and grid tables ---------------------------------------------
+
+
+def _per_op_logistic(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def per_op_partials(n, u_minus, u_plus, beta, alphas, shifts, slopes, weights):
+    """(dW/dalpha, dW/dtheta) for alphas against a shift law, one fresh
+    array per operation, in the order the library's kernel does them."""
+    p_rej = _per_op_logistic(-beta * (u_minus + shifts))
+    p_rec = _per_op_logistic(-beta * (u_plus + shifts))
+    a = np.asarray(alphas, dtype=float)[..., None]
+    m = a * p_rej + (1.0 - a) * p_rec
+    power = m ** (n - 1)
+    q_rej, q_rec = p_rej * (1.0 - p_rej), p_rec * (1.0 - p_rec)
+    d_alpha = n * ((power * (p_rej - p_rec)) @ weights)
+    spread = q_rec + a * (q_rej - q_rec)
+    d_theta = -beta * n * ((power * spread) @ (slopes * weights))
+    return d_alpha, d_theta
+
+
+def per_op_gradient_cells(
+    n_values, u_abs_values, alphas, thetas, nodes, weights, block_values, beta=1.0
+):
+    """The `cells` array of each (n, |U|) row of the gradient map: blocks of
+    at most `block_values` alpha x theta x node values, as the map takes
+    them, each evaluated by `per_op_partials` and joined by concatenation."""
+    alphas = np.asarray(alphas, dtype=float).ravel() + 0.0
+    thetas = np.asarray(thetas, dtype=float).ravel() + 0.0
+    a_step = max(1, block_values // nodes.size)
+    t_step = max(1, block_values // (min(alphas.size, a_step) * nodes.size))
+    alpha_blocks = [alphas[i : i + a_step, None] for i in range(0, alphas.size, a_step)]
+    shift_blocks = [thetas[i : i + t_step, None] * nodes for i in range(0, thetas.size, t_step)]
+    tables = []
+    for n in n_values:
+        for u in u_abs_values:
+            u = float(u)
+            grad = np.concatenate([
+                np.concatenate([
+                    per_op_partials(int(n), -u, u, beta, block, shifts, nodes, weights)[1]
+                    for shifts in shift_blocks
+                ], axis=1)
+                for block in alpha_blocks
+            ])
+            grad[:, thetas == 0.0] = 0.0
+            cells = [np.tile(alphas, thetas.size), np.repeat(thetas, alphas.size), grad.T.ravel()]
+            tables.append(np.column_stack(cells))
+    return tables
+
+
+def repeated_keys_cells_csv(rows):
+    """The per-cell gradient-map CSV: each row's n, |U| and noise kind
+    repeated into per-cell columns, and every column through `csv_columns`."""
+    sizes = [len(row.cells) for row in rows]
+    keys = zip(*((row.n, row.u_abs, row.noise_kind.value) for row in rows))
+    cells = np.concatenate([np.empty((0, 3)), *(row.cells for row in rows)])
+    return csv_columns(
+        "n,u_abs,noise_kind,alpha,theta,dw_dtheta".split(","),
+        [*(np.repeat(key, sizes) for key in keys), *cells.T],
+    )
+
+
+def columns_sweep_csv(records):
+    """The sweep CSV with every column of the records through `csv_columns`."""
+    cells = [records[name] for name in ("p_good", "p_accept", "p_success")]
+    return csv_columns(
+        "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status".split(","),
+        [*cells, *records["pi"].T, records["status"]],
+    )

@@ -90,7 +90,7 @@ def no_kernels(monkeypatch):
     monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
     monkeypatch.setattr(chain_module, "stationary", kernel_called)
     monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
-    monkeypatch.setattr(worstcase_module, "mixture_partials", kernel_called)
+    monkeypatch.setattr(worstcase_module, "_partials", kernel_called)
 
 
 class TestSteady:

@@ -24,6 +24,10 @@ from pathfinder_ops import (
 )
 import pathfinder_ops.worstcase as worstcase_module
 from pathfinder_ops.worstcase import (
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_N_VALUES,
+    DEFAULT_THETA_GRID,
+    DEFAULT_U_ABS_VALUES,
     MAX_ALPHA_NODES,
     MAX_GRADMAP_CELLS,
     MAX_GH_NODES,
@@ -34,13 +38,22 @@ from pathfinder_ops.worstcase import (
     noise_law,
 )
 
-from oracles import binomial_sum_w, central_diff, mc_gaussian_w
+from oracles import (
+    binomial_sum_w,
+    central_diff,
+    mc_gaussian_w,
+    per_op_gradient_cells,
+    per_op_partials,
+    repeated_keys_cells_csv,
+)
 
 # 1/(1 + e^-2) and 1/(1 + e^2) to double precision (mpmath-checked).
 P_REJ = 0.8807970779778823
 P_REC = 0.11920292202211755
 
 BASE = WorstCaseScenario(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+# 5,000 alphas x 61 nodes take two alpha blocks in the gradient map.
+LONG_ALPHAS = [i / 4999 for i in range(5000)]
 INF, NAN = float("inf"), float("nan")
 SOCIAL = SocialParams(s=0.0, gamma=2.5, r=0.5)
 SELFISH = SocialParams(s=1.0, gamma=2.5, r=0.5)
@@ -429,6 +442,19 @@ class TestExactPartials:
         assert d_alpha_at_a0 == pytest.approx(fd_alpha, rel=1e-6, abs=1e-11)
         assert d_alpha > 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize(
+        "alphas", [0.3, [0.0, 0.5, 1.0], [[0.1], [0.9]]], ids=["scalar", "vector", "column"]
+    )
+    def test_partials_match_a_fresh_array_per_operation(self, n, alphas):
+        scn = WorstCaseScenario(n=n, u_minus=-1.5, u_plus=3.0, beta=0.8, delta=0.5)
+        gauss = NoiseSpec(NoiseKind.GAUSSIAN, 1.3)
+        for law in [worstcase_module._point_law(0.25), noise_law(gauss)]:
+            got = mixture_partials(scn, alphas, law)
+            expected = per_op_partials(n, -1.5, 3.0, 0.8, alphas, *law)
+            for g, e in zip(got, expected):
+                np.testing.assert_array_equal(np.asarray(g).view(np.int64), e.view(np.int64))
+
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_noise_partial_is_exactly_zero_at_theta_zero(self, kind):
         for alpha in (0.0, 0.3, 1.0):
@@ -472,10 +498,43 @@ class TestGradientSignMap:
             np.testing.assert_array_equal(part[:, :2], np.array(single.cells)[:, :2])
             np.testing.assert_allclose(part[:, 2], np.array(single.cells)[:, 2], rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {},
+            {"n_values": [2, 5], "u_abs_values": [2.0], "alpha_grid": LONG_ALPHAS,
+             "theta_grid": [0.0, 0.5, 3.0]},
+            {"n_values": [3], "u_abs_values": [1.0, 8.0], "alpha_grid": [0.01 * i for i in range(60)],
+             "theta_grid": [0.1 * i for i in range(100)], "beta": 0.7},
+        ],
+        ids=["default", "alpha-blocks", "theta-blocks"],
+    )
+    def test_cells_match_a_fresh_array_per_operation(self, kind, grids):
+        # The reused work arrays change no bit of any cell, in full blocks
+        # and in the shorter last ones.
+        rows = gradient_sign_map(noise_kind=kind, **grids)
+        grids = {"n_values": DEFAULT_N_VALUES, "u_abs_values": DEFAULT_U_ABS_VALUES,
+                 "alpha_grid": DEFAULT_ALPHA_GRID, "theta_grid": DEFAULT_THETA_GRID, **grids}
+        nodes, weights = worstcase_module._unit_nodes(NoiseSpec(kind, 0.0))
+        expected = per_op_gradient_cells(
+            grids["n_values"], grids["u_abs_values"], grids["alpha_grid"], grids["theta_grid"],
+            nodes, weights, worstcase_module._GRADMAP_BLOCK_VALUES, grids.get("beta", 1.0),
+        )
+        assert len(rows) == len(expected)
+        for row, cells in zip(rows, expected):
+            # Bit for bit, so 0.0 and -0.0 count as different.
+            np.testing.assert_array_equal(row.cells.view(np.int64), cells.view(np.int64))
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_cells_csv_matches_per_cell_columns(self, kind):
+        rows = gradient_sign_map(noise_kind=kind)
+        assert gradient_cells_to_csv(rows) == repeated_keys_cells_csv(rows)
+
     def test_long_alpha_grid_is_evaluated_in_blocks(self):
         # 5,000 alphas x 61 nodes exceed one block, so alphas are split too;
         # blocks may only change rounding.
-        alphas = [i / 4999 for i in range(5000)]
+        alphas = LONG_ALPHAS
         thetas = [0.5, 3.0]
         (whole,) = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
@@ -498,7 +557,7 @@ class TestGradientSignMap:
             raise AssertionError("kernel called")
 
         monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
-        monkeypatch.setattr(worstcase_module, "mixture_partials", kernel_called)
+        monkeypatch.setattr(worstcase_module, "_partials", kernel_called)
 
     @pytest.mark.parametrize(
         "n_values,alphas,thetas", [([2, 3], 513, 1024), ([2], 1001, 1048), ([2] * 4, 10**3, 10**3)]
