@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .agents import (
     AgentProfile,
@@ -68,7 +68,7 @@ from .simulate import (
     simulate_chain,
 )
 from .worstcase import (
-    GradientSignRow,
+    GradientSignMap,
     NoiseKind,
     NoiseSpec,
     SocialParams,

@@ -24,12 +24,11 @@ from .chain import (
     _validate_grid,
     default_grid,
     steady_state,
-    sweep_records,
     sweep_steady_state,
     sweep_to_csv,
 )
 from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, integer, number
-from .fileio import atomic_write_text, csv_columns, json_text
+from .fileio import atomic_write_text, grid_csv, json_text
 from .ntml import (
     calibrated_steady_state,
     classify_corpus,
@@ -276,7 +275,9 @@ def cmd_worst(args) -> int:
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         _emit(json_text({"rows": rows}), args.out)
     else:
-        _emit(csv_columns(list(columns), list(columns.values())), args.out)
+        # A missing alpha* (None) is NaN in the block, an empty field.
+        block = np.array(list(columns.values()), dtype=float).T
+        _emit(grid_csv(list(columns), [], block), args.out)
     return EXIT_OK
 
 
@@ -287,22 +288,22 @@ def cmd_gradmap(args) -> int:
     cfg = _load_config(args.config)
     grids = cfg["gradmap"] if "gradmap" in cfg else _checked("gradmap", {})
     noise = _noise(cfg)
-    rows = gradient_sign_map(
+    gmap = gradient_sign_map(
         **grids,
         noise_kind=noise.kind if noise is not None else NoiseKind.RADEMACHER,
         gh_nodes=noise.gh_nodes if noise is not None else DEFAULT_GH_NODES,
     )
     if args.format == "json":
+        instances = [(n, u) for n in gmap.n_values for u in gmap.u_abs_values.tolist()]
         table = [
-            {"n": r.n, "u_abs": r.u_abs, "noise_kind": r.noise_kind.value,
-             "fraction_negative": r.fraction_negative}
-            for r in rows
+            {"n": n, "u_abs": u, "noise_kind": gmap.noise_kind.value, "fraction_negative": f}
+            for (n, u), f in zip(instances, gmap.fraction_negative.ravel().tolist())
         ]
         _emit(json_text(table), args.out)
     else:
-        _emit(gradient_sign_map_to_csv(rows), args.out)
+        _emit(gradient_sign_map_to_csv(gmap), args.out)
     if args.cells_out is not None:
-        atomic_write_text(args.cells_out, gradient_cells_to_csv(rows))
+        atomic_write_text(args.cells_out, gradient_cells_to_csv(gmap))
     return EXIT_OK
 
 
@@ -337,8 +338,7 @@ def cmd_classify(args) -> int:
     atomic_write_text(params_out, json_text({"p_accept": p_accept, "p_success": p_success}))
 
     if g_grid is not None:
-        g_values, pis = zip(*calibrated_steady_state(counts, g_grid))
-        records = sweep_records(g_values, p_accept, p_success, np.array(pis), True)
+        records = calibrated_steady_state(counts, g_grid)
         steady_out = args.steady_out or _sibling_path(args.out, ".steady.csv")
         atomic_write_text(steady_out, sweep_to_csv(records))
     return EXIT_OK
@@ -405,8 +405,17 @@ def cmd_simulate(args) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, which main() reports in one line with
+    exit 2; subparsers share the class. (On 3.10 and 3.11 exit_on_error=False
+    still exits for missing required or unrecognised arguments.)"""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathfinder-ops",
         description="Pathfinder-operations decision models: chain sweeps, "
         "worst-case analysis, gradient maps, log classification, simulation.",
@@ -469,8 +478,8 @@ def _fail(code: str, exc: BaseException, status: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         # Past the schema, config values reach the library's constructors and

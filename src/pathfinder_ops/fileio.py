@@ -1,5 +1,5 @@
-"""Small output helpers: 12-significant-digit floats, column-wise CSV, grid
-tables filled through one `%` template, JSON text, and atomic writes."""
+"""Small output helpers: column fields, grid tables filled through one `%`
+template, JSON text, and atomic writes."""
 
 from __future__ import annotations
 
@@ -11,17 +11,12 @@ from typing import Sequence
 import numpy as np
 
 
-def fmt12(x: float) -> str:
-    """Format a float with 12 significant digits."""
-    return f"{float(x):.12g}"
-
-
 def _field(value) -> str:
     """One CSV field: None and NaN as an empty field, floats with 12
     significant digits, anything else as str()."""
     if value is None or value != value:
         return ""
-    return fmt12(value) if isinstance(value, float) else str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 # Below this many values, formatting each value costs less than finding the
@@ -48,15 +43,6 @@ def column_fields(column) -> list[str]:
     texts = np.array([f"{v:.12g}" for v in distinct.tolist()], dtype=object)
     texts[np.isnan(distinct)] = ""
     return texts[inverse].tolist()
-
-
-def csv_columns(header: Sequence[str], columns: Sequence) -> str:
-    """A table given column by column (1-D sequences of one length) as CSV
-    text with a trailing newline. Floats print with 12 significant digits,
-    NaN and None as an empty field (so NaN only ever means "no value"), and
-    anything else as str()."""
-    fields = [column_fields(column) for column in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*fields, strict=True))]) + "\n"
 
 
 def _escaped(part):

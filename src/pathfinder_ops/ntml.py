@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import _validate_grid, steady_state
+from .chain import _validate_grid, steady_state, sweep_records
 from .errors import InsufficientData, integer
 from .simulate import STREAM_CORPUS, make_rng
 
@@ -277,17 +277,16 @@ def estimate_params(counts: LabelCounts) -> tuple[float, float]:
     return p_accept, p_success
 
 
-def calibrated_steady_state(
-    counts: LabelCounts, g_grid
-) -> list[tuple[float, np.ndarray]]:
-    """Stationary distributions over a weather-reliability grid, with
-    acceptance and success probabilities estimated from the counts, all
-    solved in one `steady_state` call. The grid is checked before the
-    counts; NonUniqueStationary is raised if any chain on it has two closed
-    classes."""
+def calibrated_steady_state(counts: LabelCounts, g_grid) -> np.recarray:
+    """Sweep records (SWEEP_DTYPE, one per p_good in ascending order) over a
+    weather-reliability grid, with acceptance and success probabilities
+    estimated from the counts, all solved in one `steady_state` call. The
+    grid is checked before the counts; NonUniqueStationary is raised if any
+    chain on it has two closed classes, so every status is 'ok'."""
     g_values = _validate_grid(g_grid, "p_good", low_open=False)
     p_accept, p_success = estimate_params(counts)
-    return list(zip(g_values, steady_state(g_values, p_accept, p_success)))
+    pi = steady_state(g_values, p_accept, p_success)
+    return sweep_records(g_values, p_accept, p_success, pi, True)
 
 
 CORPUS_CSV_HEADER = ["timestamp", "facility", "comment"]

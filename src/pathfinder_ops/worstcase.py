@@ -27,13 +27,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint, integer, number, number_array
-from .fileio import column_fields, csv_columns, grid_csv
+from .fileio import column_fields, grid_csv
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -50,10 +50,10 @@ MAX_GH_NODES = 370
 _GRADMAP_BLOCK_VALUES = 1 << 18
 
 # Cap on the n x |U| x alpha x theta cells of one map, checked before anything
-# is allocated. The map keeps 24 bytes per cell, the per-cell dump holds about
-# 200 bytes per cell at peak (tracemalloc), and a cell costs at most about
-# 12 us with its dump (Gaussian, 370 nodes, 2-CPU machine), so the cap bounds
-# memory to about 200 MiB and time to about 12 s.
+# is allocated. The map keeps 8 bytes per cell, the per-cell dump peaks at
+# about 210 bytes per cell (tracemalloc, on a map of 2**20 cells), and a cell
+# costs at most about 12 us with its dump (Gaussian, 370 nodes, 2-CPU
+# machine), so the cap bounds memory to about 220 MiB and time to about 12 s.
 MAX_GRADMAP_CELLS = 2**20
 
 # Cap on the alpha x shift-value pairs of one W call (alphas times 1, 2 or
@@ -362,19 +362,21 @@ def tipping_point_gradient(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     return float(-d_theta / d_alpha)
 
 
-@dataclass(frozen=True)
-class GradientSignRow:
-    """Fraction of (alpha, theta) grid cells with a strictly negative noise
-    gradient, for one (n, |U|) instance. `cells` is a float array of shape
-    (alphas * thetas, 3) holding [alpha, theta, dW/dtheta] per cell,
-    theta-major."""
+@dataclass(frozen=True, eq=False)
+class GradientSignMap:
+    """The noise-gradient sign map over one grid. `dw_dtheta` has shape
+    (n, |U|, theta, alpha): entry [i, j, k, l] is dW/dtheta for n_values[i],
+    u_abs_values[j], thetas[k] and alphas[l]. `fraction_negative` has shape
+    (n, |U|): the share of that (n, |U|) instance's cells below -1e-12.
+    `n_values` are Python ints, as n may exceed int64."""
 
-    n: int
-    u_abs: float
+    n_values: tuple[int, ...]
+    u_abs_values: np.ndarray
     noise_kind: NoiseKind
-    fraction_negative: float
-    # An array has no single truth value, so rows compare by the fields above.
-    cells: np.ndarray = field(repr=False, compare=False)
+    alphas: np.ndarray
+    thetas: np.ndarray
+    dw_dtheta: np.ndarray
+    fraction_negative: np.ndarray
 
 
 DEFAULT_ALPHA_GRID = tuple(round(0.02 * i, 10) for i in range(51))
@@ -391,17 +393,17 @@ def gradient_sign_map(
     theta_grid=DEFAULT_THETA_GRID,
     beta: float = 1.0,
     gh_nodes: int = DEFAULT_GH_NODES,
-) -> list[GradientSignRow]:
+) -> GradientSignMap:
     """For each (n, |U|), the fraction of (alpha, theta) cells where the
     exact dW/dtheta < -1e-12. It is exactly 0 at theta = 0.
 
     Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
-    (n, |U|) row is one alpha x theta x node array program, taken in blocks
-    of at most _GRADMAP_BLOCK_VALUES values; two work arrays of that size
-    are allocated once and reused by every block of every row, and dW/dalpha
-    is not computed. Each row keeps every cell's [alpha, theta, dW/dtheta]
-    in its `cells` array (24 bytes a cell). The grids, the scenarios and the
-    MAX_GRADMAP_CELLS cap are checked before any kernel runs.
+    (n, |U|) instance is one alpha x theta x node array program, taken in
+    blocks of at most _GRADMAP_BLOCK_VALUES values; two work arrays of that
+    size are allocated once and reused by every block of every instance, and
+    dW/dalpha is not computed. The map keeps every cell's dW/dtheta in one
+    array (8 bytes a cell) and the grids once. The grids, the scenarios and
+    the MAX_GRADMAP_CELLS cap are checked before any kernel runs.
     """
     # A grid may be one number. "+ 0.0" turns -0.0 into 0.0, so each grid
     # value has one printed form.
@@ -417,6 +419,7 @@ def gradient_sign_map(
     cells = n_values.size * u_abs_values.size * alphas.size * thetas.size
     if cells > MAX_GRADMAP_CELLS:
         raise ValueError(f"a gradient map may have at most {MAX_GRADMAP_CELLS} cells, got {cells}")
+    n_values = tuple(integer("n", n, 1) for n in n_values)
     # delta plays no role in the gradient map; any interior value works.
     scenarios = [WorstCaseScenario(n, -u, u, beta, 0.5) for n in n_values for u in u_abs_values]
 
@@ -428,51 +431,50 @@ def gradient_sign_map(
     laws = [ShiftLaw(thetas[t, None] * nodes, nodes, weights) for t in t_blocks]
     # Two work arrays, as large as the largest block, serve every block.
     work = np.empty((2, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
-    at_zero = thetas == 0.0
 
-    rows = []
-    for scn in scenarios:
-        # Cells run theta-major, alpha-minor; grad views their last column.
-        table = np.empty((thetas.size, alphas.size, 3))
-        table[..., 0], table[..., 1] = alphas, thetas[:, None]
-        grad = table[..., 2].T
+    dw_dtheta = np.empty((len(n_values), u_abs_values.size, thetas.size, alphas.size))
+    for scn, grad in zip(scenarios, dw_dtheta.reshape(-1, thetas.size, alphas.size)):
+        grad = grad.T  # (alpha, theta), as the kernel's blocks are laid out
         for a in a_blocks:
             for t, law in zip(t_blocks, laws):
                 shape = (alphas[a].size, *law.shifts.shape)
                 x, y = (w[: math.prod(shape)].reshape(shape) for w in work)
                 grad[a, t] = _partials(scn, alphas[a, None, None], law, x, y, with_alpha=False)[1]
-        # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly
-        # 0, where the quadrature sum would leave rounding.
-        grad[:, at_zero] = 0.0
-        negative = int(np.count_nonzero(grad < NEGATIVE_GRADIENT_CUTOFF))
-        cells = table.reshape(-1, 3)
-        rows.append(GradientSignRow(scn.n, scn.u_plus, noise_kind, negative / grad.size, cells))
-    return rows
+    # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly 0,
+    # where the quadrature sum would leave rounding.
+    dw_dtheta[:, :, thetas == 0.0] = 0.0
+    negative = np.count_nonzero(dw_dtheta < NEGATIVE_GRADIENT_CUTOFF, axis=(2, 3))
+    fractions = negative / (thetas.size * alphas.size)
+    return GradientSignMap(n_values, u_abs_values, noise_kind, alphas, thetas, dw_dtheta, fractions)
 
 
 GRADMAP_CSV_HEADER = "n,u_abs,noise_kind,fraction_negative"
 GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 
-def gradient_sign_map_to_csv(rows: list[GradientSignRow]) -> str:
-    table = [(row.n, row.u_abs, row.noise_kind.value, row.fraction_negative) for row in rows]
-    return csv_columns(GRADMAP_CSV_HEADER.split(","), list(zip(*table)))
+def _instance_keys(gmap: GradientSignMap) -> list[str]:
+    """The "n,u_abs,noise_kind" text of each (n, |U|) instance, n-major. The
+    n values print through str(), never through a numpy array, which would
+    turn an int64 and an n of 2**63 into floats."""
+    u_texts = column_fields(gmap.u_abs_values)
+    kind = gmap.noise_kind.value
+    return [f"{n},{u},{kind}" for n in gmap.n_values for u in u_texts]
 
 
-def gradient_cells_to_csv(rows: list[GradientSignRow]) -> str:
-    """Per-cell CSV: each row's cells under its n, |U| and noise kind. The
-    keys are formatted once per row, alpha and theta once per distinct grid
-    of cells; only dW/dtheta is formatted cell by cell."""
-    keys = zip(*((row.n, row.u_abs, row.noise_kind.value) for row in rows))
-    heads, grids, grads = [], [], [np.empty((0, 1))]
-    grid = texts = None
-    for head, row in zip(map(",".join, zip(*map(column_fields, keys))), rows):
-        cells = np.asarray(row.cells, dtype=float)
-        # Bit patterns tell 0.0 from -0.0, which print apart.
-        if grid is None or not np.array_equal(cells[:, :2].view(np.int64), grid):
-            grid = cells[:, :2].view(np.int64)
-            texts = list(map(",".join, zip(*map(column_fields, cells[:, :2].T))))
-        heads += [head] * len(cells)
-        grids += texts
-        grads.append(cells[:, 2:])
-    return grid_csv(GRADMAP_CELLS_CSV_HEADER.split(","), [heads, grids], np.concatenate(grads))
+def gradient_sign_map_to_csv(gmap: GradientSignMap) -> str:
+    """One line per (n, |U|) instance, n-major."""
+    fractions = gmap.fraction_negative.reshape(-1, 1)
+    return grid_csv(GRADMAP_CSV_HEADER.split(","), [_instance_keys(gmap)], fractions)
+
+
+def gradient_cells_to_csv(gmap: GradientSignMap) -> str:
+    """Per-cell CSV: each instance's cells, theta-major, under its n, |U|
+    and noise kind. The keys are formatted once per instance and the
+    alpha,theta texts once per map; only dW/dtheta is formatted cell by
+    cell."""
+    keys = _instance_keys(gmap)
+    alphas = column_fields(gmap.alphas)
+    grid = [f"{a},{t}" for t in column_fields(gmap.thetas) for a in alphas]
+    heads = np.repeat(np.array(keys, dtype=object), len(grid)).tolist()
+    values = gmap.dw_dtheta.reshape(-1, 1)
+    return grid_csv(GRADMAP_CELLS_CSV_HEADER.split(","), [heads, grid * len(keys)], values)

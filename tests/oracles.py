@@ -11,8 +11,9 @@ derivatives, per-keyword regular expressions instead of substring tests
 on normalized text, the per-record labeled-CSV pipeline (a parsed
 datetime, a regex label and one written row per record) instead of the
 columnar one, a fresh array per operation instead of the gradient map's
-reused work arrays, and `csv_columns` over per-cell key columns instead of
-grid tables filled through one `%` template.
+reused work arrays, and a writer that formats each field of each row on
+its own instead of distinct values and grid tables filled through one `%`
+template.
 """
 
 import csv
@@ -25,8 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit
-
-from pathfinder_ops.fileio import csv_columns
 
 
 def power_iteration(matrix, tol=1e-12, max_iter=10**6):
@@ -276,19 +275,20 @@ def per_op_partials(n, u_minus, u_plus, beta, alphas, shifts, slopes, weights):
     return d_alpha, d_theta
 
 
-def per_op_gradient_cells(
+def per_op_dw_dtheta(
     n_values, u_abs_values, alphas, thetas, nodes, weights, block_values, beta=1.0
 ):
-    """The `cells` array of each (n, |U|) row of the gradient map: blocks of
-    at most `block_values` alpha x theta x node values, as the map takes
-    them, each evaluated by `per_op_partials` and joined by concatenation."""
+    """The gradient map's dW/dtheta array, shape (n, |U|, theta, alpha):
+    blocks of at most `block_values` alpha x theta x node values, as the map
+    takes them, each evaluated by `per_op_partials` and joined by
+    concatenation."""
     alphas = np.asarray(alphas, dtype=float).ravel() + 0.0
     thetas = np.asarray(thetas, dtype=float).ravel() + 0.0
     a_step = max(1, block_values // nodes.size)
     t_step = max(1, block_values // (min(alphas.size, a_step) * nodes.size))
     alpha_blocks = [alphas[i : i + a_step, None] for i in range(0, alphas.size, a_step)]
     shift_blocks = [thetas[i : i + t_step, None] * nodes for i in range(0, thetas.size, t_step)]
-    tables = []
+    grads = []
     for n in n_values:
         for u in u_abs_values:
             u = float(u)
@@ -300,27 +300,55 @@ def per_op_gradient_cells(
                 for block in alpha_blocks
             ])
             grad[:, thetas == 0.0] = 0.0
-            cells = [np.tile(alphas, thetas.size), np.repeat(thetas, alphas.size), grad.T.ravel()]
-            tables.append(np.column_stack(cells))
-    return tables
+            grads.append(grad.T)
+    return np.array(grads).reshape(len(n_values), len(u_abs_values), thetas.size, alphas.size)
 
 
-def repeated_keys_cells_csv(rows):
-    """The per-cell gradient-map CSV: each row's n, |U| and noise kind
-    repeated into per-cell columns, and every column through `csv_columns`."""
-    sizes = [len(row.cells) for row in rows]
-    keys = zip(*((row.n, row.u_abs, row.noise_kind.value) for row in rows))
-    cells = np.concatenate([np.empty((0, 3)), *(row.cells for row in rows)])
-    return csv_columns(
-        "n,u_abs,noise_kind,alpha,theta,dw_dtheta".split(","),
-        [*(np.repeat(key, sizes) for key in keys), *cells.T],
-    )
+def _field_text(value) -> str:
+    """One CSV field on its own: 12 significant digits for a float, an
+    empty field for NaN and None, str() for anything else."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    return f"{float(value):.12g}" if isinstance(value, float) else str(value)
 
 
-def columns_sweep_csv(records):
-    """The sweep CSV with every column of the records through `csv_columns`."""
-    cells = [records[name] for name in ("p_good", "p_accept", "p_success")]
-    return csv_columns(
-        "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status".split(","),
-        [*cells, *records["pi"].T, records["status"]],
-    )
+def per_value_csv(header, rows) -> str:
+    """CSV text with a trailing newline, every field of every row formatted
+    by itself."""
+    lines = [",".join(header), *(",".join(map(_field_text, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _instances(gmap):
+    return [(n, u) for n in gmap.n_values for u in list(gmap.u_abs_values)]
+
+
+def per_value_summary_csv(gmap):
+    """The gradient map's summary CSV, one row per (n, |U|) instance."""
+    fractions = list(np.ravel(gmap.fraction_negative))
+    rows = [(n, u, gmap.noise_kind.value, f) for (n, u), f in zip(_instances(gmap), fractions)]
+    return per_value_csv("n,u_abs,noise_kind,fraction_negative".split(","), rows)
+
+
+def per_value_cells_csv(gmap):
+    """The gradient map's per-cell CSV: one row per cell, its n, |U| and
+    noise kind repeated on each, theta-major within an instance."""
+    grads = np.reshape(gmap.dw_dtheta, (-1, len(gmap.thetas), len(gmap.alphas)))
+    rows = [
+        (n, u, gmap.noise_kind.value, a, t, grad[k][l])
+        for (n, u), grad in zip(_instances(gmap), grads)
+        for k, t in enumerate(list(gmap.thetas))
+        for l, a in enumerate(list(gmap.alphas))
+    ]
+    return per_value_csv("n,u_abs,noise_kind,alpha,theta,dw_dtheta".split(","), rows)
+
+
+def per_value_sweep_csv(records):
+    """The sweep CSV, one row per record."""
+    rows = [
+        (g, a, s, *pi, status)
+        for g, a, s, pi, status in zip(
+            *(list(records[name]) for name in ("p_good", "p_accept", "p_success", "pi", "status"))
+        )
+    ]
+    return per_value_csv("p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status".split(","), rows)

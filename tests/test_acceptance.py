@@ -217,15 +217,15 @@ def test_criterion_10_gradient_sign_fractions():
     ok = True
     details = []
     for kind in NoiseKind:
-        (typical,) = gradient_sign_map(n_values=[10], u_abs_values=[2.0], noise_kind=kind)
-        low = typical.fraction_negative < 0.2
-        (edge,) = gradient_sign_map(n_values=[2], u_abs_values=[8.0], noise_kind=kind)
-        high_alpha_negative = any(
-            g < -1e-12 and a >= 0.5 for a, _, g in edge.cells
-        )
+        typical = gradient_sign_map(n_values=[10], u_abs_values=[2.0], noise_kind=kind)
+        fraction = float(typical.fraction_negative[0, 0])
+        low = fraction < 0.2
+        edge = gradient_sign_map(n_values=[2], u_abs_values=[8.0], noise_kind=kind)
+        negative = edge.dw_dtheta[0, 0] < -1e-12
+        high_alpha_negative = bool(negative[:, edge.alphas >= 0.5].any())
         ok = ok and low and high_alpha_negative
         details.append(
-            f"{kind.value}: fraction(n=10,|U|=2) = {typical.fraction_negative:.3f}, "
+            f"{kind.value}: fraction(n=10,|U|=2) = {fraction:.3f}, "
             f"high-alpha negative cell (n=2,|U|=8) = {high_alpha_negative}"
         )
     report(10, ok, "; ".join(details))

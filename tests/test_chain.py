@@ -24,7 +24,6 @@ from pathfinder_ops.chain import (
     SWEEP_DTYPE,
     transition_matrices,
 )
-from pathfinder_ops.fileio import fmt12
 
 from oracles import (
     closed_class_count,
@@ -276,8 +275,8 @@ class TestSweep:
         rows = sweep_steady_state([0.05, 0.5, 1.0], [0.3, 1.0], [-0.0, 0.0, 0.25, 1.0])
         lines = [SWEEP_CSV_HEADER]
         for row in rows:
-            pi = ["", "", "", ""] if row.status == "non_unique" else [fmt12(x) for x in row.pi]
-            fields = [fmt12(row.p_good), fmt12(row.p_accept), fmt12(row.p_success), *pi]
+            pi = ["", "", "", ""] if row.status == "non_unique" else [f"{x:.12g}" for x in row.pi]
+            fields = [f"{x:.12g}" for x in (row.p_good, row.p_accept, row.p_success)] + pi
             lines.append(",".join(fields + [row.status]))
         text = sweep_to_csv(rows)
         assert text == "\n".join(lines) + "\n"

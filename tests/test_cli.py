@@ -2,10 +2,14 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from pathfinder_ops.chain import MAX_SWEEP_CELLS
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import main
 
+from oracles import per_value_csv
 from test_ntml import load_fixture
 from test_simulate import no_rng
 
@@ -264,6 +269,34 @@ class TestWorst:
             # delta = 0.9 is out of reach under every law: every star is null.
             assert all((cell[star] is None) == (delta == 0.9) for star in stars)
             assert {key: as_csv_field(value) for key, value in cell.items()} == row
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alphas=st.lists(st.floats(0, 1) | st.just(-0.0), min_size=1, max_size=40),
+        delta=st.sampled_from([0.1, 0.9]),
+        social=st.booleans(),
+        noise=st.sampled_from([None, "gaussian", "rademacher"]),
+    )
+    def test_csv_matches_per_value_rows_of_the_json(self, alphas, delta, social, noise):
+        # Every field of the CSV is the JSON value formatted on its own: a
+        # null alpha* (delta = 0.9 is out of reach) is an empty field, and
+        # an alpha of -0.0 prints as -0.
+        doc = {"worst_case": dict(FIG3_WORST["worst_case"], delta=delta, alpha_grid=alphas)}
+        if social:
+            doc["social"] = {"s": 0.5, "gamma": 2.5, "r": 0.5}
+        if noise is not None:
+            doc["noise"] = {"kind": noise, "theta": 1.0}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(pathlib.Path(tmp), doc)
+            out_json, out_csv = os.path.join(tmp, "w.json"), os.path.join(tmp, "w.csv")
+            assert main(["worst", "--config", cfg, "--out", out_json, "--format", "json"]) == 0
+            assert main(["worst", "--config", cfg, "--out", out_csv]) == 0
+            with open(out_json) as fh:
+                rows = json.load(fh)["rows"]
+            with open(out_csv, newline="") as fh:
+                text = fh.read()
+        header = text[: text.index("\n")].split(",")
+        assert text == per_value_csv(header, ([row[key] for key in header] for row in rows))
 
     def test_alpha_grid_too_long_for_the_rule_refused(self, tmp_path, capsys):
         # 22,672 alphas x 370 nodes is one pair over the cap.
@@ -892,11 +925,29 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    USAGE_ERRORS = {
+        "the following arguments are required: --config": ["steady"],
+        "invalid choice: 'bogus'": ["bogus"],
+        "unrecognized arguments: --bogus": ["steady", "--config", "c.json", "--bogus"],
+        "argument --seed: invalid int value: '1e3'": ["simulate", "--config", "c.json", "--seed", "1e3"],
+    }
+
     def test_usage_error_is_exit_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pathfinder_ops", "steady"],
-            capture_output=True,
-            text=True,
-            env=module_env(),
-        )
-        assert proc.returncode == 2
+        # A usage error is one error[config_invalid] line, with no usage block.
+        for needle, argv in self.USAGE_ERRORS.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "pathfinder_ops", *argv],
+                capture_output=True,
+                text=True,
+                env=module_env(),
+            )
+            assert_refused(proc.returncode, proc.stderr, needle)
+            assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["steady", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""

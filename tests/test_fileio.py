@@ -7,22 +7,25 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfinder_ops import GradientSignRow, NoiseKind
+from pathfinder_ops import GradientSignMap, NoiseKind
 from pathfinder_ops.chain import sweep_records, sweep_steady_state, sweep_to_csv
 from pathfinder_ops.fileio import (
     _SHORT_COLUMN,
     atomic_write_text,
-    csv_columns,
-    fmt12,
+    column_fields,
     grid_csv,
     json_text,
 )
-from pathfinder_ops.worstcase import gradient_cells_to_csv
+from pathfinder_ops.worstcase import gradient_cells_to_csv, gradient_sign_map_to_csv
 
-from oracles import columns_sweep_csv, repeated_keys_cells_csv
+from oracles import per_value_cells_csv, per_value_csv, per_value_summary_csv, per_value_sweep_csv
 
 
 class TestCsvColumns:
+    """The cases of the column-wise CSV writer that grid tables replaced,
+    now on `column_fields`, which formats the key columns of every grid
+    table."""
+
     # Columns of fewer than 32 values are formatted value by value, longer
     # ones once per distinct value: every case runs both ways.
     @pytest.fixture(params=[1, 40], ids=["short", "long"])
@@ -31,43 +34,41 @@ class TestCsvColumns:
 
     def test_float_column_matches_fmt12_for_every_value(self, reps):
         values = [0.1, 0.1, 1 / 3, 1e-300, -2.5, 1.0, 0.1, 5e-324, 1e300] * reps
-        assert csv_columns(["x"], [values]) == "x\n" + "".join(fmt12(v) + "\n" for v in values)
+        assert column_fields(values) == [f"{v:.12g}" for v in values]
 
     def test_signed_zeros_in_one_column_print_apart(self, reps):
-        text = csv_columns(["x"], [np.array([0.0, -0.0, 0.0, -0.0] * reps)])
-        assert text == "x\n" + "0\n-0\n0\n-0\n" * reps
+        assert column_fields(np.array([0.0, -0.0, 0.0, -0.0] * reps)) == ["0", "-0", "0", "-0"] * reps
 
     def test_repeated_values_keep_their_rows(self, reps):
         alphas = np.tile([0.02, 0.5, 1 / 3], 4 * reps)
         thetas = np.repeat([0.2, 0.0, 5.2, 0.2] * reps, 3)
-        lines = csv_columns(["a", "t"], [alphas, thetas]).splitlines()
-        assert lines[1:] == [f"{fmt12(a)},{fmt12(t)}" for a, t in zip(alphas, thetas)]
+        for column in (alphas, thetas):
+            assert column_fields(column) == [f"{v:.12g}" for v in column.tolist()]
 
     def test_nan_and_none_are_empty_fields(self, reps):
-        text = csv_columns(
-            ["pi", "star", "label"],
-            [
-                np.array([np.nan, 0.25, -np.nan] * reps),
-                [None, None, None] * reps,
-                ["ok", None, "x"] * reps,
-            ],
-        )
-        assert text == "pi,star,label\n" + ",,ok\n0.25,,\n,,x\n" * reps
+        assert column_fields(np.array([np.nan, 0.25, -np.nan] * reps)) == ["", "0.25", ""] * reps
+        assert column_fields([None, None, None] * reps) == [""] * 3 * reps
+        assert column_fields(["ok", None, "x"] * reps) == ["ok", "", "x"] * reps
 
     def test_int_and_str_columns(self, reps):
-        columns = [[10**13, 2], [1 / 3, 0.0], ["gaussian", "r"], [None, 0.5], [2**70, 2]]
-        text = csv_columns(["n", "x", "kind", "star", "big"], [c * reps for c in columns])
-        assert text == "n,x,kind,star,big\n" + (
-            "10000000000000,0.333333333333,gaussian,,1180591620717411303424\n"
-            "2,0,r,0.5,2\n"
-        ) * reps
+        columns = {
+            "10000000000000,2": [10**13, 2],
+            "0.333333333333,0": [1 / 3, 0.0],
+            "gaussian,r": ["gaussian", "r"],
+            ",0.5": [None, 0.5],
+            "1180591620717411303424,2": [2**70, 2],
+        }
+        for texts, column in columns.items():
+            assert column_fields(column * reps) == texts.split(",") * reps
 
     def test_header_only(self):
-        assert csv_columns(["a", "b"], [[], np.array([])]) == "a,b\n"
+        assert column_fields([]) == column_fields(np.array([])) == []
+        assert grid_csv(["a", "x"], [column_fields([])], np.empty((0, 1))) == "a,x\n"
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError):
-            csv_columns(["a", "b"], [[1.0, 2.0], [1.0]])
+            grid_csv(["a", "b", "x"], [column_fields([1.0, 2.0]), column_fields([1.0])],
+                     [[1.0], [2.0]])
 
 
 class TestGridCsv:
@@ -114,53 +115,94 @@ def sized(draw, elements, most):
     return draw(st.lists(elements, min_size=size, max_size=size))
 
 
+def hand_built_map(n_values, u_abs_values, alphas, thetas, grads, kind=NoiseKind.GAUSSIAN):
+    """A GradientSignMap over the given grids with the given dW/dtheta
+    values and a made-up fraction_negative."""
+    shape = (len(n_values), len(u_abs_values), len(thetas), len(alphas))
+    return GradientSignMap(
+        tuple(n_values), np.array(u_abs_values, dtype=float), kind, np.array(alphas, dtype=float),
+        np.array(thetas, dtype=float), np.reshape(grads, shape), np.full(shape[:2], 0.5),
+    )
+
+
 @st.composite
-def gradient_rows(draw):
-    """Hand-built map rows over one or two grids of 1-40 alphas and 1-3
-    thetas, under 1-40 (n, |U|, kind) keys: both sides of _SHORT_COLUMN."""
+def gradient_maps(draw):
+    """Hand-built maps of 1-3 n values of one int type, 1-40 |U| values,
+    1-40 alphas and 1-3 thetas: the |U| and alpha columns on both sides of
+    _SHORT_COLUMN."""
     # Lists of a drawn length: hypothesis rarely draws long lists otherwise.
-    grids = [
-        (draw(sized(st.floats(0, 1) | st.just(-0.0), 40)), draw(sized(WIDE | st.just(0.0), 3)))
-        for _ in range(draw(st.integers(1, 2)))
-    ]
-    keys = draw(sized(
-        st.tuples(
-            st.integers(1, 10**6),
-            st.sampled_from([int, np.int64, np.int32]),
-            WIDE,
-            st.sampled_from(list(NoiseKind)),
-            st.integers(0, len(grids) - 1),
-        ),
-        40,
-    ))
-    rng_seed = draw(st.integers(0, 2**32 - 1))
-    rows = []
-    for i, (n, int_type, u_abs, kind, grid) in enumerate(keys):
-        alphas, thetas = (np.array(axis) for axis in grids[grid])
-        grads = scattered_values(rng_seed + i, alphas.size * thetas.size)
-        cells = np.column_stack([np.tile(alphas, thetas.size), np.repeat(thetas, alphas.size), grads])
-        rows.append(GradientSignRow(int_type(n), u_abs, kind, 0.5, cells))
-    return rows
+    int_type = draw(st.sampled_from([int, np.int64, np.int32]))
+    n_values = [int_type(n) for n in draw(sized(st.integers(1, 10**6), 3))]
+    u_abs_values = draw(sized(WIDE, 40))
+    alphas = draw(sized(st.floats(0, 1) | st.just(-0.0), 40))
+    thetas = draw(sized(WIDE | st.just(0.0), 3))
+    size = len(n_values) * len(u_abs_values) * len(alphas) * len(thetas)
+    grads = scattered_values(draw(st.integers(0, 2**32 - 1)), size)
+    return hand_built_map(n_values, u_abs_values, alphas, thetas, grads,
+                          draw(st.sampled_from(list(NoiseKind))))
 
 
 class TestGridTablesMatchPerCellColumns:
-    @settings(max_examples=150, deadline=None)
-    @given(rows=gradient_rows())
-    def test_gradient_cells(self, rows):
-        assert gradient_cells_to_csv(rows) == repeated_keys_cells_csv(rows)
+    """Every grid table against a writer that formats each field of each
+    row on its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gmap=gradient_maps())
+    def test_gradient_cells(self, gmap):
+        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_values=sized(st.integers(1, 2**62).map(int) | st.integers(1, 2**62).map(np.int64)
+                       | st.sampled_from([2**63, 10**30]), 40),
+        u_abs_values=sized(WIDE, 3),
+        fractions=st.lists(st.floats(0, 1), min_size=120, max_size=120),
+    )
+    def test_gradient_summary(self, n_values, u_abs_values, fractions):
+        # n may exceed int64, as 2**63 and 10**30 do; it prints as the int
+        # it is, beside small ones too.
+        gmap = hand_built_map(n_values, u_abs_values, [0.5], [1.0],
+                              np.zeros(len(n_values) * len(u_abs_values)))
+        gmap.fraction_negative.flat = fractions[: gmap.fraction_negative.size]
+        text = gradient_sign_map_to_csv(gmap)
+        assert text == per_value_summary_csv(gmap)
+        for big in (2**63, 10**30):
+            assert (f"\n{big}," in text) == (big in n_values)
 
     def test_gradient_cells_with_nan_and_inf_gradients(self):
-        alphas, thetas = np.array([0.0, 0.5]), np.array([0.0, 1e-300, 3.0])
         grads = np.array([0.0, -0.0, np.nan, -1e-13, np.inf, -np.inf])
-        cells = np.column_stack([np.tile(alphas, 3), np.repeat(thetas, 2), grads])
-        rows = [GradientSignRow(np.int64(5), 2.0, NoiseKind.GAUSSIAN, 0.5, cells)]
-        text = gradient_cells_to_csv(rows)
-        assert text == repeated_keys_cells_csv(rows)
+        gmap = hand_built_map([np.int64(5)], [2.0], [0.0, 0.5], [0.0, 1e-300, 3.0], grads)
+        text = gradient_cells_to_csv(gmap)
+        assert text == per_value_cells_csv(gmap)
         assert text.splitlines()[3:] == ["5,2,gaussian,0,1e-300,", "5,2,gaussian,0.5,1e-300,-1e-13",
                                           "5,2,gaussian,0,3,inf", "5,2,gaussian,0.5,3,-inf"]
 
+    def test_gradient_cells_with_signed_zero_nan_and_inf_grids(self):
+        alphas, thetas = [-0.0, 0.0, np.nan, np.inf], [np.inf, -0.0, np.nan]
+        gmap = hand_built_map([3, 10**30], [1.0, np.inf], alphas, thetas, np.arange(48.0) - 24.0)
+        text = gradient_cells_to_csv(gmap)
+        assert text == per_value_cells_csv(gmap)
+        assert text.splitlines()[1:5] == ["3,1,gaussian,-0,inf,-24", "3,1,gaussian,0,inf,-23",
+                                          "3,1,gaussian,,inf,-22", "3,1,gaussian,inf,inf,-21"]
+
     def test_no_rows(self):
-        assert gradient_cells_to_csv([]) == repeated_keys_cells_csv([])
+        gmap = hand_built_map([], [2.0], [0.5], [1.0], [])
+        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+        assert gradient_sign_map_to_csv(gmap) == per_value_summary_csv(gmap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        columns=st.integers(1, 40).flatmap(lambda rows: st.lists(
+            st.lists(WIDE | st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                     min_size=rows, max_size=rows) | st.just([None] * rows),
+            min_size=1, max_size=6)),
+    )
+    def test_worst_table(self, columns):
+        # The worst table is one float block; a missing alpha* is None in
+        # the JSON and NaN in the block, an empty field either way.
+        header = [f"c{i}" for i in range(len(columns))]
+        block = np.array(columns, dtype=float).T
+        assert grid_csv(header, [], block) == per_value_csv(header, zip(*columns))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -175,19 +217,19 @@ class TestGridTablesMatchPerCellColumns:
         # Solved sweeps, whose non-unique cells (g = 1 with s = 0) have an
         # all-NaN pi, and hand-built records with NaN anywhere in pi.
         records = sweep_steady_state(*grids)
-        assert sweep_to_csv(records) == columns_sweep_csv(records)
+        assert sweep_to_csv(records) == per_value_sweep_csv(records)
         cells = len(records)
         pi = scattered_values(seed, 4 * cells).reshape(cells, 4)
         unique = np.random.default_rng(seed).random(cells) < 0.7
         built = sweep_records(records["p_good"], records["p_accept"], records["p_success"], pi, unique)
-        assert sweep_to_csv(built) == columns_sweep_csv(built)
+        assert sweep_to_csv(built) == per_value_sweep_csv(built)
 
     def test_sweep_with_non_unique_cells_on_both_sides_of_the_short_column(self):
         for size in (2, _SHORT_COLUMN + 8):
             g_grid = [i / size for i in range(1, size + 1)]
             records = sweep_steady_state(g_grid, [0.5], [0.0, 0.25])
             assert (records["status"] == "non_unique").sum() == 1
-            assert sweep_to_csv(records) == columns_sweep_csv(records)
+            assert sweep_to_csv(records) == per_value_sweep_csv(records)
 
 
 def test_json_text_is_sorted_indented_and_newline_terminated():

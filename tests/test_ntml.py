@@ -29,8 +29,10 @@ from pathfinder_ops import (
     labeled_to_csv,
     read_corpus_csv,
     stationary,
+    sweep_steady_state,
 )
 import pathfinder_ops.ntml as ntml_module
+from pathfinder_ops.chain import SWEEP_DTYPE
 from pathfinder_ops.cli import main
 from pathfinder_ops.ntml import PRECEDENCE, RuleSet, _timestamp_text, normalize_text, parse_rules
 
@@ -336,24 +338,24 @@ class TestCalibratedSteadyState:
     COUNTS = LabelCounts(n_requested=87, n_failed=13, n_rejected=23)
 
     def test_low_weather_endpoint(self):
-        ((g, pi),) = calibrated_steady_state(self.COUNTS, [0.1])
-        assert g == 0.1
-        assert pi[0] == pytest.approx(0.75, abs=0.01)
-        assert pi[3] == pytest.approx(0.07, abs=0.01)
+        (record,) = calibrated_steady_state(self.COUNTS, [0.1])
+        assert record.p_good == 0.1 and record.status == "ok"
+        assert record.pi[0] == pytest.approx(0.75, abs=0.01)
+        assert record.pi[3] == pytest.approx(0.07, abs=0.01)
 
     def test_high_weather_endpoint(self):
-        ((_, pi),) = calibrated_steady_state(self.COUNTS, [0.9])
-        assert pi[0] == pytest.approx(0.09, abs=0.005)
-        assert pi[3] == pytest.approx(0.72, abs=0.005)
+        (record,) = calibrated_steady_state(self.COUNTS, [0.9])
+        assert record.pi[0] == pytest.approx(0.09, abs=0.005)
+        assert record.pi[3] == pytest.approx(0.72, abs=0.005)
 
     def test_forced_unit_counts_reduce_to_hand_solved_chain(self):
         counts = LabelCounts(n_requested=10, n_failed=0, n_rejected=0)
-        ((_, pi),) = calibrated_steady_state(counts, [0.5])
-        np.testing.assert_allclose(pi, [1 / 3, 1 / 6, 1 / 6, 1 / 3], atol=1e-12)
+        (record,) = calibrated_steady_state(counts, [0.5])
+        np.testing.assert_allclose(record.pi, [1 / 3, 1 / 6, 1 / 6, 1 / 3], atol=1e-12)
 
     def test_grid_sorted_and_nonempty(self):
-        rows = calibrated_steady_state(self.COUNTS, [0.9, 0.1, 0.5])
-        assert [g for g, _ in rows] == [0.1, 0.5, 0.9]
+        records = calibrated_steady_state(self.COUNTS, [0.9, 0.1, 0.5])
+        assert records["p_good"].tolist() == [0.1, 0.5, 0.9]
         with pytest.raises(EmptyGrid):
             calibrated_steady_state(self.COUNTS, [])
 
@@ -369,20 +371,32 @@ class TestCalibratedSteadyState:
         solve, calls = ntml_module.steady_state, []
         monkeypatch.setattr(ntml_module, "steady_state", lambda *args: calls.append(args) or solve(*args))
         g_grid = [round(0.1 * i, 10) for i in range(1, 10)]
-        rows = calibrated_steady_state(self.COUNTS, g_grid)
-        assert len(calls) == 1 and len(rows) == 9
-        pi, unique = stationary(g_grid, *estimate_params(self.COUNTS))
+        records = calibrated_steady_state(self.COUNTS, g_grid)
+        assert len(calls) == 1 and len(records) == 9
+        p_accept, p_success = estimate_params(self.COUNTS)
+        pi, unique = stationary(g_grid, p_accept, p_success)
         assert unique.all()
-        for (g, row), expected, g_expected in zip(rows, pi, g_grid):
-            assert g == g_expected
-            np.testing.assert_array_equal(row, expected)
+        assert records.dtype == SWEEP_DTYPE
+        assert records["p_good"].tolist() == g_grid
+        assert set(records["p_accept"].tolist()) == {p_accept}
+        assert set(records["p_success"].tolist()) == {p_success}
+        assert set(records["status"].tolist()) == {"ok"}
+        np.testing.assert_array_equal(records["pi"], pi)
+
+    def test_records_match_the_sweep_of_the_estimates(self):
+        # The calibrated sweep is the plain sweep at the estimated p_accept
+        # and p_success, field for field.
+        g_grid = [0.0, 0.25, 1.0]
+        records = calibrated_steady_state(self.COUNTS, g_grid)
+        sweep = sweep_steady_state([0.25, 1.0], *([v] for v in estimate_params(self.COUNTS)))
+        assert records[1:].tobytes() == sweep.tobytes()
 
     def test_non_unique_chain_on_the_grid_raises(self):
         # Only failed runs: p_success = 0, so g = 1 leaves two closed classes.
         with pytest.raises(NonUniqueStationary):
             calibrated_steady_state(LabelCounts(n_failed=4, n_rejected=1), [0.5, 1.0])
-        ((_, pi),) = calibrated_steady_state(LabelCounts(n_failed=4, n_rejected=1), [0.0])
-        np.testing.assert_array_equal(pi, [1.0, 0.0, 0.0, 0.0])
+        (record,) = calibrated_steady_state(LabelCounts(n_failed=4, n_rejected=1), [0.0])
+        np.testing.assert_array_equal(record.pi, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestCsvIo:

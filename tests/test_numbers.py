@@ -184,8 +184,9 @@ def test_array_argument_accepts_numpy_forms_with_the_same_result(entry):
             return [plain(tuple(record)) for record in result]
         if isinstance(result, (list, tuple)):
             return [plain(r) for r in result]
-        if hasattr(result, "fraction_negative"):
-            return [result.n, result.u_abs, result.fraction_negative, result.cells.tolist()]
+        if hasattr(result, "dw_dtheta"):
+            return [result.n_values, *(plain(getattr(result, name)) for name in (
+                "u_abs_values", "alphas", "thetas", "fraction_negative", "dw_dtheta"))]
         return np.asarray(result).tolist()
 
     expected = plain(call(good))

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,9 +44,10 @@ from oracles import (
     binomial_sum_w,
     central_diff,
     mc_gaussian_w,
-    per_op_gradient_cells,
+    per_op_dw_dtheta,
     per_op_partials,
-    repeated_keys_cells_csv,
+    per_value_cells_csv,
+    per_value_summary_csv,
 )
 
 # 1/(1 + e^-2) and 1/(1 + e^2) to double precision (mpmath-checked).
@@ -464,39 +467,39 @@ class TestExactPartials:
 
 class TestGradientSignMap:
     def test_theta_zero_grid_has_exactly_zero_gradient(self):
-        rows = gradient_sign_map(
+        gmap = gradient_sign_map(
             n_values=[10],
             u_abs_values=[2.0],
             noise_kind=NoiseKind.RADEMACHER,
             theta_grid=[0.0],
         )
-        assert rows[0].fraction_negative == 0.0
-        assert all(g == 0.0 for _, _, g in rows[0].cells)
+        assert gmap.fraction_negative.tolist() == [[0.0]]
+        assert (gmap.dw_dtheta == 0.0).all()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_no_theta_zero_cell_counts_as_negative_on_default_grid(self, kind):
-        rows = gradient_sign_map(noise_kind=kind)
-        assert len(rows) == 16
-        at_zero = [g for row in rows for _, t, g in row.cells if t == 0.0]
-        assert len(at_zero) == 16 * 51
-        assert all(g == 0.0 for g in at_zero)
+        gmap = gradient_sign_map(noise_kind=kind)
+        assert gmap.dw_dtheta.shape == (4, 4, 51, 51)
+        at_zero = gmap.dw_dtheta[:, :, gmap.thetas == 0.0]
+        assert at_zero.size == 16 * 51
+        assert (at_zero == 0.0).all()
 
     def test_large_theta_grid_is_evaluated_in_blocks(self):
         # 60 x 100 x 61 values exceed one block; blocks may only change rounding.
         alphas = [round(0.01 * i, 10) for i in range(60)]
         thetas = [round(0.1 * i, 10) for i in range(100)]
-        (whole,) = gradient_sign_map(
+        whole = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
             alpha_grid=alphas, theta_grid=thetas,
         )
-        for theta in (thetas[3], thetas[97]):
-            (single,) = gradient_sign_map(
+        for k in (3, 97):
+            single = gradient_sign_map(
                 n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-                alpha_grid=alphas, theta_grid=[theta],
+                alpha_grid=alphas, theta_grid=[thetas[k]],
             )
-            part = np.array([c for c in whole.cells if c[1] == theta])
-            np.testing.assert_array_equal(part[:, :2], np.array(single.cells)[:, :2])
-            np.testing.assert_allclose(part[:, 2], np.array(single.cells)[:, 2], rtol=1e-12)
+            np.testing.assert_array_equal(single.alphas, whole.alphas)
+            assert single.thetas.tolist() == [whole.thetas[k]]
+            np.testing.assert_allclose(whole.dw_dtheta[0, 0, k], single.dw_dtheta[0, 0, 0], rtol=1e-12)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize(
@@ -513,43 +516,65 @@ class TestGradientSignMap:
     def test_cells_match_a_fresh_array_per_operation(self, kind, grids):
         # The reused work arrays change no bit of any cell, in full blocks
         # and in the shorter last ones.
-        rows = gradient_sign_map(noise_kind=kind, **grids)
+        gmap = gradient_sign_map(noise_kind=kind, **grids)
         grids = {"n_values": DEFAULT_N_VALUES, "u_abs_values": DEFAULT_U_ABS_VALUES,
                  "alpha_grid": DEFAULT_ALPHA_GRID, "theta_grid": DEFAULT_THETA_GRID, **grids}
         nodes, weights = worstcase_module._unit_nodes(NoiseSpec(kind, 0.0))
-        expected = per_op_gradient_cells(
+        expected = per_op_dw_dtheta(
             grids["n_values"], grids["u_abs_values"], grids["alpha_grid"], grids["theta_grid"],
             nodes, weights, worstcase_module._GRADMAP_BLOCK_VALUES, grids.get("beta", 1.0),
         )
-        assert len(rows) == len(expected)
-        for row, cells in zip(rows, expected):
-            # Bit for bit, so 0.0 and -0.0 count as different.
-            np.testing.assert_array_equal(row.cells.view(np.int64), cells.view(np.int64))
+        assert gmap.n_values == tuple(grids["n_values"])
+        assert gmap.u_abs_values.tolist() == list(grids["u_abs_values"])
+        assert gmap.alphas.tolist() == list(grids["alpha_grid"])
+        assert gmap.thetas.tolist() == list(grids["theta_grid"])
+        # Bit for bit, so 0.0 and -0.0 count as different.
+        np.testing.assert_array_equal(gmap.dw_dtheta.view(np.int64), expected.view(np.int64))
+        negative = (expected < -1e-12).sum(axis=(2, 3)) / expected[0, 0].size
+        np.testing.assert_array_equal(gmap.fraction_negative, negative)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_cells_csv_matches_per_cell_columns(self, kind):
-        rows = gradient_sign_map(noise_kind=kind)
-        assert gradient_cells_to_csv(rows) == repeated_keys_cells_csv(rows)
+        gmap = gradient_sign_map(noise_kind=kind)
+        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+        assert gradient_sign_map_to_csv(gmap) == per_value_summary_csv(gmap)
 
     def test_long_alpha_grid_is_evaluated_in_blocks(self):
         # 5,000 alphas x 61 nodes exceed one block, so alphas are split too;
         # blocks may only change rounding.
         alphas = LONG_ALPHAS
         thetas = [0.5, 3.0]
-        (whole,) = gradient_sign_map(
+        whole = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
             alpha_grid=alphas, theta_grid=thetas,
         )
-        picked = alphas[::997]
-        (part,) = gradient_sign_map(
+        part = gradient_sign_map(
             n_values=[5], u_abs_values=[2.0], noise_kind=NoiseKind.GAUSSIAN,
-            alpha_grid=picked, theta_grid=thetas,
+            alpha_grid=alphas[::997], theta_grid=thetas,
         )
-        expected = {(a, t): g for a, t, g in part.cells}
-        got = {(a, t): g for a, t, g in whole.cells if a in picked}
-        assert got.keys() == expected.keys()
-        for cell, grad in got.items():
-            assert grad == pytest.approx(expected[cell], rel=1e-12, abs=1e-300)
+        np.testing.assert_array_equal(part.alphas, whole.alphas[::997])
+        np.testing.assert_allclose(
+            whole.dw_dtheta[0, 0, :, ::997], part.dw_dtheta[0, 0], rtol=1e-12, atol=1e-300
+        )
+
+    def test_map_keeps_one_array_of_eight_bytes_a_cell(self):
+        # Warm up first, so that caches filled by a first call do not count.
+        gradient_sign_map()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gmap = gradient_sign_map()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = gmap.dw_dtheta.size
+        assert cells == 4 * 4 * 51 * 51
+        assert retained <= 10 * cells, f"{retained / cells:.1f} bytes a cell"
+        per_cell = [
+            name for name, value in vars(gmap).items() if np.asarray(value).nbytes >= cells
+        ]
+        assert per_cell == ["dw_dtheta"]
 
     @pytest.fixture
     def no_kernel(self, monkeypatch):
@@ -584,20 +609,18 @@ class TestGradientSignMap:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_negative_cells_exist_for_small_n_large_u(self, kind):
-        rows = gradient_sign_map(
+        gmap = gradient_sign_map(
             n_values=[2],
             u_abs_values=[8.0],
             noise_kind=kind,
         )
-        high_alpha_negative = [
-            (a, t, g) for a, t, g in rows[0].cells if g < -1e-12 and a >= 0.5
-        ]
-        assert high_alpha_negative
+        negative = gmap.dw_dtheta[0, 0] < -1e-12
+        assert negative[:, gmap.alphas >= 0.5].any()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_typical_scenario_fraction_is_low(self, kind):
-        rows = gradient_sign_map(n_values=[10], u_abs_values=[2.0], noise_kind=kind)
-        assert rows[0].fraction_negative < 0.2
+        gmap = gradient_sign_map(n_values=[10], u_abs_values=[2.0], noise_kind=kind)
+        assert gmap.fraction_negative[0, 0] < 0.2
 
     def test_empty_grids_raise(self):
         with pytest.raises(EmptyGrid):
@@ -621,28 +644,39 @@ class TestGradientSignMap:
 
     def test_cells_are_a_theta_major_array(self):
         alphas, thetas = [0.0, 0.5, 1.0], [0.0, 1.0]
-        (row,) = gradient_sign_map(
+        gmap = gradient_sign_map(
             n_values=[3], u_abs_values=[2.0], alpha_grid=alphas, theta_grid=thetas
         )
-        assert row.cells.dtype == float and row.cells.shape == (6, 3)
-        assert row.cells[:, :2].tolist() == [[a, t] for t in thetas for a in alphas]
+        assert gmap.dw_dtheta.dtype == float and gmap.dw_dtheta.shape == (1, 1, 2, 3)
+        assert gmap.alphas.tolist() == alphas and gmap.thetas.tolist() == thetas
         scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.5)
-        for alpha, theta, grad in row.cells[3:]:
-            law = noise_law(NoiseSpec(kind=NoiseKind.RADEMACHER, theta=theta))
+        law = noise_law(NoiseSpec(kind=NoiseKind.RADEMACHER, theta=1.0))
+        for alpha, grad in zip(alphas, gmap.dw_dtheta[0, 0, 1]):
             assert grad == pytest.approx(mixture_partials(scn, alpha, law)[1], rel=1e-12)
 
     def test_csv_serialization(self):
-        rows = gradient_sign_map(
+        gmap = gradient_sign_map(
             n_values=[2, 10],
             u_abs_values=[2.0],
             noise_kind=NoiseKind.RADEMACHER,
             alpha_grid=[0.0, 0.5, 1.0],
             theta_grid=[0.0, 1.0],
         )
-        table = gradient_sign_map_to_csv(rows)
+        table = gradient_sign_map_to_csv(gmap)
         lines = table.strip().split("\n")
         assert lines[0] == "n,u_abs,noise_kind,fraction_negative"
         assert len(lines) == 3
-        cells = gradient_cells_to_csv(rows).strip().split("\n")
+        cells = gradient_cells_to_csv(gmap).strip().split("\n")
         assert cells[0] == "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
         assert len(cells) == 1 + 2 * 6
+
+    def test_n_beyond_int64_prints_as_an_int(self):
+        # Beside a small n, an n of 2**63 made numpy print it as a float.
+        gmap = gradient_sign_map(
+            n_values=[2, 2**63], u_abs_values=[1.0], alpha_grid=[0.5], theta_grid=[1.0]
+        )
+        assert gmap.n_values == (2, 2**63)
+        lines = gradient_sign_map_to_csv(gmap).splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "9223372036854775808"]
+        cells = gradient_cells_to_csv(gmap).splitlines()
+        assert cells[2].startswith("9223372036854775808,1,rademacher,0.5,1,")
