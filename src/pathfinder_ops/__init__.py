@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .agents import (
     AgentProfile,
@@ -33,9 +33,6 @@ from .chain import (
 )
 from .errors import (
     DegenerateGradient,
-    DuplicateId,
-    EmptyCandidateSet,
-    EmptyGrid,
     InsufficientData,
     NonUniqueStationary,
     NoTippingPoint,

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateId, EmptyCandidateSet, number
+from .errors import number
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ def rank_candidates(
 ) -> list[str]:
     """Candidate ids by payoff, highest first; ties broken by ascending id."""
     if not candidates:
-        raise EmptyCandidateSet("cannot rank an empty candidate list")
+        raise ValueError("cannot rank an empty candidate list")
     seen: set[str] = set()
     for c in candidates:
         if c.profile.id in seen:
-            raise DuplicateId(f"candidate id {c.profile.id!r} appears more than once")
+            raise ValueError(f"candidate id {c.profile.id!r} appears more than once")
         seen.add(c.profile.id)
     ranked = sorted(candidates, key=lambda c: (-controller_payoff(c, ctx), c.profile.id))
     return [c.profile.id for c in ranked]

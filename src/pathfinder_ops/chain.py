@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid, NonUniqueStationary, number, number_array
+from .errors import NonUniqueStationary, number, number_array
 from .fileio import column_fields, grid_csv
 
 N_STATES = 4
@@ -166,7 +166,7 @@ def _validate_grid(values, name: str, low_open: bool) -> list[float]:
     them, as a sorted list."""
     grid = number_array(f"{name} grid values", values, 0, 1, lo_open=low_open).ravel()
     if not grid.size:
-        raise EmptyGrid(f"{name} grid must be non-empty")
+        raise ValueError(f"{name} grid must be non-empty")
     return sorted(grid.tolist())
 
 

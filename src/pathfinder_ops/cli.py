@@ -3,7 +3,10 @@
 Subcommands read a JSON scenario config (see README for the schema), write
 CSV or JSON results atomically, and use three exit codes: 0 success,
 2 usage/config error, 3 computation or data error. Errors print one
-machine-greppable line to stderr: error[<code>]: <message>.
+machine-greppable line to stderr: error[<code>]: <message>. The exception
+decides the code: a ValueError (bad input) exits 2, a PathfinderOpsError (no
+result for valid input) or ArithmeticError (a failed self-check) exits 3, and
+so does an OSError.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .chain import (
     sweep_steady_state,
     sweep_to_csv,
 )
-from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, integer, number
+from .errors import NonUniqueStationary, NoTippingPoint, PathfinderOpsError, integer, number
 from .fileio import atomic_write_text, grid_csv, json_text
 from .ntml import (
     calibrated_steady_state,
@@ -63,15 +66,6 @@ from .worstcase import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
-
-
-class ConfigError(Exception):
-    """Invalid usage, config file, or rules file; exits 2."""
-
-
-class ComputeError(Exception):
-    """Computation or input-data failure; exits 3."""
-
 
 # --- config schema ----------------------------------------------------------
 
@@ -137,17 +131,17 @@ def _checked(section: str, body: dict) -> dict:
     keys = SCHEMA[section]
     unknown = [key for key in body if key not in keys]
     if unknown:
-        raise ConfigError(f"unknown config key {section + '.' + unknown[0]!r}")
+        raise ValueError(f"unknown config key {section + '.' + unknown[0]!r}")
     out = {}
     for key, ((check, kind), default) in keys.items():
         if key not in body:
             if default is REQUIRED:
-                raise ConfigError(f"config key '{section}.{key}' is required")
+                raise ValueError(f"config key '{section}.{key}' is required")
             out[key] = default
         elif check(body[key]):
             out[key] = body[key]
         else:
-            raise ConfigError(f"{section}.{key} must be {kind}, got {reprlib.repr(body[key])}")
+            raise ValueError(f"{section}.{key} must be {kind}, got {reprlib.repr(body[key])}")
     return out
 
 
@@ -157,24 +151,24 @@ def _load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ValueError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError("config top level must be a JSON object")
+        raise ValueError("config top level must be a JSON object")
     cfg = {}
     for section, body in doc.items():
         if section not in SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ValueError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
+            raise ValueError(f"config section {section!r} must be an object")
         cfg[section] = _checked(section, body)
     return cfg
 
 
 def _require_section(cfg: dict, name: str) -> dict:
     if name not in cfg:
-        raise ConfigError(f"config section {name!r} is required for this command")
+        raise ValueError(f"config section {name!r} is required for this command")
     return cfg[name]
 
 
@@ -204,17 +198,17 @@ def _colon_grid(text: str) -> list[float]:
     try:
         lo, hi, step = map(float, text.split(":"))
     except ValueError:
-        raise ConfigError(f"--g-grid must be lo:hi:step, got {text!r}")
+        raise ValueError(f"--g-grid must be lo:hi:step, got {text!r}")
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and lo <= hi):
-        raise ConfigError(f"--g-grid needs finite lo <= hi and step > 0, got {text!r}")
+        raise ValueError(f"--g-grid needs finite lo <= hi and step > 0, got {text!r}")
     span = (hi - lo) / step + 1e-9
     if not span < MAX_SWEEP_CELLS:
-        raise ConfigError(f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got {text!r}")
+        raise ValueError(f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got {text!r}")
     values = [round(lo + i * step, 12) for i in range(int(span) + 1)]
     try:
         return _validate_grid(values, "p_good", low_open=False)
     except ValueError as exc:
-        raise ConfigError(f"--g-grid: {exc}")
+        raise ValueError(f"--g-grid: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -232,7 +226,7 @@ def cmd_steady(args) -> int:
     # The schema keeps key order: p_good, p_accept, p_success.
     records = sweep_steady_state(*chain.values())
     if not (records["status"] == "ok").any():
-        raise ComputeError("no sweep cell has a unique stationary distribution")
+        raise NonUniqueStationary("no sweep cell has a unique stationary distribution")
     if args.format == "json":
         cells = zip(*(records[name].tolist() for name in records.dtype.names))
         table = [
@@ -320,13 +314,14 @@ def cmd_classify(args) -> int:
     try:
         rules = load_rules(args.rules) if args.rules else default_rules()
     except OSError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError(str(exc))
+    # A corpus that cannot be read is input data without a result: exit 3.
     try:
         corpus = read_corpus_csv(args.input_csv)
     except OSError as exc:
-        raise ComputeError(f"cannot read corpus: {exc}")
+        raise PathfinderOpsError(f"cannot read corpus: {exc}")
     except ValueError as exc:
-        raise ComputeError(str(exc))
+        raise PathfinderOpsError(str(exc))
 
     labeled, counts = classify_corpus(corpus.comments, rules)
     atomic_write_text(args.out, labeled_to_csv(corpus, labeled))
@@ -348,29 +343,27 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.format != "json":
-        raise ConfigError("simulate writes JSON only")
     cfg = _load_config(args.config)
     sim = _require_section(cfg, "sim")
     seed = sim["seed"] if args.seed is None else args.seed
     steps, rounds = sim["steps"], sim["rounds"]
     if seed is None:
-        raise ConfigError("a seed is required: set sim.seed or pass --seed")
+        raise ValueError("a seed is required: set sim.seed or pass --seed")
     if steps is None and rounds is None:
-        raise ConfigError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
+        raise ValueError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
 
     # Validate both parts before either runs.
     if steps is not None:
         chain = _require_section(cfg, "chain")
         for key, value in chain.items():
             if isinstance(value, list):
-                raise ConfigError(f"chain.{key} must be a single number for simulation")
+                raise ValueError(f"chain.{key} must be a single number for simulation")
         params = ChainParams(**chain)
         sim_cfg = SimConfig(seed=seed, steps=steps, burn_in=sim["burn_in"])
     if rounds is not None:
         scn = _scenario(cfg)
         if sim["alpha"] is None:
-            raise ConfigError("config key 'sim.alpha' is required for selection rounds")
+            raise ValueError("config key 'sim.alpha' is required for selection rounds")
         alpha = check_batch(scn, sim["alpha"], rounds, seed)
 
     result: dict = {}
@@ -406,12 +399,12 @@ def cmd_simulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigError, which main() reports in one line with
+    """Usage errors raise ValueError, which main() reports in one line with
     exit 2; subparsers share the class. (On 3.10 and 3.11 exit_on_error=False
     still exits for missing required or unrecognised arguments.)"""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,12 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="csv"):
+    def add_config_out(p):
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=default_format, help="output format"
-        )
+
+    def add_common(p):
+        add_config_out(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p_steady = sub.add_parser("steady", help="stationary-distribution parameter sweep")
     add_common(p_steady)
@@ -461,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_sim = sub.add_parser("simulate", help="seeded chain / selection-round simulation")
-    add_common(p_sim, default_format="json")
+    add_config_out(p_sim)
     p_sim.add_argument("--seed", type=int, default=None, help="overrides sim.seed")
     p_sim.add_argument(
         "--compare-analytic",
@@ -481,11 +475,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        # Past the schema, config values reach the library's constructors and
-        # grid checks, which refuse out-of-range values with ValueError.
+    except ValueError as exc:
         return _fail("config_invalid", exc, EXIT_CONFIG)
-    except (ComputeError, ArithmeticError, NonUniqueStationary, InsufficientData) as exc:
+    except (PathfinderOpsError, ArithmeticError) as exc:
         return _fail("computation_failed", exc, EXIT_COMPUTE)
     except OSError as exc:
         return _fail("io_failed", exc, EXIT_COMPUTE)

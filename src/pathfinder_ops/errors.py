@@ -3,6 +3,11 @@ number is: a real value (an int, a float, a Fraction or a numpy scalar) that
 is not a bool, is finite (an int beyond the float range is not) and lies
 within its bounds. `number`, `integer` and `number_array` check it for every
 library constructor and config key, and raise ValueError for anything else.
+
+Two bases classify every failure. Bad input (an out-of-range value, an
+empty grid, a duplicate id) is a ValueError. Valid input that has no result
+is a PathfinderOpsError; the self-checks of a computed result raise
+ArithmeticError.
 """
 
 import math
@@ -14,24 +19,12 @@ import numpy as np
 
 
 class PathfinderOpsError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Valid input for which there is no result; subclasses name the case."""
 
 
 class NonUniqueStationary(PathfinderOpsError):
     """The chain has more than one stationary distribution (reducible with
     multiple recurrent classes); refusing to pick one silently."""
-
-
-class EmptyGrid(PathfinderOpsError):
-    """A parameter grid required to be non-empty was empty."""
-
-
-class EmptyCandidateSet(PathfinderOpsError):
-    """A candidate list required to be non-empty was empty."""
-
-
-class DuplicateId(PathfinderOpsError):
-    """Two candidates share the same id."""
 
 
 class NoTippingPoint(PathfinderOpsError):

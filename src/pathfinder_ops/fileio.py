@@ -107,10 +107,15 @@ def json_text(obj) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to `path` via a temp file + rename in the same directory.
 
-    A partially written file never appears at the target path.
+    A partially written file never appears at the target path. An OSError
+    from making the temp file names `path`, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        exc.filename = path
+        raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import ControllerCandidate, ControllerContext, p_accept, rank_candidates
 from .chain import N_STATES, ChainParams
-from .errors import EmptyCandidateSet, integer, number
+from .errors import integer, number
 from .worstcase import WorstCaseScenario, group_reject_probs
 
 _MAX_SEED = 2**64 - 1
@@ -146,7 +146,7 @@ def run_selection_round(
 ) -> SelectionOutcome:
     """Extend offers in payoff order until one is accepted or all reject."""
     if not candidates:
-        raise EmptyCandidateSet("cannot run a selection round without candidates")
+        raise ValueError("cannot run a selection round without candidates")
     order = rank_candidates(candidates, ctx)
     by_id = {c.profile.id: c for c in candidates}
     rng = make_rng(seed, _STREAM_SELECTION)

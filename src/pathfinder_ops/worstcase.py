@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradient, EmptyGrid, NoTippingPoint, integer, number, number_array
+from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array
 from .fileio import column_fields, grid_csv
 
 # Gradient values above -1e-12 count as zero when classifying gradient
@@ -295,8 +295,10 @@ def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha):
 def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint. For a
     one-node law W^(1/n) is linear in alpha, so alpha* is in closed form;
-    otherwise bisection finds it to |W - delta| <= 1e-10, as W is strictly
-    increasing in alpha (the integrand is, for every shift)."""
+    otherwise bisection, as W is strictly increasing in alpha (the integrand
+    is, for every shift). Bisection stops at |W - delta| <= 1e-11 or when
+    the bracket collapses below 1e-15; ArithmeticError if the last midpoint
+    then misses |W - delta| <= 1e-10 (W too steep for double precision)."""
     probs = _reject_probs(scn, law.shifts)  # alpha-free: computed once
     delta = scn.delta
     if law.weights.size == 1:
@@ -322,16 +324,21 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     if abs(w1 - delta) <= 1e-10:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         w_mid = w(mid)
         if abs(w_mid - delta) <= 1e-11 or hi - lo < 1e-15:
-            return mid
+            break
         if w_mid < delta:
             lo = mid
         else:
             hi = mid
-    raise ArithmeticError("bisection failed to reach the 1e-10 residual target")
+    if not abs(w_mid - delta) <= 1e-10:
+        raise ArithmeticError(
+            f"bisection stopped at alpha = {mid!r} with |W - delta| = "
+            f"{abs(w_mid - delta):.3e} above the 1e-10 residual target"
+        )
+    return mid
 
 
 def tipping_point(scn: WorstCaseScenario) -> float:
@@ -414,7 +421,7 @@ def gradient_sign_map(
         number_array("theta grid values", theta_grid, 0).ravel() + 0.0,
     )
     if not all(grid.size for grid in grids):
-        raise EmptyGrid("n_values, u_abs_values, alpha_grid and theta_grid must be non-empty")
+        raise ValueError("n_values, u_abs_values, alpha_grid and theta_grid must be non-empty")
     n_values, u_abs_values, alphas, thetas = grids
     cells = n_values.size * u_abs_values.size * alphas.size * thetas.size
     if cells > MAX_GRADMAP_CELLS:

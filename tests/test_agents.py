@@ -9,8 +9,6 @@ from pathfinder_ops import (
     AgentProfile,
     ControllerCandidate,
     ControllerContext,
-    DuplicateId,
-    EmptyCandidateSet,
     candidates_from_json,
     controller_payoff,
     p_accept,
@@ -183,12 +181,12 @@ class TestRanking:
             assert rank_candidates(cands, ControllerContext(scale)) == base
 
     def test_empty_set_raises(self):
-        with pytest.raises(EmptyCandidateSet):
+        with pytest.raises(ValueError, match="empty candidate list"):
             rank_candidates([], ControllerContext(1.0))
 
     def test_duplicate_id_raises(self):
         cand = ControllerCandidate(profile=profile(pid="dup"), epsilon=0.5)
-        with pytest.raises(DuplicateId):
+        with pytest.raises(ValueError, match="appears more than once"):
             rank_candidates([cand, cand], ControllerContext(1.0))
 
 

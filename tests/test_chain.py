@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pathfinder_ops import (
     ChainParams,
-    EmptyGrid,
     NonUniqueStationary,
     default_grid,
     stationary,
@@ -226,7 +225,7 @@ class TestSweep:
         assert np.isnan(rows[1].pi).all()
 
     def test_empty_grid_raises(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="grid must be non-empty"):
             sweep_steady_state([], [0.5], [0.5])
 
     def test_out_of_range_grid_rejected(self):

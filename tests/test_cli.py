@@ -17,6 +17,13 @@ import pathfinder_ops.chain as chain_module
 import pathfinder_ops.cli as cli_module
 import pathfinder_ops.simulate as simulate_module
 import pathfinder_ops.worstcase as worstcase_module
+from pathfinder_ops import (
+    DegenerateGradient,
+    InsufficientData,
+    NonUniqueStationary,
+    NoTippingPoint,
+    PathfinderOpsError,
+)
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import main
@@ -161,6 +168,15 @@ class TestSteady:
         assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: ")
         assert "stationarity residual" in lines[0]
 
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"chain": {"p_good": 0.5, "p_accept": 0.5, "p_success": 0.5}})
+        code = main(["steady", "--config", cfg, "--out", "missing/x.csv"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[io_failed]: ")
+        assert "missing/x.csv" in lines[0] and ".tmp-" not in lines[0]
+
     def test_near_reducible_cell_is_solved(self, tmp_path):
         # Refused with exit 3 up to 0.5.0: the LU solve gave a -2.2e-8 component.
         cfg = write_config(
@@ -244,6 +260,18 @@ class TestWorst:
         doc = {"worst_case": {"n": 10, "u_minus": 2.0, "u_plus": 2.0, "beta": 1.0, "delta": 0.1}}
         cfg = write_config(tmp_path, doc)
         assert main(["worst", "--config", cfg]) == 2
+
+    def test_steep_noisy_root_exits_3(self, tmp_path, capsys):
+        # Bisection cannot bring |W - delta| under 1e-10 in double precision.
+        doc = {"worst_case": {"n": 10**7, "u_minus": -22.0, "u_plus": 22.0, "beta": 1.0,
+                              "delta": 0.1, "alpha_grid": [0.5]},
+               "noise": {"kind": "rademacher", "theta": 0.5}}
+        out = tmp_path / "worst.csv"
+        code = main(["worst", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: bisection stopped")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", [["x"], [0.5, True], "0.5", []])
     def test_non_numeric_alpha_grid_refused(self, tmp_path, capsys, grid):
@@ -444,11 +472,11 @@ class TestClassify:
         rows = read_csv(out)
         assert [r["label"] for r in rows] == [l.value for l in expected_labels]
 
-        counts = json.loads(open(str(tmp_path / "labeled.counts.json")).read())
+        counts = json.loads((tmp_path / "labeled.counts.json").read_text())
         assert counts["total"] == 50
         assert counts["n_assigned"] == 13
 
-        params = json.loads(open(str(tmp_path / "labeled.params.json")).read())
+        params = json.loads((tmp_path / "labeled.params.json").read_text())
         # fixture: requested=10, failed=8, rejected=9
         assert params["p_accept"] == pytest.approx(18 / 27)
         assert params["p_success"] == pytest.approx(10 / 18)
@@ -468,7 +496,7 @@ class TestClassify:
                 writer.writerow([f"2024-01-03T{i % 24:02d}:00:00Z", "ZNY", "pathfinder declined"])
         out = str(tmp_path / "labeled.csv")
         assert main(["classify", str(path), "--out", out]) == 0
-        params = json.loads(open(str(tmp_path / "labeled.params.json")).read())
+        params = json.loads((tmp_path / "labeled.params.json").read_text())
         assert params["p_accept"] == 100 / 123
         assert params["p_success"] == 0.87
 
@@ -675,7 +703,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, self.CHAIN_DOC)
         out = str(tmp_path / "sim.json")
         assert main(["simulate", "--config", cfg, "--out", out, "--compare-analytic"]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         block = doc["chain"]
         assert block["seed"] == 42 and block["steps"] == 200000
         assert block["max_abs_error"] <= 0.01
@@ -687,7 +715,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "sel.json")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        block = json.loads(open(out).read())["selection"]
+        block = json.loads(pathlib.Path(out).read_text())["selection"]
         w = block["analytic_all_reject"]
         se = (w * (1 - w) / block["rounds"]) ** 0.5
         assert abs(block["all_reject_rate"] - w) <= 3 * se
@@ -698,7 +726,7 @@ class TestSimulate:
         out2 = str(tmp_path / "b.json")
         assert main(["simulate", "--config", cfg, "--out", out1]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, self.CHAIN_DOC)
@@ -706,8 +734,9 @@ class TestSimulate:
         out2 = str(tmp_path / "b.json")
         assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "43"]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-        assert json.loads(open(out1).read())["chain"]["seed"] == 43
-        assert open(out1).read() != open(out2).read()
+        text1, text2 = pathlib.Path(out1).read_text(), pathlib.Path(out2).read_text()
+        assert json.loads(text1)["chain"]["seed"] == 43
+        assert text1 != text2
 
     def test_missing_alpha_for_rounds_exits_2(self, tmp_path, capsys):
         doc = dict(FIG3_WORST, sim={"seed": 1, "rounds": 10})
@@ -719,16 +748,15 @@ class TestSimulate:
         cfg = write_config(tmp_path, self.CHAIN_DOC)
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--config", cfg, "--out", str(out), "--format", "csv"])
-        assert_refused(code, capsys.readouterr().err, "simulate writes JSON only")
+        assert_refused(code, capsys.readouterr().err, "unrecognized arguments: --format csv")
         assert not out.exists()
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_json_format_is_the_default(self, tmp_path):
         cfg = write_config(tmp_path, self.CHAIN_DOC)
-        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert main(["simulate", "--config", cfg, "--out", out1]) == 0
-        assert main(["simulate", "--config", cfg, "--out", out2, "--format", "json"]) == 0
-        assert open(out1).read() == open(out2).read()
+        out = tmp_path / "a.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"chain"}
 
     def test_failed_analytic_solve_exits_3(self, tmp_path, capsys, monkeypatch):
         # The walk runs; the analytic solve then fails its residual self-check.
@@ -902,6 +930,36 @@ class TestConfigSchema:
         assert_refused(code, capsys.readouterr().err, "not valid JSON")
 
 
+class TestExitCodes:
+    """The exception decides the exit code and the error tag, wherever it is
+    raised: here from inside the steady sweep."""
+
+    @pytest.mark.parametrize(
+        "error,code,tag",
+        [
+            (NonUniqueStationary, 3, "computation_failed"),
+            (NoTippingPoint, 3, "computation_failed"),
+            (DegenerateGradient, 3, "computation_failed"),
+            (InsufficientData, 3, "computation_failed"),
+            (PathfinderOpsError, 3, "computation_failed"),
+            (ArithmeticError, 3, "computation_failed"),
+            (ZeroDivisionError, 3, "computation_failed"),
+            (ValueError, 2, "config_invalid"),
+            (OSError, 3, "io_failed"),
+        ],
+    )
+    def test_one_line_per_failure(self, tmp_path, capsys, monkeypatch, error, code, tag):
+        def fail(*args):
+            raise error(f"{error.__name__} raised in the sweep")
+
+        monkeypatch.setattr(cli_module, "sweep_steady_state", fail)
+        cfg = write_config(tmp_path, {"chain": {"p_good": 0.5}})
+        assert main(["steady", "--config", cfg]) == code
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[{tag}]: {error.__name__} raised in the sweep"
+        ]
+
+
 def module_env():
     """Environment in which `python -m pathfinder_ops` imports the package
     under test, whether or not it is installed."""
@@ -924,6 +982,74 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    # Runs each analysis in a fresh interpreter in which the test extras
+    # cannot be imported, and prints {command: exit code} as JSON.
+    NUMPY_ALONE = r"""
+import csv, importlib.abc, json, os, sys
+
+EXTRAS = ("scipy", "hypothesis", "pytest")
+
+
+class RefuseExtras(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in EXTRAS:
+            raise ImportError(f"{name} is a test extra")
+        return None
+
+
+sys.meta_path.insert(0, RefuseExtras())
+from pathfinder_ops import generate_corpus
+from pathfinder_ops.cli import main
+
+tmp = sys.argv[1]
+
+
+def config(name, doc):
+    path = os.path.join(tmp, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+worst = {"n": 10, "u_minus": -2.0, "u_plus": 2.0, "beta": 1.0, "delta": 0.1}
+corpus = os.path.join(tmp, "corpus.csv")
+with open(corpus, "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["timestamp", "facility", "comment"])
+    for rec, _ in generate_corpus(200, 3):
+        writer.writerow([rec.timestamp.isoformat(), rec.facility, rec.comment])
+runs = {
+    "steady": ["--config", config("steady", {"chain": {"p_good": [0.3, 1.0], "p_success": [0.0, 0.5]}})],
+    "worst": ["--config", config("worst", {"worst_case": worst, "social": {"s": 0.5, "gamma": 2.5, "r": 0.5},
+                                           "noise": {"kind": "gaussian", "theta": 1.0}})],
+    "gradmap": ["--config", config("gradmap", {"noise": {"kind": "gaussian"},
+                                               "gradmap": {"n_values": [5], "u_abs_values": [2.0],
+                                                           "alpha_grid": [0.2, 0.6], "theta_grid": [0, 1]}})],
+    "simulate": ["--config", config("simulate", {"worst_case": worst,
+                                                 "chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9},
+                                                 "sim": {"seed": 1, "steps": 1000, "rounds": 1000, "alpha": 0.5}}),
+                 "--compare-analytic"],
+    "classify": [corpus, "--calibrate"],
+}
+codes = {cmd: main([cmd, *argv, "--out", os.path.join(tmp, cmd + ".out")]) for cmd, argv in runs.items()}
+codes["extras imported"] = sorted(m for m in sys.modules if m.partition(".")[0] in EXTRAS)
+print(json.dumps(codes))
+"""
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # scipy, hypothesis and pytest are test extras: no analysis may need them.
+        proc = subprocess.run(
+            [sys.executable, "-c", self.NUMPY_ALONE, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=module_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {
+            "steady": 0, "worst": 0, "gradmap": 0, "simulate": 0, "classify": 0, "extras imported": []
+        }
 
     USAGE_ERRORS = {
         "the following arguments are required: --config": ["steady"],

@@ -245,6 +245,14 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_write_into_missing_directory_names_the_target(tmp_path):
+    path = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_text(path, "x\n")
+    assert info.value.filename == path
+    assert ".tmp-" not in str(info.value)
+
+
 def test_atomic_write_failure_leaves_nothing(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_text(str(tmp_path / "out.txt"), None)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfinder_ops import (
-    EmptyGrid,
     InsufficientData,
     Label,
     LabelCounts,
@@ -356,7 +355,7 @@ class TestCalibratedSteadyState:
     def test_grid_sorted_and_nonempty(self):
         records = calibrated_steady_state(self.COUNTS, [0.9, 0.1, 0.5])
         assert records["p_good"].tolist() == [0.1, 0.5, 0.9]
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="grid must be non-empty"):
             calibrated_steady_state(self.COUNTS, [])
 
     def test_grid_checked_before_counts(self):

@@ -11,7 +11,6 @@ from pathfinder_ops import (
     ChainParams,
     ControllerCandidate,
     ControllerContext,
-    EmptyCandidateSet,
     MixtureBatchResult,
     SimConfig,
     WorstCaseScenario,
@@ -217,7 +216,7 @@ class TestSelectionRound:
         assert a == b
 
     def test_empty_pool_raises(self):
-        with pytest.raises(EmptyCandidateSet):
+        with pytest.raises(ValueError, match="without candidates"):
             run_selection_round([], CTX, seed=0)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from pathfinder_ops import (
     DegenerateGradient,
-    EmptyGrid,
     NoiseKind,
     NoiseSpec,
     NoTippingPoint,
@@ -378,6 +377,19 @@ class TestNoisyTippingPoint:
         with pytest.raises(NoTippingPoint):
             noisy_tipping_point(BASE, noise)
 
+    STEEP = WorstCaseScenario(n=10**7, u_minus=-22.0, u_plus=22.0, beta=1.0, delta=0.1)
+
+    def test_steep_root_below_the_residual_target_raises(self):
+        # W rises by about 1e-10 per ulp of alpha near alpha = 1, so the
+        # bracket collapses with |W - delta| = 2.1e-10 at its midpoint.
+        with pytest.raises(ArithmeticError, match="above the 1e-10 residual target"):
+            noisy_tipping_point(self.STEEP, NoiseSpec(NoiseKind.RADEMACHER, 0.5))
+
+    def test_steep_root_that_meets_the_target_is_returned(self):
+        noise = NoiseSpec(NoiseKind.GAUSSIAN, 0.5)
+        star = noisy_tipping_point(self.STEEP, noise)
+        assert abs(noisy_worst_case_prob(self.STEEP, noise, star) - 0.1) <= 1e-10
+
     def test_bracket_precondition(self):
         noise = NoiseSpec(kind=NoiseKind.GAUSSIAN, theta=1.0)
         w0 = noisy_worst_case_prob(BASE, noise, 0.0)
@@ -623,9 +635,9 @@ class TestGradientSignMap:
         assert gmap.fraction_negative[0, 0] < 0.2
 
     def test_empty_grids_raise(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="must be non-empty"):
             gradient_sign_map(n_values=[], u_abs_values=[2.0])
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="must be non-empty"):
             gradient_sign_map(theta_grid=[])
 
     def test_nonpositive_u_rejected(self):
