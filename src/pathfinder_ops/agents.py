@@ -9,11 +9,11 @@ reduction) and extends offers in that order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import number
+from .errors import json_object, number
+from .fileio import read_json
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,7 @@ def rank_candidates(
 
 
 _PROFILE_KEYS = ("id", "reward", "participation_cost", "failure_cost", "beta", "p_success_i")
-
-
-def _record(obj, index: int, names: tuple[str, ...]) -> dict:
-    """`obj` if it is a JSON object with exactly the fields `names`."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"record {index}: expected an object, got {type(obj).__name__}")
-    missing = [f for f in names if f not in obj]
-    if missing:
-        raise ValueError(f"record {index}: missing field(s) {', '.join(missing)}")
-    extra = [k for k in obj if k not in names]
-    if extra:
-        raise ValueError(f"record {index}: unknown field(s) {', '.join(extra)}")
-    return obj
+_CANDIDATE_KEYS = ("profile", "epsilon")
 
 
 def _built(index: int, cls, **kwargs):
@@ -122,11 +110,16 @@ def _built(index: int, cls, **kwargs):
         raise ValueError(f"record {index}: {exc}") from exc
 
 
+def _profile(index: int, where: str, obj) -> AgentProfile:
+    """The profile in the JSON object `obj` (named `where`) of record `index`."""
+    return _built(index, AgentProfile, **json_object(where, obj, _PROFILE_KEYS, _PROFILE_KEYS))
+
+
 def profiles_from_json(doc) -> list[AgentProfile]:
     """Parse a JSON array of agent-profile objects; errors name the record index."""
     if not isinstance(doc, list):
         raise ValueError(f"expected a JSON array of profiles, got {type(doc).__name__}")
-    return [_built(i, AgentProfile, **_record(obj, i, _PROFILE_KEYS)) for i, obj in enumerate(doc)]
+    return [_profile(i, f"record {i}", obj) for i, obj in enumerate(doc)]
 
 
 def candidates_from_json(doc) -> list[ControllerCandidate]:
@@ -135,12 +128,13 @@ def candidates_from_json(doc) -> list[ControllerCandidate]:
         raise ValueError(f"expected a JSON array of candidates, got {type(doc).__name__}")
     out = []
     for i, obj in enumerate(doc):
-        obj = _record(obj, i, ("profile", "epsilon"))
-        profile = _built(i, AgentProfile, **_record(obj["profile"], i, _PROFILE_KEYS))
+        obj = json_object(f"record {i}", obj, _CANDIDATE_KEYS, _CANDIDATE_KEYS)
+        profile = _profile(i, f"record {i}: profile", obj["profile"])
         out.append(_built(i, ControllerCandidate, profile=profile, epsilon=obj["epsilon"]))
     return out
 
 
 def load_candidates(path: str) -> list[ControllerCandidate]:
-    with open(path, encoding="utf-8") as handle:
-        return candidates_from_json(json.load(handle))
+    """The candidates in the JSON file at `path`; a file that cannot be read
+    or parsed raises ValueError naming it."""
+    return candidates_from_json(read_json(path, "candidates file"))

@@ -12,7 +12,6 @@ so does an OSError.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import reprlib
@@ -30,8 +29,9 @@ from .chain import (
     sweep_steady_state,
     sweep_to_csv,
 )
-from .errors import NonUniqueStationary, NoTippingPoint, PathfinderOpsError, integer, number
-from .fileio import atomic_write_text, grid_csv, json_text
+from .errors import NonUniqueStationary, NoTippingPoint, PathfinderOpsError
+from .errors import integer, json_object, number
+from .fileio import atomic_write_text, grid_csv, json_text, read_json
 from .ntml import (
     calibrated_steady_state,
     classify_corpus,
@@ -126,17 +126,14 @@ SCHEMA = {
 }
 
 
-def _checked(section: str, body: dict) -> dict:
+def _checked(section: str, body) -> dict:
     """`body` with every key of `section` type-checked and defaults filled in."""
     keys = SCHEMA[section]
-    unknown = [key for key in body if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown config key {section + '.' + unknown[0]!r}")
+    required = [key for key, (_, default) in keys.items() if default is REQUIRED]
+    json_object(f"config section {section!r}", body, keys, required)
     out = {}
     for key, ((check, kind), default) in keys.items():
         if key not in body:
-            if default is REQUIRED:
-                raise ValueError(f"config key '{section}.{key}' is required")
             out[key] = default
         elif check(body[key]):
             out[key] = body[key]
@@ -147,23 +144,8 @@ def _checked(section: str, body: dict) -> dict:
 
 def _load_config(path: str) -> dict:
     """The config at `path`, checked against SCHEMA, with defaults filled in."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}")
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValueError("config top level must be a JSON object")
-    cfg = {}
-    for section, body in doc.items():
-        if section not in SCHEMA:
-            raise ValueError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        cfg[section] = _checked(section, body)
-    return cfg
+    doc = json_object(f"config {path}", read_json(path, "config"), SCHEMA)
+    return {section: _checked(section, body) for section, body in doc.items()}
 
 
 def _require_section(cfg: dict, name: str) -> dict:
@@ -310,11 +292,13 @@ def _sibling_path(out: str, suffix: str) -> str:
 
 def cmd_classify(args) -> int:
     # The flags and the rules are checked before the corpus is read.
-    g_grid = _colon_grid(args.g_grid) if args.calibrate else None
-    try:
-        rules = load_rules(args.rules) if args.rules else default_rules()
-    except OSError as exc:
-        raise ValueError(str(exc))
+    g_grid = None
+    if args.calibrate:
+        g_grid = _colon_grid("0.1:0.9:0.1" if args.g_grid is None else args.g_grid)
+    for flag, value in (("--g-grid", args.g_grid), ("--steady-out", args.steady_out)):
+        if value is not None and not args.calibrate:
+            raise ValueError(f"{flag} needs --calibrate")
+    rules = load_rules(args.rules) if args.rules else default_rules()
     # A corpus that cannot be read is input data without a result: exit 3.
     try:
         corpus = read_corpus_csv(args.input_csv)
@@ -448,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--calibrate", action="store_true", help="also sweep the calibrated chain over --g-grid"
     )
-    p_cls.add_argument("--g-grid", default="0.1:0.9:0.1", help="p_good grid as lo:hi:step")
+    p_cls.add_argument("--g-grid", help="p_good grid as lo:hi:step (default: 0.1:0.9:0.1)")
     p_cls.add_argument(
         "--steady-out", default=None, help="calibrated sweep CSV (default: <out>.steady.csv)"
     )

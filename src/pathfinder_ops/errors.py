@@ -3,6 +3,7 @@ number is: a real value (an int, a float, a Fraction or a numpy scalar) that
 is not a bool, is finite (an int beyond the float range is not) and lies
 within its bounds. `number`, `integer` and `number_array` check it for every
 library constructor and config key, and raise ValueError for anything else.
+`json_object` checks the keys of every object in a config, rules or agent file.
 
 Two bases classify every failure. Bad input (an out-of-range value, an
 empty grid, a duplicate id) is a ValueError. Valid input that has no result
@@ -102,3 +103,20 @@ def number_array(name: str, values, lo=-math.inf, hi=math.inf, *, lo_open=False,
     if not ok.all():
         raise _out_of_range(name, values[~ok].flat[0].item(), lo, hi, lo_open, hi_open)
     return arr
+
+
+# --- what a JSON object holds -------------------------------------------------
+
+
+def json_object(where: str, obj, known, required=()) -> dict:
+    """`obj` if it is a dict with keys only from `known` and every key in
+    `required`; ValueError naming `where` and the first bad key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return obj

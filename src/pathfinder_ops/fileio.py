@@ -1,8 +1,9 @@
-"""Small output helpers: column fields, grid tables filled through one `%`
-template, JSON text, and atomic writes."""
+"""Small file helpers: column fields, grid tables filled through one `%`
+template, JSON text, atomic writes, and the one JSON file reader."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -107,22 +108,35 @@ def json_text(obj) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to `path` via a temp file + rename in the same directory.
 
-    A partially written file never appears at the target path. An OSError
-    from making the temp file names `path`, not the temp file.
+    A partially written file never appears at the target path, a failed write
+    leaves no temp file, and its OSError names `path` alone.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:
-        exc.filename = path
-        raise
-    try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            # Deleted, not set to None, which OSError would print as "-> None".
+            exc.filename = path
+            del exc.filename2
         raise
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the UTF-8 file at `path`. A file that cannot be
+    read, or is not valid JSON (bad UTF-8, bad syntax, nesting too deep for
+    the parser), raises ValueError naming `what` and `path`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}")

@@ -46,7 +46,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chain import _validate_grid, steady_state, sweep_records
-from .errors import InsufficientData, integer
+from .errors import InsufficientData, integer, json_object
+from .fileio import read_json
 from .simulate import STREAM_CORPUS, make_rng
 
 
@@ -150,30 +151,24 @@ class RuleSet:
 
 def parse_rules(doc) -> RuleSet:
     """Validate and compile a rules document; errors name the bad entry."""
-    if not isinstance(doc, dict):
-        raise ValueError("rules file: top level must be a JSON object")
-    unknown = [k for k in doc if k not in ("flight_number_pattern", "labels")]
-    if unknown:
-        raise ValueError(f"rules file: unknown key {unknown[0]!r}")
-    pattern_src = doc.get("flight_number_pattern")
+    keys = ("flight_number_pattern", "labels")
+    json_object("rules file", doc, keys, keys)
+    pattern_src = doc["flight_number_pattern"]
     if not isinstance(pattern_src, str) or not pattern_src:
         raise ValueError("rules file: 'flight_number_pattern' must be a non-empty string")
     try:
         flight_number = re.compile(pattern_src)
     except re.error as exc:
         raise ValueError(f"rules file: 'flight_number_pattern' is not a valid regex: {exc}")
-    labels_doc = doc.get("labels")
-    if not isinstance(labels_doc, dict):
-        raise ValueError("rules file: 'labels' must be an object mapping label to keyword list")
     by_value = {label.value: label for label in PRECEDENCE}
+    known = [label.value for label in Label]
+    labels_doc = json_object("rules file: labels", doc["labels"], known, by_value)
     keywords: dict[Label, list[tuple[Label, str, str]]] = {}
     for name, entries in labels_doc.items():
         if name == Label.MENTIONED.value:
             raise ValueError(
                 f"rules file: labels.{name} takes no keywords (it is the fallback)"
             )
-        if name not in by_value:
-            raise ValueError(f"rules file: unknown label {name!r}")
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"rules file: labels.{name} must be a non-empty list")
         label = by_value[name]
@@ -190,9 +185,6 @@ def parse_rules(doc) -> RuleSet:
                     f"after normalization, got {entry!r}"
                 )
             keywords[label].append((label, f" {normalized} ", f"{name.lower()}:{entry}"))
-    missing = [label.value for label in PRECEDENCE if label not in keywords]
-    if missing:
-        raise ValueError(f"rules file: missing keyword list for label {missing[0]!r}")
     return RuleSet(
         flight_number=flight_number,
         keywords=tuple(kw for label in PRECEDENCE for kw in keywords[label]),
@@ -200,12 +192,7 @@ def parse_rules(doc) -> RuleSet:
 
 
 def load_rules(path: str) -> RuleSet:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"rules file {path}: invalid JSON: {exc}")
-    return parse_rules(doc)
+    return parse_rules(read_json(path, "rules file"))
 
 
 @lru_cache(maxsize=1)

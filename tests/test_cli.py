@@ -24,6 +24,7 @@ from pathfinder_ops import (
     NoTippingPoint,
     PathfinderOpsError,
 )
+from pathfinder_ops.agents import load_candidates
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import main
@@ -140,8 +141,9 @@ class TestSteady:
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"chain": {"p_good": 0.5, "p_bogus": 1.0}})
-        assert main(["steady", "--config", cfg]) == 2
-        assert "chain.p_bogus" in capsys.readouterr().err
+        code = main(["steady", "--config", cfg])
+        needle = "config section 'chain': unknown key 'p_bogus'"
+        assert_refused(code, capsys.readouterr().err, needle)
 
     @pytest.mark.parametrize("grid", [[{}], ["x"], [True]])
     def test_non_numeric_grid_refused(self, tmp_path, capsys, grid):
@@ -176,6 +178,17 @@ class TestSteady:
         assert code == 3
         assert len(lines) == 1 and lines[0].startswith("error[io_failed]: ")
         assert "missing/x.csv" in lines[0] and ".tmp-" not in lines[0]
+
+    def test_out_onto_a_directory_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"chain": {"p_good": 0.5, "p_accept": 0.5, "p_success": 0.5}})
+        target = tmp_path / "adir"
+        target.mkdir()
+        code = main(["steady", "--config", cfg, "--out", str(target)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert lines == [f"error[io_failed]: [Errno 21] Is a directory: '{target}'"]
+        assert sorted(os.listdir(tmp_path)) == ["adir", "config.json"]
+        assert os.listdir(target) == []
 
     def test_near_reducible_cell_is_solved(self, tmp_path):
         # Refused with exit 3 up to 0.5.0: the LU solve gave a -2.2e-8 component.
@@ -416,7 +429,8 @@ class TestGradmap:
         doc = dict(self.SMALL, noise={"kind": "gaussian", "theta_grid": [0.0, 1.0]})
         cfg = write_config(tmp_path, doc)
         code = main(["gradmap", "--config", cfg])
-        assert_refused(code, capsys.readouterr().err, "noise.theta_grid")
+        needle = "config section 'noise': unknown key 'theta_grid'"
+        assert_refused(code, capsys.readouterr().err, needle)
 
     def test_gh_nodes_upper_bound(self, tmp_path):
         doc = dict(self.SMALL, noise={"kind": "gaussian", "gh_nodes": 370})
@@ -596,6 +610,16 @@ class TestClassify:
         out = str(tmp_path / "l.csv")
         code = main(["classify", missing, "--out", out, "--calibrate", "--g-grid", "0:inf:0.1"])
         assert_refused(code, capsys.readouterr().err, "--g-grid")
+
+    @pytest.mark.parametrize(
+        "flags", [["--g-grid", "0.2:0.4:0.1"], ["--steady-out", "st.csv"], ["--g-grid", ""]]
+    )
+    def test_calibration_flags_need_calibrate(self, tmp_path, capsys, monkeypatch, flags):
+        # Refused before the corpus is read: the corpus does not exist.
+        monkeypatch.chdir(tmp_path)
+        code = main(["classify", "no-such-corpus.csv", "--out", "l.csv", *flags])
+        assert_refused(code, capsys.readouterr().err, f"{flags[0]} needs --calibrate")
+        assert os.listdir(tmp_path) == []
 
     def test_non_unique_calibration_exits_3(self, tmp_path, capsys):
         # Only failed runs: p_success = 0, so the chain at p_good = 1 has two
@@ -909,7 +933,7 @@ class TestConfigSchema:
         # steady does not read `social`, but an incomplete section is refused.
         doc = {"chain": {"p_good": 0.5}, "social": {"s": 0.5, "gamma": 2.5}}
         code = main(["steady", "--config", write_config(tmp_path, doc)])
-        assert_refused(code, capsys.readouterr().err, "config key 'social.r' is required")
+        assert_refused(code, capsys.readouterr().err, "config section 'social': missing key 'r'")
 
     def test_noise_kind_is_case_insensitive(self, tmp_path):
         doc = dict(FIG3_WORST, noise={"kind": "Rademacher", "theta": 1})
@@ -928,6 +952,83 @@ class TestConfigSchema:
         path.write_text("[" * 100000 + "]" * 100000)
         code = main(["steady", "--config", str(path)])
         assert_refused(code, capsys.readouterr().err, "not valid JSON")
+
+
+class TestJsonInputs:
+    """Config, rules and candidate files share one reader and one key check,
+    so each malformed file is refused alike: through the CLI with exit 2 and
+    one error line, through the library with a ValueError, each naming the
+    file, the key or the wrong type, and nothing written."""
+
+    RULES = {
+        "flight_number_pattern": "x",
+        "labels": {"Failed": ["a"], "Rejected": ["b"], "Assigned": ["c"], "Requested": ["d"]},
+    }
+    PROFILE = {"id": "A", "reward": 2.0, "participation_cost": 0.5, "failure_cost": 1.0,
+               "beta": 1.0, "p_success_i": 0.8}
+    # Per input and case: the document written, and the text its error holds
+    # (None: the file's path).
+    DOCS = {
+        "config": {
+            "wrong-type": ([], None),
+            "unknown-key": ({"chain": {"bogus": 1}}, "unknown key 'bogus'"),
+            "missing-key": ({"social": {"s": 0.5, "gamma": 2.5}}, "missing key 'r'"),
+        },
+        "rules": {
+            "wrong-type": ([], "rules file: expected a JSON object, got list"),
+            "unknown-key": (dict(RULES, bogus=1), "unknown key 'bogus'"),
+            "missing-key": ({"labels": RULES["labels"]}, "missing key 'flight_number_pattern'"),
+        },
+        "candidates": {
+            "wrong-type": ({}, "expected a JSON array of candidates, got dict"),
+            "unknown-key": (
+                [{"profile": PROFILE, "epsilon": 0.5, "bogus": 1}], "unknown key 'bogus'"
+            ),
+            "missing-key": (
+                [{"profile": {k: v for k, v in PROFILE.items() if k != "beta"}, "epsilon": 0.5}],
+                "record 0: profile: missing key 'beta'",
+            ),
+        },
+    }
+    CASES = ["deep", "not-utf8", "directory", "missing", "wrong-type", "unknown-key", "missing-key"]
+
+    def malformed(self, path, case, kind):
+        """Make the malformed file at `path`; the text its error must hold."""
+        if case == "deep":
+            path.write_text("[" * 200_000 + "]" * 200_000)
+        elif case == "not-utf8":
+            path.write_bytes(b'{"chain": {"p_good": "\xff"}}')
+        elif case == "directory":
+            path.mkdir()
+        elif case != "missing":
+            doc, needle = self.DOCS[kind][case]
+            path.write_text(json.dumps(doc))
+            return needle or str(path)
+        return str(path)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", ["config", "rules"])
+    def test_cli_refuses(self, tmp_path, capsys, kind, case):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,requesting pf\n")
+        path = tmp_path / f"{kind}.json"
+        needle = self.malformed(path, case, kind)
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "out.csv")
+        if kind == "config":
+            code = main(["steady", "--config", str(path), "--out", out])
+        else:
+            code = main(["classify", str(corpus), "--rules", str(path), "--out", out])
+        assert_refused(code, capsys.readouterr().err, needle)
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_candidates_refuses(self, tmp_path, case):
+        path = tmp_path / "candidates.json"
+        needle = self.malformed(path, case, "candidates")
+        with pytest.raises(ValueError) as info:
+            load_candidates(str(path))
+        assert needle in str(info.value)
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 
@@ -256,4 +257,37 @@ def test_atomic_write_into_missing_directory_names_the_target(tmp_path):
 def test_atomic_write_failure_leaves_nothing(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_text(str(tmp_path / "out.txt"), None)
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_onto_a_directory_names_the_target(tmp_path):
+    path = str(tmp_path / "adir")
+    os.mkdir(path)
+    with pytest.raises(IsADirectoryError) as info:
+        atomic_write_text(path, "x\n")
+    assert (info.value.filename, info.value.filename2) == (path, None)
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(path) == []
+
+
+def test_failed_write_names_the_target_and_leaves_nothing(tmp_path, monkeypatch):
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, *args, **kwargs):
+            self.handle = real_fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    path = str(tmp_path / "out.txt")
+    with pytest.raises(OSError) as info:
+        atomic_write_text(path, "x\n")
+    assert str(info.value) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {path!r}"
     assert os.listdir(tmp_path) == []
