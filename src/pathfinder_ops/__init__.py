@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .agents import (
     AgentProfile,

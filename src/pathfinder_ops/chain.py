@@ -214,5 +214,4 @@ def sweep_to_csv(records: np.ndarray) -> str:
     non-unique cells, trailing newline): each line is its p_good, p_accept,
     p_success texts, its pi values and its status."""
     keys = [column_fields(records[name]) for name in ("p_good", "p_accept", "p_success")]
-    status = column_fields(records["status"])
-    return grid_csv(SWEEP_CSV_HEADER.split(","), keys, records["pi"], [status])
+    return grid_csv(SWEEP_CSV_HEADER.split(","), keys, records["pi"], [records["status"].tolist()])

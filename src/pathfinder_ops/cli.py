@@ -69,77 +69,73 @@ EXIT_COMPUTE = 3
 
 # --- config schema ----------------------------------------------------------
 
-
-def _accepts(check, value) -> bool:
-    """Whether `check` (errors.number or errors.integer) takes `value`."""
-    try:
-        check("value", value)
-    except ValueError:
-        return False
-    return True
-
-
-def _each(check):
-    return lambda v: type(v) is list and bool(v) and all(_accepts(check, x) for x in v)
-
-
+REQUIRED = object()
 _NOISE_KINDS = [kind.value for kind in NoiseKind]
 
-# Value types: (check, what the error message says a value must be).
-NUMBER = (lambda v: _accepts(number, v), "a number")
-INTEGER = (lambda v: _accepts(integer, v), "an integer")
-NUMBERS = (_each(number), "a non-empty list of numbers")
-INTEGERS = (_each(integer), "a non-empty list of integers")
-GRID = (lambda v: NUMBER[0](v) or NUMBERS[0](v), "a number or a non-empty list of numbers")
-KIND = (lambda v: isinstance(v, str) and v.lower() in _NOISE_KINDS, f"one of {_NOISE_KINDS}")
 
-REQUIRED = object()
+def _list_of(check):
+    """A check for a non-empty JSON list whose entries each pass `check`."""
+    def checked(name: str, value) -> list:
+        if type(value) is not list or not value:
+            raise ValueError(f"{name} must be a non-empty list, got {reprlib.repr(value)}")
+        return [check(name, entry) for entry in value]
+    return checked
 
-# Every config key, as section -> key -> (type, default). A present section
-# must set its REQUIRED keys; a None default leaves the key unset. Ranges are
-# checked by the library's constructors, not here.
+
+def _grid(name: str, value):
+    """One number, or a non-empty list of them."""
+    return _list_of(number)(name, value) if type(value) is list else number(name, value)
+
+
+def _noise_kind(name: str, value) -> NoiseKind:
+    """A noise kind named in any letter case."""
+    if isinstance(value, str) and value.lower() in _NOISE_KINDS:
+        return NoiseKind(value.lower())
+    raise ValueError(f"{name} must be one of {_NOISE_KINDS}, got {reprlib.repr(value)}")
+
+
+# Every config key, as section -> key -> (check, default). Each check is
+# called as check("<section>.<key>", value) and returns the value to use. A
+# present section must set its REQUIRED keys; a None default leaves the key
+# unset. Ranges are checked by the library's constructors, not here.
 SCHEMA = {
-    "chain": {key: (GRID, default_grid()) for key in ("p_good", "p_accept", "p_success")},
+    "chain": {key: (_grid, default_grid()) for key in ("p_good", "p_accept", "p_success")},
     "worst_case": {
-        "n": (INTEGER, REQUIRED),
-        "u_minus": (NUMBER, REQUIRED),
-        "u_plus": (NUMBER, REQUIRED),
-        "beta": (NUMBER, REQUIRED),
-        "delta": (NUMBER, REQUIRED),
-        "alpha_grid": (NUMBERS, [i / 100.0 for i in range(101)]),
+        "n": (integer, REQUIRED),
+        "u_minus": (number, REQUIRED),
+        "u_plus": (number, REQUIRED),
+        "beta": (number, REQUIRED),
+        "delta": (number, REQUIRED),
+        "alpha_grid": (_list_of(number), [i / 100.0 for i in range(101)]),
     },
-    "social": {"s": (NUMBER, REQUIRED), "gamma": (NUMBER, REQUIRED), "r": (NUMBER, REQUIRED)},
+    "social": {"s": (number, REQUIRED), "gamma": (number, REQUIRED), "r": (number, REQUIRED)},
     "noise": {
-        "kind": (KIND, REQUIRED), "theta": (NUMBER, 0.0), "gh_nodes": (INTEGER, DEFAULT_GH_NODES),
+        "kind": (_noise_kind, REQUIRED), "theta": (number, 0.0),
+        "gh_nodes": (integer, DEFAULT_GH_NODES),
     },
     "sim": {
-        "seed": (INTEGER, None), "steps": (INTEGER, None), "burn_in": (INTEGER, 0),
-        "rounds": (INTEGER, None), "alpha": (NUMBER, None),
+        "seed": (integer, None), "steps": (integer, None), "burn_in": (integer, 0),
+        "rounds": (integer, None), "alpha": (number, None),
     },
     "gradmap": {
-        "n_values": (INTEGERS, DEFAULT_N_VALUES),
-        "u_abs_values": (NUMBERS, DEFAULT_U_ABS_VALUES),
-        "alpha_grid": (NUMBERS, DEFAULT_ALPHA_GRID),
-        "theta_grid": (NUMBERS, DEFAULT_THETA_GRID),
-        "beta": (NUMBER, 1.0),
+        "n_values": (_list_of(integer), DEFAULT_N_VALUES),
+        "u_abs_values": (_list_of(number), DEFAULT_U_ABS_VALUES),
+        "alpha_grid": (_list_of(number), DEFAULT_ALPHA_GRID),
+        "theta_grid": (_list_of(number), DEFAULT_THETA_GRID),
+        "beta": (number, 1.0),
     },
 }
 
 
 def _checked(section: str, body) -> dict:
-    """`body` with every key of `section` type-checked and defaults filled in."""
+    """`body` with every key of `section` checked and defaults filled in."""
     keys = SCHEMA[section]
     required = [key for key, (_, default) in keys.items() if default is REQUIRED]
     json_object(f"config section {section!r}", body, keys, required)
-    out = {}
-    for key, ((check, kind), default) in keys.items():
-        if key not in body:
-            out[key] = default
-        elif check(body[key]):
-            out[key] = body[key]
-        else:
-            raise ValueError(f"{section}.{key} must be {kind}, got {reprlib.repr(body[key])}")
-    return out
+    return {
+        key: check(f"{section}.{key}", body[key]) if key in body else default
+        for key, (check, default) in keys.items()
+    }
 
 
 def _load_config(path: str) -> dict:
@@ -168,10 +164,7 @@ def _social(cfg: dict) -> SocialParams | None:
 
 
 def _noise(cfg: dict) -> NoiseSpec | None:
-    if "noise" not in cfg:
-        return None
-    noise = cfg["noise"]
-    return NoiseSpec(NoiseKind(noise["kind"].lower()), noise["theta"], noise["gh_nodes"])
+    return NoiseSpec(**cfg["noise"]) if "noise" in cfg else None
 
 
 def _colon_grid(text: str) -> list[float]:
@@ -228,7 +221,7 @@ def cmd_steady(args) -> int:
 def cmd_worst(args) -> int:
     cfg = _load_config(args.config)
     scn, soc, noise = _scenario(cfg), _social(cfg), _noise(cfg)
-    alphas = [float(a) for a in cfg["worst_case"]["alpha_grid"]]
+    alphas = cfg["worst_case"]["alpha_grid"]
 
     def _tip(fn, *fn_args) -> float | None:
         try:

@@ -1,4 +1,4 @@
-"""Small file helpers: column fields, grid tables filled through one `%`
+"""Small file helpers: float column fields, grid tables filled through one `%`
 template, JSON text, atomic writes, and the one JSON file reader."""
 
 from __future__ import annotations
@@ -12,33 +12,11 @@ from typing import Sequence
 import numpy as np
 
 
-def _field(value) -> str:
-    """One CSV field: None and NaN as an empty field, floats with 12
-    significant digits, anything else as str()."""
-    if value is None or value != value:
-        return ""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
-
-
-# Below this many values, formatting each value costs less than finding the
-# distinct ones (np.unique takes about 15 us to set up).
-_SHORT_COLUMN = 32
-
-
 def column_fields(column) -> list[str]:
-    """The fields of one column. Each distinct value of a long numeric
-    column is formatted once; floats are told apart by bit pattern, so 0.0
-    and -0.0 print differently. Short and object columns (holding None, say)
-    are formatted value by value."""
-    values = np.asarray(column)
-    if values.dtype.kind == "U":
-        return values.tolist()
-    if values.dtype == object or values.size < _SHORT_COLUMN:
-        return [_field(v) for v in values.tolist()]
-    if values.dtype.kind != "f":
-        distinct, inverse = np.unique(values, return_inverse=True)
-        return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
-    values = np.ascontiguousarray(values, dtype=float)
+    """The fields of one float column, each distinct value formatted once
+    with 12 significant digits and NaN as an empty field. Values are told
+    apart by bit pattern, so 0.0 and -0.0 print differently."""
+    values = np.ascontiguousarray(column, dtype=float)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(float)
     texts = np.array([f"{v:.12g}" for v in distinct.tolist()], dtype=object)

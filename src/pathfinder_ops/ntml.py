@@ -36,7 +36,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -69,17 +69,13 @@ FALLBACK_RULE = "fallback"
 _ASSIGNED, _MENTIONED = Label.ASSIGNED, Label.MENTIONED
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    timestamp: datetime
+class LogRecord(NamedTuple):
+    """One corpus row, its timestamp as the ISO-8601 text a `LogCorpus`
+    holds (`2022-12-22T06:49:00+00:00`, say)."""
+
+    timestamp: str
     facility: str
     comment: str
-
-    def __post_init__(self):
-        if not isinstance(self.timestamp, datetime):
-            raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
-        if not isinstance(self.comment, str) or not self.comment.strip():
-            raise ValueError("comment must be non-empty after trimming")
 
 
 class Match(NamedTuple):
@@ -149,39 +145,36 @@ class RuleSet:
     keywords: tuple[tuple[Label, str, str], ...]
 
 
-def parse_rules(doc) -> RuleSet:
-    """Validate and compile a rules document; errors name the bad entry."""
+def parse_rules(doc, where: str = "rules file") -> RuleSet:
+    """Validate and compile a rules document; errors name `where` and the
+    bad entry."""
     keys = ("flight_number_pattern", "labels")
-    json_object("rules file", doc, keys, keys)
+    json_object(where, doc, keys, keys)
     pattern_src = doc["flight_number_pattern"]
     if not isinstance(pattern_src, str) or not pattern_src:
-        raise ValueError("rules file: 'flight_number_pattern' must be a non-empty string")
+        raise ValueError(f"{where}: 'flight_number_pattern' must be a non-empty string")
     try:
         flight_number = re.compile(pattern_src)
     except re.error as exc:
-        raise ValueError(f"rules file: 'flight_number_pattern' is not a valid regex: {exc}")
+        raise ValueError(f"{where}: 'flight_number_pattern' is not a valid regex: {exc}")
     by_value = {label.value: label for label in PRECEDENCE}
     known = [label.value for label in Label]
-    labels_doc = json_object("rules file: labels", doc["labels"], known, by_value)
+    labels_doc = json_object(f"{where}: labels", doc["labels"], known, by_value)
     keywords: dict[Label, list[tuple[Label, str, str]]] = {}
     for name, entries in labels_doc.items():
         if name == Label.MENTIONED.value:
-            raise ValueError(
-                f"rules file: labels.{name} takes no keywords (it is the fallback)"
-            )
+            raise ValueError(f"{where}: labels.{name} takes no keywords (it is the fallback)")
         if not isinstance(entries, list) or not entries:
-            raise ValueError(f"rules file: labels.{name} must be a non-empty list")
+            raise ValueError(f"{where}: labels.{name} must be a non-empty list")
         label = by_value[name]
         keywords[label] = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, str) or not entry.strip():
-                raise ValueError(
-                    f"rules file: labels.{name}[{i}] must be a non-empty string"
-                )
+                raise ValueError(f"{where}: labels.{name}[{i}] must be a non-empty string")
             normalized = normalize_text(entry)
             if not normalized:
                 raise ValueError(
-                    f"rules file: labels.{name}[{i}] must keep a letter or digit "
+                    f"{where}: labels.{name}[{i}] must keep a letter or digit "
                     f"after normalization, got {entry!r}"
                 )
             keywords[label].append((label, f" {normalized} ", f"{name.lower()}:{entry}"))
@@ -192,13 +185,13 @@ def parse_rules(doc) -> RuleSet:
 
 
 def load_rules(path: str) -> RuleSet:
-    return parse_rules(read_json(path, "rules file"))
+    return parse_rules(read_json(path, "rules file"), f"rules file {path}")
 
 
 @lru_cache(maxsize=1)
 def default_rules() -> RuleSet:
     text = resources.files("pathfinder_ops").joinpath("data/default_rules.json").read_text()
-    return parse_rules(json.loads(text))
+    return parse_rules(json.loads(text), "default rules")
 
 
 def _match(text: str, rules: RuleSet) -> tuple[Label, str]:
@@ -212,15 +205,18 @@ def _match(text: str, rules: RuleSet) -> tuple[Label, str]:
     return _MENTIONED, FALLBACK_RULE
 
 
-def classify(record: LogRecord, rules: RuleSet | None = None) -> tuple[Label, str]:
+def classify(comment: str, rules: RuleSet | None = None) -> tuple[Label, str]:
     """Label one comment; returns (label, rule id of the match).
 
-    Rule ids are '<label>:<keyword>' or 'fallback'. Every valid record
-    receives exactly one label.
+    Rule ids are '<label>:<keyword>' or 'fallback'. Every comment that is a
+    str and not blank receives exactly one label; anything else is a
+    ValueError.
     """
+    if not isinstance(comment, str) or not comment.strip():
+        raise ValueError(f"comment must be non-empty text, got {comment!r}")
     if rules is None:
         rules = default_rules()
-    return _match(normalize_text(record.comment), rules)
+    return _match(normalize_text(comment), rules)
 
 
 def classify_corpus(
@@ -424,8 +420,9 @@ _LABEL_WEIGHTS = {
 def generate_corpus(size: int, seed: int) -> list[tuple[LogRecord, Label]]:
     """Sample a synthetic labeled corpus; deterministic in (size, seed).
 
-    Every random column is drawn as one array; only the strings are built
-    row by row."""
+    Every random column is drawn as one array, the timestamps too (whole
+    minutes from 2022-12-22T00:00 UTC, strictly increasing); only the
+    comments are built row by row."""
     size = integer("size", size, 1)
     rng = make_rng(seed, STREAM_CORPUS)
     labels = tuple(_LABEL_WEIGHTS)
@@ -440,18 +437,17 @@ def generate_corpus(size: int, seed: int) -> list[tuple[LogRecord, Label]]:
         rng.integers(len(_FIXES), size=size),
         rng.integers(len(_FACILITIES), size=size),
         rng.integers(len(_FACILITIES), size=size),
-        np.cumsum(rng.integers(5, 600, size=size)),
     )
-    start, minute = datetime(2022, 12, 22, 0, 0, tzinfo=timezone.utc), timedelta(minutes=1)
+    minutes = np.datetime64("2022-12-22T00:00") + np.cumsum(rng.integers(5, 600, size=size))
+    stamps = np.char.add(np.datetime_as_string(minutes, unit="s"), "+00:00").tolist()
     out = []
-    for label_i, template_i, airline, number, fix, named, facility, minutes in zip(
-        *(column.tolist() for column in columns)
+    for label_i, template_i, airline, number, fix, named, facility, stamp in zip(
+        *(column.tolist() for column in columns), stamps
     ):
         comment = templates[label_i][template_i].format(
             flight=f"{_AIRLINES[airline]}{number}",
             fix=_FIXES[fix],
             facility=_FACILITIES[named],
         )
-        record = LogRecord(start + minute * minutes, _FACILITIES[facility], comment)
-        out.append((record, labels[label_i]))
+        out.append((LogRecord(stamp, _FACILITIES[facility], comment), labels[label_i]))
     return out

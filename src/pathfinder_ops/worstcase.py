@@ -186,14 +186,16 @@ def noise_law(noise: NoiseSpec) -> ShiftLaw:
     if noise.theta == 0.0:
         return _point_law()
     nodes, weights = _unit_nodes(noise)
-    return ShiftLaw(noise.theta * nodes, nodes, weights)
+    with np.errstate(over="ignore"):  # theta * node may overflow to +/-inf
+        return ShiftLaw(noise.theta * nodes, nodes, weights)
 
 
 def _reject_probs(scn: WorstCaseScenario, shifts):
-    return (
-        _logistic(-scn.beta * (scn.u_minus + shifts)),
-        _logistic(-scn.beta * (scn.u_plus + shifts)),
-    )
+    """(p_rej, p_rec) per shift. A logistic argument that overflows is
+    +/-inf, which `_logistic` maps to the exact 0 or 1."""
+    with np.errstate(over="ignore"):
+        x_rej, x_rec = -scn.beta * (scn.u_minus + shifts), -scn.beta * (scn.u_plus + shifts)
+    return _logistic(x_rej), _logistic(x_rec)
 
 
 def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
@@ -231,7 +233,10 @@ def _partials(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, x, y, with_a
     np.multiply(a, q_rej - q_rec, out=y)
     np.add(q_rec, y, out=y)  # the spread
     np.multiply(x, y, out=y)
-    d_theta = -scn.beta * scn.n * (y @ (law.slopes * law.weights))
+    slope = y @ (law.slopes * law.weights)
+    scale = -scn.beta * scn.n
+    # beta * n can overflow where beta * (n * slope) does not.
+    d_theta = scale * slope if math.isfinite(scale) else -scn.beta * (scn.n * slope)
     return d_alpha, d_theta
 
 
@@ -435,7 +440,8 @@ def gradient_sign_map(
     t_step = max(1, _GRADMAP_BLOCK_VALUES // (min(alphas.size, a_step) * nodes.size))
     a_blocks = [slice(i, i + a_step) for i in range(0, alphas.size, a_step)]
     t_blocks = [slice(i, i + t_step) for i in range(0, thetas.size, t_step)]
-    laws = [ShiftLaw(thetas[t, None] * nodes, nodes, weights) for t in t_blocks]
+    with np.errstate(over="ignore"):  # theta * node may overflow to +/-inf
+        laws = [ShiftLaw(thetas[t, None] * nodes, nodes, weights) for t in t_blocks]
     # Two work arrays, as large as the largest block, serve every block.
     work = np.empty((2, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
 

@@ -13,7 +13,8 @@ datetime, a regex label and one written row per record) instead of the
 columnar one, a fresh array per operation instead of the gradient map's
 reused work arrays, and a writer that formats each field of each row on
 its own instead of distinct values and grid tables filled through one `%`
-template.
+template, and yes/no predicates per config key instead of checks that
+return the value.
 """
 
 import csv
@@ -26,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit
+
+from pathfinder_ops.errors import integer, number
 
 
 def power_iteration(matrix, tol=1e-12, max_iter=10**6):
@@ -352,3 +355,43 @@ def per_value_sweep_csv(records):
         )
     ]
     return per_value_csv("p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status".split(","), rows)
+
+
+# --- which config values each key accepts ------------------------------------
+
+
+def _accepts(check, value) -> bool:
+    """Whether `check` (errors.number or errors.integer) takes `value`."""
+    try:
+        check("value", value)
+    except ValueError:
+        return False
+    return True
+
+
+def _each(check):
+    return lambda v: type(v) is list and bool(v) and all(_accepts(check, x) for x in v)
+
+
+_NUMBER = lambda v: _accepts(number, v)  # noqa: E731
+_INTEGER = lambda v: _accepts(integer, v)  # noqa: E731
+_NUMBERS = _each(number)
+_GRID = lambda v: _NUMBER(v) or _NUMBERS(v)  # noqa: E731
+_KIND = lambda v: isinstance(v, str) and v.lower() in ("rademacher", "gaussian")  # noqa: E731
+
+# section -> key -> whether a value is accepted there.
+CONFIG_PREDICATES = {
+    "chain": {"p_good": _GRID, "p_accept": _GRID, "p_success": _GRID},
+    "worst_case": {
+        "n": _INTEGER, "u_minus": _NUMBER, "u_plus": _NUMBER, "beta": _NUMBER, "delta": _NUMBER,
+        "alpha_grid": _NUMBERS,
+    },
+    "social": {"s": _NUMBER, "gamma": _NUMBER, "r": _NUMBER},
+    "noise": {"kind": _KIND, "theta": _NUMBER, "gh_nodes": _INTEGER},
+    "sim": {"seed": _INTEGER, "steps": _INTEGER, "burn_in": _INTEGER, "rounds": _INTEGER,
+            "alpha": _NUMBER},
+    "gradmap": {
+        "n_values": _each(integer), "u_abs_values": _NUMBERS, "alpha_grid": _NUMBERS,
+        "theta_grid": _NUMBERS, "beta": _NUMBER,
+    },
+}

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -29,7 +30,7 @@ from pathfinder_ops.chain import MAX_SWEEP_CELLS
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import main
 
-from oracles import per_value_csv
+from oracles import CONFIG_PREDICATES, per_value_csv
 from test_ntml import load_fixture
 from test_simulate import no_rng
 
@@ -78,7 +79,7 @@ def project_fixture(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "facility", "comment"])
         for rec in records:
-            writer.writerow([rec.timestamp.isoformat(), rec.facility, rec.comment])
+            writer.writerow([rec.timestamp, rec.facility, rec.comment])
     return str(path), labels
 
 
@@ -246,6 +247,18 @@ class TestWorst:
         w = [float(r["W"]) for r in rows]
         assert all(a < b for a, b in zip(w, w[1:]))
 
+    def test_extreme_values_run_without_warnings(self, tmp_path, capsys):
+        # beta * (u + theta * node) overflows; the logistic of +/-inf is exact.
+        doc = {
+            "worst_case": dict(FIG3_WORST["worst_case"], beta=1e308),
+            "noise": {"kind": "gaussian", "theta": 1e308},
+            "social": {"s": 0.5, "gamma": 1e308, "r": 0.5},
+        }
+        out = str(tmp_path / "worst.csv")
+        assert main(["worst", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_csv(out)) == 101
+
     def test_fully_selfish_social_column_collapses(self, tmp_path):
         doc = dict(FIG3_WORST, social={"s": 1.0, "gamma": 2.5, "r": 0.5})
         cfg = write_config(tmp_path, doc)
@@ -382,6 +395,17 @@ class TestGradmap:
             "theta_grid": [0.0, 0.5, 1.0],
         }
     }
+
+    def test_beta_times_n_beyond_the_float_range(self, tmp_path, capsys):
+        doc = {"gradmap": {"beta": 1e308, "n_values": [10], "u_abs_values": [1.0],
+                           "alpha_grid": [0.5], "theta_grid": [1.0, 2.0]}}
+        cells = str(tmp_path / "cells.csv")
+        cfg = write_config(tmp_path, doc)
+        assert main(["gradmap", "--config", cfg, "--out", str(tmp_path / "map.csv"),
+                     "--cells-out", cells]) == 0
+        assert capsys.readouterr().err == ""
+        grads = [row["dw_dtheta"] for row in read_csv(cells)]
+        assert grads[0] == "4.69255447388e+306" and float(grads[1]) == 0.0
 
     def test_schema_and_range(self, tmp_path):
         cfg = write_config(tmp_path, self.SMALL)
@@ -911,15 +935,19 @@ class TestConfigSchema:
             ("worst", dict(FIG3_WORST, noise=dict(NOISE, theta=float("inf"))), "noise.theta"),
             ("gradmap", {"gradmap": {"beta": True}}, "gradmap.beta"),
             ("gradmap", {"gradmap": {"beta": "2"}}, "gradmap.beta"),
-            ("gradmap", {"gradmap": {"n_values": [2.0]}}, "gradmap.n_values must be a non-empty list of integers"),
+            ("gradmap", {"gradmap": {"n_values": [2.0]}}, "gradmap.n_values must be an integer, got 2.0"),
             ("simulate", dict(FIG3_WORST, sim={"seed": 1, "rounds": 10, "alpha": "0.5"}), "sim.alpha"),
             ("steady", {"chain": {"p_good": float("nan")}}, "chain.p_good"),
             ("steady", {"chain": {"p_good": [0.5, -float("inf")]}}, "chain.p_good"),
             ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], u_plus=10**400)}, "worst_case.u_plus"),
-            ("simulate", {"sim": {"seed": 10**400, "steps": 10}}, "sim.seed must be an integer"),
+            ("simulate", {"sim": {"seed": 10**400, "steps": 10}}, "sim.seed must be finite"),
             ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], n=None)}, "worst_case.n"),
             ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], delta={})}, "worst_case.delta"),
             ("worst", dict(FIG3_WORST, noise={"kind": 1}), "noise.kind"),
+            ("gradmap", {"gradmap": {"n_values": []}}, "gradmap.n_values must be a non-empty list, got []"),
+            ("worst", {"worst_case": dict(FIG3_WORST["worst_case"], alpha_grid=0.5)}, "worst_case.alpha_grid must be a non-empty list, got 0.5"),
+            ("steady", {"chain": {"p_good": "x"}}, "chain.p_good must be a number, got 'x'"),
+            ("steady", {"chain": {"p_good": [0.5, [0.5]]}}, "chain.p_good must be a number, got [0.5]"),
         ],
     )
     def test_wrong_type_refused_naming_the_key(self, tmp_path, capsys, command, doc, needle):
@@ -928,6 +956,41 @@ class TestConfigSchema:
         code = main([command, "--config", cfg, "--out", str(out)])
         assert_refused(code, capsys.readouterr().err, needle)
         assert not out.exists()
+
+    # Required keys set to values every check takes, so that only the key
+    # under test can be refused.
+    REQUIRED = {
+        "worst_case": {"n": 5, "u_minus": -1.0, "u_plus": 2.0, "beta": 1.0, "delta": 0.5},
+        "social": SOCIAL,
+        "noise": {"kind": "gaussian"},
+    }
+    SCALARS = (
+        st.booleans() | st.none() | st.integers() | st.floats()
+        | st.integers(2**1024 - 2**970, 2**1100).flatmap(lambda n: st.sampled_from([n, -n]))
+        | st.sampled_from([0, 1, -0.0, 5e-324, math.nan, math.inf, -math.inf, 10**308, {}])
+        | st.sampled_from(["2", "1e3", "nan", "-inf", "", "gaussian", "Rademacher", "GAUSSIAN", "x"])
+    )
+    VALUES = SCALARS | st.lists(SCALARS | st.lists(SCALARS, max_size=3), max_size=5)
+
+    @pytest.mark.parametrize(
+        "section,key", [(s, k) for s, keys in CONFIG_PREDICATES.items() for k in keys]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(value=VALUES)
+    def test_same_values_accepted_as_the_predicates(self, section, key, value):
+        body = dict(self.REQUIRED.get(section, {}), **{key: value})
+        try:
+            cli_module._checked(section, body)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{section}.{key} must ")
+            assert not CONFIG_PREDICATES[section][key](value)
+        else:
+            assert CONFIG_PREDICATES[section][key](value)
+
+    def test_every_schema_key_has_a_predicate(self):
+        assert {s: list(keys) for s, keys in cli_module.SCHEMA.items()} == {
+            s: list(keys) for s, keys in CONFIG_PREDICATES.items()
+        }
 
     def test_present_section_is_checked_for_every_command(self, tmp_path, capsys):
         # steady does not read `social`, but an incomplete section is refused.
@@ -975,7 +1038,7 @@ class TestJsonInputs:
             "missing-key": ({"social": {"s": 0.5, "gamma": 2.5}}, "missing key 'r'"),
         },
         "rules": {
-            "wrong-type": ([], "rules file: expected a JSON object, got list"),
+            "wrong-type": ([], "expected a JSON object, got list"),
             "unknown-key": (dict(RULES, bogus=1), "unknown key 'bogus'"),
             "missing-key": ({"labels": RULES["labels"]}, "missing key 'flight_number_pattern'"),
         },
@@ -1021,6 +1084,23 @@ class TestJsonInputs:
             code = main(["classify", str(corpus), "--rules", str(path), "--out", out])
         assert_refused(code, capsys.readouterr().err, needle)
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "doc,needle",
+        [
+            ([], "expected a JSON object, got list"),
+            (dict(RULES, labels=dict(RULES["labels"], X=["x"])), "labels: unknown key 'X'"),
+            (dict(RULES, flight_number_pattern="("), "'flight_number_pattern' is not a valid regex"),
+        ],
+        ids=["list", "unknown-label", "bad-regex"],
+    )
+    def test_rules_errors_name_the_file(self, tmp_path, capsys, doc, needle):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,requesting pf\n")
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(doc))
+        code = main(["classify", str(corpus), "--rules", str(path), "--out", str(tmp_path / "l.csv")])
+        assert_refused(code, capsys.readouterr().err, f"rules file {path}: {needle}")
 
     @pytest.mark.parametrize("case", CASES)
     def test_load_candidates_refuses(self, tmp_path, case):
@@ -1119,7 +1199,7 @@ with open(corpus, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["timestamp", "facility", "comment"])
     for rec, _ in generate_corpus(200, 3):
-        writer.writerow([rec.timestamp.isoformat(), rec.facility, rec.comment])
+        writer.writerow([rec.timestamp, rec.facility, rec.comment])
 runs = {
     "steady": ["--config", config("steady", {"chain": {"p_good": [0.3, 1.0], "p_success": [0.0, 0.5]}})],
     "worst": ["--config", config("worst", {"worst_case": worst, "social": {"s": 0.5, "gamma": 2.5, "r": 0.5},

@@ -2,7 +2,7 @@ import csv
 import json
 import os
 import tempfile
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from fractions import Fraction
 from importlib import resources
 
@@ -73,26 +73,12 @@ COMMENTS = st.lists(
     max_size=8,
 ).map(lambda pairs: "".join(part + sep for part, sep in pairs)).filter(str.strip)
 
-NOW = datetime(2024, 6, 1, 12, 0, tzinfo=timezone.utc)
-
-
-def record(comment, facility="ZNY"):
-    return LogRecord(timestamp=NOW, facility=facility, comment=comment)
-
-
 def load_fixture():
     with open(FIXTURE, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     assert len(rows) == 50
-    records = [
-        LogRecord(
-            timestamp=datetime.fromisoformat(r["timestamp"]),
-            facility=r["facility"],
-            comment=r["comment"],
-        )
-        for r in rows
-    ]
+    records = [LogRecord(r["timestamp"], r["facility"], r["comment"]) for r in rows]
     labels = [Label(r["label"]) for r in rows]
     return records, labels
 
@@ -135,57 +121,58 @@ class TestNormalization:
 
 class TestClassify:
     def test_assigned_needs_flight_and_action_term(self):
-        label, rule = classify(record("UAL1234 assigned as pathfinder, released via gate"))
+        label, rule = classify("UAL1234 assigned as pathfinder, released via gate")
         assert label is Label.ASSIGNED
         assert rule == "assigned:assigned"
 
     def test_failure_phrases(self):
-        label, rule = classify(record("pathfinder didn't make it, deviated north"))
+        label, rule = classify("pathfinder didn't make it, deviated north")
         assert label is Label.FAILED
         assert rule == "failed:didn't make it"
 
     def test_plain_mention_falls_back(self):
-        label, rule = classify(record("pathfinder ops possible later today"))
+        label, rule = classify("pathfinder ops possible later today")
         assert label is Label.MENTIONED
         assert rule == "fallback"
 
     def test_failure_outranks_assignment(self):
-        label, _ = classify(record("UAL1234 assigned but didn't make it"))
+        label, _ = classify("UAL1234 assigned but didn't make it")
         assert label is Label.FAILED
 
     def test_rejection_outranks_assignment(self):
-        label, _ = classify(record("DAL55 declined, was approved earlier"))
+        label, _ = classify("DAL55 declined, was approved earlier")
         assert label is Label.REJECTED
 
     def test_action_word_without_flight_number_is_not_assignment(self):
-        label, _ = classify(record("pathfinder assigned earlier today per log review"))
+        label, _ = classify("pathfinder assigned earlier today per log review")
         assert label is Label.MENTIONED
 
     def test_flight_number_without_action_word_is_not_assignment(self):
-        label, _ = classify(record("UAL1234 holding short, pathfinder under discussion"))
+        label, _ = classify("UAL1234 holding short, pathfinder under discussion")
         assert label is Label.MENTIONED
 
     def test_case_and_whitespace_insensitive(self):
-        upper = classify(record("UAL1234 ASSIGNED as Pathfinder"))
-        lower = classify(record("ual1234   assigned as pathfinder"))
+        upper = classify("UAL1234 ASSIGNED as Pathfinder")
+        lower = classify("ual1234   assigned as pathfinder")
         assert upper == lower
 
     def test_keyword_order_within_category_never_changes_label(self):
         permuted = parse_rules(PERMUTED_RULES_DOC)
         records, _ = load_fixture()
         for rec in records:
-            default_label, _ = classify(rec)
-            permuted_label, _ = classify(rec, permuted)
+            default_label, _ = classify(rec.comment)
+            permuted_label, _ = classify(rec.comment, permuted)
             assert default_label is permuted_label
 
-    def test_empty_comment_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            record("   ")
+    def test_blank_or_non_text_comment_rejected(self):
+        for comment in ["   ", "", None, 5, b"pathfinder"]:
+            with pytest.raises(ValueError):
+                classify(comment)
 
     def test_keyword_matches_whole_words_only(self):
-        assert classify(record("UAL1 reassigned, unreleased"))[0] is Label.MENTIONED
-        assert classify(record("UAL1 assigned2 no-pathfinders"))[0] is Label.MENTIONED
-        assert classify(record("no.pathfinder!")) == (Label.REJECTED, "rejected:no pathfinder")
+        assert classify("UAL1 reassigned, unreleased")[0] is Label.MENTIONED
+        assert classify("UAL1 assigned2 no-pathfinders")[0] is Label.MENTIONED
+        assert classify("no.pathfinder!") == (Label.REJECTED, "rejected:no pathfinder")
 
     def test_flight_pattern_searched_only_when_an_assigned_keyword_matches(self):
         searched = []
@@ -196,28 +183,28 @@ class TestClassify:
                 return None
 
         rules = RuleSet(flight_number=Spy(), keywords=default_rules().keywords)
-        assert classify(record("UAL1234 requesting pathfinder"), rules)[0] is Label.REQUESTED
-        assert classify(record("UAL1234 declined, approved earlier"), rules)[0] is Label.REJECTED
+        assert classify("UAL1234 requesting pathfinder", rules)[0] is Label.REQUESTED
+        assert classify("UAL1234 declined, approved earlier", rules)[0] is Label.REJECTED
         assert searched == []
-        assert classify(record("UAL1234 Approved, requesting"), rules)[0] is Label.REQUESTED
+        assert classify("UAL1234 Approved, requesting", rules)[0] is Label.REQUESTED
         assert searched == ["ual1234 approved requesting"]
 
     @settings(max_examples=200, deadline=None)
     @given(comment=COMMENTS)
     def test_matches_regex_reference_under_default_rules(self, comment):
-        label, rule = classify(record(comment))
+        label, rule = classify(comment)
         assert (label.value, rule) == regex_classify(comment, DEFAULT_RULES_DOC)
 
     @settings(max_examples=200, deadline=None)
     @given(comment=COMMENTS)
     def test_matches_regex_reference_under_permuted_rules(self, comment):
-        label, rule = classify(record(comment), parse_rules(PERMUTED_RULES_DOC))
+        label, rule = classify(comment, parse_rules(PERMUTED_RULES_DOC))
         assert (label.value, rule) == regex_classify(comment, PERMUTED_RULES_DOC)
 
     def test_classify_corpus_matches_classify(self):
         records, _ = load_fixture()
         labeled, counts = classify_corpus(comments_of(records))
-        pairs = [classify(rec) for rec in records]
+        pairs = [classify(rec.comment) for rec in records]
         assert [(lr.label, lr.rule) for lr in labeled] == pairs
         assert counts == LabelCounts(
             **{f"n_{want.name.lower()}": sum(label is want for label, _ in pairs) for want in Label}
@@ -237,8 +224,7 @@ class TestCorpus:
         assert counts.total() == 0
 
     def test_order_preserved_and_stateless(self):
-        rec = record("requesting pathfinder through WHITE")
-        labeled, counts = classify_corpus([rec.comment] * 3)
+        labeled, counts = classify_corpus(["requesting pathfinder through WHITE"] * 3)
         assert [lr.label for lr in labeled] == [Label.REQUESTED] * 3
         assert counts.n_requested == 3
 
@@ -272,7 +258,7 @@ class TestCorpus:
         assert len(labeled) == 10_000 == counts.total()
         assert all(type(m) is Match for m in labeled)
         assert len({id(m) for m in labeled}) <= len(rules.keywords) + 1
-        assert [(m.label, m.rule) for m in labeled] == [classify(rec, rules) for rec, _ in pairs]
+        assert [(m.label, m.rule) for m in labeled] == [classify(rec.comment, rules) for rec, _ in pairs]
 
     def test_generator_deterministic(self):
         a = generate_corpus(50, seed=9)
@@ -283,10 +269,20 @@ class TestCorpus:
     def test_generated_labels_agree_with_classify(self, seed):
         pairs = generate_corpus(2000, seed)
         assert pairs == generate_corpus(2000, seed)
-        assert [classify(rec)[0] for rec, _ in pairs] == [label for _, label in pairs]
+        assert [classify(rec.comment)[0] for rec, _ in pairs] == [label for _, label in pairs]
         stamps = [rec.timestamp for rec, _ in pairs]
         assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        # ISO text as a read corpus holds it, so text order is time order.
+        assert all(_timestamp_text(stamp) == stamp for stamp in stamps)
+        assert all(stamp.endswith(":00+00:00") for stamp in stamps)
         assert {label for _, label in pairs} == set(Label)
+
+    def test_generated_rows_are_text(self):
+        (first, label), *_ = generate_corpus(20_000, seed=7)
+        assert first == LogRecord(
+            "2022-12-22T05:08:00+00:00", "ZNY", "SWA8659 assigned pathfinder duties for BAYYS"
+        )
+        assert label is Label.ASSIGNED
 
     def test_generator_seeds_give_different_corpora(self):
         assert generate_corpus(50, seed=9) != generate_corpus(50, seed=10)
@@ -408,9 +404,9 @@ class TestCsvIo:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "facility", "comment"])
             for rec in records:
-                writer.writerow([rec.timestamp.isoformat(), rec.facility, rec.comment])
+                writer.writerow([rec.timestamp, rec.facility, rec.comment])
         assert read_corpus_csv(str(path)) == LogCorpus(
-            [rec.timestamp.isoformat() for rec in records],
+            [rec.timestamp for rec in records],
             [rec.facility for rec in records],
             comments_of(records),
         )
@@ -606,12 +602,12 @@ class TestAgainstPerRecordPipeline:
 
     def test_fixture(self, tmp_path):
         records, _ = load_fixture()
-        rows = [(rec.timestamp.isoformat(), rec.facility, rec.comment) for rec in records]
+        rows = [(rec.timestamp, rec.facility, rec.comment) for rec in records]
         self.check(write_corpus(tmp_path / "corpus.csv", rows), str(tmp_path))
 
     def test_generated_corpus(self, tmp_path):
         pairs = generate_corpus(3000, seed=11)
-        rows = [(rec.timestamp.isoformat(), rec.facility, rec.comment) for rec, _ in pairs]
+        rows = [(rec.timestamp, rec.facility, rec.comment) for rec, _ in pairs]
         self.check(write_corpus(tmp_path / "corpus.csv", rows), str(tmp_path))
 
     @settings(max_examples=150, deadline=None)

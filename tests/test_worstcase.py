@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,6 +470,20 @@ class TestExactPartials:
             expected = per_op_partials(n, -1.5, 3.0, 0.8, alphas, *law)
             for g, e in zip(got, expected):
                 np.testing.assert_array_equal(np.asarray(g).view(np.int64), e.view(np.int64))
+
+    def test_beta_times_n_beyond_the_float_range(self):
+        # beta = 1e308, n = 10, u = +/-1, Rademacher: each logistic argument
+        # is 0 or overflows, so p is 0, 1/2 or 1 exactly, and dW/dtheta is
+        # -beta * n * E[xi' * m^9 * spread] in exact arithmetic.
+        scn = WorstCaseScenario(n=10, u_minus=-1.0, u_plus=1.0, beta=1e308, delta=0.5)
+        rademacher = [noise_law(NoiseSpec(NoiseKind.RADEMACHER, t)) for t in (1.0, 2.0)]
+        _, d_theta = mixture_partials(scn, 0.5, rademacher[0])
+        e = Fraction(1, 16) * (Fraction(1, 4) ** 9 - Fraction(3, 4) ** 9)
+        assert float(d_theta) == pytest.approx(float(-Fraction(1e308) * 10 * e), rel=1e-15)
+        assert f"{float(d_theta):.12g}" == "4.69255447388e+306"
+        # At theta = 2 every p is 0 or 1, so the spread and the partial are 0.
+        _, d_theta = mixture_partials(scn, 0.5, rademacher[1])
+        assert d_theta == 0.0
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_noise_partial_is_exactly_zero_at_theta_zero(self, kind):
