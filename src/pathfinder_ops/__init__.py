@@ -8,7 +8,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .agents import (
     AgentProfile,
@@ -74,7 +74,6 @@ from .worstcase import (
     group_reject_probs,
     noisy_tipping_point,
     noisy_worst_case_prob,
-    social_reject_probs,
     social_tipping_point,
     social_worst_case_prob,
     tipping_point,

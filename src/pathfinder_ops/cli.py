@@ -29,7 +29,7 @@ from .chain import (
     sweep_steady_state,
     sweep_to_csv,
 )
-from .errors import NonUniqueStationary, NoTippingPoint, PathfinderOpsError
+from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, PathfinderOpsError
 from .errors import integer, json_object, number
 from .fileio import atomic_write_text, grid_csv, json_text, read_json
 from .ntml import (
@@ -268,19 +268,17 @@ def cmd_gradmap(args) -> int:
             {"n": n, "u_abs": u, "noise_kind": gmap.noise_kind.value, "fraction_negative": f}
             for (n, u), f in zip(instances, gmap.fraction_negative.ravel().tolist())
         ]
-        _emit(json_text(table), args.out)
+        summary = json_text(table)
     else:
-        _emit(gradient_sign_map_to_csv(gmap), args.out)
+        summary = gradient_sign_map_to_csv(gmap)
+    # The cell dump is written first, so a failed dump leaves no summary.
     if args.cells_out is not None:
         atomic_write_text(args.cells_out, gradient_cells_to_csv(gmap))
+    _emit(summary, args.out)
     return EXIT_OK
 
 
 # --- classify ---------------------------------------------------------------
-
-
-def _sibling_path(out: str, suffix: str) -> str:
-    return os.path.splitext(out)[0] + suffix
 
 
 def cmd_classify(args) -> int:
@@ -300,19 +298,27 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise PathfinderOpsError(str(exc))
 
+    # Every output is computed before the first is written, so a failed run
+    # leaves no file. Labels need no parameters: counts that cannot calibrate
+    # the chain give null ones here, and fail only in the --calibrate sweep.
     labeled, counts = classify_corpus(corpus.comments, rules)
-    atomic_write_text(args.out, labeled_to_csv(corpus, labeled))
-    counts_out = args.counts_out or _sibling_path(args.out, ".counts.json")
-    atomic_write_text(counts_out, json_text(dict(counts.as_dict(), total=counts.total())))
-
-    p_accept, p_success = estimate_params(counts)
-    params_out = args.params_out or _sibling_path(args.out, ".params.json")
-    atomic_write_text(params_out, json_text({"p_accept": p_accept, "p_success": p_success}))
-
+    try:
+        p_accept, p_success = estimate_params(counts)
+    except InsufficientData:
+        p_accept = p_success = None
+    stem = os.path.splitext(args.out)[0]
+    outputs = {
+        args.out: labeled_to_csv(corpus, labeled),
+        args.counts_out or stem + ".counts.json":
+            json_text(dict(counts.as_dict(), total=counts.total())),
+        args.params_out or stem + ".params.json":
+            json_text({"p_accept": p_accept, "p_success": p_success}),
+    }
     if g_grid is not None:
-        records = calibrated_steady_state(counts, g_grid)
-        steady_out = args.steady_out or _sibling_path(args.out, ".steady.csv")
-        atomic_write_text(steady_out, sweep_to_csv(records))
+        steady = sweep_to_csv(calibrated_steady_state(counts, g_grid))
+        outputs[args.steady_out or stem + ".steady.csv"] = steady
+    for path, text in outputs.items():
+        atomic_write_text(path, text)
     return EXIT_OK
 
 

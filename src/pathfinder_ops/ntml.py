@@ -123,16 +123,13 @@ def normalize_text(text: str) -> str:
     """Lowercase, drop apostrophes, turn other punctuation into spaces,
     collapse whitespace. The result holds only [a-z0-9] and single spaces.
 
-    ASCII text, the common case once curly apostrophes are gone, goes
-    through a byte table; other text through the regex."""
+    Every character outside ASCII is punctuation or whitespace here, so once
+    the curly apostrophes are gone it is encoded as "?", and one byte table
+    does the rest."""
     t = text.lower()
     if not t.isascii():
         t = t.replace("’", "").replace("‘", "")
-    if t.isascii():
-        t = t.encode().translate(_ASCII_TABLE, b"'").decode()
-    else:
-        t = _NON_ALNUM.sub(" ", t.replace("'", ""))
-    return " ".join(t.split())
+    return " ".join(t.encode("ascii", "replace").translate(_ASCII_TABLE, b"'").decode().split())
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ probability alpha. Every variant computes one quantity,
 
 where p_rej(xi) and p_rec(xi) are the logistic rejection probabilities of
 the two groups after a utility shift xi shared by all agents. Only the law of
-xi differs: a point mass at 0 (the plain model), a point mass at
-(1 - S) * gamma * R (system awareness, i.e. selfless behavior), or zero-mean
-environmental noise of scale theta, either Rademacher (+/- theta, exact) or
-Gaussian (Gauss-Hermite quadrature, nodes cached per rule size).
+xi differs, and every law is xi = offset + theta * Z: a point mass at 0 (the
+plain model) or at (1 - S) * gamma * R (system awareness, i.e. selfless
+behavior), or zero-mean noise theta * Z with Z Rademacher (+/- 1, exact) or
+Gaussian (Gauss-Hermite quadrature, nodes cached per rule size). `shift_law`
+builds the law, and `_reject_probs` alone evaluates it.
 
 The tipping point alpha* solves W(alpha*) = delta: in closed form for a point
 mass (noise with theta = 0 included), by bisection otherwise (W is strictly
@@ -133,14 +134,14 @@ def _logistic(x):
 
 
 class ShiftLaw(NamedTuple):
-    """Discrete law of the shared utility shift: xi takes the values on the
-    last axis of `shifts` with probabilities `weights`. `slopes` holds
-    d(xi)/d(theta) per value: the unit nodes of a noise law scaled by theta,
-    zero for a point mass. Leading axes of `shifts` hold further laws (one
-    per theta in the gradient map)."""
+    """Law of the shared utility shift xi = offset + theta * Z, where Z takes
+    the values `nodes` with probabilities `weights`, so d(xi)/d(theta) = Z.
+    `theta` is a float, or a (T, 1) array of T laws (one per theta in the
+    gradient map) whose axis leads the node axis."""
 
-    shifts: np.ndarray
-    slopes: np.ndarray
+    offset: float
+    theta: float | np.ndarray
+    nodes: np.ndarray
     weights: np.ndarray
 
 
@@ -150,8 +151,7 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-_ONE = _read_only([1.0])
-_ZERO = _read_only([0.0])
+_POINT_NODES = (_read_only([0.0]), _read_only([1.0]))
 _RADEMACHER_NODES = (_read_only([1.0, -1.0]), _read_only([0.5, 0.5]))
 
 
@@ -164,38 +164,39 @@ def gauss_hermite_nodes(gh_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(math.sqrt(2.0) * nodes), _read_only(weights / weights.sum())
 
 
-def _unit_nodes(noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the noise law at theta = 1."""
+def shift_law(social: SocialParams | None = None, noise: NoiseSpec | None = None) -> ShiftLaw:
+    """The law of xi: offset (1 - S) * gamma * R with system awareness (else
+    0), plus theta * Z with noise. Without noise, or at theta = 0, xi is the
+    point mass at the offset, so noisy results reduce exactly to the plain
+    ones."""
+    offset = 0.0 if social is None else (1.0 - social.s) * social.gamma * social.r
+    if noise is None or noise.theta == 0.0:
+        return ShiftLaw(offset, 0.0, *_POINT_NODES)
     if noise.kind is NoiseKind.RADEMACHER:
-        return _RADEMACHER_NODES
-    return gauss_hermite_nodes(noise.gh_nodes)
+        return ShiftLaw(offset, noise.theta, *_RADEMACHER_NODES)
+    return ShiftLaw(offset, noise.theta, *gauss_hermite_nodes(noise.gh_nodes))
 
 
-def _point_law(shift: float = 0.0) -> ShiftLaw:
-    return ShiftLaw(np.array([shift]), _ZERO, _ONE)
-
-
-def _social_shift(soc: SocialParams) -> float:
-    """The system-awareness utility term (1 - S) * gamma * R."""
-    return (1.0 - soc.s) * soc.gamma * soc.r
-
-
-def noise_law(noise: NoiseSpec) -> ShiftLaw:
-    """xi = theta * Z. At theta = 0 this is the point mass at 0, so noisy
-    results reduce exactly to the plain ones."""
-    if noise.theta == 0.0:
-        return _point_law()
-    nodes, weights = _unit_nodes(noise)
-    with np.errstate(over="ignore"):  # theta * node may overflow to +/-inf
-        return ShiftLaw(noise.theta * nodes, nodes, weights)
-
-
-def _reject_probs(scn: WorstCaseScenario, shifts):
-    """(p_rej, p_rec) per shift. A logistic argument that overflows is
-    +/-inf, which `_logistic` maps to the exact 0 or 1."""
+def _reject_probs(scn: WorstCaseScenario, law: ShiftLaw):
+    """(p_rej, p_rec) per value of xi, the logistic of -beta * (u + xi).
+    Where theta * Z overflows, the argument is -beta * (u + offset) -
+    (beta * theta) * Z instead, which a tiny beta keeps finite. An argument
+    that still overflows is +/-inf, which `_logistic` maps to the exact 0 or
+    1."""
+    probs = []
     with np.errstate(over="ignore"):
-        x_rej, x_rec = -scn.beta * (scn.u_minus + shifts), -scn.beta * (scn.u_plus + shifts)
-    return _logistic(x_rej), _logistic(x_rec)
+        scaled = law.theta * law.nodes
+        shifts = law.offset + scaled
+        finite = np.isfinite(scaled).all()
+        for u in (scn.u_minus, scn.u_plus):
+            x = -scn.beta * (u + shifts)
+            if not finite:
+                with np.errstate(invalid="ignore"):
+                    split = -scn.beta * (u + law.offset) - (scn.beta * law.theta) * law.nodes
+                # Where both terms overflow (inf - inf), x has the right sign.
+                x = np.where(np.isfinite(scaled) | np.isnan(split), x, split)
+            probs.append(_logistic(x))
+    return tuple(probs)
 
 
 def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
@@ -209,16 +210,16 @@ def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
 def mixture_w(scn: WorstCaseScenario, alphas, law: ShiftLaw) -> np.ndarray:
     """W = E[m^n] for each alpha in `alphas` (any shape; the law's leading
     axes follow the alpha axes in the result)."""
-    return _mixture_w(scn.n, alphas, _reject_probs(scn, law.shifts), law.weights)
+    return _mixture_w(scn.n, alphas, _reject_probs(scn, law), law.weights)
 
 
 def _partials(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, x, y, with_alpha: bool):
     """(dW/dalpha or None, dW/dtheta) for alphas `a` (with a trailing unit
-    axis) against the law's shifts. x and y are work arrays of the shape
+    axis) against the law's values. x and y are work arrays of the shape
     they broadcast to, overwritten here. Each step is the numpy operation an
     unbuffered expression would do, in the same order, written to x or y, so
     the bits match a fresh array per step."""
-    p_rej, p_rec = _reject_probs(scn, law.shifts)
+    p_rej, p_rec = _reject_probs(scn, law)
     np.multiply(a, p_rej, out=x)
     np.multiply(1.0 - a, p_rec, out=y)
     np.add(x, y, out=x)  # m
@@ -233,7 +234,7 @@ def _partials(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, x, y, with_a
     np.multiply(a, q_rej - q_rec, out=y)
     np.add(q_rec, y, out=y)  # the spread
     np.multiply(x, y, out=y)
-    slope = y @ (law.slopes * law.weights)
+    slope = y @ (law.nodes * law.weights)
     scale = -scn.beta * scn.n
     # beta * n can overflow where beta * (n * slope) does not.
     d_theta = scale * slope if math.isfinite(scale) else -scn.beta * (scn.n * slope)
@@ -250,7 +251,7 @@ def mixture_partials(
         dm/dxi = -beta * [alpha p_rej (1 - p_rej) + (1 - alpha) p_rec (1 - p_rec)].
     """
     a = np.asarray(alphas, dtype=float)[..., None]
-    shape = np.broadcast_shapes(a.shape, np.shape(law.shifts))
+    shape = np.broadcast_shapes(a.shape, np.shape(law.theta), law.nodes.shape)
     return _partials(scn, a, law, np.empty(shape), np.empty(shape), with_alpha=True)
 
 
@@ -269,42 +270,36 @@ def _w(scn: WorstCaseScenario, alpha, law: ShiftLaw):
 def group_reject_probs(scn: WorstCaseScenario) -> tuple[float, float]:
     """(p_rejective, p_receptive): logistic rejection probabilities of the
     two groups. p_rejective > 0.5 > p_receptive since u_minus < 0 < u_plus."""
-    p_rej, p_rec = _reject_probs(scn, 0.0)
-    return float(p_rej), float(p_rec)
-
-
-def social_reject_probs(scn: WorstCaseScenario, soc: SocialParams) -> tuple[float, float]:
-    """Group rejection probabilities with the system-awareness utility term
-    (1 - S) * gamma * R added to both representative utilities."""
-    p_rej, p_rec = _reject_probs(scn, _social_shift(soc))
-    return float(p_rej), float(p_rec)
+    p_rej, p_rec = _reject_probs(scn, shift_law())
+    return float(p_rej[0]), float(p_rec[0])
 
 
 def worst_case_prob(scn: WorstCaseScenario, alpha):
     """Probability that all n agents reject, for rejective fraction alpha
     (a float, or an array of them)."""
-    return _w(scn, alpha, _point_law())
+    return _w(scn, alpha, shift_law())
 
 
 def social_worst_case_prob(scn: WorstCaseScenario, soc: SocialParams, alpha):
-    return _w(scn, alpha, _point_law(_social_shift(soc)))
+    return _w(scn, alpha, shift_law(social=soc))
 
 
 def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha):
     """All-reject probability under a single noise realization shared by all
     agents, averaged over that realization. theta = 0 reduces exactly to
     worst_case_prob."""
-    return _w(scn, alpha, noise_law(noise))
+    return _w(scn, alpha, shift_law(noise=noise))
 
 
 def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint. For a
     one-node law W^(1/n) is linear in alpha, so alpha* is in closed form;
     otherwise bisection, as W is strictly increasing in alpha (the integrand
-    is, for every shift). Bisection stops at |W - delta| <= 1e-11 or when
-    the bracket collapses below 1e-15; ArithmeticError if the last midpoint
-    then misses |W - delta| <= 1e-10 (W too steep for double precision)."""
-    probs = _reject_probs(scn, law.shifts)  # alpha-free: computed once
+    is, for every shift). Bisection stops at |W - delta| <= 1e-11, or at a
+    bracket of adjacent doubles, whose end with the smaller |W - delta| is
+    the root; ArithmeticError if that end misses |W - delta| <= 1e-10 (W too
+    steep for double precision)."""
+    probs = _reject_probs(scn, law)  # alpha-free: computed once
     delta = scn.delta
     if law.weights.size == 1:
         p_rej, p_rec = float(probs[0][0]), float(probs[1][0])
@@ -329,19 +324,19 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     if abs(w1 - delta) <= 1e-10:
         return 1.0
     lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         w_mid = w(mid)
-        if abs(w_mid - delta) <= 1e-11 or hi - lo < 1e-15:
-            break
+        if abs(w_mid - delta) <= 1e-11:
+            return mid
         if w_mid < delta:
             lo = mid
         else:
             hi = mid
-    if not abs(w_mid - delta) <= 1e-10:
+    residual, mid = min((abs(w(alpha) - delta), alpha) for alpha in (lo, hi))
+    if not residual <= 1e-10:
         raise ArithmeticError(
             f"bisection stopped at alpha = {mid!r} with |W - delta| = "
-            f"{abs(w_mid - delta):.3e} above the 1e-10 residual target"
+            f"{residual:.3e} above the 1e-10 residual target"
         )
     return mid
 
@@ -349,24 +344,24 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
 def tipping_point(scn: WorstCaseScenario) -> float:
     """Closed-form alpha* with W(alpha*) = delta; raises NoTippingPoint when
     delta is unreachable."""
-    return _tipping_point(scn, _point_law())
+    return _tipping_point(scn, shift_law())
 
 
 def social_tipping_point(scn: WorstCaseScenario, soc: SocialParams) -> float:
     """Closed-form tipping point under the system-awareness adjustment."""
-    return _tipping_point(scn, _point_law(_social_shift(soc)))
+    return _tipping_point(scn, shift_law(social=soc))
 
 
 def noisy_tipping_point(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     """Tipping point under shared noise; at theta = 0 exactly tipping_point."""
-    return _tipping_point(scn, noise_law(noise))
+    return _tipping_point(scn, shift_law(noise=noise))
 
 
 def tipping_point_gradient(scn: WorstCaseScenario, noise: NoiseSpec) -> float:
     """d(alpha*)/d(theta) at the current noise scale, via the implicit
     function theorem: -(dW/dtheta) / (dW/dalpha) at (alpha*, theta)."""
     alpha_star = noisy_tipping_point(scn, noise)
-    d_alpha, d_theta = mixture_partials(scn, alpha_star, noise_law(noise))
+    d_alpha, d_theta = mixture_partials(scn, alpha_star, shift_law(noise=noise))
     if abs(d_alpha) < 1e-14:
         raise DegenerateGradient(
             f"dW/dalpha = {float(d_alpha):.3e} at the tipping point; implicit derivative undefined"
@@ -435,13 +430,13 @@ def gradient_sign_map(
     # delta plays no role in the gradient map; any interior value works.
     scenarios = [WorstCaseScenario(n, -u, u, beta, 0.5) for n in n_values for u in u_abs_values]
 
-    nodes, weights = _unit_nodes(NoiseSpec(kind=noise_kind, theta=0.0, gh_nodes=gh_nodes))
+    unit = shift_law(noise=NoiseSpec(kind=noise_kind, theta=1.0, gh_nodes=gh_nodes))
+    nodes, weights = unit.nodes, unit.weights
     a_step = max(1, _GRADMAP_BLOCK_VALUES // nodes.size)
     t_step = max(1, _GRADMAP_BLOCK_VALUES // (min(alphas.size, a_step) * nodes.size))
     a_blocks = [slice(i, i + a_step) for i in range(0, alphas.size, a_step)]
     t_blocks = [slice(i, i + t_step) for i in range(0, thetas.size, t_step)]
-    with np.errstate(over="ignore"):  # theta * node may overflow to +/-inf
-        laws = [ShiftLaw(thetas[t, None] * nodes, nodes, weights) for t in t_blocks]
+    laws = [ShiftLaw(0.0, thetas[t, None], nodes, weights) for t in t_blocks]
     # Two work arrays, as large as the largest block, serve every block.
     work = np.empty((2, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
 
@@ -450,7 +445,7 @@ def gradient_sign_map(
         grad = grad.T  # (alpha, theta), as the kernel's blocks are laid out
         for a in a_blocks:
             for t, law in zip(t_blocks, laws):
-                shape = (alphas[a].size, *law.shifts.shape)
+                shape = (alphas[a].size, law.theta.size, nodes.size)
                 x, y = (w[: math.prod(shape)].reshape(shape) for w in work)
                 grad[a, t] = _partials(scn, alphas[a, None, None], law, x, y, with_alpha=False)[1]
     # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly 0,

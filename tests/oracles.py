@@ -215,7 +215,8 @@ LABEL_PRECEDENCE = ("Failed", "Rejected", "Assigned", "Requested")
 def regex_normalize(text):
     """Lowercase, drop the three apostrophes, turn every character outside
     [a-z0-9] and whitespace into a space, collapse whitespace: one regex per
-    step."""
+    step, as the library once normalized all non-ASCII text. The library's
+    byte table must agree with it on any text."""
     t = text.lower().translate(str.maketrans({"’": "", "‘": "", "'": ""}))
     t = re.sub(r"[^a-z0-9\s]", " ", t)
     return re.sub(r"\s+", " ", t).strip()

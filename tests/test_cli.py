@@ -103,7 +103,7 @@ def no_kernels(monkeypatch):
     monkeypatch.setattr(np, "meshgrid", kernel_called)
     monkeypatch.setattr(chain_module, "transition_matrices", kernel_called)
     monkeypatch.setattr(chain_module, "stationary", kernel_called)
-    monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
+    monkeypatch.setattr(worstcase_module, "shift_law", kernel_called)
     monkeypatch.setattr(worstcase_module, "_partials", kernel_called)
 
 
@@ -288,8 +288,9 @@ class TestWorst:
         assert main(["worst", "--config", cfg]) == 2
 
     def test_steep_noisy_root_exits_3(self, tmp_path, capsys):
-        # Bisection cannot bring |W - delta| under 1e-10 in double precision.
-        doc = {"worst_case": {"n": 10**7, "u_minus": -22.0, "u_plus": 22.0, "beta": 1.0,
+        # Bisection cannot bring |W - delta| under 1e-10 in double precision:
+        # both adjacent doubles of the last bracket miss it (4.4e-9).
+        doc = {"worst_case": {"n": 10**9, "u_minus": -22.0, "u_plus": 22.0, "beta": 1.0,
                               "delta": 0.1, "alpha_grid": [0.5]},
                "noise": {"kind": "rademacher", "theta": 0.5}}
         out = tmp_path / "worst.csv"
@@ -486,6 +487,19 @@ class TestGradmap:
         assert_refused(code, capsys.readouterr().err, "at most 1048576 cells")
         assert not out.exists() and not cells.exists()
 
+    @pytest.mark.parametrize("out", ["map.csv", None])
+    def test_failed_cell_dump_leaves_no_summary(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, self.SMALL)
+        argv = ["gradmap", "--config", cfg, "--cells-out", "nodir/x.csv"]
+        code = main(argv + (["--out", out] if out else []))
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error[io_failed]: ")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_json_format(self, tmp_path):
         table, rows = both_formats(tmp_path, "gradmap", dict(self.SMALL, noise={"kind": "gaussian"}))
         assert isinstance(table, list) and len(table) == len(rows) == 2
@@ -564,17 +578,34 @@ class TestClassify:
             [0.1 * i for i in range(1, 10)]
         )
 
-    def test_insufficient_corpus_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def mentioned_only_corpus(tmp_path):
+        # No requested or failed comment: the counts cannot calibrate the chain.
         path = tmp_path / "corpus.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "facility", "comment"])
-            writer.writerow(["2024-01-01T00:00:00Z", "ZNY", "pathfinder ops later maybe"])
-        out = str(tmp_path / "labeled.csv")
-        assert main(["classify", str(path), "--out", out]) == 3
-        assert "error[computation_failed]" in capsys.readouterr().err
-        # labeled output still written before the calibration failure
-        assert os.path.exists(out)
+            writer.writerow(["2024-01-01T00:00:00Z", "ZNY", "pathfinder ops possible later today"])
+        return str(path)
+
+    def test_insufficient_corpus_exits_3(self, tmp_path, capsys):
+        corpus = self.mentioned_only_corpus(tmp_path)
+        out = str(tmp_path / "l.csv")
+        assert main(["classify", corpus, "--out", out, "--calibrate"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: need n_requested")
+        # Every output is computed before the first write: none is left.
+        assert os.listdir(tmp_path) == ["corpus.csv"]
+
+    def test_insufficient_corpus_without_calibrate_gets_null_params(self, tmp_path, capsys):
+        corpus = self.mentioned_only_corpus(tmp_path)
+        out = str(tmp_path / "l.csv")
+        assert main(["classify", corpus, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row["label"] for row in read_csv(out)] == ["Mentioned"]
+        assert json.loads((tmp_path / "l.counts.json").read_text())["n_mentioned"] == 1
+        params = json.loads((tmp_path / "l.params.json").read_text())
+        assert params == {"p_accept": None, "p_success": None}
 
     def test_custom_rules_file(self, tmp_path):
         rules = tmp_path / "rules.json"
@@ -657,8 +688,8 @@ class TestClassify:
         argv = ["classify", str(path), "--out", str(out), "--calibrate", "--g-grid", "0.5:1:0.5"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error[computation_failed]: ")
-        # As for a corpus that cannot calibrate, the labels are still written.
-        assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "l.counts.json", "l.csv", "l.params.json"]
+        # The sweep fails before any output is written.
+        assert os.listdir(tmp_path) == ["corpus.csv"]
 
     def test_fixture_outputs_are_pinned(self, tmp_path):
         # sha256 of what classify --calibrate writes for the fixture, as the

@@ -113,6 +113,12 @@ class TestNormalization:
     def test_matches_regex_reference(self, text):
         assert normalize_text(text) == regex_normalize(text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.characters(exclude_categories=())))
+    def test_matches_regex_reference_on_any_text(self, text):
+        # Any code point, surrogates included, mixed freely with ASCII.
+        assert normalize_text(text) == regex_normalize(text)
+
     def test_matches_regex_reference_on_every_code_point(self):
         # Letters around each code point tell a dropped character from a space.
         text = "a".join(map(chr, range(0x110000)))
@@ -597,8 +603,11 @@ class TestAgainstPerRecordPipeline:
             {f"n_{label.name.lower()}": tally[label.value] for label in Label},
             total=sum(tally.values()),
         )
+        assert code == 0
         # Without requested or failed comments the chain cannot be calibrated.
-        assert code == (0 if tally["Requested"] + tally["Failed"] else 3)
+        with open(os.path.join(directory, "l.params.json")) as fh:
+            params = json.load(fh)
+        assert (params["p_accept"] is None) == (tally["Requested"] + tally["Failed"] == 0)
 
     def test_fixture(self, tmp_path):
         records, _ = load_fixture()

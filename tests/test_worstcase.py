@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from pathfinder_ops import (
     group_reject_probs,
     noisy_tipping_point,
     noisy_worst_case_prob,
-    social_reject_probs,
     social_tipping_point,
     social_worst_case_prob,
     tipping_point,
@@ -36,8 +36,9 @@ from pathfinder_ops.worstcase import (
     gauss_hermite_nodes,
     gradient_cells_to_csv,
     gradient_sign_map_to_csv,
+    ShiftLaw,
     mixture_partials,
-    noise_law,
+    shift_law,
 )
 
 from oracles import (
@@ -60,6 +61,12 @@ LONG_ALPHAS = [i / 4999 for i in range(5000)]
 INF, NAN = float("inf"), float("nan")
 SOCIAL = SocialParams(s=0.0, gamma=2.5, r=0.5)
 SELFISH = SocialParams(s=1.0, gamma=2.5, r=0.5)
+
+
+def social_reject_probs(scn, soc):
+    """(p_rej, p_rec) under the point-mass law of system awareness."""
+    p_rej, p_rec = worstcase_module._reject_probs(scn, shift_law(social=soc))
+    return float(p_rej[0]), float(p_rec[0])
 
 
 class TestValidation:
@@ -310,7 +317,7 @@ class TestNoisyWorstCase:
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        rademacher = noise_law(NoiseSpec(NoiseKind.RADEMACHER, 1.0))
+        rademacher = shift_law(noise=NoiseSpec(NoiseKind.RADEMACHER, 1.0))
         with pytest.raises(ValueError):
             rademacher.weights[0] = 1.0
 
@@ -381,10 +388,20 @@ class TestNoisyTippingPoint:
     STEEP = WorstCaseScenario(n=10**7, u_minus=-22.0, u_plus=22.0, beta=1.0, delta=0.1)
 
     def test_steep_root_below_the_residual_target_raises(self):
-        # W rises by about 1e-10 per ulp of alpha near alpha = 1, so the
-        # bracket collapses with |W - delta| = 2.1e-10 at its midpoint.
+        # At n = 10^8 both adjacent doubles of the bracket miss the target
+        # (|W - delta| = 2.5e-10 at the nearer one).
+        steep = WorstCaseScenario(n=10**8, u_minus=-22.0, u_plus=22.0, beta=1.0, delta=0.1)
         with pytest.raises(ArithmeticError, match="above the 1e-10 residual target"):
-            noisy_tipping_point(self.STEEP, NoiseSpec(NoiseKind.RADEMACHER, 0.5))
+            noisy_tipping_point(steep, NoiseSpec(NoiseKind.RADEMACHER, 0.5))
+
+    def test_steep_root_is_bisected_to_adjacent_doubles(self):
+        # W rises by about 1e-10 per ulp of alpha near alpha = 1. A bracket
+        # of 1e-15 stopped 9 ulps wide at |W - delta| = 2.1e-10; two ulps
+        # further up, the adjacent doubles reach 1.6e-11.
+        noise = NoiseSpec(NoiseKind.RADEMACHER, 0.5)
+        star = noisy_tipping_point(self.STEEP, noise)
+        assert star == 0.9999997700559591
+        assert abs(noisy_worst_case_prob(self.STEEP, noise, star) - 0.1) <= 1e-10
 
     def test_steep_root_that_meets_the_target_is_returned(self):
         noise = NoiseSpec(NoiseKind.GAUSSIAN, 0.5)
@@ -397,6 +414,67 @@ class TestNoisyTippingPoint:
         w1 = noisy_worst_case_prob(BASE, noise, 1.0)
         assert w0 < BASE.delta < w1
         noisy_tipping_point(BASE, noise)
+
+
+class TestShiftLaw:
+    def test_laws_without_noise_are_point_masses(self):
+        for law, offset in [(shift_law(), 0.0), (shift_law(social=SOCIAL), 1.25),
+                            (shift_law(SELFISH, NoiseSpec(NoiseKind.GAUSSIAN, 0.0)), 0.0)]:
+            assert (law.offset, law.theta) == (offset, 0.0)
+            assert law.nodes.tolist() == [0.0] and law.weights.tolist() == [1.0]
+
+    def test_noise_scales_the_unit_nodes(self):
+        law = shift_law(SOCIAL, NoiseSpec(NoiseKind.GAUSSIAN, 0.7, gh_nodes=9))
+        assert (law.offset, law.theta) == (1.25, 0.7)
+        assert law.nodes is gauss_hermite_nodes(9)[0] and law.weights is gauss_hermite_nodes(9)[1]
+        assert ShiftLaw._fields == ("offset", "theta", "nodes", "weights")
+
+    # beta = 1e-310 and theta = 1e308: theta * node overflows on 52 of the
+    # 61 nodes although each logistic argument is only about 0.01 * node.
+    TINY_BETA = WorstCaseScenario(n=2, u_minus=-1.0, u_plus=1.0, beta=1e-310, delta=0.5)
+    HUGE_NOISE = NoiseSpec(NoiseKind.GAUSSIAN, 1e308)
+
+    def test_overflowing_shift_with_tiny_beta_matches_quadrature(self):
+        from scipy.integrate import quad
+        from scipy.special import expit
+
+        beta, theta = self.TINY_BETA.beta, self.HUGE_NOISE.theta
+
+        def integrand(z):
+            # The logistic arguments, -beta * (u + theta * z), with beta * theta taken first.
+            m = 0.5 * expit(beta - beta * theta * z) + 0.5 * expit(-beta - beta * theta * z)
+            return m**2 * math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+
+        exact = quad(integrand, -INF, INF, epsabs=1e-14, epsrel=1e-14)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = noisy_worst_case_prob(self.TINY_BETA, self.HUGE_NOISE, 0.5)
+        # An infinite shift would make p exactly 0 or 1, and W 0.26723.
+        assert w == pytest.approx(exact, abs=1e-12)
+        assert w == pytest.approx(0.25000624968752216, abs=1e-12)
+
+    def test_overflowing_shift_in_the_gradient_map(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gmap = gradient_sign_map(
+                n_values=[2], u_abs_values=[1.0], noise_kind=NoiseKind.GAUSSIAN,
+                alpha_grid=[0.5], theta_grid=[self.HUGE_NOISE.theta], beta=self.TINY_BETA.beta,
+            )
+            _, d_theta = mixture_partials(self.TINY_BETA, 0.5, shift_law(noise=self.HUGE_NOISE))
+        assert gmap.dw_dtheta[0, 0, 0, 0] == d_theta
+        assert 0.0 < d_theta < 1e-300
+
+    def test_terms_that_both_overflow_keep_the_limit(self):
+        # At the outer nodes (+/- sqrt(3)) theta * node overflows, and so do
+        # both beta * (u_minus + offset) and (beta * theta) * node; inf - inf
+        # must not reach W. The shift dominates u_minus, so p is 0 or 1.
+        scn = WorstCaseScenario(n=1, u_minus=-1.7e308, u_plus=1.0, beta=1.5, delta=0.5)
+        law = shift_law(noise=NoiseSpec(NoiseKind.GAUSSIAN, 1.5e308, gh_nodes=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p_rej, p_rec = worstcase_module._reject_probs(scn, law)
+        assert p_rej.tolist() == [1.0, 1.0, 0.0]
+        assert p_rec.tolist() == [1.0, pytest.approx(1.0 / (1.0 + math.exp(1.5)), rel=1e-15), 0.0]
 
 
 class TestTippingPointGradient:
@@ -414,7 +492,7 @@ class TestTippingPointGradient:
         for kappa in (0.5, 2.0):
             noise = NoiseSpec(kind=NoiseKind.RADEMACHER, theta=kappa)
             star = noisy_tipping_point(BASE, noise)
-            d_alpha, d_theta = mixture_partials(BASE, star, noise_law(noise))
+            d_alpha, d_theta = mixture_partials(BASE, star, shift_law(noise=noise))
             assert d_alpha > 0
             gradient = tipping_point_gradient(BASE, noise)
             assert math.copysign(1.0, gradient) == -math.copysign(1.0, d_theta)
@@ -442,14 +520,14 @@ class TestExactPartials:
     @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
     def test_partials_match_central_differences(self, kind, theta, alpha):
-        d_alpha, d_theta = mixture_partials(BASE, alpha, noise_law(NoiseSpec(kind, theta)))
+        d_alpha, d_theta = mixture_partials(BASE, alpha, shift_law(noise=NoiseSpec(kind, theta)))
 
         def w_of_theta(t):
             return noisy_worst_case_prob(BASE, NoiseSpec(kind, t), alpha)
 
         # An interior alpha point keeps the difference inside [0, 1].
         a0 = min(max(alpha, 1e-3), 1.0 - 1e-3)
-        d_alpha_at_a0, _ = mixture_partials(BASE, a0, noise_law(NoiseSpec(kind, theta)))
+        d_alpha_at_a0, _ = mixture_partials(BASE, a0, shift_law(noise=NoiseSpec(kind, theta)))
         fd_theta = central_diff(w_of_theta, theta, 1e-4)
         fd_alpha = central_diff(
             lambda a: noisy_worst_case_prob(BASE, NoiseSpec(kind, theta), a), a0, 1e-4
@@ -465,9 +543,11 @@ class TestExactPartials:
     def test_partials_match_a_fresh_array_per_operation(self, n, alphas):
         scn = WorstCaseScenario(n=n, u_minus=-1.5, u_plus=3.0, beta=0.8, delta=0.5)
         gauss = NoiseSpec(NoiseKind.GAUSSIAN, 1.3)
-        for law in [worstcase_module._point_law(0.25), noise_law(gauss)]:
+        social = SocialParams(s=0.5, gamma=0.5, r=1.0)  # offset 0.25
+        for law in [shift_law(social=social), shift_law(noise=gauss), shift_law(social, gauss)]:
             got = mixture_partials(scn, alphas, law)
-            expected = per_op_partials(n, -1.5, 3.0, 0.8, alphas, *law)
+            shifts = law.offset + law.theta * law.nodes
+            expected = per_op_partials(n, -1.5, 3.0, 0.8, alphas, shifts, law.nodes, law.weights)
             for g, e in zip(got, expected):
                 np.testing.assert_array_equal(np.asarray(g).view(np.int64), e.view(np.int64))
 
@@ -476,7 +556,7 @@ class TestExactPartials:
         # is 0 or overflows, so p is 0, 1/2 or 1 exactly, and dW/dtheta is
         # -beta * n * E[xi' * m^9 * spread] in exact arithmetic.
         scn = WorstCaseScenario(n=10, u_minus=-1.0, u_plus=1.0, beta=1e308, delta=0.5)
-        rademacher = [noise_law(NoiseSpec(NoiseKind.RADEMACHER, t)) for t in (1.0, 2.0)]
+        rademacher = [shift_law(noise=NoiseSpec(NoiseKind.RADEMACHER, t)) for t in (1.0, 2.0)]
         _, d_theta = mixture_partials(scn, 0.5, rademacher[0])
         e = Fraction(1, 16) * (Fraction(1, 4) ** 9 - Fraction(3, 4) ** 9)
         assert float(d_theta) == pytest.approx(float(-Fraction(1e308) * 10 * e), rel=1e-15)
@@ -488,7 +568,7 @@ class TestExactPartials:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_noise_partial_is_exactly_zero_at_theta_zero(self, kind):
         for alpha in (0.0, 0.3, 1.0):
-            _, d_theta = mixture_partials(BASE, alpha, noise_law(NoiseSpec(kind, 0.0)))
+            _, d_theta = mixture_partials(BASE, alpha, shift_law(noise=NoiseSpec(kind, 0.0)))
             assert d_theta == 0.0
 
 
@@ -546,10 +626,10 @@ class TestGradientSignMap:
         gmap = gradient_sign_map(noise_kind=kind, **grids)
         grids = {"n_values": DEFAULT_N_VALUES, "u_abs_values": DEFAULT_U_ABS_VALUES,
                  "alpha_grid": DEFAULT_ALPHA_GRID, "theta_grid": DEFAULT_THETA_GRID, **grids}
-        nodes, weights = worstcase_module._unit_nodes(NoiseSpec(kind, 0.0))
+        unit = shift_law(noise=NoiseSpec(kind, 1.0))
         expected = per_op_dw_dtheta(
             grids["n_values"], grids["u_abs_values"], grids["alpha_grid"], grids["theta_grid"],
-            nodes, weights, worstcase_module._GRADMAP_BLOCK_VALUES, grids.get("beta", 1.0),
+            unit.nodes, unit.weights, worstcase_module._GRADMAP_BLOCK_VALUES, grids.get("beta", 1.0),
         )
         assert gmap.n_values == tuple(grids["n_values"])
         assert gmap.u_abs_values.tolist() == list(grids["u_abs_values"])
@@ -608,7 +688,7 @@ class TestGradientSignMap:
         def kernel_called(*args, **kwargs):
             raise AssertionError("kernel called")
 
-        monkeypatch.setattr(worstcase_module, "_unit_nodes", kernel_called)
+        monkeypatch.setattr(worstcase_module, "shift_law", kernel_called)
         monkeypatch.setattr(worstcase_module, "_partials", kernel_called)
 
     @pytest.mark.parametrize(
@@ -623,6 +703,16 @@ class TestGradientSignMap:
                 alpha_grid=[i / alphas for i in range(alphas)],
                 theta_grid=[i / 100 for i in range(thetas)],
             )
+
+    @pytest.mark.parametrize(
+        "noise,message",
+        [({"noise_kind": "gaussian"}, "kind must be a NoiseKind, got 'gaussian'"),
+         ({"noise_kind": NoiseKind.GAUSSIAN, "gh_nodes": 0}, r"gh_nodes must lie in \[1, 370\], got 0"),
+         ({"noise_kind": NoiseKind.GAUSSIAN, "gh_nodes": 371}, r"gh_nodes must lie in \[1, 370\], got 371")],
+    )
+    def test_noise_rule_checked_before_any_kernel(self, no_kernel, noise, message):
+        with pytest.raises(ValueError, match=message):
+            gradient_sign_map(n_values=[2], u_abs_values=[1.0], **noise)
 
     def test_map_at_the_cap_reaches_the_kernel(self, no_kernel):
         assert 2 * 512 * 1024 == MAX_GRADMAP_CELLS
@@ -677,7 +767,7 @@ class TestGradientSignMap:
         assert gmap.dw_dtheta.dtype == float and gmap.dw_dtheta.shape == (1, 1, 2, 3)
         assert gmap.alphas.tolist() == alphas and gmap.thetas.tolist() == thetas
         scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.5)
-        law = noise_law(NoiseSpec(kind=NoiseKind.RADEMACHER, theta=1.0))
+        law = shift_law(noise=NoiseSpec(kind=NoiseKind.RADEMACHER, theta=1.0))
         for alpha, grad in zip(alphas, gmap.dw_dtheta[0, 0, 1]):
             assert grad == pytest.approx(mixture_partials(scn, alpha, law)[1], rel=1e-12)
 
