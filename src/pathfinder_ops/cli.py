@@ -1,7 +1,8 @@
 """Command-line front end: every analysis as a subcommand.
 
-Subcommands read a JSON scenario config (see README for the schema), write
-CSV or JSON results atomically, and use three exit codes: 0 success,
+Subcommands read a JSON scenario config (see README for the schema) and
+return their outputs as (target, text) pairs, None for stdout; only `main`
+writes, files atomically and in order, then stdout. Exit codes: 0 success,
 2 usage/config error, 3 computation or data error. Errors print one
 machine-greppable line to stderr: error[<code>]: <message>. The exception
 decides the code: a ValueError (bad input) exits 2, a PathfinderOpsError (no
@@ -180,23 +181,18 @@ def _colon_grid(text: str) -> list[float]:
     if not span < MAX_SWEEP_CELLS:
         raise ValueError(f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got {text!r}")
     values = [round(lo + i * step, 12) for i in range(int(span) + 1)]
+    if len(set(values)) < len(values):
+        raise ValueError(f"--g-grid values repeat once rounded to 12 decimals, got {text!r}")
     try:
         return _validate_grid(values, "p_good", low_open=False)
     except ValueError as exc:
         raise ValueError(f"--g-grid: {exc}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(out, text)
-
-
 # --- steady -----------------------------------------------------------------
 
 
-def cmd_steady(args) -> int:
+def cmd_steady(args) -> list:
     chain = _require_section(_load_config(args.config), "chain")
     # The schema keeps key order: p_good, p_accept, p_success.
     records = sweep_steady_state(*chain.values())
@@ -209,16 +205,14 @@ def cmd_steady(args) -> int:
              "pi": pi if status == "ok" else None, "status": status}
             for g, a, s, pi, status in cells
         ]
-        _emit(json_text(table), args.out)
-    else:
-        _emit(sweep_to_csv(records), args.out)
-    return EXIT_OK
+        return [(args.out, json_text(table))]
+    return [(args.out, sweep_to_csv(records))]
 
 
 # --- worst ------------------------------------------------------------------
 
 
-def cmd_worst(args) -> int:
+def cmd_worst(args) -> list:
     cfg = _load_config(args.config)
     scn, soc, noise = _scenario(cfg), _social(cfg), _noise(cfg)
     alphas = cfg["worst_case"]["alpha_grid"]
@@ -242,18 +236,16 @@ def cmd_worst(args) -> int:
 
     if args.format == "json":
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        _emit(json_text({"rows": rows}), args.out)
-    else:
-        # A missing alpha* (None) is NaN in the block, an empty field.
-        block = np.array(list(columns.values()), dtype=float).T
-        _emit(grid_csv(list(columns), [], block), args.out)
-    return EXIT_OK
+        return [(args.out, json_text({"rows": rows}))]
+    # A missing alpha* (None) is NaN in the block, an empty field.
+    block = np.array(list(columns.values()), dtype=float).T
+    return [(args.out, grid_csv(list(columns), [], block))]
 
 
 # --- gradmap ----------------------------------------------------------------
 
 
-def cmd_gradmap(args) -> int:
+def cmd_gradmap(args) -> list:
     cfg = _load_config(args.config)
     grids = cfg["gradmap"] if "gradmap" in cfg else _checked("gradmap", {})
     noise = _noise(cfg)
@@ -262,26 +254,21 @@ def cmd_gradmap(args) -> int:
         noise_kind=noise.kind if noise is not None else NoiseKind.RADEMACHER,
         gh_nodes=noise.gh_nodes if noise is not None else DEFAULT_GH_NODES,
     )
+    dump = [] if args.cells_out is None else [(args.cells_out, gradient_cells_to_csv(gmap))]
     if args.format == "json":
         instances = [(n, u) for n in gmap.n_values for u in gmap.u_abs_values.tolist()]
         table = [
             {"n": n, "u_abs": u, "noise_kind": gmap.noise_kind.value, "fraction_negative": f}
             for (n, u), f in zip(instances, gmap.fraction_negative.ravel().tolist())
         ]
-        summary = json_text(table)
-    else:
-        summary = gradient_sign_map_to_csv(gmap)
-    # The cell dump is written first, so a failed dump leaves no summary.
-    if args.cells_out is not None:
-        atomic_write_text(args.cells_out, gradient_cells_to_csv(gmap))
-    _emit(summary, args.out)
-    return EXIT_OK
+        return dump + [(args.out, json_text(table))]
+    return dump + [(args.out, gradient_sign_map_to_csv(gmap))]
 
 
 # --- classify ---------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> list:
     # The flags and the rules are checked before the corpus is read.
     g_grid = None
     if args.calibrate:
@@ -298,34 +285,31 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise PathfinderOpsError(str(exc))
 
-    # Every output is computed before the first is written, so a failed run
-    # leaves no file. Labels need no parameters: counts that cannot calibrate
-    # the chain give null ones here, and fail only in the --calibrate sweep.
+    # Labels need no parameters: counts that cannot calibrate the chain give
+    # null ones here, and fail only in the --calibrate sweep.
     labeled, counts = classify_corpus(corpus.comments, rules)
     try:
         p_accept, p_success = estimate_params(counts)
     except InsufficientData:
         p_accept = p_success = None
     stem = os.path.splitext(args.out)[0]
-    outputs = {
-        args.out: labeled_to_csv(corpus, labeled),
-        args.counts_out or stem + ".counts.json":
-            json_text(dict(counts.as_dict(), total=counts.total())),
-        args.params_out or stem + ".params.json":
-            json_text({"p_accept": p_accept, "p_success": p_success}),
-    }
+    outputs = [
+        (args.out, labeled_to_csv(corpus, labeled)),
+        (args.counts_out or stem + ".counts.json",
+         json_text(dict(counts.as_dict(), total=counts.total()))),
+        (args.params_out or stem + ".params.json",
+         json_text({"p_accept": p_accept, "p_success": p_success})),
+    ]
     if g_grid is not None:
         steady = sweep_to_csv(calibrated_steady_state(counts, g_grid))
-        outputs[args.steady_out or stem + ".steady.csv"] = steady
-    for path, text in outputs.items():
-        atomic_write_text(path, text)
-    return EXIT_OK
+        outputs.append((args.steady_out or stem + ".steady.csv", steady))
+    return outputs
 
 
 # --- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     cfg = _load_config(args.config)
     sim = _require_section(cfg, "sim")
     seed = sim["seed"] if args.seed is None else args.seed
@@ -374,8 +358,7 @@ def cmd_simulate(args) -> int:
             "mean_offers": batch.mean_offers,
             "analytic_all_reject": worst_case_prob(scn, alpha),
         }
-    _emit(json_text(result), args.out)
-    return EXIT_OK
+    return [(args.out, json_text(result))]
 
 
 # --- entry point ------------------------------------------------------------
@@ -449,21 +432,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: str, exc: BaseException, status: int) -> int:
-    print(f"error[{code}]: {exc}", file=sys.stderr)
-    return status
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        outputs = args.func(args)
+        files = [(path, text) for path, text in outputs if path is not None]
+        # One directory entry is one file: a symlinked file is replaced, not followed.
+        entries = {}
+        for path, _ in files:
+            head, name = os.path.split(path)
+            entry = os.path.join(os.path.realpath(head), name)
+            if entry in entries:
+                raise ValueError(f"two outputs name one file: {entries[entry]} and {path}")
+            entries[entry] = path
+        for path, text in files:
+            atomic_write_text(path, text)
+        for text in [text for path, text in outputs if path is None]:
+            sys.stdout.write(text)
+        return EXIT_OK
     except ValueError as exc:
-        return _fail("config_invalid", exc, EXIT_CONFIG)
+        status, line = EXIT_CONFIG, f"error[config_invalid]: {exc}"
     except (PathfinderOpsError, ArithmeticError) as exc:
-        return _fail("computation_failed", exc, EXIT_COMPUTE)
+        status, line = EXIT_COMPUTE, f"error[computation_failed]: {exc}"
     except OSError as exc:
-        return _fail("io_failed", exc, EXIT_COMPUTE)
+        status, line = EXIT_COMPUTE, f"error[io_failed]: {exc}"
+    print(line, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
+# The umask, read once; os.umask reads it only by setting it. mkstemp ignores it.
+os.umask(_UMASK := os.umask(0o077))
+
 
 def column_fields(column) -> list[str]:
     """The fields of one float column, each distinct value formatted once
@@ -87,7 +90,8 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write text to `path` via a temp file + rename in the same directory.
 
     A partially written file never appears at the target path, a failed write
-    leaves no temp file, and its OSError names `path` alone.
+    leaves no temp file, and its OSError names `path` alone. The file gets the
+    mode `open()` gives a new one, 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
@@ -95,6 +99,7 @@ def atomic_write_text(path: str, text: str) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp_path, 0o666 & ~_UMASK)
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None:

@@ -666,6 +666,15 @@ class TestClassify:
         code = main(["classify", missing, "--out", out, "--calibrate", "--g-grid", "0:inf:0.1"])
         assert_refused(code, capsys.readouterr().err, "--g-grid")
 
+    def test_g_grid_values_repeated_by_rounding_refused(self, tmp_path, capsys):
+        # 11 values a tenth of the 1e-12 rounding apart are 2 distinct ones.
+        missing, out = str(tmp_path / "no-such-corpus.csv"), str(tmp_path / "l.csv")
+        argv = ["classify", missing, "--out", out, "--calibrate", "--g-grid", "0:1e-12:1e-13"]
+        assert_refused(main(argv), capsys.readouterr().err, "--g-grid values repeat")
+        assert os.listdir(tmp_path) == []
+        tenths = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        assert cli_module._colon_grid("0.1:0.9:0.1") == tenths
+
     @pytest.mark.parametrize(
         "flags", [["--g-grid", "0.2:0.4:0.1"], ["--steady-out", "st.csv"], ["--g-grid", ""]]
     )
@@ -1140,6 +1149,88 @@ class TestJsonInputs:
         with pytest.raises(ValueError) as info:
             load_candidates(str(path))
         assert needle in str(info.value)
+
+
+class TestOneWriter:
+    """Subcommands return (target, text) pairs; `main` alone checks the
+    targets and writes them."""
+
+    @staticmethod
+    def argv(inputs, command):
+        def config(doc):
+            return ["--config", write_config(inputs, doc, name=f"{command}.json")]
+
+        if command == "steady":
+            return ["steady", *config({"chain": {"p_good": [0.3, 1.0]}}), "--format", "json"]
+        if command == "worst":
+            return ["worst", *config(FIG3_WORST), "--out", "w.csv"]
+        if command == "gradmap":
+            return ["gradmap", *config(TestGradmap.SMALL), "--cells-out", "cells.csv"]
+        if command == "classify":
+            return ["classify", project_fixture(inputs)[0], "--out", "l.csv", "--calibrate"]
+        chain = {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9}
+        return ["simulate", *config({"chain": chain, "sim": {"seed": 1, "steps": 1000}}),
+                "--out", "sim.json"]
+
+    @pytest.mark.parametrize("command", ["steady", "worst", "gradmap", "classify", "simulate"])
+    def test_subcommands_return_what_main_writes(self, tmp_path, capsys, monkeypatch, command):
+        inputs, run = tmp_path / "inputs", tmp_path / "run"
+        inputs.mkdir()
+        run.mkdir()
+        monkeypatch.chdir(run)
+        argv = self.argv(inputs, command)
+        args = cli_module.build_parser().parse_args(argv)
+        outputs = args.func(args)
+        assert os.listdir(run) == []
+        assert capsys.readouterr() == ("", "")
+
+        assert main(argv) == 0
+        files = {path: text for path, text in outputs if path is not None}
+        assert sorted(os.listdir(run)) == sorted(files)
+        for path, text in files.items():
+            assert (run / path).read_bytes() == text.encode("utf-8")
+        stdout = "".join(text for path, text in outputs if path is None)
+        assert capsys.readouterr() == (stdout, "")
+
+    @pytest.mark.parametrize(
+        "command,flags,needle",
+        [
+            ("classify", ["--out", "x.csv", "--counts-out", "x.csv"], "x.csv and x.csv"),
+            ("classify", ["--out", "x.csv", "--params-out", "x.counts.json"],
+             "x.counts.json and x.counts.json"),
+            ("classify", ["--out", "x.csv", "--calibrate", "--steady-out", "x.csv"],
+             "x.csv and x.csv"),
+            ("gradmap", ["--out", "m.csv", "--cells-out", "./m.csv"], "./m.csv and m.csv"),
+            ("gradmap", ["--out", "m.csv", "--cells-out", "dl/m.csv"], "dl/m.csv and m.csv"),
+        ],
+    )
+    def test_one_file_named_twice_is_refused(
+        self, tmp_path, capsys, monkeypatch, command, flags, needle
+    ):
+        inputs, run = tmp_path / "inputs", tmp_path / "run"
+        inputs.mkdir()
+        run.mkdir()
+        monkeypatch.chdir(run)
+        os.symlink(".", "dl")
+        if command == "classify":
+            argv = ["classify", project_fixture(inputs)[0], *flags]
+        else:
+            argv = ["gradmap", "--config", write_config(inputs, TestGradmap.SMALL), *flags]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert_refused(code, captured.err, f"two outputs name one file: {needle}")
+        assert captured.out == ""
+        assert os.listdir(run) == ["dl"]
+
+    def test_symlinked_file_is_a_file_of_its_own(self, tmp_path, monkeypatch):
+        # atomic_write_text replaces the link, not the file it points to.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("real.csv", "link.csv")
+        cfg = write_config(tmp_path, TestGradmap.SMALL)
+        assert main(["gradmap", "--config", cfg, "--out", "real.csv", "--cells-out", "link.csv"]) == 0
+        assert not os.path.islink("link.csv")
+        assert list(read_csv("link.csv")[0]) == ["n", "u_abs", "noise_kind", "alpha", "theta", "dw_dtheta"]
+        assert list(read_csv("real.csv")[0]) == ["n", "u_abs", "noise_kind", "fraction_negative"]
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathfinder_ops
 from pathfinder_ops import GradientSignMap, NoiseKind
 from pathfinder_ops.chain import sweep_records, sweep_steady_state, sweep_to_csv
 from pathfinder_ops.fileio import atomic_write_text, column_fields, grid_csv, json_text
@@ -272,3 +276,29 @@ def test_failed_write_names_the_target_and_leaves_nothing(tmp_path, monkeypatch)
         atomic_write_text(path, "x\n")
     assert str(info.value) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {path!r}"
     assert os.listdir(tmp_path) == []
+
+
+# The umask is read when fileio is imported, so it is set in a fresh
+# interpreter before the import.
+WRITE_UNDER_UMASK = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from pathfinder_ops.fileio import atomic_write_text
+for path in sys.argv[2:]:
+    atomic_write_text(path, "x\\n")
+"""
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])
+def test_written_file_gets_the_mode_open_gives_a_new_file(tmp_path, umask, mode):
+    old = tmp_path / "old.txt"
+    old.write_text("")
+    old.chmod(0o644)
+    src = os.path.dirname(os.path.dirname(pathfinder_ops.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", WRITE_UNDER_UMASK, oct(umask), str(tmp_path / "new.txt"), str(old)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"new.txt": mode, "old.txt": mode}
+    assert old.read_text() == "x\n"
