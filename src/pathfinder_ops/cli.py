@@ -1,18 +1,20 @@
 """Command-line front end: every analysis as a subcommand.
 
 Subcommands read a JSON scenario config (see README for the schema) and
-return their outputs as (target, text) pairs, None for stdout; only `main`
-writes, files atomically and in order, then stdout. Exit codes: 0 success,
+return their outputs as (target, text) pairs, None for stdout, each text a
+str or, for a file, an iterable of str chunks; only `main` writes, files
+atomically and in order, then stdout. Exit codes: 0 success,
 2 usage/config error, 3 computation or data error. Errors print one
 machine-greppable line to stderr: error[<code>]: <message>. The exception
 decides the code: a ValueError (bad input) exits 2, a PathfinderOpsError (no
 result for valid input) or ArithmeticError (a failed self-check) exits 3, and
-so does an OSError.
+so does an OSError, a closed stdout that an output goes to included.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import reprlib
@@ -436,6 +438,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         outputs = args.func(args)
+        # Python sets sys.stdout to None when it starts with fd 1 closed.
+        if sys.stdout is None and any(path is None for path, _ in outputs):
+            raise OSError(errno.EBADF, "cannot write to stdout: it is closed")
         files = [(path, text) for path, text in outputs if path is not None]
         # One directory entry is one file: a symlinked file is replaced, not followed.
         entries = {}

@@ -1,5 +1,6 @@
 """Small file helpers: float column fields, grid tables filled through one `%`
-template, JSON text, atomic writes, and the one JSON file reader."""
+template, JSON text, atomic writes of text or of its chunks, and the one JSON
+file reader."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import contextlib
 import json
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,19 +87,23 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write text to `path` via a temp file + rename in the same directory.
+    The text is a str, or an iterable of str chunks written one at a time, so
+    it is never held whole; a str is one chunk.
 
     A partially written file never appears at the target path, a failed write
-    leaves no temp file, and its OSError names `path` alone. The file gets the
-    mode `open()` gives a new one, 0o666 less the umask.
+    (an error taking a chunk included) leaves no temp file, and its OSError
+    names `path` alone. The file gets the mode `open()` gives a new one,
+    0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                handle.write(chunk)
         os.chmod(tmp_path, 0o666 & ~_UMASK)
         os.replace(tmp_path, path)
     except BaseException as exc:

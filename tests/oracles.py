@@ -241,19 +241,26 @@ def oracle_labeled_csv(path, doc):
     """(labeled CSV text, Counter of label names) that `classify` should
     write for the corpus CSV at `path` under a rules document: each record
     on its own, its timestamp parsed and printed by `datetime.isoformat()`,
-    its comment labeled by `regex_classify`, and one `writerow` per row."""
+    its comment labeled by `regex_classify`, and one `writerow` per row.
+
+    The rows are written with a CRLF line terminator, which makes the csv
+    module quote a field holding CR as well as one holding LF, and each
+    row's final CRLF is then swapped for LF."""
     with open(path, encoding="utf-8", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["timestamp", "facility", "comment", "label", "rule"])
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
     tally = Counter()
     for stamp, facility, comment in rows[1:]:
         label, rule = regex_classify(comment, doc)
         tally[label] += 1
         when = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        buffer.seek(0)
+        buffer.truncate()
         writer.writerow([when.isoformat(), facility, comment, label, rule])
-    return buffer.getvalue(), tally
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "timestamp,facility,comment,label,rule\n" + "".join(lines), tally
 
 
 # --- gradient map and grid tables ---------------------------------------------

@@ -1152,8 +1152,9 @@ class TestJsonInputs:
 
 
 class TestOneWriter:
-    """Subcommands return (target, text) pairs; `main` alone checks the
-    targets and writes them."""
+    """Subcommands return (target, text) pairs, the text a str or an
+    iterable of str chunks; `main` alone checks the targets and writes
+    them."""
 
     @staticmethod
     def argv(inputs, command):
@@ -1185,7 +1186,7 @@ class TestOneWriter:
         assert capsys.readouterr() == ("", "")
 
         assert main(argv) == 0
-        files = {path: text for path, text in outputs if path is not None}
+        files = {path: "".join(text) for path, text in outputs if path is not None}
         assert sorted(os.listdir(run)) == sorted(files)
         for path, text in files.items():
             assert (run / path).read_bytes() == text.encode("utf-8")
@@ -1353,6 +1354,27 @@ print(json.dumps(codes))
         assert json.loads(proc.stdout) == {
             "steady": 0, "worst": 0, "gradmap": 0, "simulate": 0, "classify": 0, "extras imported": []
         }
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [("steady", []), ("gradmap", ["--cells-out", "cells.csv"])],
+        ids=["steady", "gradmap-with-a-file"],
+    )
+    def test_closed_stdout_is_refused_before_any_file(self, tmp_path, command, flags):
+        # Python starts with sys.stdout None when fd 1 is closed.
+        doc = {"chain": {"p_good": 0.5}} if command == "steady" else TestGradmap.SMALL
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "pathfinder_ops",
+             command, "--config", cfg, *flags],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=module_env(),
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["error[io_failed]: [Errno 9] cannot write to stdout: it is closed"]
+        assert os.listdir(tmp_path) == [os.path.basename(cfg)]
 
     USAGE_ERRORS = {
         "the following arguments are required: --config": ["steady"],

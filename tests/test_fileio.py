@@ -245,6 +245,25 @@ def test_atomic_write_failure_leaves_nothing(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_atomic_write_of_chunks_writes_their_concatenation(tmp_path):
+    path = tmp_path / "out.txt"
+    chunks = ["a,b\n", "", "é,\"q\"\n" * 3, "z\n"]
+    atomic_write_text(str(path), (chunk for chunk in chunks))
+    assert path.read_bytes() == "".join(chunks).encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_of_chunks_that_fail_leaves_nothing(tmp_path):
+    def chunks():
+        yield "first\n"
+        raise RuntimeError("no second chunk")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError, match="no second chunk"):
+        atomic_write_text(str(path), chunks())
+    assert os.listdir(tmp_path) == []
+
+
 def test_atomic_write_onto_a_directory_names_the_target(tmp_path):
     path = str(tmp_path / "adir")
     os.mkdir(path)

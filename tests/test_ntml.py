@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import os
 import tempfile
 from datetime import datetime
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,7 +429,7 @@ class TestCsvIo:
         corpus = read_corpus_csv(str(path))
         assert corpus == LogCorpus(["2024-01-01T00:00:00+00:00"], ["ZNY"], [tricky])
         labeled, _ = classify_corpus(corpus.comments)
-        text = labeled_to_csv(corpus, labeled)
+        text = "".join(labeled_to_csv(corpus, labeled))
         rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["timestamp", "facility", "comment", "label", "rule"]
         assert rows[1][2] == tricky
@@ -570,21 +572,67 @@ CSV_COMMENTS = st.one_of(
             "requesting, pathfinder\nthrough WHITE",
             "pathfinder didn’t make it, \"again\"",
             "DAL9 approved\r\nrequesting",
+            "pathfinder declined\rby company",
             "  pathfinder ops later  ",
         ]
     ),
 )
+FACILITIES = ["ZNY", "N90", "Z,B", 'a"b', "", "Z\rB"]
 CORPUS_ROWS = st.lists(CSV_COMMENTS, min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(
         st.tuples(
             st.one_of(STAMPS, st.just("2024-06-01T12:00:00+00:00")),
-            st.sampled_from(["ZNY", "N90", "Z,B", 'a"b', ""]),
+            st.sampled_from(FACILITIES),
             st.sampled_from(pool),
         ),
         min_size=1,
         max_size=25,
     )
 )
+
+
+class TestLabeledCsv:
+    """`labeled_to_csv` read back by `csv.reader`, blocks and all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                STAMPS.map(_timestamp_text),
+                st.one_of(st.sampled_from(FACILITIES),
+                          st.text(CHARS, max_size=4).filter(lambda f: "\x00" not in f)),
+                CSV_COMMENTS,
+            ),
+            max_size=25,
+        ),
+        block_rows=st.integers(1, 8),
+    )
+    def test_csv_reader_reads_back_the_columns_with_label_and_rule(self, rows, block_rows):
+        corpus = LogCorpus(*(list(column) for column in zip(*rows))) if rows else LogCorpus([], [], [])
+        labeled, _ = classify_corpus(corpus.comments)
+        # Beside the shared matches, one Match object a row, each with a
+        # rule id (from a rules-file keyword) that needs quotes.
+        unshared = [Match(match.label, f'{match.rule},"x"\r') for match in labeled]
+        for matches in (labeled, unshared):
+            with mock.patch.object(ntml_module, "BLOCK_ROWS", block_rows):
+                blocks = list(labeled_to_csv(corpus, matches))
+            assert len(blocks) == 1 + -(-len(rows) // block_rows)
+            reader = csv.reader(io.StringIO("".join(blocks), newline=""))
+            assert list(reader) == [["timestamp", "facility", "comment", "label", "rule"]] + [
+                [*row, match.label.value, match.rule] for row, match in zip(rows, matches)
+            ]
+
+    def test_columns_of_unequal_length_are_refused_when_called(self):
+        stamps, facilities, comments = ["2024-06-01T12:00:00+00:00"] * 2, ["ZNY"] * 2, ["a", "b"]
+        labeled, _ = classify_corpus(comments)
+        for corpus, matches in [
+            (LogCorpus(stamps[:1], facilities, comments), labeled),
+            (LogCorpus(stamps, facilities[:1], comments), labeled),
+            (LogCorpus(stamps, facilities, comments[:1]), labeled),
+            (LogCorpus(stamps, facilities, comments), labeled[:1]),
+        ]:
+            with pytest.raises(ValueError, match="columns of unequal length"):
+                labeled_to_csv(corpus, matches)
 
 
 class TestAgainstPerRecordPipeline:
