@@ -353,12 +353,17 @@ def cmd_simulate(args) -> list:
         result["chain"] = block
     if rounds is not None:
         batch = mixture_batch(scn, alpha, rounds, seed)
+        w = worst_case_prob(scn, alpha)
+        # The binomial standard error of the all-reject rate about W.
+        std_error = math.sqrt(w * (1.0 - w) / batch.rounds)
         result["selection"] = {
             "seed": seed,
             "rounds": batch.rounds,
             "all_reject_rate": batch.all_reject_rate,
             "mean_offers": batch.mean_offers,
-            "analytic_all_reject": worst_case_prob(scn, alpha),
+            "analytic_all_reject": w,
+            "all_reject_std_error": std_error,
+            "all_reject_z": (batch.all_reject_rate - w) / std_error if std_error else None,
         }
     return [(args.out, json_text(result))]
 

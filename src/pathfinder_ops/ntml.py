@@ -229,10 +229,15 @@ def classify_corpus(
     shared = {rule: Match(label, rule) for label, _, rule in rules.keywords}
     shared[FALLBACK_RULE] = Match(Label.MENTIONED, FALLBACK_RULE)
     match_of = {}
-    tally = dict.fromkeys(Label, 0)
+    # Tallied by rule id, a str: hashing a Label goes through Enum.__hash__.
+    by_rule = dict.fromkeys(shared, 0)
     for comment, n in Counter(comments).items():
-        match = match_of[comment] = shared[_match(normalize_text(comment), rules)[1]]
-        tally[match.label] += n
+        rule = _match(normalize_text(comment), rules)[1]
+        match_of[comment] = shared[rule]
+        by_rule[rule] += n
+    tally = dict.fromkeys(Label, 0)
+    for rule, n in by_rule.items():
+        tally[shared[rule].label] += n
     counts = LabelCounts(**{f"n_{label.name.lower()}": n for label, n in tally.items()})
     return list(map(match_of.__getitem__, comments)), counts
 

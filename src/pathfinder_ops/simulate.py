@@ -26,12 +26,13 @@ _MAX_SEED = 2**64 - 1
 _CHUNK = 2**14
 
 # Size caps, checked before anything is allocated. Both simulations keep
-# O(_CHUNK) memory, about 1-2 MiB whatever the request, so both caps bound
-# time (2-CPU machine). simulate_chain runs at 2.7e7 steps/s or more (worst
+# O(_CHUNK) memory, about 1-2 MiB whatever the request (mixture_batch adds
+# its Binomial table, under 5 MiB at n = 2**24), so both caps bound time
+# (2-CPU machine). simulate_chain runs at 2.7e7 steps/s or more (worst
 # case p_good = p_accept = 1, p_success = 0): about 40 s at MAX_STEPS.
-# mixture_batch runs at about 1.2e7 rounds/s for n = 1 and 0.9e7 for
-# n = 10, so the slowest request at MAX_ROUND_DRAWS, 2**24 rounds of one
-# agent, takes about 1.5 s.
+# mixture_batch runs at 2.3e7 to 3.9e7 rounds/s for n = 1 and about 4e7
+# for n = 10, so the slowest request at MAX_ROUND_DRAWS, 2**24 rounds of
+# one agent, takes 0.4 to 0.7 s; one round of 2**24 agents takes about 10 ms.
 MAX_STEPS = 10**9
 MAX_ROUND_DRAWS = 2**24
 
@@ -89,7 +90,10 @@ def _geometric(exp_draws: np.ndarray, p: float, cap: int):
     scale = -1.0 / math.log1p(-p)
     if math.isinf(scale):  # subnormal p: no success within the cap
         return cap
-    return np.minimum(np.floor(exp_draws * scale) + 1.0, cap)
+    # Past about 1e307 the product overflows to inf, which the cap ends.
+    with np.errstate(over="ignore"):
+        trials = exp_draws * scale
+    return np.minimum(np.floor(trials) + 1.0, cap)
 
 
 def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
@@ -178,6 +182,36 @@ def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
     return alpha
 
 
+def _binomial_pmf(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, pmf): a window of k values, as floats, holding every k whose
+    Binomial(n, alpha) probability is nonzero in float64, and those
+    probabilities, summing to 1.
+
+    By Hoeffding (1963), P(|K - n alpha| >= t) <= 2 exp(-2 t^2 / n), which
+    is below 2**-1075 once t^2 >= 373 n. The window is therefore
+    n alpha +- (sqrt(373 n) + 1), clipped to [0, n]: O(sqrt(n)) entries.
+    The log-probabilities are summed outward from the mode from the ratios
+    p(k+1) / p(k), so no partial sum spans the far tails, and exponentiated
+    relative to the mode.
+    """
+    if alpha == 0.0 or alpha == 1.0:
+        return np.array([alpha * n]), np.ones(1)
+    half = math.sqrt(373 * n) + 1.0
+    lo, hi = max(0, math.floor(n * alpha - half)), min(n, math.ceil(n * alpha + half))
+    ks = np.arange(lo, hi + 1.0)
+    # log p(k+1) - log p(k), decreasing in k, so the mode follows its last positive value.
+    up = np.log((n - ks[:-1]) / (ks[:-1] + 1.0)) + (math.log(alpha) - math.log1p(-alpha))
+    mode = int(np.count_nonzero(up > 0))
+    log_p = np.zeros(ks.size)
+    log_p[mode + 1 :] = np.cumsum(up[mode:])
+    log_p[:mode] = -np.cumsum(up[:mode][::-1])[::-1]
+    # exp and the divide underflow in the far tails, which read 0.
+    with np.errstate(under="ignore"):
+        pmf = np.exp(log_p)
+        pmf /= pmf.sum()
+    return ks, pmf
+
+
 def mixture_batch(
     scn: WorstCaseScenario, alpha: float, rounds: int, seed: int
 ) -> MixtureBatchResult:
@@ -189,24 +223,33 @@ def mixture_batch(
     acceptance. The all-reject frequency is the empirical counterpart of
     worst_case_prob(scn, alpha).
 
-    A round takes three draws, not one per agent. K ~ Binomial(n, alpha)
-    agents are rejective. Offers within a group are independent trials, so
+    A round takes two draws, not one per agent, once its K ~ Binomial(n,
+    alpha) rejective agents are known. Offers within a group are independent trials, so
     the first acceptance among the n - K receptive agents, offered first,
     lies at g_rec ~ Geometric(1 - p_rec), and the first among the K
     rejective agents at g_rej ~ Geometric(1 - p_rej), both drawn from
     Exp(1) variates. The round makes g_rec offers if g_rec <= n - K, else
     (n - K) + g_rej if g_rej <= K, else all n agents reject. This is the law
-    of the per-agent walk. Rounds run in chunks of _CHUNK with two running
-    counts, so memory is O(chunk) and time O(rounds) whatever n is.
+    of the per-agent walk.
+
+    Rounds run in chunks of _CHUNK with two running counts, so memory is
+    O(chunk + sqrt(n)) and time O(rounds) plus O(sqrt(n)) a chunk. The
+    rounds of a chunk are i.i.d., so the histogram of their K values is
+    Multinomial(chunk, pmf), drawn once per chunk from the Binomial(n,
+    alpha) probabilities, which are worked out once per call. The
+    geometric draws are i.i.d. and independent of K, so pairing them with
+    the K values in sorted order keeps the joint law of the rounds, and
+    only sums over rounds are reported.
     """
     alpha = check_batch(scn, alpha, rounds, seed)
     rng = make_rng(seed, _STREAM_MIXTURE)
     p_rej, p_rec = group_reject_probs(scn)
     n = scn.n
+    ks, pmf = _binomial_pmf(n, alpha)
     all_reject = offers = 0
     for start in range(0, rounds, _CHUNK):
         size = min(_CHUNK, rounds - start)
-        rejective = rng.binomial(n, alpha, size)
+        rejective = np.repeat(ks, rng.multinomial(size, pmf))
         exp_draws = rng.standard_exponential((2, size))
         receptive = n - rejective
         # Capped at n + 1: beyond every group size.

@@ -808,6 +808,37 @@ class TestSimulate:
         se = (w * (1 - w) / block["rounds"]) ** 0.5
         assert abs(block["all_reject_rate"] - w) <= 3 * se
 
+    @pytest.mark.parametrize(
+        "worst_case,alpha",
+        [
+            (FIG3_WORST["worst_case"], 0.5),
+            # Every agent refuses every offer: W = 1, no error, no z.
+            ({"n": 3, "u_minus": -50.0, "u_plus": 50.0, "beta": 1.0, "delta": 0.1}, 1.0),
+        ],
+    )
+    def test_selection_error_bar(self, tmp_path, worst_case, alpha):
+        doc = {"worst_case": worst_case, "sim": {"seed": 3, "rounds": 5000, "alpha": alpha}}
+        out = tmp_path / "sel.json"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["selection"]
+        w, rate = block["analytic_all_reject"], block["all_reject_rate"]
+        se = math.sqrt(w * (1.0 - w) / 5000)
+        assert block["all_reject_std_error"] == pytest.approx(se, rel=1e-15)
+        if se == 0.0:
+            assert block["all_reject_z"] is None
+        else:
+            assert block["all_reject_z"] == pytest.approx((rate - w) / se, rel=1e-12)
+
+    def test_tiny_p_good_prints_no_warning(self, tmp_path, capsys):
+        doc = {
+            "chain": {"p_good": 3e-308, "p_accept": 0.5, "p_success": 0.5},
+            "sim": {"seed": 1, "steps": 10000},
+        }
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["chain"]["occupancy"] == [1.0, 0.0, 0.0, 0.0]
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.CHAIN_DOC)
         out1 = str(tmp_path / "a.json")

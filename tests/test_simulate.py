@@ -1,9 +1,11 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import pathfinder_ops.simulate as simulate_module
 from pathfinder_ops import (
@@ -23,7 +25,13 @@ from pathfinder_ops import (
     worst_case_prob,
 )
 from pathfinder_ops.chain import transition_matrices
-from pathfinder_ops.simulate import _CHUNK, MAX_ROUND_DRAWS, MAX_STEPS, check_batch
+from pathfinder_ops.simulate import (
+    _CHUNK,
+    MAX_ROUND_DRAWS,
+    MAX_STEPS,
+    _binomial_pmf,
+    check_batch,
+)
 
 from oracles import (
     binomial_sum_w,
@@ -112,6 +120,14 @@ class TestSimulateChain:
 
     def test_closed_gate_absorbs(self):
         occ = simulate_chain(ChainParams(0.0, 0.5, 0.5), SimConfig(seed=9, steps=5_000, burn_in=10))
+        np.testing.assert_array_equal(occ, [1.0, 0.0, 0.0, 0.0])
+
+    def test_tiny_leave_probability_is_capped_without_a_warning(self):
+        # -1 / log1p(-p) is finite but above 1e307, so Exp(1) draws times it
+        # overflow: the stay is infinite, which the walk's length caps.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occ = simulate_chain(ChainParams(3e-308, 0.5, 0.5), SimConfig(seed=1, steps=10_000))
         np.testing.assert_array_equal(occ, [1.0, 0.0, 0.0, 0.0])
 
     def test_matches_analytic_distribution(self):
@@ -329,6 +345,43 @@ class TestMixtureBatchLaw:
         assert abs(result.mean_offers - offers.mean()) <= 4 * sd * scale
 
 
+class TestBinomialPmf:
+    # The per-call Binomial(n, alpha) table the K histograms are drawn
+    # from, against scipy's binomial pmf.
+    @pytest.mark.parametrize("n", [1, 10, 1000, 2**20])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5e-324, 0.3, 1.0 - 2**-53])
+    def test_matches_scipy(self, n, alpha):
+        with np.errstate(all="raise"):
+            ks, pmf = _binomial_pmf(n, alpha)
+        assert np.array_equal(ks, np.arange(ks[0], ks[-1] + 1))
+        reference = stats.binom.pmf(np.arange(n + 1), n, alpha)
+        nonzero = np.flatnonzero(reference > 0)
+        assert ks[0] <= nonzero[0] and nonzero[-1] <= ks[-1]
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+        expected = reference[ks.astype(int)]
+        tested = expected > 1e-300
+        assert np.all(np.abs(pmf[tested] - expected[tested]) <= 1e-9 * expected[tested])
+
+
+class TestMixtureBatchCalibration:
+    # Over 200 seeds, the share of all-reject rates more than 2 standard
+    # errors from W must be that of a normal variable, 4.55%, within the
+    # 99.9% binomial limits for 200 trials.
+    SEEDS, ROUNDS = 200, 20_000
+
+    @pytest.mark.parametrize("n,alpha,u", [(10, 0.5, 2.0), (3, 0.3, 1.0)])
+    def test_share_of_large_z(self, n, alpha, u):
+        scn = WorstCaseScenario(n=n, u_minus=-u, u_plus=u, beta=1.0, delta=0.1)
+        w = binomial_sum_w(n, alpha, *group_reject_probs(scn))
+        se = math.sqrt(w * (1.0 - w) / self.ROUNDS)
+        rates = np.array(
+            [mixture_batch(scn, alpha, self.ROUNDS, seed).all_reject_rate for seed in range(self.SEEDS)]
+        )
+        outside = int(np.count_nonzero(np.abs(rates - w) > 2 * se))
+        lo, hi = stats.binom.interval(0.999, self.SEEDS, 2 * stats.norm.sf(2.0))
+        assert lo <= outside <= hi, (outside, lo, hi)
+
+
 class TestMixtureBatchEdges:
     @pytest.mark.parametrize("rounds", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_chunk_boundaries(self, rounds):
@@ -360,6 +413,18 @@ class TestMixtureBatchEdges:
         tracemalloc.start()
         try:
             mixture_batch(scn, alpha=0.5, rounds=2**20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_memory_is_bounded_for_the_largest_pool(self):
+        # The Binomial(n, alpha) table holds O(sqrt(n)) entries: about
+        # 158,000 at n = 2**24.
+        scn = WorstCaseScenario(n=2**24, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        tracemalloc.start()
+        try:
+            mixture_batch(scn, alpha=0.5, rounds=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
