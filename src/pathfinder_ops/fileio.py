@@ -15,6 +15,11 @@ import numpy as np
 # The umask, read once; os.umask reads it only by setting it. mkstemp ignores it.
 os.umask(_UMASK := os.umask(0o077))
 
+# Lines in each text block of a table written in blocks (the labelled corpus,
+# the gradient map's cells): large enough that a block costs little beyond
+# its joins, small enough that no block holds much.
+BLOCK_ROWS = 4096
+
 
 def column_fields(column) -> list[str]:
     """The fields of one float column, each distinct value formatted once
@@ -118,11 +123,13 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
 
 def read_json(path: str, what: str):
-    """The JSON document in the UTF-8 file at `path`. A file that cannot be
-    read, or is not valid JSON (bad UTF-8, bad syntax, nesting too deep for
-    the parser), raises ValueError naming `what` and `path`."""
+    """The JSON document in the UTF-8 file at `path`, after a byte-order
+    mark if there is one (spreadsheet and Windows tools write one). A file
+    that cannot be read, or is not valid JSON (bad UTF-8, bad syntax,
+    nesting too deep for the parser), raises ValueError naming `what` and
+    `path`."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .chain import _validate_grid, steady_state, sweep_records
 from .errors import InsufficientData, integer, json_object
-from .fileio import read_json
+from .fileio import BLOCK_ROWS, read_json
 from .simulate import STREAM_CORPUS, make_rng
 
 
@@ -306,10 +306,11 @@ def _undecodable_line(path: str) -> int:
 
 
 def read_corpus_csv(path: str) -> LogCorpus:
-    """Read a `timestamp,facility,comment` CSV (RFC 4180 quoting) into
-    columns. Errors are ValueErrors naming the line on which the bad record
-    starts (for text that is not UTF-8, the line holding it), a field over
-    `csv.field_size_limit()` included: that limit is global, so not raised."""
+    """Read a `timestamp,facility,comment` CSV (RFC 4180 quoting), with or
+    without a leading byte-order mark, into columns. Errors are ValueErrors
+    naming the line on which the bad record starts (for text that is not
+    UTF-8, the line holding it), a field over `csv.field_size_limit()`
+    included: that limit is global, so not raised."""
     corpus = LogCorpus([], [], [])
     timestamps, facilities, comments = corpus
     line = 1
@@ -319,6 +320,9 @@ def read_corpus_csv(path: str) -> LogCorpus:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty file, expected header {CORPUS_CSV_HEADER}")
+            if header and header[0].startswith("\ufeff"):
+                # A byte-order mark, as spreadsheet exports write one.
+                header[0] = header[0][1:]
             if header != CORPUS_CSV_HEADER:
                 raise ValueError(f"{path}: expected header {CORPUS_CSV_HEADER}, got {header}")
             line = reader.line_num + 1
@@ -347,11 +351,6 @@ def read_corpus_csv(path: str) -> LogCorpus:
                 f"{path}: line {_undecodable_line(path)}: not valid UTF-8 ({exc.reason})"
             ) from None
     return corpus
-
-
-# Rows in each text block `labeled_to_csv` yields: large enough that a block
-# costs little beyond its joins, small enough that no block holds much.
-BLOCK_ROWS = 4096
 
 
 def _csv_fields(texts) -> dict[str, str]:

@@ -29,12 +29,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array
-from .fileio import column_fields, grid_csv
+from .fileio import BLOCK_ROWS, column_fields, grid_csv
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -51,10 +51,11 @@ MAX_GH_NODES = 370
 _GRADMAP_BLOCK_VALUES = 1 << 18
 
 # Cap on the n x |U| x alpha x theta cells of one map, checked before anything
-# is allocated. The map keeps 8 bytes per cell, the per-cell dump peaks at
-# about 210 bytes per cell (tracemalloc, on a map of 2**20 cells), and a cell
-# costs at most about 12 us with its dump (Gaussian, 370 nodes, 2-CPU
-# machine), so the cap bounds memory to about 220 MiB and time to about 12 s.
+# is allocated. The map keeps 8 bytes per cell; with its three work arrays
+# (6 MiB) and the per-cell dump, written in blocks, it peaks at about 16
+# bytes per cell (tracemalloc, on a map of 2**20 cells). A cell costs at most
+# about 8 us with its dump (Gaussian, 370 nodes, one n = 20 instance, 2-CPU
+# machine), so the cap bounds memory to about 16 MiB and time to about 8 s.
 MAX_GRADMAP_CELLS = 2**20
 
 # Cap on the alpha x shift-value pairs of one W call (alphas times 1, 2 or
@@ -213,31 +214,63 @@ def mixture_w(scn: WorstCaseScenario, alphas, law: ShiftLaw) -> np.ndarray:
     return _mixture_w(scn.n, alphas, _reject_probs(scn, law), law.weights)
 
 
-def _partials(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, x, y, with_alpha: bool):
-    """(dW/dalpha or None, dW/dtheta) for alphas `a` (with a trailing unit
-    axis) against the law's values. x and y are work arrays of the shape
-    they broadcast to, overwritten here. Each step is the numpy operation an
-    unbuffered expression would do, in the same order, written to x or y, so
-    the bits match a fresh array per step."""
+def _mixture(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, m, spread):
+    """Step 1 of the partials, which n plays no part in: the mixture m =
+    alpha * p_rej + (1 - alpha) * p_rec and the spread alpha * q_rej +
+    (1 - alpha) * q_rec (q = p * (1 - p)) for alphas `a` (with a trailing
+    unit axis) against the law's values, written to the work arrays m and
+    spread. Returns (p_rej, p_rec)."""
     p_rej, p_rec = _reject_probs(scn, law)
-    np.multiply(a, p_rej, out=x)
-    np.multiply(1.0 - a, p_rec, out=y)
-    np.add(x, y, out=x)  # m
-    # `**=` picks the loop `m ** (n - 1)` picks (np.square for an exponent
-    # of 2, np.power otherwise), so the bits match.
-    x **= scn.n - 1
-    d_alpha = None
-    if with_alpha:
-        np.multiply(x, p_rej - p_rec, out=y)
-        d_alpha = scn.n * (y @ law.weights)
+    np.multiply(a, p_rej, out=m)
+    np.multiply(1.0 - a, p_rec, out=spread)
+    np.add(m, spread, out=m)
     q_rej, q_rec = p_rej * (1.0 - p_rej), p_rec * (1.0 - p_rec)
-    np.multiply(a, q_rej - q_rec, out=y)
-    np.add(q_rec, y, out=y)  # the spread
-    np.multiply(x, y, out=y)
-    slope = y @ (law.nodes * law.weights)
-    scale = -scn.beta * scn.n
+    np.multiply(a, q_rej - q_rec, out=spread)
+    np.add(q_rec, spread, out=spread)
+    return p_rej, p_rec
+
+
+def _zero_below(k: int) -> float:
+    """A t with m ** k certainly +0 for every m < t, or 0.0 (no such cut).
+    For k >= 3, t = 2^(-1080/k): t ** k is about 2^-1080, far under the
+    2^-1075 below which a power rounds to +0. The cut is kept only where the
+    same numpy power gives t ** k == 0: beyond about k = 10**16, t rounds so
+    near 1 that this can fail (it does at k = 2**62), and then there is no
+    cut."""
+    if k < 3:
+        return 0.0
+    t = 2.0 ** (-1080 / k)
+    return t if np.power(np.array([t]), k)[0] == 0.0 else 0.0
+
+
+def _power(m, k: int, out) -> None:
+    """out = m ** k, bit for bit. pow costs about 20 times more where the
+    result underflows, so the values whose power is certainly +0 are set to
+    0 first: pow(+0, k) is +0 and cheap."""
+    np.copyto(out, m)
+    if cut := _zero_below(k):
+        np.copyto(out, 0.0, where=out < cut)
+    # `**=` picks the loop `m ** k` picks (np.square for an exponent of 2,
+    # np.power otherwise), so the bits match.
+    out **= k
+
+
+def _partials(n: int, beta: float, m, spread, law: ShiftLaw, x, probs=None):
+    """Step 2 of the partials, for n agents: (dW/dalpha, or None without
+    step 1's `probs`, and dW/dtheta) from step 1's m and spread. x is a work
+    array of their shape, overwritten here. Each step is the numpy operation
+    an unbuffered expression would do, in the same order, so the bits match
+    a fresh array per step."""
+    _power(m, n - 1, x)
+    d_alpha = None
+    if probs is not None:
+        p_rej, p_rec = probs
+        d_alpha = n * (np.multiply(x, p_rej - p_rec) @ law.weights)
+    np.multiply(x, spread, out=x)
+    slope = x @ (law.nodes * law.weights)
+    scale = -beta * n
     # beta * n can overflow where beta * (n * slope) does not.
-    d_theta = scale * slope if math.isfinite(scale) else -scn.beta * (scn.n * slope)
+    d_theta = scale * slope if math.isfinite(scale) else -beta * (n * slope)
     return d_alpha, d_theta
 
 
@@ -252,7 +285,9 @@ def mixture_partials(
     """
     a = np.asarray(alphas, dtype=float)[..., None]
     shape = np.broadcast_shapes(a.shape, np.shape(law.theta), law.nodes.shape)
-    return _partials(scn, a, law, np.empty(shape), np.empty(shape), with_alpha=True)
+    m, spread, x = np.empty((3, *shape))
+    probs = _mixture(scn, a, law, m, spread)
+    return _partials(scn.n, scn.beta, m, spread, law, x, probs)
 
 
 # --- public analyses ----------------------------------------------------------
@@ -404,13 +439,14 @@ def gradient_sign_map(
     """For each (n, |U|), the fraction of (alpha, theta) cells where the
     exact dW/dtheta < -1e-12. It is exactly 0 at theta = 0.
 
-    Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each
-    (n, |U|) instance is one alpha x theta x node array program, taken in
-    blocks of at most _GRADMAP_BLOCK_VALUES values; two work arrays of that
-    size are allocated once and reused by every block of every instance, and
-    dW/dalpha is not computed. The map keeps every cell's dW/dtheta in one
-    array (8 bytes a cell) and the grids once. The grids, the scenarios and
-    the MAX_GRADMAP_CELLS cap are checked before any kernel runs.
+    Scenarios use u_plus = |U|, u_minus = -|U| and a common beta. Each |U|
+    is one alpha x theta x node array program, taken in blocks of at most
+    _GRADMAP_BLOCK_VALUES values: the mixture and the spread of a block are
+    formed once and serve every n. Three work arrays of that size are
+    allocated once and reused by every block, and dW/dalpha is not
+    computed. The map keeps every cell's dW/dtheta in one array (8 bytes a
+    cell) and the grids once. The grids, the scenarios and the
+    MAX_GRADMAP_CELLS cap are checked before any kernel runs.
     """
     # A grid may be one number. "+ 0.0" turns -0.0 into 0.0, so each grid
     # value has one printed form.
@@ -427,8 +463,8 @@ def gradient_sign_map(
     if cells > MAX_GRADMAP_CELLS:
         raise ValueError(f"a gradient map may have at most {MAX_GRADMAP_CELLS} cells, got {cells}")
     n_values = tuple(integer("n", n, 1) for n in n_values)
-    # delta plays no role in the gradient map; any interior value works.
-    scenarios = [WorstCaseScenario(n, -u, u, beta, 0.5) for n in n_values for u in u_abs_values]
+    # delta plays no role in the gradient map, and n none in step 1.
+    groups = [WorstCaseScenario(1, -u, u, beta, 0.5) for u in u_abs_values]
 
     unit = shift_law(noise=NoiseSpec(kind=noise_kind, theta=1.0, gh_nodes=gh_nodes))
     nodes, weights = unit.nodes, unit.weights
@@ -437,17 +473,20 @@ def gradient_sign_map(
     a_blocks = [slice(i, i + a_step) for i in range(0, alphas.size, a_step)]
     t_blocks = [slice(i, i + t_step) for i in range(0, thetas.size, t_step)]
     laws = [ShiftLaw(0.0, thetas[t, None], nodes, weights) for t in t_blocks]
-    # Two work arrays, as large as the largest block, serve every block.
-    work = np.empty((2, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
+    # Three work arrays (m, the spread and the power), as large as the
+    # largest block, serve every block.
+    work = np.empty((3, min(alphas.size, a_step) * min(thetas.size, t_step) * nodes.size))
 
     dw_dtheta = np.empty((len(n_values), u_abs_values.size, thetas.size, alphas.size))
-    for scn, grad in zip(scenarios, dw_dtheta.reshape(-1, thetas.size, alphas.size)):
-        grad = grad.T  # (alpha, theta), as the kernel's blocks are laid out
+    for j, scn in enumerate(groups):
         for a in a_blocks:
             for t, law in zip(t_blocks, laws):
                 shape = (alphas[a].size, law.theta.size, nodes.size)
-                x, y = (w[: math.prod(shape)].reshape(shape) for w in work)
-                grad[a, t] = _partials(scn, alphas[a, None, None], law, x, y, with_alpha=False)[1]
+                m, spread, x = (w[: math.prod(shape)].reshape(shape) for w in work)
+                _mixture(scn, alphas[a, None, None], law, m, spread)
+                for i, n in enumerate(n_values):
+                    # (alpha, theta), as the kernel's blocks are laid out
+                    dw_dtheta[i, j].T[a, t] = _partials(n, scn.beta, m, spread, law, x)[1]
     # E[Z] = 0 for both noise laws: the partial at theta = 0 is exactly 0,
     # where the quadrature sum would leave rounding.
     dw_dtheta[:, :, thetas == 0.0] = 0.0
@@ -475,14 +514,45 @@ def gradient_sign_map_to_csv(gmap: GradientSignMap) -> str:
     return grid_csv(GRADMAP_CSV_HEADER.split(","), [_instance_keys(gmap)], fractions)
 
 
-def gradient_cells_to_csv(gmap: GradientSignMap) -> str:
+def gradient_cells_to_csv(gmap: GradientSignMap) -> Iterator[str]:
     """Per-cell CSV: each instance's cells, theta-major, under its n, |U|
-    and noise kind. The keys are formatted once per instance and the
-    alpha,theta texts once per map; only dW/dtheta is formatted cell by
-    cell."""
+    and noise kind. It is the header line, then text blocks of at most
+    `BLOCK_ROWS` lines, none spanning two instances, each made as it is
+    taken, so the map must not change until the last block is.
+
+    The alpha and theta texts are formatted once per map, and each block is
+    one `%` template joined from them, so no text is kept per cell; only
+    dW/dtheta is formatted cell by cell, with an empty field for NaN."""
     keys = _instance_keys(gmap)
-    alphas = column_fields(gmap.alphas)
-    grid = [f"{a},{t}" for t in column_fields(gmap.thetas) for a in alphas]
-    heads = np.repeat(np.array(keys, dtype=object), len(grid)).tolist()
-    values = gmap.dw_dtheta.reshape(-1, 1)
-    return grid_csv(GRADMAP_CELLS_CSV_HEADER.split(","), [heads, grid * len(keys)], values)
+    alphas, thetas = column_fields(gmap.alphas), column_fields(gmap.thetas)
+    width = len(alphas)
+    values = gmap.dw_dtheta.reshape(len(keys), len(thetas) * width)
+
+    def template(head: str, start: int, stop: int, nan) -> str:
+        """Lines start to stop - 1 of an instance whose key text (with any
+        "%" doubled) is `head`, each with a %.12g placeholder unless NaN."""
+        if nan.any():
+            holes = nan.tolist()
+            return "".join(
+                f"{head}{alphas[r % width]},{thetas[r // width]},{'' if hole else '%.12g'}\n"
+                for r, hole in zip(range(start, stop), holes)
+            )
+        # One join per theta over that theta's run of alphas.
+        parts = []
+        for k in range(start // width, (stop - 1) // width + 1):
+            tail = f",{thetas[k]},%.12g\n"
+            run = alphas[max(start - k * width, 0) : min(stop - k * width, width)]
+            parts.append(head + (tail + head).join(run) + tail)
+        return "".join(parts)
+
+    def blocks() -> Iterator[str]:
+        yield GRADMAP_CELLS_CSV_HEADER + "\n"
+        for key, cells in zip(keys, values):
+            head = key.replace("%", "%%") + ","
+            for start in range(0, cells.size, BLOCK_ROWS):
+                block = cells[start : start + BLOCK_ROWS]
+                nan = np.isnan(block)
+                lines = template(head, start, start + block.size, nan)
+                yield lines % tuple(block[~nan].tolist())
+
+    return blocks()

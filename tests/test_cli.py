@@ -607,6 +607,24 @@ class TestClassify:
         params = json.loads((tmp_path / "l.params.json").read_text())
         assert params == {"p_accept": None, "p_success": None}
 
+    def test_corpus_with_a_byte_order_mark(self, tmp_path):
+        # A leading U+FEFF is dropped from the header; one inside a comment
+        # is text, and kept.
+        body = ("2024-01-01T00:00:00Z,ZNY,\ufeffrequesting pf\n"
+                "2024-01-01T00:05:00Z,ZDC,ground stop \ufeff rejected\n")
+        outputs = {}
+        for bom in ("", "\ufeff"):
+            corpus = tmp_path / f"corpus{len(bom)}.csv"
+            corpus.write_text(bom + "timestamp,facility,comment\n" + body, encoding="utf-8")
+            out = tmp_path / f"out{len(bom)}"
+            out.mkdir()
+            assert main(["classify", str(corpus), "--out", str(out / "labels.csv")]) == 0
+            outputs[bom] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        assert len(outputs[""]) == 3
+        assert outputs["\ufeff"] == outputs[""]
+        rows = read_csv(tmp_path / "out1" / "labels.csv")
+        assert [row["comment"] for row in rows] == ["\ufeffrequesting pf", "ground stop \ufeff rejected"]
+
     def test_custom_rules_file(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(
@@ -1180,6 +1198,30 @@ class TestJsonInputs:
         with pytest.raises(ValueError) as info:
             load_candidates(str(path))
         assert needle in str(info.value)
+
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        # Spreadsheet and Windows tools start UTF-8 files with U+FEFF.
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,requesting pf\n")
+        docs = {"config": {"chain": {"p_good": 0.5}}, "rules": self.RULES}
+        outputs = {}
+        for bom in ("", "\ufeff"):
+            for kind, doc in docs.items():
+                (tmp_path / f"{kind}.json").write_text(bom + json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"out{len(bom)}"
+            out.mkdir()
+            assert main(["steady", "--config", str(tmp_path / "config.json"),
+                         "--out", str(out / "steady.csv")]) == 0
+            assert main(["classify", str(corpus), "--rules", str(tmp_path / "rules.json"),
+                         "--out", str(out / "labels.csv")]) == 0
+            outputs[bom] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        assert len(outputs[""]) == 4
+        assert outputs["\ufeff"] == outputs[""]
+        candidates = tmp_path / "candidates.json"
+        candidates.write_text("\ufeff" + json.dumps([{"profile": self.PROFILE, "epsilon": 0.5}]),
+                              encoding="utf-8")
+        assert [c.profile.id for c in load_candidates(str(candidates))] == ["A"]
 
 
 class TestOneWriter:

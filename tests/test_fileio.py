@@ -4,6 +4,8 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 import pathfinder_ops
 from pathfinder_ops import GradientSignMap, NoiseKind
 from pathfinder_ops.chain import sweep_records, sweep_steady_state, sweep_to_csv
-from pathfinder_ops.fileio import atomic_write_text, column_fields, grid_csv, json_text
+import pathfinder_ops.worstcase as worstcase_module
+from pathfinder_ops.fileio import BLOCK_ROWS, atomic_write_text, column_fields, grid_csv, json_text
 from pathfinder_ops.worstcase import gradient_cells_to_csv, gradient_sign_map_to_csv
 
 from oracles import per_value_cells_csv, per_value_csv, per_value_summary_csv, per_value_sweep_csv
@@ -135,7 +138,7 @@ class TestGridTablesMatchPerCellColumns:
     @settings(max_examples=100, deadline=None)
     @given(gmap=gradient_maps())
     def test_gradient_cells(self, gmap):
-        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+        assert "".join(gradient_cells_to_csv(gmap)) == per_value_cells_csv(gmap)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -158,7 +161,7 @@ class TestGridTablesMatchPerCellColumns:
     def test_gradient_cells_with_nan_and_inf_gradients(self):
         grads = np.array([0.0, -0.0, np.nan, -1e-13, np.inf, -np.inf])
         gmap = hand_built_map([np.int64(5)], [2.0], [0.0, 0.5], [0.0, 1e-300, 3.0], grads)
-        text = gradient_cells_to_csv(gmap)
+        text = "".join(gradient_cells_to_csv(gmap))
         assert text == per_value_cells_csv(gmap)
         assert text.splitlines()[3:] == ["5,2,gaussian,0,1e-300,", "5,2,gaussian,0.5,1e-300,-1e-13",
                                           "5,2,gaussian,0,3,inf", "5,2,gaussian,0.5,3,-inf"]
@@ -166,14 +169,14 @@ class TestGridTablesMatchPerCellColumns:
     def test_gradient_cells_with_signed_zero_nan_and_inf_grids(self):
         alphas, thetas = [-0.0, 0.0, np.nan, np.inf], [np.inf, -0.0, np.nan]
         gmap = hand_built_map([3, 10**30], [1.0, np.inf], alphas, thetas, np.arange(48.0) - 24.0)
-        text = gradient_cells_to_csv(gmap)
+        text = "".join(gradient_cells_to_csv(gmap))
         assert text == per_value_cells_csv(gmap)
         assert text.splitlines()[1:5] == ["3,1,gaussian,-0,inf,-24", "3,1,gaussian,0,inf,-23",
                                           "3,1,gaussian,,inf,-22", "3,1,gaussian,inf,inf,-21"]
 
     def test_no_rows(self):
         gmap = hand_built_map([], [2.0], [0.5], [1.0], [])
-        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+        assert "".join(gradient_cells_to_csv(gmap)) == per_value_cells_csv(gmap)
         assert gradient_sign_map_to_csv(gmap) == per_value_summary_csv(gmap)
 
     @settings(max_examples=100, deadline=None)
@@ -216,6 +219,68 @@ class TestGridTablesMatchPerCellColumns:
             records = sweep_steady_state(g_grid, [0.5], [0.0, 0.25])
             assert (records["status"] == "non_unique").sum() == 1
             assert sweep_to_csv(records) == per_value_sweep_csv(records)
+
+
+def per_value_blocks(gmap, block_rows):
+    """The per-value cell dump cut where the writer must cut it: the header,
+    then each instance's lines in runs of `block_rows`."""
+    header, *lines = [line + "\n" for line in per_value_cells_csv(gmap)[:-1].split("\n")]
+    cells = gmap.alphas.size * gmap.thetas.size
+    blocks = [header]
+    for start in range(0, len(lines), cells):
+        instance = lines[start : start + cells]
+        blocks += ["".join(instance[i : i + block_rows]) for i in range(0, cells, block_rows)]
+    return blocks
+
+
+class TestGradientCellsInBlocks:
+    """`gradient_cells_to_csv` yields the header, then blocks of at most
+    BLOCK_ROWS lines of one instance each, and holds no text per cell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gmap=gradient_maps(), block_rows=st.integers(1, 8))
+    def test_blocks_hold_at_most_block_rows_lines_of_one_instance(self, gmap, block_rows):
+        with mock.patch.object(worstcase_module, "BLOCK_ROWS", block_rows):
+            blocks = list(gradient_cells_to_csv(gmap))
+        assert blocks == per_value_blocks(gmap, block_rows)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, BLOCK_ROWS])
+    def test_nan_inf_and_percent_signs_in_blocks(self, block_rows):
+        # n texts holding "%" print as themselves; NaN cells, on both sides
+        # of block edges, are empty fields.
+        grads = np.array([np.nan, np.inf, -0.0, np.nan, np.nan, 1e-300, -np.inf, 2.5] * 3)
+        gmap = hand_built_map(["5%", "%d%%"], [2.0, np.nan], [0.0, 0.5, np.nan], [1.0, np.inf], grads)
+        with mock.patch.object(worstcase_module, "BLOCK_ROWS", block_rows):
+            blocks = list(gradient_cells_to_csv(gmap))
+        assert blocks == per_value_blocks(gmap, block_rows)
+        assert "".join(blocks[1:]).startswith("5%,2,gaussian,0,1,\n5%,2,gaussian,0.5,1,inf\n")
+
+    def test_instances_longer_than_a_block(self):
+        alphas = [i / 99 for i in range(100)]
+        thetas = [i / 10 for i in range(90)]
+        grads = scattered_values(3, 2 * len(alphas) * len(thetas))
+        gmap = hand_built_map([2, 10], [1.0], alphas, thetas, grads)
+        blocks = list(gradient_cells_to_csv(gmap))
+        assert [block.count("\n") for block in blocks] == [1] + [BLOCK_ROWS, BLOCK_ROWS, 808] * 2
+        assert blocks == per_value_blocks(gmap, BLOCK_ROWS)
+
+    def test_writing_a_one_instance_dump_peaks_under_32_bytes_a_cell(self, tmp_path):
+        side = 512
+        gmap = hand_built_map([5], [2.0], [i / side for i in range(side)],
+                              [i / 50 for i in range(side)], scattered_values(5, side * side))
+        path = str(tmp_path / "cells.csv")
+        atomic_write_text(path, gradient_cells_to_csv(gmap))  # warm up
+        tracemalloc.start()
+        try:
+            atomic_write_text(path, gradient_cells_to_csv(gmap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = side * side
+        assert cells == 2**18
+        assert peak < 32 * cells, f"{peak / cells:.1f} bytes a cell"
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == per_value_cells_csv(gmap)
 
 
 def test_json_text_is_sorted_indented_and_newline_terminated():

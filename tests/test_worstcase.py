@@ -572,6 +572,63 @@ class TestExactPartials:
             assert d_theta == 0.0
 
 
+def powers_near(t):
+    """m values around t, for checking m ** k at the cut t: a dense
+    geometric sweep, the 64 doubles on each side of t, 0, the subnormals
+    and the doubles just below 1."""
+    sweep = t * np.exp2(np.linspace(-12.0, 12.0, 20001))
+    near = (np.array([t]).view(np.int64) + np.arange(-64, 65)).view(float)
+    tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    ones = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-40, 1.0])
+    m = np.concatenate([sweep, near, tiny, ones])
+    return m[m <= 1.0]
+
+
+class TestZeroCut:
+    """`_power` sets m to 0 where m ** k is certainly +0 before the power;
+    its bits must be those of `m ** k`."""
+
+    @pytest.mark.parametrize("k", range(3, 65))
+    def test_power_matches_numpy_bit_for_bit(self, k):
+        cut = worstcase_module._zero_below(k)
+        assert cut == 2.0 ** (-1080 / k)
+        m = powers_near(cut)
+        assert (m < cut).sum() > 1000 and (m >= cut).sum() > 1000
+        out = np.empty_like(m)
+        worstcase_module._power(m, k, out)
+        np.testing.assert_array_equal(out.view(np.int64), (m**k).view(np.int64))
+        assert (out[m < cut].view(np.int64) == 0).all()
+
+    @pytest.mark.parametrize("n", [2**40, 2**62 + 1, 2**63])
+    def test_huge_n_keeps_the_bits_or_drops_the_cut(self, n):
+        # t = 2^(-1080/k) lies near 1 here; the cut holds only where numpy's
+        # own t ** k is 0, and is switched off (0.0) otherwise.
+        k = n - 1
+        t = 2.0 ** (-1080 / k)
+        cut = worstcase_module._zero_below(k)
+        assert cut in (0.0, t)
+        if cut:
+            assert np.power(np.array([cut]), k)[0] == 0.0
+        m = powers_near(t)
+        out = np.empty_like(m)
+        worstcase_module._power(m, k, out)
+        np.testing.assert_array_equal(out.view(np.int64), (m**k).view(np.int64))
+
+    def test_guard_switches_the_cut_off_where_t_to_the_k_is_not_0(self):
+        # At k = 2**62, t rounds to 1 - 2**-53, whose k-th power is 4e-223.
+        assert worstcase_module._zero_below(2**40) == 2.0 ** (-1080 / 2**40)
+        assert 2.0 ** (-1080 / 2**62) == 1.0 - 2.0**-53
+        assert worstcase_module._zero_below(2**62) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_no_cut_below_an_exponent_of_3(self, k):
+        assert worstcase_module._zero_below(k) == 0.0
+        m = powers_near(0.5)
+        out = np.empty_like(m)
+        worstcase_module._power(m, k, out)
+        np.testing.assert_array_equal(out.view(np.int64), (m**k).view(np.int64))
+
+
 class TestGradientSignMap:
     def test_theta_zero_grid_has_exactly_zero_gradient(self):
         gmap = gradient_sign_map(
@@ -617,8 +674,9 @@ class TestGradientSignMap:
              "theta_grid": [0.0, 0.5, 3.0]},
             {"n_values": [3], "u_abs_values": [1.0, 8.0], "alpha_grid": [0.01 * i for i in range(60)],
              "theta_grid": [0.1 * i for i in range(100)], "beta": 0.7},
+            {"n_values": [3, 2**40], "u_abs_values": [1.0, 8.0]},
         ],
-        ids=["default", "alpha-blocks", "theta-blocks"],
+        ids=["default", "alpha-blocks", "theta-blocks", "huge-n"],
     )
     def test_cells_match_a_fresh_array_per_operation(self, kind, grids):
         # The reused work arrays change no bit of any cell, in full blocks
@@ -643,7 +701,7 @@ class TestGradientSignMap:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_cells_csv_matches_per_cell_columns(self, kind):
         gmap = gradient_sign_map(noise_kind=kind)
-        assert gradient_cells_to_csv(gmap) == per_value_cells_csv(gmap)
+        assert "".join(gradient_cells_to_csv(gmap)) == per_value_cells_csv(gmap)
         assert gradient_sign_map_to_csv(gmap) == per_value_summary_csv(gmap)
 
     def test_long_alpha_grid_is_evaluated_in_blocks(self):
@@ -783,7 +841,7 @@ class TestGradientSignMap:
         lines = table.strip().split("\n")
         assert lines[0] == "n,u_abs,noise_kind,fraction_negative"
         assert len(lines) == 3
-        cells = gradient_cells_to_csv(gmap).strip().split("\n")
+        cells = "".join(gradient_cells_to_csv(gmap)).strip().split("\n")
         assert cells[0] == "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
         assert len(cells) == 1 + 2 * 6
 
@@ -795,5 +853,5 @@ class TestGradientSignMap:
         assert gmap.n_values == (2, 2**63)
         lines = gradient_sign_map_to_csv(gmap).splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "9223372036854775808"]
-        cells = gradient_cells_to_csv(gmap).splitlines()
+        cells = "".join(gradient_cells_to_csv(gmap)).splitlines()
         assert cells[2].startswith("9223372036854775808,1,rademacher,0.5,1,")
