@@ -36,10 +36,10 @@ STRUCTURAL_ZEROS = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 
 _RESIDUAL_TOL = 1e-10
 
 # Cap on the cells of one sweep, checked before anything is allocated. A sweep
-# holds about 600 bytes per cell at peak with CSV output and 2.1 KB with JSON
-# (tracemalloc), so the cap bounds memory to about 150 and 530 MiB. At the cap
-# a sweep takes about 0.85 s with CSV output and 5.5 s with JSON (2-CPU
-# machine), nearly all of it formatting: the solve itself takes about 0.08 s.
+# written as CSV holds about 590 bytes per cell at peak (tracemalloc around
+# `cli.main`), so the cap bounds memory to about 150 MiB. At the cap a sweep
+# takes about 0.75 s (2-CPU machine), nearly all of it formatting: the solve
+# itself takes about 0.08 s.
 MAX_SWEEP_CELLS = 2**18
 
 

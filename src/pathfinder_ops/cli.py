@@ -200,14 +200,6 @@ def cmd_steady(args) -> list:
     records = sweep_steady_state(*chain.values())
     if not (records["status"] == "ok").any():
         raise NonUniqueStationary("no sweep cell has a unique stationary distribution")
-    if args.format == "json":
-        cells = zip(*(records[name].tolist() for name in records.dtype.names))
-        table = [
-            {"p_good": g, "p_accept": a, "p_success": s,
-             "pi": pi if status == "ok" else None, "status": status}
-            for g, a, s, pi, status in cells
-        ]
-        return [(args.out, json_text(table))]
     return [(args.out, sweep_to_csv(records))]
 
 
@@ -219,28 +211,24 @@ def cmd_worst(args) -> list:
     scn, soc, noise = _scenario(cfg), _social(cfg), _noise(cfg)
     alphas = cfg["worst_case"]["alpha_grid"]
 
-    def _tip(fn, *fn_args) -> float | None:
+    def _tip(fn, *fn_args) -> float:
         try:
             return fn(*fn_args)
         except NoTippingPoint:
-            return None
+            return math.nan
 
-    # Each W column is one kernel call over the whole alpha grid.
-    columns = {"alpha": alphas, "W": worst_case_prob(scn, alphas).tolist()}
+    # Each W column is one kernel call over the whole alpha grid. A missing
+    # alpha* is NaN in the block, an empty field.
+    columns = {"alpha": alphas, "W": worst_case_prob(scn, alphas)}
     stars = {"alpha_star": _tip(tipping_point, scn)}
     if soc is not None:
-        columns["W_social"] = social_worst_case_prob(scn, soc, alphas).tolist()
+        columns["W_social"] = social_worst_case_prob(scn, soc, alphas)
         stars["alpha_star_social"] = _tip(social_tipping_point, scn, soc)
     if noise is not None:
-        columns["W_noisy"] = noisy_worst_case_prob(scn, noise, alphas).tolist()
+        columns["W_noisy"] = noisy_worst_case_prob(scn, noise, alphas)
         stars["alpha_star_noisy"] = _tip(noisy_tipping_point, scn, noise)
-    columns.update((name, [star] * len(alphas)) for name, star in stars.items())
-
-    if args.format == "json":
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        return [(args.out, json_text({"rows": rows}))]
-    # A missing alpha* (None) is NaN in the block, an empty field.
-    block = np.array(list(columns.values()), dtype=float).T
+    columns.update((name, np.full(len(alphas), star)) for name, star in stars.items())
+    block = np.column_stack(list(columns.values()))
     return [(args.out, grid_csv(list(columns), [], block))]
 
 
@@ -257,13 +245,6 @@ def cmd_gradmap(args) -> list:
         gh_nodes=noise.gh_nodes if noise is not None else DEFAULT_GH_NODES,
     )
     dump = [] if args.cells_out is None else [(args.cells_out, gradient_cells_to_csv(gmap))]
-    if args.format == "json":
-        instances = [(n, u) for n in gmap.n_values for u in gmap.u_abs_values.tolist()]
-        table = [
-            {"n": n, "u_abs": u, "noise_kind": gmap.noise_kind.value, "fraction_negative": f}
-            for (n, u), f in zip(instances, gmap.fraction_negative.ravel().tolist())
-        ]
-        return dump + [(args.out, json_text(table))]
     return dump + [(args.out, gradient_sign_map_to_csv(gmap))]
 
 
@@ -393,20 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    def add_common(p):
-        add_config_out(p)
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-
     p_steady = sub.add_parser("steady", help="stationary-distribution parameter sweep")
-    add_common(p_steady)
+    add_config_out(p_steady)
     p_steady.set_defaults(func=cmd_steady)
 
     p_worst = sub.add_parser("worst", help="worst-case probability and tipping points")
-    add_common(p_worst)
+    add_config_out(p_worst)
     p_worst.set_defaults(func=cmd_worst)
 
     p_grad = sub.add_parser("gradmap", help="noise-gradient sign map")
-    add_common(p_grad)
+    add_config_out(p_grad)
     p_grad.add_argument(
         "--cells-out", default=None, help="also dump per-cell (alpha, theta, dW/dtheta) CSV"
     )
@@ -447,13 +424,20 @@ def main(argv=None) -> int:
         if sys.stdout is None and any(path is None for path, _ in outputs):
             raise OSError(errno.EBADF, "cannot write to stdout: it is closed")
         files = [(path, text) for path, text in outputs if path is not None]
-        # One directory entry is one file: a symlinked file is replaced, not followed.
+        # One directory entry is one file: a symlinked file is replaced, not
+        # followed. No output may replace a file the run read.
+        inputs = {os.path.realpath(path): path for path in
+                  (getattr(args, name, None) for name in ("config", "input_csv", "rules")) if path}
         entries = {}
         for path, _ in files:
+            if not path:
+                raise ValueError("an output path may not be empty")
             head, name = os.path.split(path)
             entry = os.path.join(os.path.realpath(head), name)
             if entry in entries:
                 raise ValueError(f"two outputs name one file: {entries[entry]} and {path}")
+            if entry in inputs:
+                raise ValueError(f"an output names an input file: {path} is {inputs[entry]}")
             entries[entry] = path
         for path, text in files:
             atomic_write_text(path, text)

@@ -64,7 +64,7 @@ def tiny_calls(tmp_path):
         ["worst", "--config", worst, "--out", out("worst.csv")],
         ["gradmap", "--config", gradmap, "--out", out("g.csv"), "--cells-out", out("cells.csv")],
         ["classify", corpus, "--out", out("labels.csv"), "--calibrate"],
-        ["simulate", "--config", sim, "--out", out("sim.json"), "--compare-analytic"],
+        ["simulate", "--config", sim, "--out", out("sim-out.json"), "--compare-analytic"],
     ]
 
 

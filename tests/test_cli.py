@@ -46,23 +46,6 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def as_csv_field(value) -> str:
-    """A JSON table value as the CSV writer prints it."""
-    if value is None:
-        return ""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
-
-
-def both_formats(tmp_path, command, doc):
-    """(JSON document, CSV rows) of one command on one config."""
-    cfg = write_config(tmp_path, doc)
-    out_json, out_csv = str(tmp_path / "out.json"), str(tmp_path / "out.csv")
-    assert main([command, "--config", cfg, "--out", out_json, "--format", "json"]) == 0
-    assert main([command, "--config", cfg, "--out", out_csv]) == 0
-    with open(out_json) as fh:
-        return json.load(fh), read_csv(out_csv)
-
-
 def assert_refused(code, err, needle):
     """Exit 2 with exactly one error[...] line naming `needle`."""
     lines = err.splitlines()
@@ -202,20 +185,6 @@ class TestSteady:
         assert row["status"] == "ok" and row["pi3"] == "0"
         assert [float(row[f"pi{i}"]) for i in range(3)] == pytest.approx([1e-12, 1.0, 1e-12], rel=1e-9)
 
-    def test_json_format(self, tmp_path):
-        # g = 1 with s = 0 has no unique distribution: its pi is null.
-        doc = {"chain": {"p_good": [0.5, 1.0], "p_accept": 1.0, "p_success": [0.0, 1.0]}}
-        table, rows = both_formats(tmp_path, "steady", doc)
-        assert isinstance(table, list) and len(table) == len(rows) == 4
-        assert table[1]["pi"][0] == pytest.approx(1 / 3, abs=1e-10)
-        assert [cell["status"] for cell in table] == ["ok", "ok", "non_unique", "ok"]
-        for cell, row in zip(table, rows):
-            assert set(cell) == {"p_good", "p_accept", "p_success", "pi", "status"}
-            assert (cell["pi"] is None) == (cell["status"] == "non_unique")
-            pi = cell["pi"] or [None] * 4
-            fields = {**{f"pi{i}": p for i, p in enumerate(pi)}, **cell}
-            assert {key: as_csv_field(fields[key]) for key in row} == row
-
     def test_oversized_sweep_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch):
         # Three 1,000-value grids (a 20 KB config) would ask for 1e9 cells.
         no_kernels(monkeypatch)
@@ -310,20 +279,22 @@ class TestWorst:
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", [0.1, 0.9])
-    def test_json_format(self, tmp_path, delta):
+    def test_stars_are_empty_exactly_when_out_of_reach(self, tmp_path, delta):
         doc = dict(
             {"worst_case": dict(FIG3_WORST["worst_case"], delta=delta, alpha_grid=[0.0, 0.5, 1.0])},
             social={"s": 0.5, "gamma": 2.5, "r": 0.5},
             noise={"kind": "gaussian", "theta": 1.0},
         )
-        table, rows = both_formats(tmp_path, "worst", doc)
-        assert set(table) == {"rows"} and len(table["rows"]) == len(rows) == 3
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "worst.csv")
+        assert main(["worst", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
         stars = ["alpha_star", "alpha_star_social", "alpha_star_noisy"]
-        for cell, row in zip(table["rows"], rows):
-            assert set(cell) == {"alpha", "W", "W_social", "W_noisy", *stars}
-            # delta = 0.9 is out of reach under every law: every star is null.
-            assert all((cell[star] is None) == (delta == 0.9) for star in stars)
-            assert {key: as_csv_field(value) for key, value in cell.items()} == row
+        for row in rows:
+            assert list(row) == ["alpha", "W", "W_social", "W_noisy", *stars]
+            # delta = 0.9 is out of reach under every law: every star is empty.
+            assert all((row[star] == "") == (delta == 0.9) for star in stars)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -332,26 +303,40 @@ class TestWorst:
         social=st.booleans(),
         noise=st.sampled_from([None, "gaussian", "rademacher"]),
     )
-    def test_csv_matches_per_value_rows_of_the_json(self, alphas, delta, social, noise):
-        # Every field of the CSV is the JSON value formatted on its own: a
-        # null alpha* (delta = 0.9 is out of reach) is an empty field, and
-        # an alpha of -0.0 prints as -0.
-        doc = {"worst_case": dict(FIG3_WORST["worst_case"], delta=delta, alpha_grid=alphas)}
+    def test_csv_matches_per_value_rows_of_the_library(self, alphas, delta, social, noise):
+        # Every field of the CSV is the library's value formatted on its
+        # own: a missing alpha* (delta = 0.9 is out of reach) is an empty
+        # field, and an alpha of -0.0 prints as -0.
+        wc = dict(FIG3_WORST["worst_case"], delta=delta)
+        doc = {"worst_case": dict(wc, alpha_grid=alphas)}
+        scn = worstcase_module.WorstCaseScenario(**wc)
+
+        def star(fn, *fn_args):
+            try:
+                return fn(*fn_args)
+            except NoTippingPoint:
+                return None
+
+        columns = {"alpha": alphas, "W": list(worstcase_module.worst_case_prob(scn, alphas))}
+        stars = {"alpha_star": star(worstcase_module.tipping_point, scn)}
         if social:
             doc["social"] = {"s": 0.5, "gamma": 2.5, "r": 0.5}
+            soc = worstcase_module.SocialParams(**doc["social"])
+            columns["W_social"] = list(worstcase_module.social_worst_case_prob(scn, soc, alphas))
+            stars["alpha_star_social"] = star(worstcase_module.social_tipping_point, scn, soc)
         if noise is not None:
             doc["noise"] = {"kind": noise, "theta": 1.0}
+            spec = worstcase_module.NoiseSpec(kind=worstcase_module.NoiseKind(noise), theta=1.0)
+            columns["W_noisy"] = list(worstcase_module.noisy_worst_case_prob(scn, spec, alphas))
+            stars["alpha_star_noisy"] = star(worstcase_module.noisy_tipping_point, scn, spec)
+        columns.update((name, [value] * len(alphas)) for name, value in stars.items())
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(pathlib.Path(tmp), doc)
-            out_json, out_csv = os.path.join(tmp, "w.json"), os.path.join(tmp, "w.csv")
-            assert main(["worst", "--config", cfg, "--out", out_json, "--format", "json"]) == 0
-            assert main(["worst", "--config", cfg, "--out", out_csv]) == 0
-            with open(out_json) as fh:
-                rows = json.load(fh)["rows"]
-            with open(out_csv, newline="") as fh:
+            out = os.path.join(tmp, "w.csv")
+            assert main(["worst", "--config", cfg, "--out", out]) == 0
+            with open(out, newline="") as fh:
                 text = fh.read()
-        header = text[: text.index("\n")].split(",")
-        assert text == per_value_csv(header, ([row[key] for key in header] for row in rows))
+        assert text == per_value_csv(list(columns), zip(*columns.values()))
 
     def test_alpha_grid_too_long_for_the_rule_refused(self, tmp_path, capsys):
         # 22,672 alphas x 370 nodes is one pair over the cap.
@@ -499,14 +484,6 @@ class TestGradmap:
         assert len(lines) == 1 and lines[0].startswith("error[io_failed]: ")
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["config.json"]
-
-    def test_json_format(self, tmp_path):
-        table, rows = both_formats(tmp_path, "gradmap", dict(self.SMALL, noise={"kind": "gaussian"}))
-        assert isinstance(table, list) and len(table) == len(rows) == 2
-        for cell, row in zip(table, rows):
-            assert set(cell) == {"n", "u_abs", "noise_kind", "fraction_negative"}
-            assert cell["noise_kind"] == "gaussian"
-            assert {key: as_csv_field(value) for key, value in cell.items()} == row
 
     def test_default_map_passes_validation(self, tmp_path, monkeypatch):
         # The default 4 x 4 x 51 x 51 = 41,616-cell map reaches the kernel.
@@ -881,14 +858,6 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
         assert "sim.alpha" in capsys.readouterr().err
 
-    def test_csv_format_refused_and_nothing_written(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.CHAIN_DOC)
-        out = tmp_path / "sim.csv"
-        code = main(["simulate", "--config", cfg, "--out", str(out), "--format", "csv"])
-        assert_refused(code, capsys.readouterr().err, "unrecognized arguments: --format csv")
-        assert not out.exists()
-        assert os.listdir(tmp_path) == ["config.json"]
-
     def test_json_format_is_the_default(self, tmp_path):
         cfg = write_config(tmp_path, self.CHAIN_DOC)
         out = tmp_path / "a.json"
@@ -1229,22 +1198,21 @@ class TestOneWriter:
     iterable of str chunks; `main` alone checks the targets and writes
     them."""
 
-    @staticmethod
-    def argv(inputs, command):
-        def config(doc):
-            return ["--config", write_config(inputs, doc, name=f"{command}.json")]
+    # A config for each config subcommand, and the outputs it is run with.
+    CONFIGS = {
+        "steady": ({"chain": {"p_good": [0.3, 1.0]}}, []),
+        "worst": (FIG3_WORST, ["--out", "w.csv"]),
+        "gradmap": (TestGradmap.SMALL, ["--cells-out", "cells.csv"]),
+        "simulate": ({"chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9},
+                      "sim": {"seed": 1, "steps": 1000}}, ["--out", "sim.json"]),
+    }
 
-        if command == "steady":
-            return ["steady", *config({"chain": {"p_good": [0.3, 1.0]}}), "--format", "json"]
-        if command == "worst":
-            return ["worst", *config(FIG3_WORST), "--out", "w.csv"]
-        if command == "gradmap":
-            return ["gradmap", *config(TestGradmap.SMALL), "--cells-out", "cells.csv"]
+    @classmethod
+    def argv(cls, inputs, command):
         if command == "classify":
             return ["classify", project_fixture(inputs)[0], "--out", "l.csv", "--calibrate"]
-        chain = {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9}
-        return ["simulate", *config({"chain": chain, "sim": {"seed": 1, "steps": 1000}}),
-                "--out", "sim.json"]
+        doc, outputs = cls.CONFIGS[command]
+        return [command, "--config", write_config(inputs, doc, name=f"{command}.json"), *outputs]
 
     @pytest.mark.parametrize("command", ["steady", "worst", "gradmap", "classify", "simulate"])
     def test_subcommands_return_what_main_writes(self, tmp_path, capsys, monkeypatch, command):
@@ -1305,6 +1273,73 @@ class TestOneWriter:
         assert not os.path.islink("link.csv")
         assert list(read_csv("link.csv")[0]) == ["n", "u_abs", "noise_kind", "alpha", "theta", "dw_dtheta"]
         assert list(read_csv("real.csv")[0]) == ["n", "u_abs", "noise_kind", "fraction_negative"]
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_format_is_refused_and_nothing_written(self, tmp_path, capsys, command, fmt):
+        # Every table is CSV and every document JSON: no subcommand takes --format.
+        cfg = write_config(tmp_path, self.CONFIGS[command][0])
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--format", fmt])
+        captured = capsys.readouterr()
+        assert_refused(code, captured.err, f"unrecognized arguments: --format {fmt}")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "command,flags,needle",
+        [
+            *((command, ["--out", "c.json"], "c.json is c.json") for command in CONFIGS),
+            ("steady", ["--out", "dl/c.json"], "dl/c.json is c.json"),
+            ("gradmap", ["--cells-out", "./c.json"], "./c.json is c.json"),
+            ("classify", ["--out", "corpus.csv"], "corpus.csv is corpus.csv"),
+            ("classify", ["--out", "r.json"], "r.json is r.json"),
+            ("classify", ["--out", "l.csv", "--counts-out", "corpus.csv"], "corpus.csv is corpus.csv"),
+            ("classify", ["--out", "l.csv", "--counts-out", "r.json"], "r.json is r.json"),
+            ("classify", ["--out", "l.csv", "--params-out", "corpus.csv"], "corpus.csv is corpus.csv"),
+            ("classify", ["--out", "l.csv", "--params-out", "r.json"], "r.json is r.json"),
+            ("classify", ["--out", "l.csv", "--calibrate", "--steady-out", "./r.json"],
+             "./r.json is r.json"),
+        ],
+    )
+    def test_an_output_naming_an_input_is_refused(
+        self, tmp_path, capsys, monkeypatch, command, flags, needle
+    ):
+        # Writing would replace the config, corpus or rules file the run read.
+        monkeypatch.chdir(tmp_path)
+        os.symlink(".", "dl")
+        if command == "classify":
+            project_fixture(tmp_path)
+            write_config(tmp_path, TestJsonInputs.RULES, name="r.json")
+            argv = ["classify", "corpus.csv", "--rules", "r.json", *flags]
+        else:
+            write_config(tmp_path, self.CONFIGS[command][0], name="c.json")
+            argv = [command, "--config", "c.json", *flags]
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if name != "dl"}
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert_refused(code, captured.err, f"an output names an input file: {needle}")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, "dl"])
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    def test_a_link_to_the_config_is_replaced_not_followed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, self.CONFIGS["steady"][0], name="c.json")
+        config = (tmp_path / "c.json").read_bytes()
+        os.symlink("c.json", "link.csv")
+        assert main(["steady", "--config", "c.json", "--out", "link.csv"]) == 0
+        assert not os.path.islink("link.csv")
+        assert list(read_csv("link.csv")[0])[:3] == ["p_good", "p_accept", "p_success"]
+        assert (tmp_path / "c.json").read_bytes() == config
+
+    def test_an_empty_output_path_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIGS["steady"][0])
+        code = main(["steady", "--config", cfg, "--out", ""])
+        captured = capsys.readouterr()
+        assert_refused(code, captured.err, "an output path may not be empty")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 class TestExitCodes:
