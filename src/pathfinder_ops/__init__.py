@@ -1,14 +1,15 @@
 """Decision models for pathfinder flight operations.
 
-Four analysis families behind one package: the gate-state Markov chain and
+Five analysis families behind one package: the gate-state Markov chain and
 its stationary distribution (`chain`), flight/controller decision models
 (`agents`), worst-case collective-rejection analysis with selfless-behavior
 and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 (`simulate`), and coordination-log classification plus chain calibration
-(`ntml`). The `pathfinder-ops` CLI exposes each as a subcommand.
+(`ntml`). The `pathfinder-ops` CLI exposes every family but `agents` as
+subcommands.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .agents import (
     AgentProfile,
@@ -16,16 +17,12 @@ from .agents import (
     ControllerContext,
     candidates_from_json,
     controller_payoff,
-    load_candidates,
     p_accept,
-    p_reject,
-    profiles_from_json,
     rank_candidates,
     utility_accept,
 )
 from .chain import (
     ChainParams,
-    default_grid,
     stationary,
     steady_state,
     sweep_steady_state,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import json_object, number
-from .fileio import read_json
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,6 @@ def p_accept(profile: AgentProfile) -> float:
     return e / (1.0 + e)
 
 
-def p_reject(profile: AgentProfile) -> float:
-    return 1.0 - p_accept(profile)
-
-
 def controller_payoff(candidate: ControllerCandidate, ctx: ControllerContext) -> float:
     """Expected delay-reduction payoff of offering to this candidate."""
     return p_accept(candidate.profile) * candidate.epsilon * ctx.delta_d_ideal
@@ -110,31 +105,15 @@ def _built(index: int, cls, **kwargs):
         raise ValueError(f"record {index}: {exc}") from exc
 
 
-def _profile(index: int, where: str, obj) -> AgentProfile:
-    """The profile in the JSON object `obj` (named `where`) of record `index`."""
-    return _built(index, AgentProfile, **json_object(where, obj, _PROFILE_KEYS, _PROFILE_KEYS))
-
-
-def profiles_from_json(doc) -> list[AgentProfile]:
-    """Parse a JSON array of agent-profile objects; errors name the record index."""
-    if not isinstance(doc, list):
-        raise ValueError(f"expected a JSON array of profiles, got {type(doc).__name__}")
-    return [_profile(i, f"record {i}", obj) for i, obj in enumerate(doc)]
-
-
 def candidates_from_json(doc) -> list[ControllerCandidate]:
-    """Parse a JSON array of {profile: {...}, epsilon: x} candidate objects."""
+    """Parse a JSON array of {profile: {...}, epsilon: x} candidate objects;
+    errors name the record index. A file is read with `fileio.read_json`."""
     if not isinstance(doc, list):
         raise ValueError(f"expected a JSON array of candidates, got {type(doc).__name__}")
     out = []
     for i, obj in enumerate(doc):
         obj = json_object(f"record {i}", obj, _CANDIDATE_KEYS, _CANDIDATE_KEYS)
-        profile = _profile(i, f"record {i}: profile", obj["profile"])
+        fields = json_object(f"record {i}: profile", obj["profile"], _PROFILE_KEYS, _PROFILE_KEYS)
+        profile = _built(i, AgentProfile, **fields)
         out.append(_built(i, ControllerCandidate, profile=profile, epsilon=obj["epsilon"]))
     return out
-
-
-def load_candidates(path: str) -> list[ControllerCandidate]:
-    """The candidates in the JSON file at `path`; a file that cannot be read
-    or parsed raises ValueError naming it."""
-    return candidates_from_json(read_json(path, "candidates file"))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniqueStationary, number, number_array
+from .errors import NonUniqueStationary, number, number_array, step_grid
 from .fileio import column_fields, grid_csv
 
 N_STATES = 4
@@ -54,6 +54,10 @@ class ChainParams:
     def __post_init__(self):
         for name in ("p_good", "p_accept", "p_success"):
             object.__setattr__(self, name, number(name, getattr(self, name), 0, 1))
+
+
+# The grid a config's omitted chain key sweeps: 0.05, 0.1, ..., 0.95.
+DEFAULT_GRID = tuple(step_grid(0.05, 0.95, 0.05, 19))
 
 
 # One record per sweep cell. pi is NaN and status 'non_unique' where the
@@ -161,10 +165,10 @@ def steady_state(p_good, p_accept, p_success) -> np.ndarray:
     return pi
 
 
-def _validate_grid(values, name: str, low_open: bool) -> list[float]:
-    """A grid of probabilities in [0, 1] or (0, 1], a number or a sequence of
-    them, as a sorted list."""
-    grid = number_array(f"{name} grid values", values, 0, 1, lo_open=low_open).ravel()
+def _validate_grid(values, name: str) -> list[float]:
+    """A grid of probabilities in [0, 1], a number or a sequence of them, as
+    a sorted list."""
+    grid = number_array(f"{name} grid values", values, 0, 1).ravel()
     if not grid.size:
         raise ValueError(f"{name} grid must be non-empty")
     return sorted(grid.tolist())
@@ -188,22 +192,15 @@ def sweep_steady_state(g_grid, a_grid, s_grid) -> np.recarray:
     status 'non_unique'. All cells are solved in one `stationary` call;
     a sweep of more than MAX_SWEEP_CELLS cells is refused first.
     """
-    g_grid = _validate_grid(g_grid, "p_good", low_open=True)
-    a_grid = _validate_grid(a_grid, "p_accept", low_open=True)
-    s_grid = _validate_grid(s_grid, "p_success", low_open=False)
+    g_grid = _validate_grid(g_grid, "p_good")
+    a_grid = _validate_grid(a_grid, "p_accept")
+    s_grid = _validate_grid(s_grid, "p_success")
     cells = len(g_grid) * len(a_grid) * len(s_grid)
     if cells > MAX_SWEEP_CELLS:
         raise ValueError(f"a sweep may have at most {MAX_SWEEP_CELLS} cells, got {cells}")
     g, a, s = (axis.ravel() for axis in np.meshgrid(g_grid, a_grid, s_grid, indexing="ij"))
     pi, unique = stationary(g, a, s)
     return sweep_records(g, a, s, pi, unique)
-
-
-def default_grid(step: float = 0.05) -> list[float]:
-    """Interior probability grid step, 2*step, ..., < 1 used for sweeps."""
-    step = number("step", step, 0, 1, lo_open=True, hi_open=True)
-    count = int(round((1.0 - step) / step))
-    return [round(i * step, 12) for i in range(1, count + 1) if i * step < 1.0 - 1e-12]
 
 
 SWEEP_CSV_HEADER = "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status"

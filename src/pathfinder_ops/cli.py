@@ -24,16 +24,16 @@ import numpy as np
 
 from . import __version__
 from .chain import (
+    DEFAULT_GRID,
     MAX_SWEEP_CELLS,
     ChainParams,
     _validate_grid,
-    default_grid,
     steady_state,
     sweep_steady_state,
     sweep_to_csv,
 )
 from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, PathfinderOpsError
-from .errors import integer, json_object, number
+from .errors import integer, json_object, number, step_grid
 from .fileio import atomic_write_text, grid_csv, json_text, read_json
 from .ntml import (
     calibrated_steady_state,
@@ -102,14 +102,14 @@ def _noise_kind(name: str, value) -> NoiseKind:
 # present section must set its REQUIRED keys; a None default leaves the key
 # unset. Ranges are checked by the library's constructors, not here.
 SCHEMA = {
-    "chain": {key: (_grid, default_grid()) for key in ("p_good", "p_accept", "p_success")},
+    "chain": {key: (_grid, DEFAULT_GRID) for key in ("p_good", "p_accept", "p_success")},
     "worst_case": {
         "n": (integer, REQUIRED),
         "u_minus": (number, REQUIRED),
         "u_plus": (number, REQUIRED),
         "beta": (number, REQUIRED),
         "delta": (number, REQUIRED),
-        "alpha_grid": (_list_of(number), [i / 100.0 for i in range(101)]),
+        "alpha_grid": (_list_of(number), step_grid(0.0, 1.0, 0.01, 101)),
     },
     "social": {"s": (number, REQUIRED), "gamma": (number, REQUIRED), "r": (number, REQUIRED)},
     "noise": {
@@ -177,16 +177,12 @@ def _colon_grid(text: str) -> list[float]:
         lo, hi, step = map(float, text.split(":"))
     except ValueError:
         raise ValueError(f"--g-grid must be lo:hi:step, got {text!r}")
-    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and lo <= hi):
-        raise ValueError(f"--g-grid needs finite lo <= hi and step > 0, got {text!r}")
-    span = (hi - lo) / step + 1e-9
-    if not span < MAX_SWEEP_CELLS:
-        raise ValueError(f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got {text!r}")
-    values = [round(lo + i * step, 12) for i in range(int(span) + 1)]
-    if len(set(values)) < len(values):
-        raise ValueError(f"--g-grid values repeat once rounded to 12 decimals, got {text!r}")
     try:
-        return _validate_grid(values, "p_good", low_open=False)
+        values = step_grid(lo, hi, step, MAX_SWEEP_CELLS)
+    except ValueError as exc:
+        raise ValueError(f"--g-grid {exc}, got {text!r}")
+    try:
+        return _validate_grid(values, "p_good")
     except ValueError as exc:
         raise ValueError(f"--g-grid: {exc}")
 
@@ -306,7 +302,7 @@ def cmd_simulate(args) -> list:
     if steps is not None:
         chain = _require_section(cfg, "chain")
         for key, value in chain.items():
-            if isinstance(value, list):
+            if not isinstance(value, float):
                 raise ValueError(f"chain.{key} must be a single number for simulation")
         params = ChainParams(**chain)
         sim_cfg = SimConfig(seed=seed, steps=steps, burn_in=sim["burn_in"])

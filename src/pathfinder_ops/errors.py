@@ -3,7 +3,8 @@ number is: a real value (an int, a float, a Fraction or a numpy scalar) that
 is not a bool, is finite (an int beyond the float range is not) and lies
 within its bounds. `number`, `integer` and `number_array` check it for every
 library constructor and config key, and raise ValueError for anything else.
-`json_object` checks the keys of every object in a config, rules or agent file.
+`json_object` checks the keys of every object in a config, rules or agent file,
+and `step_grid` builds every evenly stepped grid.
 
 Two bases classify every failure. Bad input (an out-of-range value, an
 empty grid, a duplicate id) is a ValueError. Valid input that has no result
@@ -103,6 +104,23 @@ def number_array(name: str, values, lo=-math.inf, hi=math.inf, *, lo_open=False,
     if not ok.all():
         raise _out_of_range(name, values[~ok].flat[0].item(), lo, hi, lo_open, hi_open)
     return arr
+
+
+def step_grid(lo: float, hi: float, step: float, most: int) -> list[float]:
+    """lo, lo + step, ... up to hi (within 1e-9 of a step), each rounded to 12
+    decimals. The count is checked against `most` before any value is built.
+    A ValueError's message completes a sentence that begins with the grid's
+    name: finite lo <= hi and step > 0 are needed, and no two values may be
+    equal once rounded."""
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and lo <= hi):
+        raise ValueError("needs finite lo <= hi and step > 0")
+    span = (hi - lo) / step + 1e-9
+    if not span < most:
+        raise ValueError(f"may have at most {most} values")
+    values = [round(lo + i * step, 12) for i in range(int(span) + 1)]
+    if len(set(values)) < len(values):
+        raise ValueError("values repeat once rounded to 12 decimals")
+    return values
 
 
 # --- what a JSON object holds -------------------------------------------------

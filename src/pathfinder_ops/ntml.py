@@ -268,7 +268,7 @@ def calibrated_steady_state(counts: LabelCounts, g_grid) -> np.recarray:
     estimated from the counts, all solved in one `steady_state` call. The
     grid is checked before the counts; NonUniqueStationary is raised if any
     chain on it has two closed classes, so every status is 'ok'."""
-    g_values = _validate_grid(g_grid, "p_good", low_open=False)
+    g_values = _validate_grid(g_grid, "p_good")
     p_accept, p_success = estimate_params(counts)
     pi = steady_state(g_values, p_accept, p_success)
     return sweep_records(g_values, p_accept, p_success, pi, True)

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array
+from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array, step_grid
 from .fileio import BLOCK_ROWS, column_fields, grid_csv
 
 # Gradient values above -1e-12 count as zero when classifying gradient
@@ -421,8 +421,8 @@ class GradientSignMap:
     fraction_negative: np.ndarray
 
 
-DEFAULT_ALPHA_GRID = tuple(round(0.02 * i, 10) for i in range(51))
-DEFAULT_THETA_GRID = tuple(round(0.2 * i, 10) for i in range(51))
+DEFAULT_ALPHA_GRID = tuple(step_grid(0.0, 1.0, 0.02, 51))
+DEFAULT_THETA_GRID = tuple(step_grid(0.0, 10.0, 0.2, 51))
 DEFAULT_N_VALUES = (2, 5, 10, 20)
 DEFAULT_U_ABS_VALUES = (1.0, 2.0, 4.0, 8.0)
 

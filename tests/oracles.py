@@ -13,8 +13,9 @@ datetime, a regex label and one written row per record) instead of the
 columnar one, a fresh array per operation instead of the gradient map's
 reused work arrays, and a writer that formats each field of each row on
 its own instead of distinct values and grid tables filled through one `%`
-template, and yes/no predicates per config key instead of checks that
-return the value.
+template, yes/no predicates per config key instead of checks that
+return the value, and a comprehension per default grid instead of one
+stepped-grid builder.
 """
 
 import csv
@@ -402,4 +403,21 @@ CONFIG_PREDICATES = {
         "n_values": _each(integer), "u_abs_values": _NUMBERS, "alpha_grid": _NUMBERS,
         "theta_grid": _NUMBERS, "beta": _NUMBER,
     },
+}
+
+
+# --- default grids -------------------------------------------------------------
+
+
+def _chain_grid(step=0.05):
+    count = int(round((1.0 - step) / step))
+    return [round(i * step, 12) for i in range(1, count + 1) if i * step < 1.0 - 1e-12]
+
+
+# Each default grid as first written, with its own rounding rule.
+DEFAULT_GRIDS = {
+    "chain.p_good": _chain_grid(),
+    "gradmap.alpha_grid": [round(0.02 * i, 10) for i in range(51)],
+    "gradmap.theta_grid": [round(0.2 * i, 10) for i in range(51)],
+    "worst_case.alpha_grid": [i / 100.0 for i in range(101)],
 }

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pathfinder_ops import (
     ChainParams,
     NonUniqueStationary,
-    default_grid,
     stationary,
     steady_state,
     sweep_steady_state,
@@ -17,6 +16,7 @@ from pathfinder_ops import (
 )
 import pathfinder_ops.chain as chain_module
 from pathfinder_ops.chain import (
+    DEFAULT_GRID,
     MAX_SWEEP_CELLS,
     STRUCTURAL_ZEROS,
     SWEEP_CSV_HEADER,
@@ -229,8 +229,8 @@ class TestSweep:
             sweep_steady_state([], [0.5], [0.5])
 
     def test_out_of_range_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_steady_state([0.0], [0.5], [0.5])  # g must be > 0
+        with pytest.raises(ValueError, match=r"p_good grid values must lie in \[0, 1\]"):
+            sweep_steady_state([-0.25], [0.5], [0.5])
         with pytest.raises(ValueError):
             sweep_steady_state([0.5], [1.5], [0.5])
 
@@ -282,7 +282,7 @@ class TestSweep:
         assert [line.split(",")[2] for line in lines[1:5]] == ["-0", "0", "0.25", "1"]
 
     def test_default_grid(self):
-        grid = default_grid()
+        grid = DEFAULT_GRID
         assert grid[0] == pytest.approx(0.05)
         assert grid[-1] == pytest.approx(0.95)
         assert len(grid) == 19

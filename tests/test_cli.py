@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import tempfile
@@ -25,12 +26,13 @@ from pathfinder_ops import (
     NoTippingPoint,
     PathfinderOpsError,
 )
-from pathfinder_ops.agents import load_candidates
+from pathfinder_ops.agents import candidates_from_json
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
+from pathfinder_ops.fileio import read_json
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
-from pathfinder_ops.cli import main
+from pathfinder_ops.cli import SCHEMA, main
 
-from oracles import CONFIG_PREDICATES, per_value_csv
+from oracles import CONFIG_PREDICATES, DEFAULT_GRIDS, per_value_csv
 from test_ntml import load_fixture
 from test_simulate import no_rng
 
@@ -90,7 +92,22 @@ def no_kernels(monkeypatch):
     monkeypatch.setattr(worstcase_module, "_partials", kernel_called)
 
 
+# A sweep over both zero edges: g = 0 alone leaves pi = e0, a = 0 alone
+# pi = e1, and g = a = 0 two closed classes.
+ZERO_EDGES = {"chain": {"p_good": [0, 0.5], "p_accept": [0, 0.5], "p_success": 0.5}}
+
+
 class TestSteady:
+    def test_zero_p_good_and_p_accept_are_swept(self, tmp_path, capsys):
+        # Refused with exit 2 up to 0.18.0, which took p_good and p_accept
+        # grids in (0, 1] only.
+        assert main(["steady", "--config", write_config(tmp_path, ZERO_EDGES)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[1:4] == [
+            "0,0,0.5,,,,,non_unique", "0,0.5,0.5,1,0,0,0,ok", "0.5,0,0.5,0,1,0,0,ok"
+        ]
+
     def test_singleton_solve(self, tmp_path):
         cfg = write_config(
             tmp_path, {"chain": {"p_good": 0.5, "p_accept": 1.0, "p_success": 1.0}}
@@ -629,20 +646,18 @@ class TestClassify:
         assert rows[0]["label"] == "Failed"
         assert rows[0]["rule"] == "failed:scrubbed"
 
-    @pytest.mark.parametrize(
-        "g_grid",
-        [
-            "nan:1:0.1",
-            "0:1:nan",
-            "0:inf:0.1",
-            "0.1:0.9:inf",
-            "0.1:1.5:0.1",
-            "0.1:x:0.1",
-            "0.1:0.9",
-            "0.9:0.1:0.1",
-            "0:1:1e-6",
-        ],
-    )
+    # Each refusal names the flag once and the text once.
+    BAD_G_GRIDS = {
+        **{text: f"--g-grid needs finite lo <= hi and step > 0, got {text!r}"
+           for text in ("nan:1:0.1", "0:1:nan", "0:inf:0.1", "0.1:0.9:inf", "0.9:0.1:0.1")},
+        "0.1:1.5:0.1": "--g-grid: p_good grid values must lie in [0, 1], got 1.1",
+        "-0.1:0.5:0.1": "--g-grid: p_good grid values must lie in [0, 1], got -0.1",
+        "0.1:x:0.1": "--g-grid must be lo:hi:step, got '0.1:x:0.1'",
+        "0.1:0.9": "--g-grid must be lo:hi:step, got '0.1:0.9'",
+        "0:1:1e-6": f"--g-grid may have at most {MAX_SWEEP_CELLS} values, got '0:1:1e-6'",
+    }
+
+    @pytest.mark.parametrize("g_grid", list(BAD_G_GRIDS))
     def test_bad_g_grid_refused_before_anything_is_written(
         self, tmp_path, capsys, monkeypatch, g_grid
     ):
@@ -650,10 +665,33 @@ class TestClassify:
         monkeypatch.setattr(cli_module, "calibrated_steady_state", kernel_called)
         corpus, _ = project_fixture(tmp_path)
         out = tmp_path / "l.csv"
-        code = main(["classify", corpus, "--out", str(out), "--calibrate", "--g-grid", g_grid])
-        assert_refused(code, capsys.readouterr().err, "--g-grid")
+        code = main(["classify", corpus, "--out", str(out), "--calibrate", f"--g-grid={g_grid}"])
+        line = f"error[config_invalid]: {self.BAD_G_GRIDS[g_grid]}\n"
+        assert (code, capsys.readouterr().err) == (2, line)
         for name in ("l.csv", "l.counts.json", "l.params.json", "l.steady.csv"):
             assert not (tmp_path / name).exists()
+
+    def test_calibrated_sweep_writes_the_rows_of_steady(self, tmp_path, capsys):
+        # One requested, one failed and two rejected comments: p_accept =
+        # 2/4 and p_success = 1/2, so --g-grid 0:0.5:0.5 sweeps the cells of
+        # ZERO_EDGES with p_accept = 0.5, the p_good = 0 edge included.
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            "timestamp,facility,comment\n"
+            + "".join(f"2024-01-01T0{i}:00:00Z,ZNY,{comment}\n" for i, comment in enumerate(
+                ["requesting a pathfinder", "pathfinder not good", "declined", "declined"]))
+        )
+        out = tmp_path / "l.csv"
+        argv = ["classify", str(corpus), "--out", str(out), "--calibrate", "--g-grid", "0:0.5:0.5"]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "l.params.json").read_text()) == {
+            "p_accept": 0.5, "p_success": 0.5
+        }
+        assert main(["steady", "--config", write_config(tmp_path, ZERO_EDGES)]) == 0
+        steady = capsys.readouterr().out.splitlines(keepends=True)
+        expected = steady[:1] + [line for line in steady[1:] if line.split(",")[1] == "0.5"]
+        assert len(expected) == 3
+        assert (tmp_path / "l.steady.csv").read_text() == "".join(expected)
 
     def test_g_grid_checked_before_the_corpus_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "no-such-corpus.csv")
@@ -665,7 +703,8 @@ class TestClassify:
         # 11 values a tenth of the 1e-12 rounding apart are 2 distinct ones.
         missing, out = str(tmp_path / "no-such-corpus.csv"), str(tmp_path / "l.csv")
         argv = ["classify", missing, "--out", out, "--calibrate", "--g-grid", "0:1e-12:1e-13"]
-        assert_refused(main(argv), capsys.readouterr().err, "--g-grid values repeat")
+        needle = "--g-grid values repeat once rounded to 12 decimals, got '0:1e-12:1e-13'"
+        assert_refused(main(argv), capsys.readouterr().err, needle)
         assert os.listdir(tmp_path) == []
         tenths = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         assert cli_module._colon_grid("0.1:0.9:0.1") == tenths
@@ -979,6 +1018,18 @@ class TestConfigSchema:
     SOCIAL = {"s": 0.5, "gamma": 2.5, "r": 0.5}
     NOISE = {"kind": "gaussian", "theta": 1.0}
 
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GRIDS))
+    def test_default_grids_keep_their_bits(self, name):
+        # errors.step_grid builds all four; each is the comprehension it
+        # replaced, to the bit.
+        section, key = name.split(".")
+        grid = SCHEMA[section][key][1]
+
+        def bits(values):
+            return struct.pack(f"<{len(values)}d", *values)
+
+        assert bits(grid) == bits(DEFAULT_GRIDS[name])
+
     @pytest.mark.parametrize(
         "command,doc,needle",
         [
@@ -1162,10 +1213,12 @@ class TestJsonInputs:
 
     @pytest.mark.parametrize("case", CASES)
     def test_load_candidates_refuses(self, tmp_path, case):
+        # A candidates file is read the one way: read_json, then
+        # candidates_from_json.
         path = tmp_path / "candidates.json"
         needle = self.malformed(path, case, "candidates")
         with pytest.raises(ValueError) as info:
-            load_candidates(str(path))
+            candidates_from_json(read_json(str(path), "candidates file"))
         assert needle in str(info.value)
 
 
@@ -1190,7 +1243,8 @@ class TestJsonInputs:
         candidates = tmp_path / "candidates.json"
         candidates.write_text("\ufeff" + json.dumps([{"profile": self.PROFILE, "epsilon": 0.5}]),
                               encoding="utf-8")
-        assert [c.profile.id for c in load_candidates(str(candidates))] == ["A"]
+        doc = read_json(str(candidates), "candidates file")
+        assert [c.profile.id for c in candidates_from_json(doc)] == ["A"]
 
 
 class TestOneWriter:

@@ -391,8 +391,8 @@ class TestCalibratedSteadyState:
         # and p_success, field for field.
         g_grid = [0.0, 0.25, 1.0]
         records = calibrated_steady_state(self.COUNTS, g_grid)
-        sweep = sweep_steady_state([0.25, 1.0], *([v] for v in estimate_params(self.COUNTS)))
-        assert records[1:].tobytes() == sweep.tobytes()
+        sweep = sweep_steady_state(g_grid, *([v] for v in estimate_params(self.COUNTS)))
+        assert records.tobytes() == sweep.tobytes()
 
     def test_non_unique_chain_on_the_grid_raises(self):
         # Only failed runs: p_success = 0, so g = 1 leaves two closed classes.

@@ -26,12 +26,10 @@ from pathfinder_ops import (
     WorstCaseScenario,
     calibrated_steady_state,
     candidates_from_json,
-    default_grid,
     generate_corpus,
     gradient_sign_map,
     make_rng,
     mixture_batch,
-    profiles_from_json,
     rank_candidates,
     stationary,
     sweep_steady_state,
@@ -96,7 +94,6 @@ FIELDS = {
     "check_batch.rounds": (lambda v: check_batch(SCENARIO, 0.5, v, 1) and None, 10, 0, True),
     "check_batch.seed": (lambda v: check_batch(SCENARIO, 0.5, 10, v) and None, 5, 2**64, True),
     "generate_corpus.size": (lambda v: len(generate_corpus(v, 1)), 3, 0, True),
-    "default_grid.step": (lambda v: default_grid(v) and None, 0.25, 1.0, False),
 }
 
 BAD_TYPES = [True, False, "2", None]
@@ -148,7 +145,7 @@ ARRAYS = {
     **{
         f"sweep_steady_state.{key}": (
             lambda v, i=i: sweep_steady_state(*[v if j == i else [0.5] for j in range(3)]),
-            [0.25, 1.0], 0.0 if key != "s_grid" else 1.5)
+            [0.25, 1.0], 1.5)
         for i, key in enumerate(("g_grid", "a_grid", "s_grid"))
     },
     "calibrated_steady_state.g_grid": (
@@ -256,9 +253,6 @@ def test_candidate_json_refuses_non_numbers_naming_the_record(key, text):
     doc = json.loads(json.dumps([good, bad]))
     with pytest.raises(ValueError, match=f"record 1: {key} must"):
         candidates_from_json(doc)
-    if key != "epsilon":
-        with pytest.raises(ValueError, match=f"record 1: {key} must"):
-            profiles_from_json([good["profile"], bad["profile"]])
 
 
 def test_infinite_reward_and_cost_no_longer_outrank_a_real_candidate():
