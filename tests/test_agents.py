@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 
 import pytest
@@ -95,6 +96,23 @@ class TestAcceptanceProbability:
 
     def test_saturates_for_sharp_beta(self):
         assert p_accept(profile(reward=0.5, beta=50.0)) >= 0.999
+
+    def test_reject_mirrors_accept(self):
+        # Declining at utility U is accepting at -U: 1 - expit(-2) = expit(2).
+        assert 1.0 - p_accept(profile_with_utility(-2.0)) == pytest.approx(EXPIT_2, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(-30, 30), beta=st.floats(0.01, 20))
+    def test_complement_identity(self, u, beta):
+        accept = p_accept(profile_with_utility(u, beta=beta))
+        assert abs(accept + p_accept(profile_with_utility(-u, beta=beta)) - 1.0) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(-30, 30), beta=st.floats(0.01, 20))
+    def test_reject_closed_form(self, u, beta):
+        # The rejection probability 1 / (1 + e^(beta U)) is p_accept at -U.
+        reject = p_accept(profile_with_utility(-u, beta=beta))
+        assert abs(reject - 1.0 / (1.0 + math.exp(beta * u))) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(-708, 40), beta=st.sampled_from([0.25, 1.0, 3.0]))
@@ -203,6 +221,12 @@ class TestJsonLoading:
 
     def candidates(self, *profiles):
         return candidates_from_json([{"profile": p, "epsilon": 0.5} for p in profiles])
+
+    def test_profiles_round_trip(self):
+        (cand,) = self.candidates(self.GOOD_PROFILE)
+        doc = json.loads(json.dumps([{"profile": asdict(cand.profile), "epsilon": cand.epsilon}]))
+        (again,) = candidates_from_json(doc)
+        assert again == cand and again.profile.id == "UAL1" and again.profile.beta == 1.0
 
     def test_missing_field_names_record_index(self):
         bad = {k: v for k, v in self.GOOD_PROFILE.items() if k != "beta"}
