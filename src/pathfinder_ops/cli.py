@@ -9,14 +9,21 @@ machine-greppable line to stderr: error[<code>]: <message>. The exception
 decides the code: a ValueError (bad input) exits 2, a PathfinderOpsError (no
 result for valid input) or ArithmeticError (a failed self-check) exits 3, and
 so does an OSError, a closed stdout that an output goes to included.
+
+`main(argv)` may be called any number of times in one process: the parser
+is built on the first call and reused by every later one, and each call
+parses into a fresh namespace, so one call leaves nothing behind for the
+next.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
+import re
 import reprlib
 import sys
 
@@ -353,11 +360,25 @@ class _Parser(argparse.ArgumentParser):
     exit 2; subparsers share the class. (On 3.10 and 3.11 exit_on_error=False
     still exits for missing required or unrecognised arguments.)"""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option unless
+        # it matches this private pattern, whose default takes only plain
+        # numbers such as -1 and -0.5. Any "-" followed by a digit, or by "."
+        # and a digit, is a value here, so `--g-grid -0.1:0.5:0.1` reaches the
+        # grid check as `--g-grid=-0.1:0.5:0.1` does. No option name starts
+        # that way, and `--g-grid -x` stays a usage error.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process: main() parses each argv with it. Callers must not
+    change it."""
     parser = _Parser(
         prog="pathfinder-ops",
         description="Pathfinder-operations decision models: chain sweeps, "

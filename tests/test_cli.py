@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -662,14 +663,17 @@ class TestClassify:
         self, tmp_path, capsys, monkeypatch, g_grid
     ):
         # "0:1:1e-6" asks for about 1e6 values, over the MAX_SWEEP_CELLS cap.
+        # The grid may follow the flag after "=" or as the next argument, a
+        # negative lo included, and is refused alike.
         monkeypatch.setattr(cli_module, "calibrated_steady_state", kernel_called)
         corpus, _ = project_fixture(tmp_path)
         out = tmp_path / "l.csv"
-        code = main(["classify", corpus, "--out", str(out), "--calibrate", f"--g-grid={g_grid}"])
         line = f"error[config_invalid]: {self.BAD_G_GRIDS[g_grid]}\n"
-        assert (code, capsys.readouterr().err) == (2, line)
-        for name in ("l.csv", "l.counts.json", "l.params.json", "l.steady.csv"):
-            assert not (tmp_path / name).exists()
+        for spelling in ([f"--g-grid={g_grid}"], ["--g-grid", g_grid]):
+            code = main(["classify", corpus, "--out", str(out), "--calibrate", *spelling])
+            assert (code, capsys.readouterr().err) == (2, line), spelling
+            for name in ("l.csv", "l.counts.json", "l.params.json", "l.steady.csv"):
+                assert not (tmp_path / name).exists()
 
     def test_calibrated_sweep_writes_the_rows_of_steady(self, tmp_path, capsys):
         # One requested, one failed and two rejected comments: p_accept =
@@ -1426,6 +1430,79 @@ class TestExitCodes:
         ]
 
 
+class TestParserReuse:
+    """main() builds its parser once per process and parses every argv with
+    it, so a call must not depend on the calls made before it."""
+
+    # Back-to-back pairs: {cfg} is a steady and simulate config with
+    # sim.seed 1, {corpus} the fixture corpus.
+    PAIRS = {
+        "calibrate-then-plain-classify": (
+            ["classify", "{corpus}", "--out", "l.csv", "--calibrate", "--g-grid", "0.2:0.4:0.1",
+             "--steady-out", "s.csv"],
+            ["classify", "{corpus}", "--out", "l.csv"],
+        ),
+        "seed-flag-then-config-seed": (
+            ["simulate", "--config", "{cfg}", "--seed", "5"], ["simulate", "--config", "{cfg}"],
+        ),
+        "refused-then-good": (
+            ["steady", "--config", "{cfg}", "--bogus"], ["steady", "--config", "{cfg}"],
+        ),
+        "version-twice": (["--version"], ["--version"]),
+    }
+
+    @staticmethod
+    def outcome(monkeypatch, capsys, run, argv):
+        """Exit code, stdout, stderr and the files written of main(argv),
+        run in the empty directory `run`."""
+        run.mkdir()
+        monkeypatch.chdir(run)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, {path.name: path.read_bytes() for path in run.iterdir()}
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_each_call_gives_what_it_gives_first_in_a_fresh_main(
+        self, tmp_path, capsys, monkeypatch, pair
+    ):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        names = {
+            "corpus": project_fixture(inputs)[0],
+            "cfg": write_config(inputs, {
+                "chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9},
+                "sim": {"seed": 1, "steps": 1000},
+            }),
+        }
+        argvs = [[arg.format(**names) for arg in argv] for argv in self.PAIRS[pair]]
+        fresh = []
+        for i, argv in enumerate(argvs):
+            cli_module.build_parser.cache_clear()
+            fresh.append(self.outcome(monkeypatch, capsys, tmp_path / f"fresh{i}", argv))
+        cli_module.build_parser.cache_clear()
+        reused = [self.outcome(monkeypatch, capsys, tmp_path / f"reused{i}", argv)
+                  for i, argv in enumerate(argvs)]
+        assert reused == fresh
+
+    def test_a_second_call_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"chain": {"p_good": 0.5}})
+        assert main(["steady", "--config", cfg]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert main(["steady", "--config", cfg]) == 0
+        assert main(["steady", "--config", cfg, "--bogus"]) == 2
+        assert built == []
+
+
 def module_env():
     """Environment in which `python -m pathfinder_ops` imports the package
     under test, whether or not it is installed."""
@@ -1543,6 +1620,8 @@ print(json.dumps(codes))
         "invalid choice: 'bogus'": ["bogus"],
         "unrecognized arguments: --bogus": ["steady", "--config", "c.json", "--bogus"],
         "argument --seed: invalid int value: '1e3'": ["simulate", "--config", "c.json", "--seed", "1e3"],
+        "argument --g-grid: expected one argument":
+            ["classify", "c.csv", "--out", "l.csv", "--calibrate", "--g-grid", "-x"],
     }
 
     def test_usage_error_is_exit_2(self):
