@@ -9,7 +9,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 subcommands.
 """
 
-__version__ = "0.19.1"
+__version__ = "0.19.2"
 
 from .agents import (
     AgentProfile,

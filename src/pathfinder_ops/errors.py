@@ -2,7 +2,8 @@
 number is: a real value (an int, a float, a Fraction or a numpy scalar) that
 is not a bool, is finite (an int beyond the float range is not) and lies
 within its bounds. `number`, `integer` and `number_array` check it for every
-library constructor and config key, and raise ValueError for anything else.
+library constructor and config key, and raise ValueError for anything else;
+`number_array` checks the range of a whole list or array in one pass.
 `json_object` checks the keys of every object in a config, rules or agent file,
 and `step_grid` builds every evenly stepped grid.
 
@@ -93,16 +94,19 @@ def integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
 
 def number_array(name: str, values, lo=-math.inf, hi=math.inf, *, lo_open=False, hi_open=False):
     """`values` as a float array if every entry is a number within the bounds,
-    ValueError naming `name` otherwise. An int or float array is checked in one
-    vectorised pass, anything else (a nested sequence, say) entry by entry."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+    ValueError naming `name` otherwise. Outside an int or float array, each
+    entry but a plain float goes through `number`; one vectorised pass then
+    checks every range. So [2.0, True] names True, not the earlier 2.0."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        entries, arr = values, values.astype(float, copy=False)
+    else:
         entries = np.asarray(values, dtype=object)
-        checked = [number(name, v, lo, hi, lo_open=lo_open, hi_open=hi_open) for v in entries.flat]
-        return np.array(checked, dtype=float).reshape(entries.shape)
-    arr = values.astype(float, copy=False)
+        bounds = dict(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open)
+        checked = [v if type(v) is float else number(name, v, **bounds) for v in entries.flat]
+        arr = np.array(checked, dtype=float).reshape(entries.shape)
     ok = _within(arr, lo, hi, lo_open, hi_open)
     if not ok.all():
-        raise _out_of_range(name, values[~ok].flat[0].item(), lo, hi, lo_open, hi_open)
+        raise _out_of_range(name, _plain(entries[~ok].flat[0]), lo, hi, lo_open, hi_open)
     return arr
 
 

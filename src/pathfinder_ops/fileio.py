@@ -7,13 +7,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from typing import Iterable, Sequence
 
 import numpy as np
-
-# The umask, read once; os.umask reads it only by setting it. mkstemp ignores it.
-os.umask(_UMASK := os.umask(0o077))
 
 # Lines in each text block of a table written in blocks (the labelled corpus,
 # the gradient map's cells): large enough that a block costs little beyond
@@ -99,17 +95,20 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
     A partially written file never appears at the target path, a failed write
     (an error taking a chunk included) leaves no temp file, and its OSError
-    names `path` alone. The file gets the mode `open()` gives a new one,
-    0o666 less the umask.
+    names `path` alone. The file gets the mode `open()` gives a new one:
+    0o666 less the umask in force when it is written.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        while tmp_path is None:
+            name = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                tmp_path = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             for chunk in [text] if isinstance(text, str) else text:
                 handle.write(chunk)
-        os.chmod(tmp_path, 0o666 & ~_UMASK)
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None:

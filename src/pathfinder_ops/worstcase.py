@@ -201,17 +201,12 @@ def _reject_probs(scn: WorstCaseScenario, law: ShiftLaw):
 
 
 def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
-    """E[m^n] with the mixture m = alpha * p_rej + (1 - alpha) * p_rec per
-    shift value, alpha broadcast against the shift axis."""
+    """W = E[m^n] with the mixture m = alpha * p_rej + (1 - alpha) * p_rec per
+    shift value, for alphas of any shape broadcast against the shift axis (the
+    law's leading axes follow the alpha axes in the result)."""
     p_rej, p_rec = probs
     a = np.asarray(alphas, dtype=float)[..., None]
     return ((a * p_rej + (1.0 - a) * p_rec) ** n) @ weights
-
-
-def mixture_w(scn: WorstCaseScenario, alphas, law: ShiftLaw) -> np.ndarray:
-    """W = E[m^n] for each alpha in `alphas` (any shape; the law's leading
-    axes follow the alpha axes in the result)."""
-    return _mixture_w(scn.n, alphas, _reject_probs(scn, law), law.weights)
 
 
 def _mixture(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, m, spread):
@@ -277,7 +272,7 @@ def _partials(n: int, beta: float, m, spread, law: ShiftLaw, x, probs=None):
 def mixture_partials(
     scn: WorstCaseScenario, alphas, law: ShiftLaw
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (dW/dalpha, dW/dtheta), shaped like mixture_w's result:
+    """Exact (dW/dalpha, dW/dtheta), each shaped like W at `alphas`:
 
         dW/dalpha = E[n m^(n-1) (p_rej - p_rec)]
         dW/dtheta = E[dxi/dtheta * n m^(n-1) * dm/dxi],
@@ -298,7 +293,7 @@ def _w(scn: WorstCaseScenario, alpha, law: ShiftLaw):
     if alphas.size * law.weights.size > MAX_ALPHA_NODES:
         pairs = f"{alphas.size} x {law.weights.size}"
         raise ValueError(f"W takes at most {MAX_ALPHA_NODES} alpha x shift pairs, got {pairs}")
-    w = mixture_w(scn, alphas, law)
+    w = _mixture_w(scn.n, alphas, _reject_probs(scn, law), law.weights)
     return float(w) if w.ndim == 0 else w
 
 

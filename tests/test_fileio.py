@@ -362,8 +362,13 @@ def test_failed_write_names_the_target_and_leaves_nothing(tmp_path, monkeypatch)
     assert os.listdir(tmp_path) == []
 
 
-# The umask is read when fileio is imported, so it is set in a fresh
-# interpreter before the import.
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pathfinder_ops.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# The umask is set in a fresh interpreter before the package is imported.
 WRITE_UNDER_UMASK = """
 import os, sys
 os.umask(int(sys.argv[1], 8))
@@ -378,11 +383,36 @@ def test_written_file_gets_the_mode_open_gives_a_new_file(tmp_path, umask, mode)
     old = tmp_path / "old.txt"
     old.write_text("")
     old.chmod(0o644)
-    src = os.path.dirname(os.path.dirname(pathfinder_ops.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-c", WRITE_UNDER_UMASK, oct(umask), str(tmp_path / "new.txt"), str(old)]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
     assert modes == {"new.txt": mode, "old.txt": mode}
     assert old.read_text() == "x\n"
+
+
+def test_written_file_follows_a_umask_set_after_the_import(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old_umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"atomic.txt": 0o640, "plain.txt": 0o640}
+
+
+IMPORT_WITHOUT_UMASK = """
+import os
+def umask(mask):
+    raise SystemExit(f"os.umask({mask:#o}) called")
+os.umask = umask
+import pathfinder_ops, pathfinder_ops.cli, pathfinder_ops.fileio
+"""
+
+
+def test_importing_the_package_never_calls_umask():
+    argv = [sys.executable, "-c", IMPORT_WITHOUT_UMASK]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=package_env())
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -9,9 +9,12 @@ Config files and agent JSON go through the same checks.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfinder_ops import (
     AgentProfile,
@@ -37,6 +40,7 @@ from pathfinder_ops import (
 )
 from pathfinder_ops.chain import transition_matrices
 from pathfinder_ops.cli import SCHEMA, main
+import pathfinder_ops.errors as errors_module
 from pathfinder_ops.errors import integer, number, number_array
 from pathfinder_ops.simulate import check_batch
 
@@ -218,6 +222,9 @@ class TestCheckers:
             (lambda: integer("n", np.float64(2.0), 1), "n must be an integer, got 2.0"),
             (lambda: integer("n", 0, 1), "n must be finite and >= 1, got 0"),
             (lambda: number_array("a", [0.5, True], 0, 1), "a must be a number, got True"),
+            # Bad entries of two kinds: the non-float is named, even where
+            # an out-of-range float comes first.
+            (lambda: number_array("a", [2.0, True], 0, 1), "a must be a number, got True"),
             (lambda: number_array("a", np.array([0.5, 2.0]), 0, 1),
              "a must lie in [0, 1], got 2.0"),
         ]
@@ -239,6 +246,59 @@ class TestCheckers:
         assert number_array("a", [[0.5], [0.25]], 0, 1).shape == (2, 1)
         assert number_array("a", [], 0, 1).shape == (0,)
         assert number_array("a", np.arange(3), 0, 2).dtype == float
+
+
+def refusal(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+GOOD_FLOATS = st.lists(st.floats(0, 1), min_size=1, max_size=20)
+BAD_FLOATS = st.one_of(
+    st.floats(max_value=0, exclude_max=True), st.floats(min_value=1, exclude_min=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+BAD_NON_FLOATS = st.one_of(
+    st.sampled_from([True, False, np.bool_(True), "0.5", None, 10**400, -(10**400), [0.5]]),
+    st.integers().filter(lambda i: i not in (0, 1)),
+    st.fractions().filter(lambda f: not 0 <= f <= 1),
+)
+
+
+class TestOneRangeCheck:
+    """`number_array` checks a list's plain floats in its vectorised pass; every
+    single bad entry is refused with the message `number` gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(GOOD_FLOATS, BAD_FLOATS, st.integers(0, 20))
+    def test_a_bad_float_anywhere_gets_the_message_of_number(self, good, bad, at):
+        values = good[:at] + [bad] + good[at:]
+        expected = refusal(lambda: number("a", bad, 0, 1))
+        assert refusal(lambda: number_array("a", values, 0, 1)) == expected
+        assert refusal(lambda: number_array("a", np.array(values), 0, 1)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(GOOD_FLOATS, BAD_NON_FLOATS, st.integers(0, 20))
+    def test_a_bad_non_float_anywhere_gets_the_message_of_number(self, good, bad, at):
+        values = good[:at] + [bad] + good[at:]
+        expected = refusal(lambda: number("a", bad, 0, 1))
+        assert refusal(lambda: number_array("a", values, 0, 1)) == expected
+
+    def test_a_list_of_floats_never_reaches_number(self, monkeypatch):
+        calls = []
+
+        def counted(name, value, *args, **kwargs):
+            calls.append(value)
+            return number(name, value, *args, **kwargs)
+
+        monkeypatch.setattr(errors_module, "number", counted)
+        grid = [i / 100 for i in range(101)]
+        assert number_array("alpha", grid, 0, 1).tolist() == grid
+        assert calls == []
+        # The counter sees what does reach `number`: each non-float entry.
+        number_array("alpha", [*grid, 1, Fraction(1, 2)], 0, 1)
+        assert calls == [1, Fraction(1, 2)]
 
 
 # --- agent JSON ---------------------------------------------------------------

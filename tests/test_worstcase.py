@@ -334,7 +334,7 @@ class TestAlphaNodeCap:
         def kernel_called(*args, **kwargs):
             raise AssertionError("kernel called")
 
-        monkeypatch.setattr(worstcase_module, "mixture_w", kernel_called)
+        monkeypatch.setattr(worstcase_module, "_mixture_w", kernel_called)
 
     @pytest.mark.parametrize("gh_nodes", [61, 370])
     def test_cap_checked_before_the_kernel(self, no_kernel, gh_nodes):
