@@ -9,7 +9,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 subcommands.
 """
 
-__version__ = "0.19.2"
+__version__ = "0.20.0"
 
 from .agents import (
     AgentProfile,
@@ -56,6 +56,7 @@ from .simulate import (
     MixtureBatchResult,
     SelectionOutcome,
     SimConfig,
+    expected_offers,
     make_rng,
     mixture_batch,
     run_selection_round,

@@ -51,7 +51,7 @@ from .ntml import (
     load_rules,
     read_corpus_csv,
 )
-from .simulate import SimConfig, check_batch, mixture_batch, simulate_chain
+from .simulate import SimConfig, check_batch, expected_offers, mixture_batch, simulate_chain
 from .worstcase import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_GH_NODES,
@@ -340,6 +340,8 @@ def cmd_simulate(args) -> list:
         w = worst_case_prob(scn, alpha)
         # The binomial standard error of the all-reject rate about W.
         std_error = math.sqrt(w * (1.0 - w) / batch.rounds)
+        analytic_offers = expected_offers(scn, alpha)
+        offers_error = batch.mean_offers_std_error
         result["selection"] = {
             "seed": seed,
             "rounds": batch.rounds,
@@ -348,6 +350,11 @@ def cmd_simulate(args) -> list:
             "analytic_all_reject": w,
             "all_reject_std_error": std_error,
             "all_reject_z": (batch.all_reject_rate - w) / std_error if std_error else None,
+            "analytic_mean_offers": analytic_offers,
+            "mean_offers_std_error": offers_error,
+            "mean_offers_z": (
+                (batch.mean_offers - analytic_offers) / offers_error if offers_error else None
+            ),
         }
     return [(args.out, json_text(result))]
 

@@ -28,11 +28,12 @@ _CHUNK = 2**14
 # Size caps, checked before anything is allocated. Both simulations keep
 # O(_CHUNK) memory, about 1-2 MiB whatever the request (mixture_batch adds
 # its Binomial table, under 5 MiB at n = 2**24), so both caps bound time
-# (2-CPU machine). simulate_chain runs at 2.7e7 steps/s or more (worst
-# case p_good = p_accept = 1, p_success = 0): about 40 s at MAX_STEPS.
-# mixture_batch runs at 2.3e7 to 3.9e7 rounds/s for n = 1 and about 4e7
-# for n = 10, so the slowest request at MAX_ROUND_DRAWS, 2**24 rounds of
-# one agent, takes 0.4 to 0.7 s; one round of 2**24 agents takes about 10 ms.
+# (2-CPU machine, whose speed varied by up to 2x between runs).
+# simulate_chain runs at 6e7 to 9e7 steps/s (worst case p_good = p_accept
+# = 1, p_success = 0): 11 to 16 s at MAX_STEPS. mixture_batch runs at
+# 2.5e7 to 3.6e7 rounds/s for n = 1 and 4e7 to 8e7 for n = 10, so the
+# slowest request at MAX_ROUND_DRAWS, 2**24 rounds of one agent, takes 0.4
+# to 0.7 s; one round of 2**24 agents takes about 7 ms.
 MAX_STEPS = 10**9
 MAX_ROUND_DRAWS = 2**24
 
@@ -107,9 +108,12 @@ def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
     p_success, 3 before it returns to 0. States 0, 1 and 3 loop on
     themselves, so each visit lasts a geometric number of steps; state 2 is
     always left after one. Excursions are drawn in chunks of at most
-    _CHUNK, so memory is O(chunk) and time O(jumps). Times are whole
-    numbers held in float64; MAX_STEPS keeps every time and sum far below
-    2**53, so all of them are exact.
+    _CHUNK, so memory is O(chunk) and time O(jumps). A chunk that lies
+    wholly inside the counted steps adds each state's summed holding times
+    to its count; only a chunk that straddles an end is clipped visit by
+    visit. Times are whole numbers held in float64; MAX_STEPS keeps every
+    time and sum far below 2**53, so all of them are exact and both paths
+    give the same bits.
     """
     g, a, s = params.p_good, params.p_accept, params.p_success
     rng = make_rng(cfg.seed, _STREAM_CHAIN)
@@ -129,6 +133,15 @@ def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
             1.0,
             np.where(opened, _geometric(exp_draws[2], 1.0 - g, hi), 0.0),
         )
+        if lo <= start:
+            # A scalar stay (a degenerate probability) is every excursion's.
+            totals = [stay.sum() if np.ndim(stay) else stay * chunk for stay in stays]
+            end = start + sum(totals)
+            if end <= hi:
+                # Every visit of the chunk is counted in full.
+                counts += totals
+                start = end
+                continue
         length = stays[0] + stays[1] + stays[2] + stays[3]
         # Visit boundaries, from each excursion's entry into Gate Closed to
         # its return. A visit [u, v) covers clip(v) - clip(u) counted steps,
@@ -165,6 +178,9 @@ class MixtureBatchResult:
     rounds: int
     all_reject_rate: float
     mean_offers: float
+    # The standard error of mean_offers from the rounds' sample variance;
+    # None for a single round.
+    mean_offers_std_error: float | None
 
 
 def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
@@ -223,47 +239,87 @@ def mixture_batch(
     acceptance. The all-reject frequency is the empirical counterpart of
     worst_case_prob(scn, alpha).
 
-    A round takes two draws, not one per agent, once its K ~ Binomial(n,
-    alpha) rejective agents are known. Offers within a group are independent trials, so
-    the first acceptance among the n - K receptive agents, offered first,
-    lies at g_rec ~ Geometric(1 - p_rec), and the first among the K
-    rejective agents at g_rej ~ Geometric(1 - p_rej), both drawn from
-    Exp(1) variates. The round makes g_rec offers if g_rec <= n - K, else
-    (n - K) + g_rej if g_rej <= K, else all n agents reject. This is the law
-    of the per-agent walk.
+    A round takes one draw, not one per agent, once its K ~ Binomial(n,
+    alpha) rejective agents are known, and a second only when every
+    receptive agent refuses. Offers within a group are independent trials,
+    so the first acceptance among the n - K receptive agents, offered first,
+    lies at g_rec ~ Geometric(1 - p_rec), drawn from an Exp(1) variate. The
+    round makes g_rec offers if g_rec <= n - K. Otherwise the first
+    acceptance among the K rejective agents lies at g_rej ~ Geometric(1 -
+    p_rej), drawn from a second Exp(1) variate for these rounds alone, and
+    the round makes (n - K) + g_rej offers if g_rej <= K, else all n agents
+    reject. This is the law of the per-agent walk.
 
-    Rounds run in chunks of _CHUNK with two running counts, so memory is
-    O(chunk + sqrt(n)) and time O(rounds) plus O(sqrt(n)) a chunk. The
-    rounds of a chunk are i.i.d., so the histogram of their K values is
-    Multinomial(chunk, pmf), drawn once per chunk from the Binomial(n,
-    alpha) probabilities, which are worked out once per call. The
-    geometric draws are i.i.d. and independent of K, so pairing them with
-    the K values in sorted order keeps the joint law of the rounds, and
-    only sums over rounds are reported.
+    Rounds run in chunks of _CHUNK with three running sums (all-reject
+    rounds, offers and squared offers), so memory is O(chunk + sqrt(n)) and
+    time O(rounds) plus O(sqrt(n)) a chunk. The rounds of a chunk are
+    i.i.d., so the histogram of their K values is Multinomial(chunk, pmf),
+    drawn once per chunk from the Binomial(n, alpha) probabilities, which
+    are worked out once per call. The geometric draws are i.i.d. and
+    independent of K, so pairing the g_rec draws with the K values in
+    sorted order, and the g_rej draws with the refused rounds in order,
+    keeps the joint law of the rounds; only sums over rounds are reported.
     """
     alpha = check_batch(scn, alpha, rounds, seed)
+    rounds = int(rounds)
     rng = make_rng(seed, _STREAM_MIXTURE)
     p_rej, p_rec = group_reject_probs(scn)
     n = scn.n
     ks, pmf = _binomial_pmf(n, alpha)
-    all_reject = offers = 0
+    all_reject = offers = offers_sq = 0
     for start in range(0, rounds, _CHUNK):
         size = min(_CHUNK, rounds - start)
         rejective = np.repeat(ks, rng.multinomial(size, pmf))
-        exp_draws = rng.standard_exponential((2, size))
         receptive = n - rejective
         # Capped at n + 1: beyond every group size.
-        g_rec = _geometric(exp_draws[0], 1.0 - p_rec, n + 1)
-        g_rej = _geometric(exp_draws[1], 1.0 - p_rej, n + 1)
-        rec_accepts = g_rec <= receptive
-        # Offers past the receptive group: receptive + g_rej, or n when
-        # every rejective agent refuses too (g_rej > K).
-        offers += int(
-            np.where(rec_accepts, g_rec, np.minimum(receptive + g_rej, n)).sum()
-        )
-        all_reject += int(np.count_nonzero(~rec_accepts & (g_rej > rejective)))
+        g_rec = _geometric(rng.standard_exponential(size), 1.0 - p_rec, n + 1)
+        refused = g_rec > receptive  # every receptive agent refused
+        made = np.minimum(g_rec, receptive)
+        # Only the refused rounds read the rejective stage: receptive +
+        # g_rej offers, or n when every rejective agent refuses too (g_rej > K).
+        k_refused = rejective[refused]
+        g_rej = _geometric(rng.standard_exponential(k_refused.size), 1.0 - p_rej, n + 1)
+        made[refused] += np.minimum(g_rej, k_refused)
+        all_reject += int(np.count_nonzero(g_rej > k_refused))
+        # Whole numbers, and a chunk's sum of squares is at most
+        # size * n**2 <= MAX_ROUND_DRAWS * n <= 2**48, so both sums are exact.
+        offers += int(made.sum())
+        offers_sq += int(made @ made)
+    # The rounds' sample variance, from exact integer sums.
+    spread = rounds * offers_sq - offers * offers
     return MixtureBatchResult(
-        rounds=int(rounds),
+        rounds=rounds,
         all_reject_rate=all_reject / rounds,
         mean_offers=offers / rounds,
+        mean_offers_std_error=math.sqrt(spread / (rounds - 1)) / rounds if rounds > 1 else None,
     )
+
+
+def _offers_within(size, p: float):
+    """Mean offers to a group of `size` agents that each refuse with
+    probability p, stopping at the first acceptance: the sum of p**j over
+    j < size, which is (1 - p**size) / (1 - p), or size where p = 1."""
+    if p == 1.0:
+        return size
+    if p == 0.0:
+        return np.minimum(size, 1.0)
+    return -np.expm1(size * math.log(p)) / (1.0 - p)
+
+
+def expected_offers(scn: WorstCaseScenario, alpha) -> float:
+    """Mean offers of a mixture_batch round, in closed form: the empirical
+    mean_offers estimates it.
+
+    Given K = k rejective agents, the m = n - k receptive ones are offered
+    first and all refuse with probability p_rec**m, so E[offers | K = k] =
+    (1 - r**m)/(1 - r) + r**m (1 - q**k)/(1 - q) with r = p_rec and q =
+    p_rej, averaged over _binomial_pmf's window of k.
+    """
+    alpha = number("alpha", alpha, 0, 1)
+    p_rej, p_rec = group_reject_probs(scn)
+    ks, pmf = _binomial_pmf(scn.n, alpha)
+    receptive = scn.n - ks
+    # p_rec ** receptive underflows to 0 for long receptive groups.
+    with np.errstate(under="ignore"):
+        given_k = _offers_within(receptive, p_rec) + p_rec**receptive * _offers_within(ks, p_rej)
+    return float(pmf @ given_k)

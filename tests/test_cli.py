@@ -26,6 +26,8 @@ from pathfinder_ops import (
     NonUniqueStationary,
     NoTippingPoint,
     PathfinderOpsError,
+    WorstCaseScenario,
+    group_reject_probs,
 )
 from pathfinder_ops.agents import candidates_from_json
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
@@ -33,7 +35,7 @@ from pathfinder_ops.fileio import read_json
 from pathfinder_ops.worstcase import MAX_ALPHA_NODES
 from pathfinder_ops.cli import SCHEMA, main
 
-from oracles import CONFIG_PREDICATES, DEFAULT_GRIDS, per_value_csv
+from oracles import CONFIG_PREDICATES, DEFAULT_GRIDS, exact_mean_offers, per_value_csv
 from test_ntml import load_fixture
 from test_simulate import no_rng
 
@@ -866,6 +868,33 @@ class TestSimulate:
             assert block["all_reject_z"] is None
         else:
             assert block["all_reject_z"] == pytest.approx((rate - w) / se, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "worst_case,alpha,rounds",
+        [
+            (FIG3_WORST["worst_case"], 0.5, 5000),
+            # Every agent refuses every offer: n offers a round, no error, no z.
+            ({"n": 3, "u_minus": -50.0, "u_plus": 50.0, "beta": 1.0, "delta": 0.1}, 1.0, 5000),
+            # One round has no sample variance.
+            (FIG3_WORST["worst_case"], 0.5, 1),
+        ],
+    )
+    def test_mean_offers_error_bar(self, tmp_path, worst_case, alpha, rounds):
+        doc = {"worst_case": worst_case, "sim": {"seed": 3, "rounds": rounds, "alpha": alpha}}
+        out = tmp_path / "sel.json"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["selection"]
+        scn = WorstCaseScenario(**worst_case)
+        mean = exact_mean_offers(scn.n, alpha, *group_reject_probs(scn))
+        assert block["analytic_mean_offers"] == pytest.approx(mean, rel=1e-13)
+        error = block["mean_offers_std_error"]
+        if rounds == 1:
+            assert error is None
+        if not error:
+            assert block["mean_offers_z"] is None
+        else:
+            z = (block["mean_offers"] - block["analytic_mean_offers"]) / error
+            assert block["mean_offers_z"] == pytest.approx(z, rel=1e-12)
 
     def test_tiny_p_good_prints_no_warning(self, tmp_path, capsys):
         doc = {

@@ -16,6 +16,7 @@ from pathfinder_ops import (
     MixtureBatchResult,
     SimConfig,
     WorstCaseScenario,
+    expected_offers,
     group_reject_probs,
     make_rng,
     mixture_batch,
@@ -145,6 +146,35 @@ class TestSimulateChain:
             assert np.max(np.abs(occ - pi)) <= 0.01
 
 
+class TestChainBits:
+    # Occupancies computed by 0.19.2, which clipped every chunk visit by
+    # visit. Chunks that lie wholly inside the counted steps now add their
+    # summed holding times, which must give the same bits.
+    PINS = [
+        # (g, a, s, steps, burn_in, seed, occupancy as float.hex)
+        # The chain-grid point: chunks between two clipped end chunks.
+        (0.5, 0.81, 0.87, 2_000_000, 1_000, 1,
+         ("0x1.572e2bf420c17p-2", "0x1.a72912df5ecc9p-3", "0x1.566b2b8d94104p-3", "0x1.2a07b4d565d02p-2")),
+        # Burn-in ends inside the second chunk (about 98,000 steps a chunk).
+        (0.5, 0.81, 0.87, 400_000, 150_000, 2,
+         ("0x1.54a1ad6451b93p-2", "0x1.a6634117f8445p-3", "0x1.564b662fdfc1ap-3", "0x1.2d06fef7c243ep-2")),
+        # A walk of one chunk, clipped at both ends.
+        (0.3, 0.6, 0.7, 20_000, 500, 3,
+         ("0x1.eb41e751a84dcp-2", "0x1.e76c8b4395810p-3", "0x1.2372372372372p-3", "0x1.1e9d6ef5a7ac6p-3")),
+        # Scalar stays: every holding time is 1, or Gate Opened is never entered.
+        (1.0, 1.0, 0.0, 2_000_000, 1_000, 4,
+         ("0x1.55554a2496e4fp-2", "0x1.55554a2496e4fp-2", "0x1.55556bb6d2362p-2", "0x0.0p+0")),
+        # Pathfinder Selection absorbs: its stay is the cap.
+        (1.0, 0.0, 0.0, 2_000_000, 1_000, 5,
+         ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+    ]
+
+    @pytest.mark.parametrize("g,a,s,steps,burn_in,seed,expected", PINS)
+    def test_occupancy_bits_are_pinned(self, g, a, s, steps, burn_in, seed, expected):
+        occ = simulate_chain(ChainParams(g, a, s), SimConfig(seed=seed, steps=steps, burn_in=burn_in))
+        assert tuple(float(x).hex() for x in occ) == expected
+
+
 class TestHoldingTimeWalk:
     # Mean visit counts of many seeded short walks against the exact
     # expectation from matrix powers. steps = 12 and burn_in = 3 count
@@ -181,11 +211,15 @@ class TestHoldingTimeWalk:
         )
 
     @pytest.mark.parametrize("g,a,s", list(itertools.product([0.0, 1.0], repeat=3)))
-    @pytest.mark.parametrize("steps,burn_in", [(1, 0), (10, 0), (10, 4), (100_003, 17)])
+    @pytest.mark.parametrize(
+        "steps,burn_in", [(1, 0), (10, 0), (10, 4), (100_003, 17), (98_303, 0), (200_000, 60_000)]
+    )
     def test_deterministic_chains_are_exact(self, g, a, s, steps, burn_in):
         # With every probability in {0, 1} each row of P is a unit vector,
         # so any walk equals the one-step-at-a-time walk, including the
-        # never-left states (leave probability 0).
+        # never-left states (leave probability 0). At 98,303 steps the
+        # 3-cycle's second chunk ends exactly at the last counted step;
+        # 200,000 steps with burn-in 60,000 count whole chunks in between.
         params = ChainParams(g, a, s)
         occ = simulate_chain(params, SimConfig(seed=3, steps=steps, burn_in=burn_in))
         expected = deterministic_walk_occupancy(transition_matrices(g, a, s), steps, burn_in)
@@ -296,7 +330,7 @@ class TestMixtureBatch:
 
 
 class TestMixtureBatchLaw:
-    # Three-draw rounds against independent references: the explicit
+    # Offer rounds against independent references: the explicit
     # binomial sum for the all-reject rate, an exact enumeration for the
     # mean offers, and the per-agent walk (numpy's default generator) for
     # both, each within 4 standard errors.
@@ -307,6 +341,8 @@ class TestMixtureBatchLaw:
         (10, 0.5, 2.0),
         (10, 0.9, 0.5),
         (25, 0.7, 1.0),
+        (4, 1.0, 1.0),  # no receptive agent: every round draws g_rej
+        (20, 0.2, 0.1),  # receptive agents refuse often
     ]
     ROUNDS = 200_000
 
@@ -330,6 +366,21 @@ class TestMixtureBatchLaw:
         mean = exact_mean_offers(n, alpha, *probs)
         se = math.sqrt(exact_offers_variance(n, alpha, *probs) / self.ROUNDS)
         assert abs(result.mean_offers - mean) <= 4 * se
+
+    @pytest.mark.parametrize("n,alpha,u", POINTS)
+    def test_offers_std_error_matches_exact_variance(self, n, alpha, u):
+        # The sample variance N * se**2 lies within 4 of its standard
+        # deviations of the exact variance. That deviation is at most
+        # sqrt(mu4 / N), and an offer count lies within d = max(mean - 1,
+        # n - mean) of the mean, so mu4 <= d**2 * variance.
+        scn = self.scenario(n, u)
+        result = mixture_batch(scn, alpha=alpha, rounds=self.ROUNDS, seed=100 + n)
+        probs = group_reject_probs(scn)
+        mean = exact_mean_offers(n, alpha, *probs)
+        variance = exact_offers_variance(n, alpha, *probs)
+        d = max(mean - 1.0, n - mean)
+        sample_variance = self.ROUNDS * result.mean_offers_std_error**2
+        assert abs(sample_variance - variance) <= 4 * d * math.sqrt(variance / self.ROUNDS) + 1e-12
 
     @pytest.mark.parametrize("n,alpha,u", POINTS)
     def test_agrees_with_per_agent_walk(self, n, alpha, u):
@@ -363,10 +414,29 @@ class TestBinomialPmf:
         assert np.all(np.abs(pmf[tested] - expected[tested]) <= 1e-9 * expected[tested])
 
 
+class TestExpectedOffers:
+    # The closed form over the Binomial window against the enumeration of
+    # P(offers > j) over every k, including groups that always or never
+    # refuse (|u| = 40 gives p_rej = 1.0 and p_rec = 4e-18).
+    @pytest.mark.parametrize("n", [1, 2, 5, 37, 200])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("u", [1e-9, 0.1, 1.0, 5.0, 40.0])
+    def test_matches_exact_enumeration(self, n, alpha, u):
+        scn = WorstCaseScenario(n=n, u_minus=-u, u_plus=u, beta=1.0, delta=0.1)
+        expected = exact_mean_offers(n, alpha, *group_reject_probs(scn))
+        assert expected_offers(scn, alpha) == pytest.approx(expected, rel=1e-13)
+
+    def test_alpha_validation(self):
+        scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        with pytest.raises(ValueError, match="alpha"):
+            expected_offers(scn, 1.5)
+
+
 class TestMixtureBatchCalibration:
-    # Over 200 seeds, the share of all-reject rates more than 2 standard
-    # errors from W must be that of a normal variable, 4.55%, within the
-    # 99.9% binomial limits for 200 trials.
+    # Over 200 seeds, the share of all-reject rates (and of mean offers)
+    # more than 2 standard errors from W (and from the exact mean) must be
+    # that of a normal variable, 4.55%, within the 99.9% binomial limits for
+    # 200 trials.
     SEEDS, ROUNDS = 200, 20_000
 
     @pytest.mark.parametrize("n,alpha,u", [(10, 0.5, 2.0), (3, 0.3, 1.0)])
@@ -378,6 +448,17 @@ class TestMixtureBatchCalibration:
             [mixture_batch(scn, alpha, self.ROUNDS, seed).all_reject_rate for seed in range(self.SEEDS)]
         )
         outside = int(np.count_nonzero(np.abs(rates - w) > 2 * se))
+        lo, hi = stats.binom.interval(0.999, self.SEEDS, 2 * stats.norm.sf(2.0))
+        assert lo <= outside <= hi, (outside, lo, hi)
+
+    @pytest.mark.parametrize("n,alpha,u", [(10, 0.5, 2.0), (3, 0.3, 1.0)])
+    def test_share_of_large_offers_z(self, n, alpha, u):
+        # Each z uses the run's own standard error, so this checks it too.
+        scn = WorstCaseScenario(n=n, u_minus=-u, u_plus=u, beta=1.0, delta=0.1)
+        mean = exact_mean_offers(n, alpha, *group_reject_probs(scn))
+        results = [mixture_batch(scn, alpha, self.ROUNDS, seed) for seed in range(self.SEEDS)]
+        z = np.array([(r.mean_offers - mean) / r.mean_offers_std_error for r in results])
+        outside = int(np.count_nonzero(np.abs(z) > 2))
         lo, hi = stats.binom.interval(0.999, self.SEEDS, 2 * stats.norm.sf(2.0))
         assert lo <= outside <= hi, (outside, lo, hi)
 
@@ -404,8 +485,12 @@ class TestMixtureBatchEdges:
             always = mixture_batch(scn, alpha=1.0, rounds=rounds, seed=5)
             never = mixture_batch(scn, alpha=0.0, rounds=rounds, seed=5)
             mixture_batch(scn, alpha=0.5, rounds=rounds, seed=5)
-        assert always == MixtureBatchResult(rounds=rounds, all_reject_rate=1.0, mean_offers=float(n))
-        assert never == MixtureBatchResult(rounds=rounds, all_reject_rate=0.0, mean_offers=1.0)
+        assert always == MixtureBatchResult(
+            rounds=rounds, all_reject_rate=1.0, mean_offers=float(n), mean_offers_std_error=0.0
+        )
+        assert never == MixtureBatchResult(
+            rounds=rounds, all_reject_rate=0.0, mean_offers=1.0, mean_offers_std_error=0.0
+        )
 
     def test_memory_is_bounded_by_the_chunk(self):
         # Per-agent arrays would peak at about 270 MiB here.
