@@ -51,7 +51,7 @@ from .ntml import (
     load_rules,
     read_corpus_csv,
 )
-from .simulate import SimConfig, check_batch, expected_offers, mixture_batch, simulate_chain
+from .simulate import SimConfig, check_batch, mixture_batch, simulate_chain
 from .worstcase import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_GH_NODES,
@@ -337,10 +337,10 @@ def cmd_simulate(args) -> list:
         result["chain"] = block
     if rounds is not None:
         batch = mixture_batch(scn, alpha, rounds, seed)
-        w = worst_case_prob(scn, alpha)
+        w = batch.analytic_all_reject
         # The binomial standard error of the all-reject rate about W.
         std_error = math.sqrt(w * (1.0 - w) / batch.rounds)
-        analytic_offers = expected_offers(scn, alpha)
+        analytic_offers = batch.analytic_mean_offers
         offers_error = batch.mean_offers_std_error
         result["selection"] = {
             "seed": seed,

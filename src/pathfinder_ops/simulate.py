@@ -16,22 +16,34 @@ import numpy as np
 from .agents import ControllerCandidate, ControllerContext, p_accept, rank_candidates
 from .chain import N_STATES, ChainParams
 from .errors import integer, number
-from .worstcase import WorstCaseScenario, group_reject_probs
+from .worstcase import WorstCaseScenario, group_reject_probs, group_worst_case_prob
 
 _MAX_SEED = 2**64 - 1
 
-# Excursions drawn per chunk by simulate_chain, and rounds per chunk by
-# mixture_batch. Each chunk's arrays stay in cache (2**13 to 2**14 was
-# fastest on 2e6 steps).
+# Rounds per chunk of mixture_batch, whose arrays stay in cache, and
+# excursions per block of simulate_chain, whose few draws per block do not
+# depend on it.
 _CHUNK = 2**14
 
-# Size caps, checked before anything is allocated. Both simulations keep
-# O(_CHUNK) memory, about 1-2 MiB whatever the request (mixture_batch adds
-# its Binomial table, under 5 MiB at n = 2**24), so both caps bound time
-# (2-CPU machine, whose speed varied by up to 2x between runs).
-# simulate_chain runs at 6e7 to 9e7 steps/s (worst case p_good = p_accept
-# = 1, p_success = 0): 11 to 16 s at MAX_STEPS. mixture_batch runs at
-# 2.5e7 to 3.6e7 rounds/s for n = 1 and 4e7 to 8e7 for n = 10, so the
+# A failure total whose Poisson rate reaches this is left undrawn, held as
+# its rate (_poisson). Such a total exceeds MAX_STEPS + 1 with probability
+# 1 - exp(-10**15), so its block outlasts the walk; a split draws each share
+# once its rate falls below. 2**50 keeps every drawn total within numpy's
+# Poisson range and every time summed from them exact in float64.
+_UNDRAWN = 2.0**50
+
+# Splits per end of the counted steps placed by guessing (_count).
+_GUESSES = 8
+
+# Size caps, checked before anything is allocated. simulate_chain keeps a
+# few scalars per level of its splits, and mixture_batch O(_CHUNK) memory,
+# about 1-2 MiB, plus its Binomial table (under 5 MiB at n = 2**24),
+# whatever the request, so both caps bound time (2-CPU machine, whose speed
+# varied by up to 2x between runs). simulate_chain takes seven scalar
+# draws, about 8 us, per block of _CHUNK excursions: its slowest walk at
+# MAX_STEPS, about 20,000 blocks of three-step excursions (p_good and
+# p_accept near 1, p_success near 0), takes about 0.2 s. mixture_batch runs
+# at 2.5e7 to 3.6e7 rounds/s for n = 1 and 4e7 to 8e7 for n = 10, so the
 # slowest request at MAX_ROUND_DRAWS, 2**24 rounds of one agent, takes 0.4
 # to 0.7 s; one round of 2**24 agents takes about 7 ms.
 MAX_STEPS = 10**9
@@ -97,6 +109,128 @@ def _geometric(exp_draws: np.ndarray, p: float, cap: int):
     return np.minimum(np.floor(trials) + 1.0, cap)
 
 
+def _odds(leave: float, stay: float) -> float:
+    """Failure odds stay / leave of a visit whose leave probability is
+    `leave` (stay = 1 - leave, passed exactly): the mean number of failed
+    leave attempts per success. inf where the state is never left."""
+    return stay / leave if leave > 0.0 else math.inf
+
+
+def _poisson(rng, rate: float):
+    """(total, drawn): a Poisson(rate) draw, or the rate itself, undrawn,
+    where it reaches _UNDRAWN. An inf rate, a state never left, stays inf."""
+    if rate >= _UNDRAWN:
+        return rate, False
+    return float(rng.poisson(rate)), True
+
+
+def _failures(rng, visits: int, odds: float):
+    """(total, drawn): the failed leave attempts summed over `visits` stays
+    of failure odds `odds`. Each stay's failures are Geometric, so their
+    sum is NB(visits, p), drawn as a Poisson whose rate is odds times a
+    Gamma(visits) variate (Devroye 1986, ch. X)."""
+    if visits == 0 or odds == 0.0:
+        return 0.0, True
+    return _poisson(rng, rng.standard_gamma(visits) * odds)
+
+
+def _split_failures(rng, failures, first: int, second: int):
+    """The shares of a failure total of first + second stays that fall on
+    the first `first` stays and on the last `second`. Given the total F,
+    the first share is Beta-binomial(F; first, second), drawn as
+    Binomial(F, Beta(first, second)). An undrawn total's rate splits by
+    the same Beta, and the two shares' Poisson draws are then independent."""
+    total, drawn = failures
+    if second == 0 or total == 0.0:
+        return failures, (0.0, True)
+    if first == 0:
+        return (0.0, True), failures
+    if drawn:
+        head = float(rng.binomial(int(total), rng.beta(first, second)))
+        return (head, True), (total - head, True)
+    # Both shares of the latent Gamma(first + second) variate, so that
+    # neither loses precision when the other takes nearly all of it.
+    g1, g2 = rng.standard_gamma(first), rng.standard_gamma(second)
+    return _poisson(rng, total * (g1 / (g1 + g2))), _poisson(rng, total * (g2 / (g1 + g2)))
+
+
+def _split(rng, block, k1: int):
+    """A block's first k1 excursions and the rest, drawn from the exact
+    law of each part given the block's totals."""
+    k, m, (f0, f1, f3) = block
+    k2 = k - k1
+    # Given m opened excursions among k, which ones opened is a uniform
+    # m-subset, so the first part holds Hypergeometric(k1, k2, m) of them:
+    # for a part of one excursion, one opened with probability m / k.
+    m1 = k1 if m == k else 0
+    if 0 < m < k:
+        if k1 == 1:
+            m1 = int(rng.random() * k < m)
+        elif k2 == 1:
+            m1 = m - int(rng.random() * k < m)
+        else:
+            m1 = int(rng.hypergeometric(k1, k2, m))
+    m2 = m - m1
+    first, second = zip(
+        _split_failures(rng, f0, k1, k2),
+        _split_failures(rng, f1, k1, k2),
+        _split_failures(rng, f3, m1, m2),
+    )
+    return (k1, m1, first), (k2, m2, second)
+
+
+def _count(rng, block, start: float, lo: int, hi: int, counts: list, aim) -> float:
+    """Add to `counts` the visits of a block, entered at time `start`, that
+    fall in the counted steps [lo, hi); return the time the block ends.
+
+    A block is (k, m, failures): k excursions, m of them through Gate
+    Opened, and the failure totals of Gate Closed, Pathfinder Selection and
+    Gate Opened. Its stays in the four states total k + F0, k + F1, k and
+    m + F3 steps. A block wholly inside [lo, hi) adds these totals and a
+    block wholly outside adds nothing. One that straddles lo or hi is split
+    in two by _split and each part is counted in turn, down to a single
+    excursion, which is clipped visit by visit.
+
+    `aim` is (edge, guesses): the end that the enclosing split was aimed
+    at, and how many more splits at that end may be placed by guessing. A
+    guess cuts where the end falls in proportion to the block's length,
+    which lands within a few excursions of the straddling one when the
+    excursions are alike. Excursions of very unequal lengths can defeat
+    it, so after _GUESSES guesses at one end the splits halve the block:
+    each end costs at most _GUESSES + log2(k) splits.
+    """
+    k, m, ((f0, _), (f1, _), (f3, _)) = block
+    end = start + 3 * k + m + f0 + f1 + f3
+    if end <= lo or start >= hi:
+        return end
+    stays = (k + f0, k + f1, k, m + f3)
+    if lo <= start and end <= hi:
+        for state, stay in enumerate(stays):
+            counts[state] += stay
+        return end
+    if k == 1:
+        # The visit [u, v) covers clip(v) - clip(u) counted steps, clip
+        # clamping to [lo, hi].
+        u = start
+        for state, stay in enumerate(stays):
+            v = u + stay
+            counts[state] += min(max(v, lo), hi) - min(max(u, lo), hi)
+            u = v
+        return end
+    edge = lo if start < lo else hi
+    guesses = aim[1] if aim[0] == edge else _GUESSES
+    if guesses:
+        k1 = min(max(round(k * (edge - start) / (end - start)), 1), k - 1)
+    else:
+        k1 = k // 2
+    first, second = _split(rng, block, k1)
+    aim = (edge, max(guesses - 1, 0))
+    middle = _count(rng, first, start, lo, hi, counts, aim)
+    if middle >= hi:
+        return middle
+    return _count(rng, second, middle, lo, hi, counts, aim)
+
+
 def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
     """State-visit frequencies of the chain started in Gate Closed.
 
@@ -107,55 +241,39 @@ def simulate_chain(params: ChainParams, cfg: SimConfig) -> np.ndarray:
     excursion from Gate Closed visits 0, 1 and 2 and then, with probability
     p_success, 3 before it returns to 0. States 0, 1 and 3 loop on
     themselves, so each visit lasts a geometric number of steps; state 2 is
-    always left after one. Excursions are drawn in chunks of at most
-    _CHUNK, so memory is O(chunk) and time O(jumps). A chunk that lies
-    wholly inside the counted steps adds each state's summed holding times
-    to its count; only a chunk that straddles an end is clipped visit by
-    visit. Times are whole numbers held in float64; MAX_STEPS keeps every
-    time and sum far below 2**53, so all of them are exact and both paths
-    give the same bits.
+    always left after one. Excursions are drawn in blocks of at most
+    _CHUNK, each as its sufficient totals: how many excursions pass through
+    Gate Opened, Binomial(k, p_success), and the failed leave attempts in
+    each looping state, negative binomial. That is a handful of draws per
+    block whatever its length. Only the blocks that straddle an end of the
+    counted steps are split further, by the exact conditional laws of their
+    parts (_split, _count), so each end costs O(log _CHUNK) draws and
+    memory. Times are whole numbers held in float64; MAX_STEPS and
+    _UNDRAWN keep every time and sum far below 2**53, so all are exact.
+
+    A leave probability of 0 makes the stay infinite, and one so small
+    that its Poisson rate reaches _UNDRAWN makes it outlast the walk; the
+    walk then ends inside that stay.
     """
     g, a, s = params.p_good, params.p_accept, params.p_success
     rng = make_rng(cfg.seed, _STREAM_CHAIN)
     # X_0 = Gate Closed; the visited states X_t with lo <= t < hi are counted.
     lo, hi = cfg.burn_in + 1, cfg.steps + 1
     # An excursion lasts at least 3 steps, so a walk of fewer than 3 * _CHUNK
-    # steps needs only one chunk, sized to it.
-    chunk = min(_CHUNK, hi // 3 + 1)
-    counts = np.zeros(N_STATES)
-    start = 0.0  # time at which the next excursion enters Gate Closed
+    # steps needs only one block, sized to it.
+    k = min(_CHUNK, hi // 3 + 1)
+    odds = (_odds(g, 1.0 - g), _odds(a, 1.0 - a), _odds(1.0 - g, g))
+    counts = [0.0] * N_STATES
+    start = 0.0  # time at which the next block enters Gate Closed
     while start < hi:
-        exp_draws = rng.standard_exponential((3, chunk))
-        opened = rng.random(chunk) < s
-        stays = (
-            _geometric(exp_draws[0], g, hi),
-            _geometric(exp_draws[1], a, hi),
-            1.0,
-            np.where(opened, _geometric(exp_draws[2], 1.0 - g, hi), 0.0),
+        m = int(rng.binomial(k, s))
+        failures = (
+            _failures(rng, k, odds[0]),
+            _failures(rng, k, odds[1]),
+            _failures(rng, m, odds[2]),
         )
-        if lo <= start:
-            # A scalar stay (a degenerate probability) is every excursion's.
-            totals = [stay.sum() if np.ndim(stay) else stay * chunk for stay in stays]
-            end = start + sum(totals)
-            if end <= hi:
-                # Every visit of the chunk is counted in full.
-                counts += totals
-                start = end
-                continue
-        length = stays[0] + stays[1] + stays[2] + stays[3]
-        # Visit boundaries, from each excursion's entry into Gate Closed to
-        # its return. A visit [u, v) covers clip(v) - clip(u) counted steps,
-        # clip clamping to [lo, hi], so each state's count is the difference
-        # of the clipped sums of its two boundaries.
-        bound = np.cumsum(length)
-        bound += start - length
-        clipped_sums = [np.clip(bound, lo, hi).sum()]
-        for stay in stays:
-            bound = bound + stay
-            clipped_sums.append(np.clip(bound, lo, hi).sum())
-        counts += np.diff(clipped_sums)
-        start = bound[-1]
-    return counts / (hi - lo)
+        start = _count(rng, (k, m, failures), start, lo, hi, counts, (None, 0))
+    return np.array(counts) / (hi - lo)
 
 
 def run_selection_round(
@@ -181,6 +299,11 @@ class MixtureBatchResult:
     # The standard error of mean_offers from the rounds' sample variance;
     # None for a single round.
     mean_offers_std_error: float | None
+    # What all_reject_rate and mean_offers estimate, worst_case_prob(scn,
+    # alpha) and expected_offers(scn, alpha), worked out from the batch's
+    # own group probabilities and Binomial table.
+    analytic_all_reject: float
+    analytic_mean_offers: float
 
 
 def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
@@ -237,7 +360,9 @@ def mixture_batch(
     rejective group with probability alpha, then walks the offer order
     (receptive agents first, mirroring payoff-descending ranking) until an
     acceptance. The all-reject frequency is the empirical counterpart of
-    worst_case_prob(scn, alpha).
+    worst_case_prob(scn, alpha), and the mean offers that of
+    expected_offers(scn, alpha); the result carries both, worked out from
+    the group probabilities and Binomial table the rounds use.
 
     A round takes one draw, not one per agent, once its K ~ Binomial(n,
     alpha) rejective agents are known, and a second only when every
@@ -263,7 +388,7 @@ def mixture_batch(
     alpha = check_batch(scn, alpha, rounds, seed)
     rounds = int(rounds)
     rng = make_rng(seed, _STREAM_MIXTURE)
-    p_rej, p_rec = group_reject_probs(scn)
+    probs = p_rej, p_rec = group_reject_probs(scn)
     n = scn.n
     ks, pmf = _binomial_pmf(n, alpha)
     all_reject = offers = offers_sq = 0
@@ -292,6 +417,8 @@ def mixture_batch(
         all_reject_rate=all_reject / rounds,
         mean_offers=offers / rounds,
         mean_offers_std_error=math.sqrt(spread / (rounds - 1)) / rounds if rounds > 1 else None,
+        analytic_all_reject=group_worst_case_prob(n, alpha, probs),
+        analytic_mean_offers=_expected_offers(n, (ks, pmf), probs),
     )
 
 
@@ -316,9 +443,16 @@ def expected_offers(scn: WorstCaseScenario, alpha) -> float:
     p_rej, averaged over _binomial_pmf's window of k.
     """
     alpha = number("alpha", alpha, 0, 1)
-    p_rej, p_rec = group_reject_probs(scn)
-    ks, pmf = _binomial_pmf(scn.n, alpha)
-    receptive = scn.n - ks
+    probs = group_reject_probs(scn)
+    return _expected_offers(scn.n, _binomial_pmf(scn.n, alpha), probs)
+
+
+def _expected_offers(n: int, table, probs) -> float:
+    """expected_offers from the Binomial(n, alpha) table of _binomial_pmf
+    and the (p_rej, p_rec) pair of group_reject_probs."""
+    ks, pmf = table
+    p_rej, p_rec = probs
+    receptive = n - ks
     # p_rec ** receptive underflows to 0 for long receptive groups.
     with np.errstate(under="ignore"):
         given_k = _offers_within(receptive, p_rec) + p_rec**receptive * _offers_within(ks, p_rej)

@@ -304,6 +304,17 @@ def group_reject_probs(scn: WorstCaseScenario) -> tuple[float, float]:
     return float(p_rej[0]), float(p_rec[0])
 
 
+def group_worst_case_prob(n: int, alpha: float, probs: tuple[float, float]) -> float:
+    """worst_case_prob at one alpha from the (p_rejective, p_receptive) pair
+    of group_reject_probs, for a caller that holds it already: the same
+    float operations, so the same bits."""
+    p_rej, p_rec = probs
+    # The power underflows to 0 for large n, as mixture_batch's rounds allow.
+    with np.errstate(under="ignore"):
+        w = _mixture_w(n, alpha, (np.array([p_rej]), np.array([p_rec])), _POINT_NODES[1])
+    return float(w)
+
+
 def worst_case_prob(scn: WorstCaseScenario, alpha):
     """Probability that all n agents reject, for rejective fraction alpha
     (a float, or an array of them)."""

@@ -208,6 +208,33 @@ def deterministic_walk_occupancy(matrix, steps, burn_in):
     return counts / (steps - burn_in)
 
 
+def deterministic_occupancy(matrix, steps, burn_in):
+    """deterministic_walk_occupancy by arithmetic instead of a walk, for
+    walks of any length: from state 0 the walk enters a cycle within
+    len(matrix) steps, so each state's visits among X_{burn_in+1}, ...,
+    X_steps are counts of whole numbers in a range with a given remainder
+    modulo the cycle's length."""
+    matrix = np.asarray(matrix, dtype=float)
+    assert np.all((matrix == 0.0) | (matrix == 1.0)), "chain is not deterministic"
+    successor = matrix.argmax(axis=1)
+    path = [0]  # X_0, X_1, ... up to the first repeated state
+    while path.count(path[-1]) == 1:
+        path.append(int(successor[path[-1]]))
+    entry = path.index(path[-1])
+    period = len(path) - 1 - entry
+    counts = [0] * matrix.shape[0]
+    first, last = burn_in + 1, steps
+    for t in range(first, min(entry, last + 1)):
+        counts[path[t]] += 1
+    first = max(first, entry)
+    if first <= last:
+        for phase in range(period):
+            # t = entry + phase + j * period, whole j >= 0, first <= t <= last
+            c = entry + phase
+            counts[path[c]] += (last - c) // period - (first - 1 - c) // period
+    return np.array(counts) / (steps - burn_in)
+
+
 # --- log classification -----------------------------------------------------
 
 LABEL_PRECEDENCE = ("Failed", "Rejected", "Assigned", "Requested")

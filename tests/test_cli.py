@@ -27,7 +27,9 @@ from pathfinder_ops import (
     NoTippingPoint,
     PathfinderOpsError,
     WorstCaseScenario,
+    expected_offers,
     group_reject_probs,
+    worst_case_prob,
 )
 from pathfinder_ops.agents import candidates_from_json
 from pathfinder_ops.chain import MAX_SWEEP_CELLS
@@ -895,6 +897,32 @@ class TestSimulate:
         else:
             z = (block["mean_offers"] - block["analytic_mean_offers"]) / error
             assert block["mean_offers_z"] == pytest.approx(z, rel=1e-12)
+
+    def test_rounds_work_out_the_selection_law_once(self, tmp_path, monkeypatch):
+        # The group probabilities (worst_case_prob, expected_offers and the
+        # rounds all read them) and the Binomial(n, alpha) table come from
+        # mixture_batch alone.
+        calls = {"_reject_probs": 0, "_binomial_pmf": 0}
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(worstcase_module, "_reject_probs")
+        counted(simulate_module, "_binomial_pmf")
+        doc = dict(FIG3_WORST, sim={"seed": 1, "rounds": 1000, "alpha": 0.5})
+        out = tmp_path / "sel.json"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert calls == {"_reject_probs": 1, "_binomial_pmf": 1}
+        block = json.loads(out.read_text())["selection"]
+        scn = WorstCaseScenario(**FIG3_WORST["worst_case"])
+        assert block["analytic_all_reject"] == worst_case_prob(scn, 0.5)
+        assert block["analytic_mean_offers"] == expected_offers(scn, 0.5)
 
     def test_tiny_p_good_prints_no_warning(self, tmp_path, capsys):
         doc = {

@@ -28,14 +28,21 @@ from pathfinder_ops import (
 from pathfinder_ops.chain import transition_matrices
 from pathfinder_ops.simulate import (
     _CHUNK,
+    _GUESSES,
+    _UNDRAWN,
     MAX_ROUND_DRAWS,
     MAX_STEPS,
     _binomial_pmf,
+    _failures,
+    _odds,
+    _split,
+    _split_failures,
     check_batch,
 )
 
 from oracles import (
     binomial_sum_w,
+    deterministic_occupancy,
     deterministic_walk_occupancy,
     exact_mean_offers,
     exact_offers_variance,
@@ -124,8 +131,9 @@ class TestSimulateChain:
         np.testing.assert_array_equal(occ, [1.0, 0.0, 0.0, 0.0])
 
     def test_tiny_leave_probability_is_capped_without_a_warning(self):
-        # -1 / log1p(-p) is finite but above 1e307, so Exp(1) draws times it
-        # overflow: the stay is infinite, which the walk's length caps.
+        # (1 - p) / p is finite but above 1e307, so a block's Poisson rate,
+        # a gamma variate times it, overflows to inf: the stay outlasts the
+        # walk.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             occ = simulate_chain(ChainParams(3e-308, 0.5, 0.5), SimConfig(seed=1, steps=10_000))
@@ -147,24 +155,25 @@ class TestSimulateChain:
 
 
 class TestChainBits:
-    # Occupancies computed by 0.19.2, which clipped every chunk visit by
-    # visit. Chunks that lie wholly inside the counted steps now add their
-    # summed holding times, which must give the same bits.
+    # Occupancies computed by 0.21.0, which draws each block of excursions
+    # as its totals and splits only the blocks at the two ends of the
+    # counted steps. The two deterministic walks take no draw that matters,
+    # so their pins are those of 0.19.2, which clipped every visit.
     PINS = [
         # (g, a, s, steps, burn_in, seed, occupancy as float.hex)
-        # The chain-grid point: chunks between two clipped end chunks.
+        # The chain-grid point: blocks between two split end blocks.
         (0.5, 0.81, 0.87, 2_000_000, 1_000, 1,
-         ("0x1.572e2bf420c17p-2", "0x1.a72912df5ecc9p-3", "0x1.566b2b8d94104p-3", "0x1.2a07b4d565d02p-2")),
-        # Burn-in ends inside the second chunk (about 98,000 steps a chunk).
+         ("0x1.56ae2e71fb288p-2", "0x1.a719565390bbep-3", "0x1.567b6e624f65dp-3", "0x1.2a876f3314c6bp-2")),
+        # Burn-in ends inside the second block (about 98,000 steps a block).
         (0.5, 0.81, 0.87, 400_000, 150_000, 2,
-         ("0x1.54a1ad6451b93p-2", "0x1.a6634117f8445p-3", "0x1.564b662fdfc1ap-3", "0x1.2d06fef7c243ep-2")),
-        # A walk of one chunk, clipped at both ends.
+         ("0x1.55ae1cde5d181p-2", "0x1.a57646ae3a3a9p-3", "0x1.5573647baa9b5p-3", "0x1.2cdd0d8cb07d1p-2")),
+        # A walk of one block, split at both ends.
         (0.3, 0.6, 0.7, 20_000, 500, 3,
-         ("0x1.eb41e751a84dcp-2", "0x1.e76c8b4395810p-3", "0x1.2372372372372p-3", "0x1.1e9d6ef5a7ac6p-3")),
+         ("0x1.e629e7bd34253p-2", "0x1.ea0cb54635ab1p-3", "0x1.238d1a194fa97p-3", "0x1.2612612612612p-3")),
         # Scalar stays: every holding time is 1, or Gate Opened is never entered.
         (1.0, 1.0, 0.0, 2_000_000, 1_000, 4,
          ("0x1.55554a2496e4fp-2", "0x1.55554a2496e4fp-2", "0x1.55556bb6d2362p-2", "0x0.0p+0")),
-        # Pathfinder Selection absorbs: its stay is the cap.
+        # Pathfinder Selection absorbs: its stay outlasts the walk.
         (1.0, 0.0, 0.0, 2_000_000, 1_000, 5,
          ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
     ]
@@ -218,12 +227,207 @@ class TestHoldingTimeWalk:
         # With every probability in {0, 1} each row of P is a unit vector,
         # so any walk equals the one-step-at-a-time walk, including the
         # never-left states (leave probability 0). At 98,303 steps the
-        # 3-cycle's second chunk ends exactly at the last counted step;
-        # 200,000 steps with burn-in 60,000 count whole chunks in between.
+        # 3-cycle's second block ends exactly at the last counted step;
+        # 200,000 steps with burn-in 60,000 count whole blocks in between.
         params = ChainParams(g, a, s)
         occ = simulate_chain(params, SimConfig(seed=3, steps=steps, burn_in=burn_in))
         expected = deterministic_walk_occupancy(transition_matrices(g, a, s), steps, burn_in)
         np.testing.assert_array_equal(occ, expected)
+
+
+    @pytest.mark.parametrize("g,a,s", list(itertools.product([0.0, 1.0], repeat=3)))
+    @pytest.mark.parametrize("burn_in", [0, 123_456_789])
+    def test_deterministic_chains_are_exact_at_max_steps(self, g, a, s, burn_in):
+        # The 3-cycle walks 20,345 blocks; the others end in their first,
+        # inside a never-left state.
+        occ = simulate_chain(ChainParams(g, a, s), SimConfig(seed=3, steps=MAX_STEPS, burn_in=burn_in))
+        expected = deterministic_occupancy(transition_matrices(g, a, s), MAX_STEPS, burn_in)
+        np.testing.assert_array_equal(occ, expected)
+
+    @pytest.mark.parametrize(
+        "g,a,s",
+        [
+            (0.3, 0.6, 0.7),  # interior
+            (0.5, 1.0, 1.0),  # a = 1 and s = 1: no selection failures, every gate opens
+            (0.8, 0.3, 0.0),  # s = 0: Gate Opened is never entered
+        ],
+    )
+    @pytest.mark.parametrize("guesses", [0, _GUESSES])
+    def test_mean_counts_with_both_ends_deep_inside_blocks(self, monkeypatch, g, a, s, guesses):
+        # Blocks of 64 excursions; the walk spans about 3.5 blocks, so burn-in
+        # ends inside the first block and the last counted step inside the
+        # fourth. Without guesses each end takes 6 halvings to reach its
+        # excursion; with them, fewer.
+        monkeypatch.setattr(simulate_module, "_CHUNK", 64)
+        monkeypatch.setattr(simulate_module, "_GUESSES", guesses)
+        splits = []
+        split = simulate_module._split
+
+        def counted_split(*args):
+            splits[-1] += 1
+            return split(*args)
+
+        monkeypatch.setattr(simulate_module, "_split", counted_split)
+        excursion = 1 / g + 1 / a + 1 + s / (1 - g)
+        steps, burn_in, runs = round(3.5 * 64 * excursion), 200, 2000
+        counted = steps - burn_in
+        counts = []
+        for seed in range(runs):
+            splits.append(0)
+            occ = simulate_chain(ChainParams(g, a, s), SimConfig(seed=seed, steps=steps, burn_in=burn_in))
+            counts.append(occ * counted)
+        counts = np.array(counts)
+        if not guesses:
+            # Fewer only where an end falls on the boundary between two parts.
+            assert np.median(splits) == 12
+        expected = expected_visit_counts(transition_matrices(g, a, s), steps, burn_in)
+        se = counts.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(counts.mean(axis=0) - expected) <= 4 * se + 1e-9), (
+            counts.mean(axis=0),
+            expected,
+            se,
+        )
+
+
+    def test_splits_per_end_are_bounded_for_unequal_excursions(self, monkeypatch):
+        # Most excursions take 3 steps, one in 1,000 about 10**6 in Gate
+        # Opened, so a block's length says little about where an end falls
+        # and guessed splits can peel one excursion at a time (hundreds of
+        # splits a walk). After _GUESSES of them the splits halve.
+        splits = [0]
+        split = simulate_module._split
+
+        def counted_split(*args):
+            splits[0] += 1
+            return split(*args)
+
+        monkeypatch.setattr(simulate_module, "_split", counted_split)
+        params = ChainParams(1 - 1e-6, 1.0, 0.001)
+        for seed in range(20):
+            splits[0] = 0
+            simulate_chain(params, SimConfig(seed=seed, steps=10**6, burn_in=5000))
+            assert splits[0] <= 2 * (_GUESSES + math.log2(_CHUNK))
+
+
+class TestTinyLeaveProbabilities:
+    # A leave probability of 5e-324 makes its odds overflow to inf; up to
+    # 1e-17 the Poisson rate of a block's failures exceeds numpy's range.
+    # Either way the stay outlasts the walk, with no warning or error.
+    @pytest.mark.parametrize("p", [5e-324, 3e-308, 1e-300, 1e-17])
+    @pytest.mark.parametrize("key", ["p_good", "p_accept"])
+    @pytest.mark.parametrize("steps", [1, 1000, MAX_STEPS])
+    def test_tiny_probability_is_normalized_without_a_warning(self, p, key, steps):
+        params = ChainParams(**dict({"p_good": 0.5, "p_accept": 0.5, "p_success": 0.5}, **{key: p}))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            occ = simulate_chain(params, SimConfig(seed=7, steps=steps))
+        assert abs(occ.sum() - 1.0) <= 1e-12 and np.all(occ >= 0)
+        if key == "p_good" and p <= 1e-300:
+            # The first stay in Gate Closed outlasts every walk.
+            np.testing.assert_array_equal(occ, [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("steps", [1, 1000, MAX_STEPS])
+    def test_gate_opened_left_with_probability_1e_16(self, s, steps):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            occ = simulate_chain(ChainParams(1 - 1e-16, 0.5, s), SimConfig(seed=7, steps=steps))
+        assert abs(occ.sum() - 1.0) <= 1e-12 and np.all(occ >= 0)
+
+
+def chi_square_p(observed, pmf):
+    """p-value of a chi-square test of observed counts of 0, 1, ... against
+    a pmf on the same values, pooling the values expected fewer than 5
+    times into their neighbours."""
+    expected = np.asarray(pmf) * np.sum(observed)
+    obs_bins, exp_bins, obs_run, exp_run = [], [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs_run, exp_run = obs_run + o, exp_run + e
+        if exp_run >= 5:
+            obs_bins.append(obs_run)
+            exp_bins.append(exp_run)
+            obs_run = exp_run = 0.0
+    obs_bins[-1] += obs_run
+    exp_bins[-1] += exp_run
+    return stats.chisquare(obs_bins, exp_bins).pvalue
+
+
+class TestBlockSplits:
+    # A block of k excursions is drawn as its totals and split into its
+    # first k1 excursions and the rest; each part must have the law of a
+    # block of its size drawn directly.
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize("g,a,s", [(0.3, 0.6, 0.7), (0.05, 0.9, 0.2)])
+    @pytest.mark.parametrize("k,k1", [(100, 37), (100, 1), (100, 99), (2, 1)])
+    def test_parts_have_the_block_marginals(self, g, a, s, k, k1):
+        rng = make_rng(11)
+        odds = (_odds(g, 1 - g), _odds(a, 1 - a), _odds(1 - g, g))
+        parts = []
+        for _ in range(self.DRAWS):
+            m = int(rng.binomial(k, s))
+            failures = tuple(_failures(rng, v, r) for v, r in zip((k, k, m), odds))
+            assert all(drawn for _, drawn in failures)
+            first, second = _split(rng, (k, m, failures), k1)
+            assert first[0] + second[0] == k and first[1] + second[1] == m
+            for part_failures, total in zip(zip(first[2], second[2]), failures):
+                assert part_failures[0][0] + part_failures[1][0] == total[0]
+            parts.append([[part[1], *(f for f, _ in part[2])] for part in (first, second)])
+        parts = np.array(parts)  # draw, part, (m, F0, F1, F3)
+        for size, values in zip((k1, k - k1), parts.transpose(1, 2, 0)):
+            # Binomial(size, s) gate openings; NB(size, p) failures for the
+            # looping states, F3 summed over the openings.
+            r0, r1, r3 = odds
+            opened_mean, opened_var = size * s, size * s * (1 - s)
+            moments = [
+                (opened_mean, opened_var),
+                (size * r0, size * r0 * (1 + r0)),
+                (size * r1, size * r1 * (1 + r1)),
+                (opened_mean * r3, opened_mean * r3 * (1 + r3) + opened_var * r3**2),
+            ]
+            for x, (mean, var) in zip(values, moments):
+                centred = x - x.mean()
+                var_se = math.sqrt(max(np.mean(centred**4) - x.var() ** 2, 0.0) / x.size)
+                assert abs(x.mean() - mean) <= 4 * math.sqrt(var / x.size) + 1e-12
+                assert abs(x.var() - var) <= 4 * var_se + 1e-12
+
+    @pytest.mark.parametrize("total,first,second", [(40, 3, 5), (25, 1, 99), (60, 50, 1)])
+    def test_failure_share_is_beta_binomial(self, total, first, second):
+        rng = make_rng(12)
+        shares = np.array(
+            [_split_failures(rng, (float(total), True), first, second)[0][0] for _ in range(self.DRAWS)]
+        )
+        observed = np.bincount(shares.astype(int), minlength=total + 1)
+        pmf = stats.betabinom(total, first, second).pmf(np.arange(total + 1))
+        assert chi_square_p(observed, pmf) > 1e-3
+
+    @pytest.mark.parametrize("k,k1,m", [(30, 12, 9), (30, 1, 9), (30, 29, 9), (200, 150, 120)])
+    def test_gate_openings_split_hypergeometrically(self, k, k1, m):
+        rng = make_rng(13)
+        no_failures = ((0.0, True),) * 3
+        m1 = np.array([_split(rng, (k, m, no_failures), k1)[0][1] for _ in range(self.DRAWS)])
+        observed = np.bincount(m1, minlength=m + 1)
+        pmf = stats.hypergeom(k, k1, m).pmf(np.arange(m + 1))
+        assert chi_square_p(observed, pmf) > 1e-3
+
+    def test_undrawn_rate_splits_by_beta(self):
+        # A rate far beyond _UNDRAWN: each share is a Poisson draw (or the
+        # rate itself) of the rate times Beta(first, second), so the share
+        # over the rate is that Beta up to a relative 1e-7.
+        rng = make_rng(14)
+        rate = 2.0**62
+        firsts, seconds = zip(*(_split_failures(rng, (rate, False), 1, 999) for _ in range(2000)))
+        assert any(drawn for _, drawn in firsts) and not any(drawn for _, drawn in seconds)
+        fractions = np.array([share for share, _ in firsts]) / rate
+        assert stats.kstest(fractions, stats.beta(1, 999).cdf).pvalue > 1e-3
+
+    def test_never_left_state_stays_infinite(self):
+        rng = make_rng(15)
+        assert _split_failures(rng, (math.inf, False), 3, 4) == ((math.inf, False), (math.inf, False))
+        assert _split_failures(rng, (math.inf, False), 0, 4) == ((0.0, True), (math.inf, False))
+        assert _failures(rng, 5, math.inf) == (math.inf, False)
+        assert _failures(rng, 0, math.inf) == (0.0, True)
+        assert _failures(rng, 5, 1e300)[0] >= _UNDRAWN
 
 
 class TestSelectionRound:
@@ -293,6 +497,13 @@ class TestMixtureBatch:
         assert never.mean_offers == pytest.approx(1.0, abs=1e-6)
         always = mixture_batch(scn, alpha=1.0, rounds=2_000, seed=2)
         assert always.all_reject_rate == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.3), (2, 0.5), (10, 0.0), (10, 1.0), (37, 0.77), (2**20, 0.5)])
+    def test_carries_its_closed_forms_bit_for_bit(self, n, alpha):
+        scn = WorstCaseScenario(n=n, u_minus=-1.3, u_plus=1.1, beta=0.7, delta=0.1)
+        batch = mixture_batch(scn, alpha, 10, 1)
+        assert batch.analytic_all_reject == worst_case_prob(scn, alpha)
+        assert batch.analytic_mean_offers == expected_offers(scn, alpha)
 
     def test_mean_offers_bounds(self):
         scn = WorstCaseScenario(n=6, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
@@ -486,10 +697,12 @@ class TestMixtureBatchEdges:
             never = mixture_batch(scn, alpha=0.0, rounds=rounds, seed=5)
             mixture_batch(scn, alpha=0.5, rounds=rounds, seed=5)
         assert always == MixtureBatchResult(
-            rounds=rounds, all_reject_rate=1.0, mean_offers=float(n), mean_offers_std_error=0.0
+            rounds=rounds, all_reject_rate=1.0, mean_offers=float(n), mean_offers_std_error=0.0,
+            analytic_all_reject=1.0, analytic_mean_offers=float(n),
         )
         assert never == MixtureBatchResult(
-            rounds=rounds, all_reject_rate=0.0, mean_offers=1.0, mean_offers_std_error=0.0
+            rounds=rounds, all_reject_rate=0.0, mean_offers=1.0, mean_offers_std_error=0.0,
+            analytic_all_reject=worst_case_prob(scn, 0.0), analytic_mean_offers=1.0,
         )
 
     def test_memory_is_bounded_by_the_chunk(self):
