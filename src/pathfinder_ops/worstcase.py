@@ -15,12 +15,12 @@ Gaussian (Gauss-Hermite quadrature, nodes cached per rule size). `shift_law`
 builds the law, and `_reject_probs` alone evaluates it.
 
 The tipping point alpha* solves W(alpha*) = delta: in closed form for a point
-mass (noise with theta = 0 included), by bisection otherwise (W is strictly
-increasing in alpha). The partials dW/dalpha and dW/dtheta are exact
-expectations over the same nodes as W, using dp/dxi = -beta * p * (1 - p).
-They give the sensitivity d(alpha*)/d(theta) by the implicit function
-theorem, and the noise-gradient sign map. Both noise laws are symmetric, so
-dW/dtheta is exactly 0 at theta = 0.
+mass (noise with theta = 0 included), otherwise by Newton's method on
+W^(1/n), which is convex and increasing in alpha. The partials dW/dalpha
+and dW/dtheta are exact expectations over the same nodes as W, using
+dp/dxi = -beta * p * (1 - p). They give the sensitivity d(alpha*)/d(theta)
+by the implicit function theorem, and the noise-gradient sign map. Both
+noise laws are symmetric, so dW/dtheta is exactly 0 at theta = 0.
 """
 
 from __future__ import annotations
@@ -200,13 +200,19 @@ def _reject_probs(scn: WorstCaseScenario, law: ShiftLaw):
     return tuple(probs)
 
 
-def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
-    """W = E[m^n] with the mixture m = alpha * p_rej + (1 - alpha) * p_rec per
+def _mixture_powers(n: int, alphas, probs) -> tuple[np.ndarray, np.ndarray]:
+    """(m, m ** n) for the mixture m = alpha * p_rej + (1 - alpha) * p_rec per
     shift value, for alphas of any shape broadcast against the shift axis (the
-    law's leading axes follow the alpha axes in the result)."""
+    law's leading axes follow the alpha axes)."""
     p_rej, p_rec = probs
     a = np.asarray(alphas, dtype=float)[..., None]
-    return ((a * p_rej + (1.0 - a) * p_rec) ** n) @ weights
+    m = a * p_rej + (1.0 - a) * p_rec
+    return m, m**n
+
+
+def _mixture_w(n: int, alphas, probs, weights) -> np.ndarray:
+    """W = E[m^n], shaped like the alphas followed by the law's leading axes."""
+    return _mixture_powers(n, alphas, probs)[1] @ weights
 
 
 def _mixture(scn: WorstCaseScenario, a: np.ndarray, law: ShiftLaw, m, spread):
@@ -332,19 +338,43 @@ def noisy_worst_case_prob(scn: WorstCaseScenario, noise: NoiseSpec, alpha):
     return _w(scn, alpha, shift_law(noise=noise))
 
 
+def _newton_step(n: int, w: float, slope: float, delta: float) -> float:
+    """Newton's step -g/g' on g(alpha) = W^(1/n) - delta^(1/n) at a point
+    with W = w and dW/dalpha = slope, written as n W expm1(log(delta/W)/n)
+    / W' so that it keeps its precision where W^(1/n) is near 1 (large n).
+    NaN where the step is undefined or overflows (W = 0 or W' = 0)."""
+    try:
+        return n * w * math.expm1(math.log(delta / w) / n) / slope
+    except ArithmeticError:
+        return math.nan
+
+
 def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
-    """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint. For a
-    one-node law W^(1/n) is linear in alpha, so alpha* is in closed form;
-    otherwise bisection, as W is strictly increasing in alpha (the integrand
-    is, for every shift). Bisection stops at |W - delta| <= 1e-11, or at a
-    bracket of adjacent doubles, whose end with the smaller |W - delta| is
-    the root; ArithmeticError if that end misses |W - delta| <= 1e-10 (W too
-    steep for double precision)."""
+    """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint.
+
+    For a one-node law W^(1/n) is linear in alpha, so alpha* is in closed
+    form; where p_rej == p_rec, W is flat and alpha* = 0 if it is within
+    1e-10 of delta. Otherwise W^(1/n) is the L^n norm of the mixture, which
+    is affine in alpha with p_rej > p_rec at every shift, so it is convex and
+    increasing, and Newton's method on W^(1/n) - delta^(1/n) started at
+    alpha = 1 descends monotonically onto the root. Each step narrows the
+    bracket [lo, hi]; a step that leaves it falls back to the midpoint, and
+    one that rounds to no move to the adjacent double. The search stops at
+    |W - delta| <= 1e-11, or at a bracket of adjacent doubles, whose end
+    with the smaller |W - delta| is the root; ArithmeticError if that end
+    misses |W - delta| <= 1e-10 (W too steep for double precision)."""
     probs = _reject_probs(scn, law)  # alpha-free: computed once
-    delta = scn.delta
-    if law.weights.size == 1:
+    n, delta, weights = scn.n, scn.delta, law.weights
+    if weights.size == 1:
         p_rej, p_rec = float(probs[0][0]), float(probs[1][0])
-        root = delta ** (1.0 / scn.n)
+        if p_rej == p_rec:
+            w = float(_mixture_w(n, 0.0, probs, weights))
+            if abs(w - delta) <= 1e-10:
+                return 0.0
+            raise NoTippingPoint(
+                f"W = {w:.6g} for every alpha (p_rej == p_rec) misses delta = {delta:.6g}"
+            )
+        root = delta ** (1.0 / n)
         if root < p_rec - 1e-12 or root > p_rej + 1e-12:
             raise NoTippingPoint(
                 f"delta^(1/n) = {root:.6g} outside [{p_rec:.6g}, {p_rej:.6g}]; "
@@ -352,34 +382,45 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
             )
         return min(max((root - p_rec) / (p_rej - p_rec), 0.0), 1.0)
 
-    def w(alpha: float) -> float:
-        return float(_mixture_w(scn.n, alpha, probs, law.weights))
+    gap = probs[0] - probs[1]
 
-    w0, w1 = w(0.0), w(1.0)
-    if not w0 - 1e-12 <= delta <= w1 + 1e-12:
+    def w(alpha: float) -> tuple[float, float]:
+        """(W, dW/dalpha) at alpha: dW/dalpha = n E[m^(n-1) (p_rej - p_rec)],
+        with m^(n-1) taken from W's power array as m^n / m (0 where m = 0)."""
+        m, power = _mixture_powers(n, alpha, probs)
+        below = np.divide(power, m, out=np.zeros_like(m), where=m > 0.0)
+        return float(power @ weights), n * float((below * gap) @ weights)
+
+    (w_lo, _), (w_hi, slope) = w(0.0), w(1.0)
+    if not w_lo - 1e-12 <= delta <= w_hi + 1e-12:
         raise NoTippingPoint(
-            f"delta = {delta:.6g} outside [W(0) = {w0:.6g}, W(1) = {w1:.6g}]"
+            f"delta = {delta:.6g} outside [W(0) = {w_lo:.6g}, W(1) = {w_hi:.6g}]"
         )
-    if abs(w0 - delta) <= 1e-10:
+    if abs(w_lo - delta) <= 1e-10:
         return 0.0
-    if abs(w1 - delta) <= 1e-10:
+    if abs(w_hi - delta) <= 1e-10:
         return 1.0
     lo, hi = 0.0, 1.0
+    alpha, w_alpha = hi, w_hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        w_mid = w(mid)
-        if abs(w_mid - delta) <= 1e-11:
-            return mid
-        if w_mid < delta:
-            lo = mid
+        guess = alpha + _newton_step(n, w_alpha, slope, delta)
+        if guess == alpha:
+            guess = math.nextafter(alpha, lo if w_alpha > delta else hi)
+        alpha = guess if lo < guess < hi else mid
+        w_alpha, slope = w(alpha)
+        if abs(w_alpha - delta) <= 1e-11:
+            return alpha
+        if w_alpha < delta:
+            lo, w_lo = alpha, w_alpha
         else:
-            hi = mid
-    residual, mid = min((abs(w(alpha) - delta), alpha) for alpha in (lo, hi))
+            hi, w_hi = alpha, w_alpha
+    residual, alpha = min((abs(w_lo - delta), lo), (abs(w_hi - delta), hi))
     if not residual <= 1e-10:
         raise ArithmeticError(
-            f"bisection stopped at alpha = {mid!r} with |W - delta| = "
+            f"root search stopped at alpha = {alpha!r} with |W - delta| = "
             f"{residual:.3e} above the 1e-10 residual target"
         )
-    return mid
+    return alpha
 
 
 def tipping_point(scn: WorstCaseScenario) -> float:

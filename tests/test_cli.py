@@ -279,8 +279,8 @@ class TestWorst:
         assert main(["worst", "--config", cfg]) == 2
 
     def test_steep_noisy_root_exits_3(self, tmp_path, capsys):
-        # Bisection cannot bring |W - delta| under 1e-10 in double precision:
-        # both adjacent doubles of the last bracket miss it (4.4e-9).
+        # No root search can bring |W - delta| under 1e-10 in double
+        # precision: both adjacent doubles of the last bracket miss it (4.4e-9).
         doc = {"worst_case": {"n": 10**9, "u_minus": -22.0, "u_plus": 22.0, "beta": 1.0,
                               "delta": 0.1, "alpha_grid": [0.5]},
                "noise": {"kind": "rademacher", "theta": 0.5}}
@@ -288,8 +288,28 @@ class TestWorst:
         code = main(["worst", "--config", write_config(tmp_path, doc), "--out", str(out)])
         lines = capsys.readouterr().err.splitlines()
         assert code == 3
-        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: bisection stopped")
+        assert len(lines) == 1 and lines[0].startswith("error[computation_failed]: root search stopped")
+        assert lines[0].endswith("above the 1e-10 residual target")
         assert not out.exists()
+
+    # p_rej and p_rec both round to 0.5, so W = 0.5^n for every alpha.
+    FLAT = {"u_minus": -1e-8, "u_plus": 1e-8, "beta": 1e-9}
+
+    @pytest.mark.parametrize("n, noise", [(1, None), (3, {"kind": "rademacher", "theta": 1.0})])
+    def test_flat_mixture_at_delta_tips_at_zero(self, tmp_path, n, noise):
+        doc = {"worst_case": dict(self.FLAT, n=n, delta=0.5**n)}
+        if noise:
+            doc["noise"] = noise
+        out = tmp_path / "worst.csv"
+        assert main(["worst", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        for row in read_csv(out):
+            assert row["alpha_star"] == "0" and row.get("alpha_star_noisy", "0") == "0"
+
+    def test_flat_mixture_off_delta_leaves_star_blank(self, tmp_path):
+        doc = {"worst_case": dict(self.FLAT, n=1, delta=0.3)}
+        out = tmp_path / "worst.csv"
+        assert main(["worst", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert {row["alpha_star"] for row in read_csv(out)} == {""}
 
     @pytest.mark.parametrize("grid", [["x"], [0.5, True], "0.5", []])
     def test_non_numeric_alpha_grid_refused(self, tmp_path, capsys, grid):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -212,6 +213,21 @@ class TestTippingPoint:
         ]
         assert all(a < b for a, b in zip(stars, stars[1:]))
 
+    # p_rej and p_rec both round to 0.5, so W = 0.5^n for every alpha.
+    FLAT = {"u_minus": -1e-8, "u_plus": 1e-8, "beta": 1e-9}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_flat_mixture_at_delta_tips_at_zero(self, n):
+        scn = WorstCaseScenario(n=n, delta=0.5**n, **self.FLAT)
+        assert group_reject_probs(scn) == (0.5, 0.5)
+        assert tipping_point(scn) == 0.0
+        assert noisy_tipping_point(scn, NoiseSpec(NoiseKind.RADEMACHER, 1.0)) == 0.0
+
+    def test_flat_mixture_off_delta_raises(self):
+        scn = WorstCaseScenario(n=1, delta=0.3, **self.FLAT)
+        with pytest.raises(NoTippingPoint, match="p_rej == p_rec"):
+            tipping_point(scn)
+
 
 class TestSocial:
     def test_fully_selfish_reduces_to_baseline(self):
@@ -414,6 +430,77 @@ class TestNoisyTippingPoint:
         w1 = noisy_worst_case_prob(BASE, noise, 1.0)
         assert w0 < BASE.delta < w1
         noisy_tipping_point(BASE, noise)
+
+
+def drawn_root_cells(kind, count):
+    """`count` solvable (scenario, noise) cells, W(0) < delta < W(1), with n
+    log-uniform in [2, 10^6]. delta >= 0.01 keeps dW/dalpha at the root
+    large enough that the 1e-11 residual target pins alpha* within 1e-9."""
+    rng = np.random.default_rng(0)
+    cells = []
+    while len(cells) < count:
+        n = round(10 ** rng.uniform(math.log10(2), 6))
+        scn = WorstCaseScenario(
+            n=n, u_minus=-rng.uniform(0.5, 20), u_plus=rng.uniform(0.5, 20),
+            beta=rng.uniform(0.5, 2), delta=10 ** rng.uniform(-2, math.log10(0.5)),
+        )
+        noise = NoiseSpec(kind, rng.uniform(0.1, 3))
+        w0, w1 = noisy_worst_case_prob(scn, noise, [0.0, 1.0])
+        if w0 < scn.delta < w1:
+            cells.append((scn, noise))
+    return cells
+
+
+def rademacher_oracle_w(scn, theta):
+    """W(alpha) under Rademacher noise: the mean over the shifts +/- theta of
+    binomial_sum_w. Past n = 1000, comb(n, n/2) overflows a float, so there
+    each shift's mixture power is taken in Python floats instead."""
+    from scipy.special import expit
+
+    probs = [
+        (float(expit(-scn.beta * (scn.u_minus + xi))), float(expit(-scn.beta * (scn.u_plus + xi))))
+        for xi in (theta, -theta)
+    ]
+    if scn.n <= 1000:
+        return lambda a: 0.5 * sum(binomial_sum_w(scn.n, a, *p) for p in probs)
+    return lambda a: 0.5 * sum((a * p_rej + (1.0 - a) * p_rec) ** scn.n for p_rej, p_rec in probs)
+
+
+ORACLE_CELLS = [cell for kind in NoiseKind for cell in drawn_root_cells(kind, 20)]
+
+
+class TestNoisyRootOracle:
+    @pytest.mark.parametrize("scn, noise", ORACLE_CELLS)
+    def test_root_matches_brentq(self, scn, noise):
+        from scipy.optimize import brentq
+
+        if noise.kind is NoiseKind.RADEMACHER:
+            w = rademacher_oracle_w(scn, noise.theta)
+        else:
+            w = functools.partial(noisy_worst_case_prob, scn, noise)
+        expected = brentq(lambda a: w(a) - scn.delta, 0.0, 1.0, xtol=1e-15)
+        assert abs(noisy_tipping_point(scn, noise) - expected) <= 1e-9
+
+    def test_roots_take_about_4_evaluations(self, monkeypatch):
+        # Two W evaluations check the bracket at 0 and 1; Newton's steps take
+        # the rest. Where W^(1/n) bends sharply between shifts (large n, or
+        # p_rec far apart across shifts), a root takes a few more steps: over
+        # 4,000 cells drawn the same way the mean was 4.0 and the most was 11.
+        calls = []
+        powers = worstcase_module._mixture_powers
+
+        def counted(*args):
+            calls.append(args[1])
+            return powers(*args)
+
+        monkeypatch.setattr(worstcase_module, "_mixture_powers", counted)
+        counts = []
+        for scn, noise in ORACLE_CELLS:
+            calls.clear()
+            noisy_tipping_point(scn, noise)
+            assert calls[:2] == [0.0, 1.0]
+            counts.append(len(calls))
+        assert max(counts) <= 12 and sum(counts) <= 5 * len(counts)
 
 
 class TestShiftLaw:
