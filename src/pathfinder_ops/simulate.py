@@ -55,9 +55,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct streams give non-overlapping sequences for the same seed, so
     unrelated consumers of one master seed stay statistically independent.
+    The key is given as uint64: a list of ints would pass through float64
+    once the seed reaches 2**63, which loses its low bits.
     """
     seed = integer("seed", seed, 0, _MAX_SEED)
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 # Fixed stream ids per consumer; parallel callers derive their own by offset.

@@ -35,7 +35,15 @@ from pathfinder_ops import (
 import pathfinder_ops.ntml as ntml_module
 from pathfinder_ops.chain import SWEEP_DTYPE
 from pathfinder_ops.cli import main
-from pathfinder_ops.ntml import PRECEDENCE, RuleSet, _timestamp_text, normalize_text, parse_rules
+from pathfinder_ops.fileio import BLOCK_ROWS
+from pathfinder_ops.ntml import (
+    PRECEDENCE,
+    RuleSet,
+    _strict_stamps,
+    _timestamp_text,
+    normalize_text,
+    parse_rules,
+)
 
 from oracles import oracle_labeled_csv, regex_classify, regex_normalize
 
@@ -485,6 +493,78 @@ class TestCsvIo:
             read_corpus_csv(str(path))
         assert str(info.value).startswith(f"{path}: {prefix}")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["not-a-time,ZNY,hello", "x", "x,ZNY,a,b"], "line 3: timestamp 'not-a-time' is not ISO-8601"),
+            (["x,ZNY,a,b", "x", "not-a-time,ZNY,hello"], "line 3: expected 3 fields, got 4"),
+            # A quote left open runs past the csv module's field limit.
+            (['x,ZNY," "', "x", 'x,ZNY,"' + "y" * 200_000], "line 3: comment must be non-empty"),
+            (['x,ZNY,"' + "y" * 200_000, "x", 'x,ZNY," "'], "line 3: field larger than field limit"),
+            (["x,ZNY, ", "x", "not-a-time,ZNY,a"], "line 3: comment must be non-empty"),
+            (["not-a-time,ZNY,a", "x", "x,ZNY, "], "line 3: timestamp 'not-a-time'"),
+            (["not-a-time,ZNY, "], "line 3: timestamp 'not-a-time'"),
+        ],
+        ids=["timestamp-then-width", "width-then-timestamp", "blank-then-csv-error",
+             "csv-error-then-blank", "blank-then-timestamp", "timestamp-then-blank", "both-on-one-row"],
+    )
+    @pytest.mark.parametrize("block_rows", [1, 2, BLOCK_ROWS])
+    def test_the_first_bad_record_in_file_order_is_reported(self, tmp_path, lines, message, block_rows):
+        # Line 2 is good; each "x" stands for a row whose timestamp is strict.
+        good = "2024-01-01T00:00:00+00:00,ZNY,fine"
+        lines = [good if line == "x" else line.replace("x,", "2024-01-01T00:00:00Z,", 1) for line in lines]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["timestamp,facility,comment", good, *lines, good]) + "\n")
+        with mock.patch.object(ntml_module, "BLOCK_ROWS", block_rows):
+            with pytest.raises(ValueError) as info:
+                read_corpus_csv(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, expected, printed",
+        [
+            ("2024-01-02T03:04:05+00:00", "2024-01-02T03:04:05+00:00", False),
+            ("2024-01-02T03:04:05+05:30", "2024-01-02T03:04:05+05:30", False),
+            ("2024-01-02T03:04:05Z", "2024-01-02T03:04:05+00:00", True),
+            ("2024-01-02T03:04:05-00:00", "2024-01-02T03:04:05+00:00", True),
+            ("2024-01-02T03:04:05-05:30", "2024-01-02T03:04:05-05:30", False),
+            ("2024-01-02T03:04:05+00:60", "2024-01-02T03:04:05+01:00", True),
+            ("2024-01-02T03:04:05.123456+00:00", "2024-01-02T03:04:05.123456+00:00", True),
+            ("2024-01-02T03:04:05.120Z", "2024-01-02T03:04:05.120000+00:00", True),
+            ("2024-01-02 03:04:05+00:00", "2024-01-02T03:04:05+00:00", True),
+            ("2024-01-02T03:04:05", "2024-01-02T03:04:05", True),
+        ],
+    )
+    def test_only_the_strict_form_skips_isoformat(self, tmp_path, monkeypatch, text, expected, printed):
+        path = write_corpus(tmp_path / "corpus.csv", [(text, "ZNY", "requesting pathfinder")])
+        monkeypatch.setattr(ntml_module, "datetime", SpyDatetime)
+        SpyDatetime.printed.clear()
+        assert read_corpus_csv(path).timestamps == [expected]
+        assert SpyDatetime.printed == ([expected] if printed else [])
+
+    def test_stamps_on_both_sides_of_a_block_boundary(self, tmp_path):
+        stamps = ["2024-06-01T12:00:00+00:00"] * (BLOCK_ROWS + 1)
+        for i, stamp in [
+            (0, "2024-06-01T12:00:00Z"),
+            (BLOCK_ROWS - 2, "2024-06-01 12:00:00+00:00"),
+            (BLOCK_ROWS - 1, "2024-06-01T12:00:00-00:00"),
+            (BLOCK_ROWS, "2024-06-01T12:00:00.5+00:60"),
+        ]:
+            stamps[i] = stamp
+        rows = [(stamp, "ZNY", f"comment {i}") for i, stamp in enumerate(stamps)]
+        path = write_corpus(tmp_path / "corpus.csv", rows)
+        assert read_corpus_csv(path) == LogCorpus(
+            [_timestamp_text(stamp) for stamp in stamps],
+            ["ZNY"] * len(rows),
+            [comment for _, _, comment in rows],
+        )
+
+    def test_a_strict_corpus_is_read_as_written(self, tmp_path):
+        pairs = generate_corpus(2 * BLOCK_ROWS + 3, seed=3)
+        rows = [(rec.timestamp, rec.facility, rec.comment) for rec, _ in pairs]
+        corpus = read_corpus_csv(write_corpus(tmp_path / "corpus.csv", rows))
+        assert corpus == LogCorpus(*map(list, zip(*rows)))
+
 
 # Whole, fractional and partial times with either separator, followed by no
 # offset, `Z`, `-00:00` or an offset of whole minutes.
@@ -500,6 +580,70 @@ STAMPS = st.builds(
 )
 
 
+def two_digits(usual):
+    """A two-digit field: mostly one of the `usual` values, else any of 00-99."""
+    return st.one_of(usual, usual, usual, st.integers(0, 99)).map("{:02d}".format)
+
+
+# Texts of the strict form's 25 characters, `YYYY-MM-DDTHH:MM:SS+hh:mm`, each
+# two-digit field ranging over 00-99, with either sign and now and then a
+# wrong separator; and such texts with one character replaced, by a digit
+# outside ASCII, a newline or another separator.
+SHAPED = st.builds(
+    lambda *parts: "{}{}-{}-{}{}{}:{}:{}{}{}:{}".format(*parts),
+    two_digits(st.integers(0, 99)),
+    two_digits(st.integers(0, 99)),
+    two_digits(st.integers(1, 12)),
+    two_digits(st.integers(1, 31)),
+    st.sampled_from("TTTTT t"),
+    two_digits(st.integers(0, 23)),
+    two_digits(st.integers(0, 59)),
+    two_digits(st.integers(0, 59)),
+    st.sampled_from("++--,Z"),
+    two_digits(st.integers(0, 23)),
+    two_digits(st.integers(0, 59)),
+)
+SHAPED_STAMPS = st.one_of(
+    SHAPED,
+    st.tuples(SHAPED, st.integers(0, 24), st.sampled_from("٣\n:- 0")).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :]
+    ),
+)
+# Stamps of the strict form that are not all fixed points of isoformat.
+STRICT_EDGES = [
+    "1900-02-29T00:00:00+00:00",
+    "2000-02-29T00:00:00+00:00",
+    "2024-02-29T00:00:00+00:00",
+    "2023-02-29T00:00:00+00:00",
+    "2024-04-31T00:00:00+00:00",
+    "2024-12-31T23:59:59+23:59",
+    "0000-01-01T00:00:00+00:00",
+    "0001-01-01T00:00:00+00:00",
+    "9999-12-31T23:59:59-23:59",
+    "2024-01-01T24:00:00+00:00",
+    "2024-01-01T00:60:00+00:00",
+    "2024-01-01T00:00:60+00:00",
+    "2024-01-01T00:00:00+24:00",
+    "2024-01-01T00:00:00+00:60",
+    "2024-01-01T00:00:00+05:60",
+    "2024-01-01T00:00:00+23:60",
+    "2024-01-01T00:00:00-00:00",
+    "2024-01-01T00:00:00-00:01",
+    "2024-00-10T00:00:00+00:00",
+    "2024-13-10T00:00:00+00:00",
+    "2024-01-00T00:00:00+00:00",
+]
+
+
+def strict(text):
+    """Whether `text` has 25 characters and is what `isoformat()` prints for
+    the time it parses to."""
+    try:
+        return len(text) == 25 and datetime.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
 class SpyDatetime(datetime):
     """A datetime that records each isoformat() call."""
 
@@ -513,7 +657,7 @@ class SpyDatetime(datetime):
 
 class TestTimestampText:
     @settings(max_examples=500, deadline=None)
-    @given(text=st.one_of(STAMPS, st.text("0123456789-:+TZ. ", max_size=30)))
+    @given(text=st.one_of(STAMPS, SHAPED_STAMPS, st.text("0123456789-:+TZ. ", max_size=30)))
     def test_matches_isoformat_and_passes_through_only_its_own_text(self, text):
         try:
             expected = datetime.fromisoformat(text.replace("Z", "+00:00")).isoformat()
@@ -527,24 +671,16 @@ class TestTimestampText:
             assert datetime.fromisoformat(text).isoformat() == text
 
     @pytest.mark.parametrize(
-        "text, expected, printed",
+        "text, expected",
         [
-            ("2024-01-02T03:04:05+00:00", "2024-01-02T03:04:05+00:00", False),
-            ("2024-01-02T03:04:05+05:30", "2024-01-02T03:04:05+05:30", False),
-            ("2024-01-02T03:04:05Z", "2024-01-02T03:04:05+00:00", False),
-            ("2024-01-02T03:04:05-00:00", "2024-01-02T03:04:05+00:00", True),
-            ("2024-01-02T03:04:05-05:30", "2024-01-02T03:04:05-05:30", True),
-            ("2024-01-02T03:04:05.123456+00:00", "2024-01-02T03:04:05.123456+00:00", True),
-            ("2024-01-02T03:04:05.120Z", "2024-01-02T03:04:05.120000+00:00", True),
-            ("2024-01-02 03:04:05+00:00", "2024-01-02T03:04:05+00:00", True),
-            ("2024-01-02T03:04:05", "2024-01-02T03:04:05", True),
+            ("2023-01-01T00:00:00+00:60", "2023-01-01T00:00:00+01:00"),
+            ("2023-01-01T00:00:00+00:99", "2023-01-01T00:00:00+01:39"),
+            ("2023-01-01T00:00:00-00:60", "2023-01-01T00:00:00-01:00"),
+            ("2023-01-01T00:00:00+22:60", "2023-01-01T00:00:00+23:00"),
         ],
     )
-    def test_only_the_strict_form_skips_isoformat(self, monkeypatch, text, expected, printed):
-        monkeypatch.setattr(ntml_module, "datetime", SpyDatetime)
-        SpyDatetime.printed.clear()
+    def test_offset_minutes_past_59_carry_into_the_hours(self, text, expected):
         assert _timestamp_text(text) == expected
-        assert SpyDatetime.printed == ([expected] if printed else [])
 
     @pytest.mark.parametrize(
         "text",
@@ -554,12 +690,51 @@ class TestTimestampText:
             "2024-01-01T24:00:00+00:00",
             "2024-01-01T00:60:00+00:00",
             "2024-01-01T00:00:00+24:00",
+            "2024-01-01T00:00:00+23:60",
             "0000-01-01T00:00:00+00:00",
         ],
     )
     def test_strict_form_is_still_checked(self, text):
         with pytest.raises(ValueError):
             _timestamp_text(text)
+
+
+class TestStrictStamps:
+    """`_strict_stamps`, the block check, against the standard library: a
+    stamp passes exactly when it has 25 characters and `isoformat()` prints
+    it back unchanged."""
+
+    @pytest.mark.parametrize("text", STRICT_EDGES)
+    def test_edges_match_the_standard_library(self, text):
+        assert _strict_stamps([text]).tolist() == [strict(text)]
+
+    def test_edges_in_one_block(self):
+        block = STRICT_EDGES + ["2024-06-01T12:00:00+00:00"] * 3
+        assert _strict_stamps(block).tolist() == list(map(strict, block))
+
+    @settings(max_examples=500, deadline=None)
+    @given(stamps=st.lists(st.one_of(SHAPED_STAMPS, SHAPED_STAMPS, STAMPS), min_size=1, max_size=12))
+    def test_drawn_blocks_match_the_standard_library(self, stamps):
+        assert _strict_stamps(stamps).tolist() == list(map(strict, stamps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stamps=st.lists(SHAPED, min_size=1, max_size=12))
+    def test_drawn_blocks_of_25_characters(self, stamps):
+        assert _strict_stamps(stamps).tolist() == list(map(strict, stamps))
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            # As long, joined, as two stamps of 25 characters, and the first
+            # 26 bytes are a strict stamp and its "\n".
+            ["2024-01-01T00:00:00+00:00\nX", "2024-01-01T00:00:00+00:"],
+            ["2024-01-01T00:00:00+00:0", "52024-01-01T00:00:00+00:00"],
+            ["2024-01-01T00:00:00+00:00", "", "2024-01-01T00:00:00+00:00" + "0" * 26],
+            ["2024-01-01T00:00:00+00:0٣", "2024-01-01T00:00:00+00:00"],
+        ],
+    )
+    def test_lengths_are_checked(self, block):
+        assert _strict_stamps(block).tolist() == list(map(strict, block))
 
 
 # Comments the CSV layer must carry unchanged, beside the drawn ones: quoted
@@ -590,6 +765,33 @@ CORPUS_ROWS = st.lists(CSV_COMMENTS, min_size=1, max_size=6).flatmap(
     )
 )
 
+
+class TestReaderAgainstPerRowParse:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stamps=st.lists(st.one_of(STAMPS, SHAPED, SHAPED_STAMPS), min_size=1, max_size=20),
+        block_rows=st.integers(1, 8),
+    )
+    def test_timestamps_or_the_first_bad_one(self, stamps, block_rows):
+        """`read_corpus_csv`, a block of timestamps at a time, against
+        `_timestamp_text` on each row."""
+        texts = []
+        for stamp in stamps:
+            try:
+                texts.append(_timestamp_text(stamp))
+            except ValueError:
+                break
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_corpus(os.path.join(directory, "c.csv"), [(s, "ZNY", "ok") for s in stamps])
+            with mock.patch.object(ntml_module, "BLOCK_ROWS", block_rows):
+                if len(texts) == len(stamps):
+                    assert read_corpus_csv(path).timestamps == texts
+                    return
+                with pytest.raises(ValueError) as info:
+                    read_corpus_csv(path)
+        bad = len(texts)
+        line = 2 + bad + sum(stamp.count("\n") for stamp in stamps[:bad])
+        assert str(info.value) == f"{path}: line {line}: timestamp {stamps[bad]!r} is not ISO-8601"
 
 class TestLabeledCsv:
     """`labeled_to_csv` read back by `csv.reader`, blocks and all."""

@@ -106,6 +106,25 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             make_rng(True)
 
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64 - 1025, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 3])
+    def test_make_rng_keys_philox_with_the_seed_exactly(self, seed, stream):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = make_rng(seed, stream)
+        assert rng.bit_generator.state["state"]["key"].tolist() == [seed, stream]
+
+    def test_make_rng_seeds_at_the_top_give_their_own_streams(self):
+        draws = [make_rng(seed).integers(2**63, size=4).tolist() for seed in (0, 2**64 - 2, 2**64 - 1)]
+        assert len({tuple(d) for d in draws}) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**53 + 1, 2**63 - 1])
+    def test_make_rng_state_below_2_63_is_the_list_keyed_one(self, seed):
+        # Below 2**63 a list key passes through int64, not float64, exactly.
+        for stream in (0, 1, 2, 3):
+            expected = np.random.Philox(key=[seed, stream]).state
+            np.testing.assert_equal(make_rng(seed, stream).bit_generator.state, expected)
+
 
 class TestSimulateChain:
     def test_deterministic_for_seed(self):
