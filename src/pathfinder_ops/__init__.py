@@ -9,7 +9,7 @@ and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
 subcommands.
 """
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .agents import (
     AgentProfile,

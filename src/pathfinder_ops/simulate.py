@@ -303,7 +303,7 @@ class MixtureBatchResult:
     mean_offers_std_error: float | None
     # What all_reject_rate and mean_offers estimate, worst_case_prob(scn,
     # alpha) and expected_offers(scn, alpha), worked out from the batch's
-    # own group probabilities and Binomial table.
+    # own group probabilities.
     analytic_all_reject: float
     analytic_mean_offers: float
 
@@ -364,7 +364,7 @@ def mixture_batch(
     acceptance. The all-reject frequency is the empirical counterpart of
     worst_case_prob(scn, alpha), and the mean offers that of
     expected_offers(scn, alpha); the result carries both, worked out from
-    the group probabilities and Binomial table the rounds use.
+    the group probabilities the rounds use.
 
     A round takes one draw, not one per agent, once its K ~ Binomial(n,
     alpha) rejective agents are known, and a second only when every
@@ -420,19 +420,8 @@ def mixture_batch(
         mean_offers=offers / rounds,
         mean_offers_std_error=math.sqrt(spread / (rounds - 1)) / rounds if rounds > 1 else None,
         analytic_all_reject=group_worst_case_prob(n, alpha, probs),
-        analytic_mean_offers=_expected_offers(n, (ks, pmf), probs),
+        analytic_mean_offers=_expected_offers(n, alpha, probs),
     )
-
-
-def _offers_within(size, p: float):
-    """Mean offers to a group of `size` agents that each refuse with
-    probability p, stopping at the first acceptance: the sum of p**j over
-    j < size, which is (1 - p**size) / (1 - p), or size where p = 1."""
-    if p == 1.0:
-        return size
-    if p == 0.0:
-        return np.minimum(size, 1.0)
-    return -np.expm1(size * math.log(p)) / (1.0 - p)
 
 
 def expected_offers(scn: WorstCaseScenario, alpha) -> float:
@@ -440,22 +429,39 @@ def expected_offers(scn: WorstCaseScenario, alpha) -> float:
     mean_offers estimates it.
 
     Given K = k rejective agents, the m = n - k receptive ones are offered
-    first and all refuse with probability p_rec**m, so E[offers | K = k] =
+    first and all refuse with probability r**m, so E[offers | K = k] =
     (1 - r**m)/(1 - r) + r**m (1 - q**k)/(1 - q) with r = p_rec and q =
-    p_rej, averaged over _binomial_pmf's window of k.
+    p_rej. Over K ~ Binomial(n, alpha), E[r**m] = x**n with x = alpha +
+    (1 - alpha) r, and E[r**m q**k] = W = (alpha q + (1 - alpha) r)**n, so
+
+        E[offers] = (1 - x**n)/(1 - r) + (x**n - W)/(1 - q),
+
+    which takes O(1) time and memory whatever n.
     """
     alpha = number("alpha", alpha, 0, 1)
-    probs = group_reject_probs(scn)
-    return _expected_offers(scn.n, _binomial_pmf(scn.n, alpha), probs)
+    return _expected_offers(scn.n, alpha, group_reject_probs(scn))
 
 
-def _expected_offers(n: int, table, probs) -> float:
-    """expected_offers from the Binomial(n, alpha) table of _binomial_pmf
-    and the (p_rej, p_rec) pair of group_reject_probs."""
-    ks, pmf = table
-    p_rej, p_rec = probs
-    receptive = n - ks
-    # p_rec ** receptive underflows to 0 for long receptive groups.
-    with np.errstate(under="ignore"):
-        given_k = _offers_within(receptive, p_rec) + p_rec**receptive * _offers_within(ks, p_rej)
-    return float(pmf @ given_k)
+def _expected_offers(n: int, alpha: float, probs) -> float:
+    """expected_offers from the (p_rej, p_rec) pair of group_reject_probs,
+    where p_rec <= 0.5 <= p_rej. x**n is exp(n log1p(-(1 - alpha)(1 - r))),
+    as x rounded to a double would put an error of n ulps in its power, and
+    x**n - W is -x**n expm1(n log1p(-alpha (1 - q) / x)), so that neither
+    difference cancels. At q = 1 the second term is its limit
+    n alpha x**(n - 1)."""
+    q, r = probs
+    x = alpha + (1.0 - alpha) * r
+    accept = (1.0 - alpha) * (1.0 - r)  # 1 - x
+    # math refuses log1p(-1); 1 - x rounds to 1 only where x < 2**-53, and
+    # x**n is taken as 0 there.
+    log_x_n = n * math.log1p(-accept) if accept < 1.0 else -math.inf
+    x_n = math.exp(log_x_n)
+    receptive = -math.expm1(log_x_n) / (1.0 - r)
+    if alpha == 0.0:  # no rejective agent, and x may be 0
+        rejective = 0.0
+    elif q == 1.0:
+        rejective = n * alpha * (x_n / x)
+    else:
+        w_ratio = math.expm1(n * math.log1p(-alpha * (1.0 - q) / x))  # W / x**n - 1
+        rejective = -x_n * w_ratio / (1.0 - q)
+    return receptive + rejective

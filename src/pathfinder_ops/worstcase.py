@@ -14,13 +14,14 @@ behavior), or zero-mean noise theta * Z with Z Rademacher (+/- 1, exact) or
 Gaussian (Gauss-Hermite quadrature, nodes cached per rule size). `shift_law`
 builds the law, and `_reject_probs` alone evaluates it.
 
-The tipping point alpha* solves W(alpha*) = delta: in closed form for a point
-mass (noise with theta = 0 included), otherwise by Newton's method on
-W^(1/n), which is convex and increasing in alpha. The partials dW/dalpha
-and dW/dtheta are exact expectations over the same nodes as W, using
-dp/dxi = -beta * p * (1 - p). They give the sensitivity d(alpha*)/d(theta)
-by the implicit function theorem, and the noise-gradient sign map. Both
-noise laws are symmetric, so dW/dtheta is exactly 0 at theta = 0.
+The tipping point alpha* solves W(alpha*) = delta. Every law takes the one
+Newton search on W^(1/n), which is convex and increasing in alpha (affine
+for a point mass), and every root has its residual |W - delta| checked.
+The partials dW/dalpha and dW/dtheta are exact expectations over the same
+nodes as W, using dp/dxi = -beta * p * (1 - p). They give the sensitivity
+d(alpha*)/d(theta) by the implicit function theorem, and the noise-gradient
+sign map. Both noise laws are symmetric, so dW/dtheta is exactly 0 at
+theta = 0.
 """
 
 from __future__ import annotations
@@ -179,25 +180,22 @@ def shift_law(social: SocialParams | None = None, noise: NoiseSpec | None = None
 
 
 def _reject_probs(scn: WorstCaseScenario, law: ShiftLaw):
-    """(p_rej, p_rec) per value of xi, the logistic of -beta * (u + xi).
-    Where theta * Z overflows, the argument is -beta * (u + offset) -
-    (beta * theta) * Z instead, which a tiny beta keeps finite. An argument
-    that still overflows is +/-inf, which `_logistic` maps to the exact 0 or
-    1."""
-    probs = []
+    """(p_rej, p_rec) per value of xi, the logistic of -beta * (u + xi),
+    both groups in one array program: the utilities lead an axis of two
+    that broadcasts against theta * Z. Where theta * Z overflows, the
+    argument is -beta * (u + offset) - (beta * theta) * Z instead, which a
+    tiny beta keeps finite. An argument that still overflows is +/-inf,
+    which `_logistic` maps to the exact 0 or 1."""
     with np.errstate(over="ignore"):
         scaled = law.theta * law.nodes
-        shifts = law.offset + scaled
-        finite = np.isfinite(scaled).all()
-        for u in (scn.u_minus, scn.u_plus):
-            x = -scn.beta * (u + shifts)
-            if not finite:
-                with np.errstate(invalid="ignore"):
-                    split = -scn.beta * (u + law.offset) - (scn.beta * law.theta) * law.nodes
-                # Where both terms overflow (inf - inf), x has the right sign.
-                x = np.where(np.isfinite(scaled) | np.isnan(split), x, split)
-            probs.append(_logistic(x))
-    return tuple(probs)
+        u = np.array([scn.u_minus, scn.u_plus]).reshape((2,) + (1,) * scaled.ndim)
+        x = -scn.beta * (u + (law.offset + scaled))
+        if not np.isfinite(scaled).all():
+            with np.errstate(invalid="ignore"):
+                split = -scn.beta * (u + law.offset) - (scn.beta * law.theta) * law.nodes
+            # Where both terms overflow (inf - inf), x has the right sign.
+            x = np.where(np.isfinite(scaled) | np.isnan(split), x, split)
+        return tuple(_logistic(x))
 
 
 def _mixture_powers(n: int, alphas, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +350,14 @@ def _newton_step(n: int, w: float, slope: float, delta: float) -> float:
 def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     """alpha* with W(alpha*) = delta under `law`, or NoTippingPoint.
 
-    For a one-node law W^(1/n) is linear in alpha, so alpha* is in closed
-    form; where p_rej == p_rec, W is flat and alpha* = 0 if it is within
-    1e-10 of delta. Otherwise W^(1/n) is the L^n norm of the mixture, which
-    is affine in alpha with p_rej > p_rec at every shift, so it is convex and
-    increasing, and Newton's method on W^(1/n) - delta^(1/n) started at
-    alpha = 1 descends monotonically onto the root. Each step narrows the
+    W^(1/n) is the L^n norm of the mixture, which is affine in alpha with
+    p_rej >= p_rec at every shift, so it is convex and increasing, and
+    Newton's method on W^(1/n) - delta^(1/n) started at alpha = 1 descends
+    monotonically onto the root. For a point mass W^(1/n) is affine, so the
+    first step lands on the root and the search checks it like any other.
+    alpha* is 0 where |W(0) - delta| <= 1e-10 (a flat W within 1e-10 of
+    delta included), 1 where |W(1) - delta| <= 1e-10, and NoTippingPoint
+    where delta lies further outside [W(0), W(1)]. Each step narrows the
     bracket [lo, hi]; a step that leaves it falls back to the midpoint, and
     one that rounds to no move to the adjacent double. The search stops at
     |W - delta| <= 1e-11, or at a bracket of adjacent doubles, whose end
@@ -365,23 +365,6 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     misses |W - delta| <= 1e-10 (W too steep for double precision)."""
     probs = _reject_probs(scn, law)  # alpha-free: computed once
     n, delta, weights = scn.n, scn.delta, law.weights
-    if weights.size == 1:
-        p_rej, p_rec = float(probs[0][0]), float(probs[1][0])
-        if p_rej == p_rec:
-            w = float(_mixture_w(n, 0.0, probs, weights))
-            if abs(w - delta) <= 1e-10:
-                return 0.0
-            raise NoTippingPoint(
-                f"W = {w:.6g} for every alpha (p_rej == p_rec) misses delta = {delta:.6g}"
-            )
-        root = delta ** (1.0 / n)
-        if root < p_rec - 1e-12 or root > p_rej + 1e-12:
-            raise NoTippingPoint(
-                f"delta^(1/n) = {root:.6g} outside [{p_rec:.6g}, {p_rej:.6g}]; "
-                "no mixture reaches the threshold"
-            )
-        return min(max((root - p_rec) / (p_rej - p_rec), 0.0), 1.0)
-
     gap = probs[0] - probs[1]
 
     def w(alpha: float) -> tuple[float, float]:
@@ -392,14 +375,14 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
         return float(power @ weights), n * float((below * gap) @ weights)
 
     (w_lo, _), (w_hi, slope) = w(0.0), w(1.0)
-    if not w_lo - 1e-12 <= delta <= w_hi + 1e-12:
-        raise NoTippingPoint(
-            f"delta = {delta:.6g} outside [W(0) = {w_lo:.6g}, W(1) = {w_hi:.6g}]"
-        )
     if abs(w_lo - delta) <= 1e-10:
         return 0.0
     if abs(w_hi - delta) <= 1e-10:
         return 1.0
+    if not w_lo < delta < w_hi:
+        raise NoTippingPoint(
+            f"delta = {delta:.6g} outside [W(0) = {w_lo:.6g}, W(1) = {w_hi:.6g}]"
+        )
     lo, hi = 0.0, 1.0
     alpha, w_alpha = hi, w_hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -424,13 +407,13 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
 
 
 def tipping_point(scn: WorstCaseScenario) -> float:
-    """Closed-form alpha* with W(alpha*) = delta; raises NoTippingPoint when
-    delta is unreachable."""
+    """alpha* with W(alpha*) = delta; raises NoTippingPoint when delta is
+    unreachable."""
     return _tipping_point(scn, shift_law())
 
 
 def social_tipping_point(scn: WorstCaseScenario, soc: SocialParams) -> float:
-    """Closed-form tipping point under the system-awareness adjustment."""
+    """Tipping point under the system-awareness adjustment."""
     return _tipping_point(scn, shift_law(social=soc))
 
 

@@ -656,10 +656,34 @@ class TestExpectedOffers:
         expected = exact_mean_offers(n, alpha, *group_reject_probs(scn))
         assert expected_offers(scn, alpha) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_receptive_agents_that_never_refuse(self, n, alpha):
+        # p_rec rounds to 0 while p_rej < 1: at alpha = 0, x = 0.
+        scn = WorstCaseScenario(n=n, u_minus=-1.0, u_plus=800.0, beta=1.0, delta=0.1)
+        probs = group_reject_probs(scn)
+        assert probs[1] == 0.0
+        expected = exact_mean_offers(n, alpha, *probs)
+        assert expected_offers(scn, alpha) == pytest.approx(expected, rel=1e-13)
+
     def test_alpha_validation(self):
         scn = WorstCaseScenario(n=3, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
         with pytest.raises(ValueError, match="alpha"):
             expected_offers(scn, 1.5)
+
+    def test_memory_is_constant_in_n(self):
+        # A sum over the Binomial(n, alpha) window would hold about
+        # 2 sqrt(373 n) floats, 206 MiB here. With x**n = 0 the receptive
+        # group never all refuses, and the mean is 1 / (1 - p_rec).
+        scn = WorstCaseScenario(n=10**10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
+        tracemalloc.start()
+        try:
+            mean = expected_offers(scn, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert mean == pytest.approx(1.0 / (1.0 - group_reject_probs(scn)[1]), rel=1e-13)
 
 
 class TestMixtureBatchCalibration:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -223,9 +224,29 @@ class TestTippingPoint:
         assert tipping_point(scn) == 0.0
         assert noisy_tipping_point(scn, NoiseSpec(NoiseKind.RADEMACHER, 1.0)) == 0.0
 
+    # W rises by about 1e-8 per ulp of alpha at this root, so no double
+    # meets the 1e-10 residual target: the closed form gave
+    # 0.9999999976975084, where |W - delta| = 3.2e-9.
+    STEEP = WorstCaseScenario(n=10**9, u_minus=-30.0, u_plus=30.0, beta=1.0, delta=0.1)
+
+    @pytest.mark.parametrize("law", [None, *(NoiseSpec(kind, 0.0) for kind in NoiseKind)])
+    def test_steep_point_mass_root_raises(self, law):
+        with pytest.raises(ArithmeticError, match="above the 1e-10 residual target"):
+            law_root(self.STEEP, law)
+
+    @pytest.mark.parametrize("law", [None, NoiseSpec(NoiseKind.RADEMACHER, 0.5)])
+    def test_delta_within_1e_10_of_an_end_tips_there(self, law):
+        scn = WorstCaseScenario(n=2, u_minus=-0.5, u_plus=0.5, beta=1.0, delta=0.2)
+        w0, w1 = law_w(scn, law)([0.0, 1.0])
+        for delta, expected in [(w0 - 5e-11, 0.0), (w1 + 5e-11, 1.0)]:
+            assert law_root(dataclasses.replace(scn, delta=delta), law) == expected
+        for delta in (w0 - 2e-10, w1 + 2e-10):
+            with pytest.raises(NoTippingPoint, match="outside"):
+                law_root(dataclasses.replace(scn, delta=delta), law)
+
     def test_flat_mixture_off_delta_raises(self):
         scn = WorstCaseScenario(n=1, delta=0.3, **self.FLAT)
-        with pytest.raises(NoTippingPoint, match="p_rej == p_rec"):
+        with pytest.raises(NoTippingPoint, match=r"outside \[W\(0\) = 0.5, W\(1\) = 0.5\]"):
             tipping_point(scn)
 
 
@@ -381,10 +402,13 @@ class TestNoisyTippingPoint:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_zero_scale_is_exactly_the_closed_form(self, kind):
-        # Bisection gave 0.8864633577177301 here; the closed form gives
-        # 0.8864633577117113, as does the noisy function once theta = 0.
+        # Bisection gave 0.8864633577177301 here and the closed form
+        # 0.8864633577117113. The exact root is 0.88646335771171116; the
+        # search returns one ulp above the closed form, 2.0e-16 from it (for
+        # the rounded p_rej and p_rec it is the nearer of the two doubles),
+        # and the noisy function at theta = 0 takes the same search.
         assert noisy_tipping_point(BASE, NoiseSpec(kind, 0.0)) == tipping_point(BASE)
-        assert tipping_point(BASE) == 0.8864633577117113
+        assert tipping_point(BASE) == 0.8864633577117114
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
     def test_residual_at_root(self, kappa):
@@ -451,41 +475,109 @@ def drawn_root_cells(kind, count):
     return cells
 
 
-def rademacher_oracle_w(scn, theta):
-    """W(alpha) under Rademacher noise: the mean over the shifts +/- theta of
-    binomial_sum_w. Past n = 1000, comb(n, n/2) overflows a float, so there
-    each shift's mixture power is taken in Python floats instead."""
+def drawn_point_cells(count):
+    """`count` solvable cells for each point-mass law, drawn as
+    drawn_root_cells draws its scenarios: the plain law, system awareness
+    (offset (1 - S) gamma R up to 3), and theta = 0 for both noise kinds.
+    A cell is (scenario, law), the law None, a SocialParams or a NoiseSpec."""
+    rng = np.random.default_rng(1)
+    cells = []
+    for law in ("plain", "social", *NoiseKind):
+        drawn = 0
+        while drawn < count:
+            n = round(10 ** rng.uniform(math.log10(2), 6))
+            scn = WorstCaseScenario(
+                n=n, u_minus=-rng.uniform(0.5, 20), u_plus=rng.uniform(0.5, 20),
+                beta=rng.uniform(0.5, 2), delta=10 ** rng.uniform(-2, math.log10(0.5)),
+            )
+            if law == "plain":
+                spec = None
+            elif law == "social":
+                spec = SocialParams(rng.uniform(0, 1), rng.uniform(0.1, 3), rng.uniform(0, 1))
+            else:
+                spec = NoiseSpec(law, 0.0)
+            w0, w1 = law_w(scn, spec)([0.0, 1.0])
+            if w0 < scn.delta < w1:
+                cells.append((scn, spec))
+                drawn += 1
+    return cells
+
+
+def law_w(scn, law):
+    """W(alpha) of the public API under `law`."""
+    if isinstance(law, NoiseSpec):
+        return functools.partial(noisy_worst_case_prob, scn, law)
+    if isinstance(law, SocialParams):
+        return functools.partial(social_worst_case_prob, scn, law)
+    return functools.partial(worst_case_prob, scn)
+
+
+def law_root(scn, law):
+    """alpha* of the public API under `law`."""
+    if isinstance(law, NoiseSpec):
+        return noisy_tipping_point(scn, law)
+    if isinstance(law, SocialParams):
+        return social_tipping_point(scn, law)
+    return tipping_point(scn)
+
+
+def law_shifts(law):
+    """The values of the shared shift, equally likely, of a law that is
+    not Gaussian with theta > 0."""
+    if isinstance(law, SocialParams):
+        return ((1.0 - law.s) * law.gamma * law.r,)
+    if isinstance(law, NoiseSpec) and law.theta > 0.0:
+        return (law.theta, -law.theta)
+    return (0.0,)
+
+
+def shift_oracle_w(scn, shifts):
+    """W(alpha) as the mean over equally likely shifts of binomial_sum_w.
+    Past n = 1000, comb(n, n/2) overflows a float, so there each shift's
+    mixture power is taken in Python floats instead."""
     from scipy.special import expit
 
     probs = [
         (float(expit(-scn.beta * (scn.u_minus + xi))), float(expit(-scn.beta * (scn.u_plus + xi))))
-        for xi in (theta, -theta)
+        for xi in shifts
     ]
     if scn.n <= 1000:
-        return lambda a: 0.5 * sum(binomial_sum_w(scn.n, a, *p) for p in probs)
-    return lambda a: 0.5 * sum((a * p_rej + (1.0 - a) * p_rec) ** scn.n for p_rej, p_rec in probs)
+        power = functools.partial(binomial_sum_w, scn.n)
+    else:
+        def power(a, p_rej, p_rec):
+            return (a * p_rej + (1.0 - a) * p_rec) ** scn.n
+    return lambda a: sum(power(a, *p) for p in probs) / len(probs)
 
 
 ORACLE_CELLS = [cell for kind in NoiseKind for cell in drawn_root_cells(kind, 20)]
+POINT_CELLS = drawn_point_cells(10)
 
 
 class TestNoisyRootOracle:
-    @pytest.mark.parametrize("scn, noise", ORACLE_CELLS)
-    def test_root_matches_brentq(self, scn, noise):
+    @pytest.mark.parametrize("scn, law", ORACLE_CELLS + POINT_CELLS)
+    def test_root_matches_brentq(self, scn, law):
         from scipy.optimize import brentq
 
-        if noise.kind is NoiseKind.RADEMACHER:
-            w = rademacher_oracle_w(scn, noise.theta)
+        noisy = isinstance(law, NoiseSpec) and law.theta > 0.0
+        if noisy and law.kind is NoiseKind.GAUSSIAN:
+            w = law_w(scn, law)
         else:
-            w = functools.partial(noisy_worst_case_prob, scn, noise)
+            w = shift_oracle_w(scn, law_shifts(law))
         expected = brentq(lambda a: w(a) - scn.delta, 0.0, 1.0, xtol=1e-15)
-        assert abs(noisy_tipping_point(scn, noise) - expected) <= 1e-9
+        root = law_root(scn, law)
+        assert abs(root - expected) <= 1e-9
+        if not noisy and scn.n <= 10**4:
+            # A point mass: W^(1/n) is affine in alpha, so the closed form
+            # from the same p_rej and p_rec is an independent check.
+            social = isinstance(law, SocialParams)
+            p_rej, p_rec = social_reject_probs(scn, law) if social else group_reject_probs(scn)
+            closed = (scn.delta ** (1.0 / scn.n) - p_rec) / (p_rej - p_rec)
+            assert root == pytest.approx(closed, rel=1e-13, abs=0.0)
 
-    def test_roots_take_about_4_evaluations(self, monkeypatch):
-        # Two W evaluations check the bracket at 0 and 1; Newton's steps take
-        # the rest. Where W^(1/n) bends sharply between shifts (large n, or
-        # p_rec far apart across shifts), a root takes a few more steps: over
-        # 4,000 cells drawn the same way the mean was 4.0 and the most was 11.
+    @staticmethod
+    def evaluations(monkeypatch, cells):
+        """The W evaluations of each cell's root search, after checking that
+        the first two are the bracket ends 0 and 1."""
         calls = []
         powers = worstcase_module._mixture_powers
 
@@ -495,12 +587,30 @@ class TestNoisyRootOracle:
 
         monkeypatch.setattr(worstcase_module, "_mixture_powers", counted)
         counts = []
-        for scn, noise in ORACLE_CELLS:
+        for scn, law in cells:
             calls.clear()
-            noisy_tipping_point(scn, noise)
+            law_root(scn, law)
             assert calls[:2] == [0.0, 1.0]
             counts.append(len(calls))
+        return counts
+
+    def test_roots_take_about_4_evaluations(self, monkeypatch):
+        # Two W evaluations check the bracket at 0 and 1; Newton's steps take
+        # the rest. Where W^(1/n) bends sharply between shifts (large n, or
+        # p_rec far apart across shifts), a root takes a few more steps: over
+        # 4,000 cells drawn the same way the mean was 4.0 and the most was 11.
+        counts = self.evaluations(monkeypatch, ORACLE_CELLS)
         assert max(counts) <= 12 and sum(counts) <= 5 * len(counts)
+
+    def test_point_mass_roots_take_3_evaluations(self, monkeypatch):
+        # For a point mass the first Newton step is the closed form, and W
+        # there meets the 1e-11 target. Past n = 2 x 10^5 it can miss it by
+        # rounding, and one more step follows: 14 of 3,000 plain cells drawn
+        # the same way took 4.
+        counts = self.evaluations(monkeypatch, POINT_CELLS)
+        small = [c for (scn, _), c in zip(POINT_CELLS, counts) if scn.n <= 10**4]
+        assert small and set(small) == {3}
+        assert max(counts) <= 4
 
 
 class TestShiftLaw:
