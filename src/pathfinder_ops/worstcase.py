@@ -355,6 +355,7 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     Newton's method on W^(1/n) - delta^(1/n) started at alpha = 1 descends
     monotonically onto the root. For a point mass W^(1/n) is affine, so the
     first step lands on the root and the search checks it like any other.
+    A delta strictly inside (W(0), W(1)) is always searched. Otherwise
     alpha* is 0 where |W(0) - delta| <= 1e-10 (a flat W within 1e-10 of
     delta included), 1 where |W(1) - delta| <= 1e-10, and NoTippingPoint
     where delta lies further outside [W(0), W(1)]. Each step narrows the
@@ -362,7 +363,9 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
     one that rounds to no move to the adjacent double. The search stops at
     |W - delta| <= 1e-11, or at a bracket of adjacent doubles, whose end
     with the smaller |W - delta| is the root; ArithmeticError if that end
-    misses |W - delta| <= 1e-10 (W too steep for double precision)."""
+    misses |W - delta| <= 1e-10 (W too steep for double precision). The
+    1e-11 target is absolute, so for delta near 1e-11 a noisy root fixes W
+    only to within a factor of about 2."""
     probs = _reject_probs(scn, law)  # alpha-free: computed once
     n, delta, weights = scn.n, scn.delta, law.weights
     gap = probs[0] - probs[1]
@@ -374,12 +377,12 @@ def _tipping_point(scn: WorstCaseScenario, law: ShiftLaw) -> float:
         below = np.divide(power, m, out=np.zeros_like(m), where=m > 0.0)
         return float(power @ weights), n * float((below * gap) @ weights)
 
-    (w_lo, _), (w_hi, slope) = w(0.0), w(1.0)
-    if abs(w_lo - delta) <= 1e-10:
-        return 0.0
-    if abs(w_hi - delta) <= 1e-10:
-        return 1.0
+    w_lo, (w_hi, slope) = float(_mixture_w(n, 0.0, probs, weights)), w(1.0)
     if not w_lo < delta < w_hi:
+        if abs(w_lo - delta) <= 1e-10:
+            return 0.0
+        if abs(w_hi - delta) <= 1e-10:
+            return 1.0
         raise NoTippingPoint(
             f"delta = {delta:.6g} outside [W(0) = {w_lo:.6g}, W(1) = {w_hi:.6g}]"
         )

@@ -244,6 +244,25 @@ class TestTippingPoint:
             with pytest.raises(NoTippingPoint, match="outside"):
                 law_root(dataclasses.replace(scn, delta=delta), law)
 
+    # delta is within 1e-10 of W(0) = 3.4e-19 but strictly inside
+    # (W(0), W(1)), so the root is searched, not taken as the end.
+    TINY = WorstCaseScenario(n=20, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=1e-11)
+
+    @pytest.mark.parametrize("law", [None, SOCIAL])
+    def test_tiny_delta_inside_the_bracket_is_the_closed_form(self, law):
+        p_rej, p_rec = social_reject_probs(self.TINY, law) if law else group_reject_probs(self.TINY)
+        closed = (self.TINY.delta ** (1.0 / self.TINY.n) - p_rec) / (p_rej - p_rec)
+        assert 0.2 < closed < 1.0
+        assert law_root(self.TINY, law) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    def test_tiny_delta_noisy_root_meets_the_absolute_target(self):
+        # The search stops at |W - delta| <= 1e-11, an absolute target, so
+        # at delta = 1e-11 a noisy root fixes W only to within a factor of 2.
+        law = NoiseSpec(NoiseKind.RADEMACHER, 0.5)
+        root = law_root(self.TINY, law)
+        assert 0.0 < root < 1.0
+        assert abs(law_w(self.TINY, law)(root) - self.TINY.delta) <= 1e-11
+
     def test_flat_mixture_off_delta_raises(self):
         scn = WorstCaseScenario(n=1, delta=0.3, **self.FLAT)
         with pytest.raises(NoTippingPoint, match=r"outside \[W\(0\) = 0.5, W\(1\) = 0.5\]"):
