@@ -27,60 +27,71 @@ import re
 import reprlib
 import sys
 
-import numpy as np
-
 from . import __version__
-from .chain import (
-    DEFAULT_GRID,
-    MAX_SWEEP_CELLS,
-    ChainParams,
-    _validate_grid,
-    steady_state,
-    sweep_steady_state,
-    sweep_to_csv,
-)
 from .errors import InsufficientData, NonUniqueStationary, NoTippingPoint, PathfinderOpsError
 from .errors import integer, json_object, number, step_grid
 from .fileio import atomic_write_text, grid_csv, json_text, read_json
-from .ntml import (
-    calibrated_steady_state,
-    classify_corpus,
-    default_rules,
-    estimate_params,
-    labeled_to_csv,
-    load_rules,
-    read_corpus_csv,
-)
-from .simulate import SimConfig, check_batch, mixture_batch, simulate_chain
-from .worstcase import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_GH_NODES,
-    DEFAULT_N_VALUES,
-    DEFAULT_THETA_GRID,
-    DEFAULT_U_ABS_VALUES,
-    NoiseKind,
-    NoiseSpec,
-    SocialParams,
-    WorstCaseScenario,
-    gradient_cells_to_csv,
-    gradient_sign_map,
-    gradient_sign_map_to_csv,
-    noisy_tipping_point,
-    noisy_worst_case_prob,
-    social_tipping_point,
-    social_worst_case_prob,
-    tipping_point,
-    worst_case_prob,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
+# --- names from the analysis modules, bound on first use --------------------
+
+# Every name this module takes from an analysis module, by defining module.
+# A function looks each up in this module's globals, where `_bind` puts it on
+# first use, so a call imports only the modules it needs (`--help`, `--version`
+# and usage errors import no numpy). A name bound before that, such as a
+# caller's wrapper, is kept, and each one is also an attribute of this module.
+# Each subcommand reads its config before it binds anything, so a config that
+# is not JSON imports no numpy either.
+_HOMES = {
+    "chain": (
+        "DEFAULT_GRID", "MAX_SWEEP_CELLS", "ChainParams", "_validate_grid", "steady_state",
+        "sweep_steady_state", "sweep_to_csv",
+    ),
+    "ntml": (
+        "calibrated_steady_state", "classify_corpus", "default_rules", "estimate_params",
+        "labeled_to_csv", "load_rules", "read_corpus_csv",
+    ),
+    "simulate": ("SimConfig", "check_batch", "mixture_batch", "simulate_chain"),
+    "worstcase": (
+        "DEFAULT_ALPHA_GRID", "DEFAULT_GH_NODES", "DEFAULT_N_VALUES", "DEFAULT_THETA_GRID",
+        "DEFAULT_U_ABS_VALUES", "NoiseKind", "NoiseSpec", "SocialParams", "WorstCaseScenario",
+        "gradient_cells_to_csv", "gradient_sign_map", "gradient_sign_map_to_csv",
+        "noisy_tipping_point", "noisy_worst_case_prob", "social_tipping_point",
+        "social_worst_case_prob", "tipping_point", "worst_case_prob",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """`SCHEMA` (every config key, as section -> key -> (check, default)),
+    or a name of `_HOME` imported from its module and bound here, on first
+    access (PEP 562)."""
+    if name == "SCHEMA":
+        return {section: _keys(section) for section in SECTIONS}
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, so that -X importtime shows it.
+    value = getattr(__import__(f"{__package__}.{_HOME[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each of `names` in this module's globals unless it is bound
+    already: one dict lookup a name once all are."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
+
+
 # --- config schema ----------------------------------------------------------
 
 REQUIRED = object()
-_NOISE_KINDS = [kind.value for kind in NoiseKind]
 
 
 def _list_of(check):
@@ -99,47 +110,67 @@ def _grid(name: str, value):
 
 def _noise_kind(name: str, value) -> NoiseKind:
     """A noise kind named in any letter case."""
-    if isinstance(value, str) and value.lower() in _NOISE_KINDS:
+    _bind("NoiseKind")
+    kinds = [kind.value for kind in NoiseKind]
+    if isinstance(value, str) and value.lower() in kinds:
         return NoiseKind(value.lower())
-    raise ValueError(f"{name} must be one of {_NOISE_KINDS}, got {reprlib.repr(value)}")
+    raise ValueError(f"{name} must be one of {kinds}, got {reprlib.repr(value)}")
 
 
-# Every config key, as section -> key -> (check, default). Each check is
-# called as check("<section>.<key>", value) and returns the value to use. A
-# present section must set its REQUIRED keys; a None default leaves the key
-# unset. Ranges are checked by the library's constructors, not here.
-SCHEMA = {
-    "chain": {key: (_grid, DEFAULT_GRID) for key in ("p_good", "p_accept", "p_success")},
-    "worst_case": {
-        "n": (integer, REQUIRED),
-        "u_minus": (number, REQUIRED),
-        "u_plus": (number, REQUIRED),
-        "beta": (number, REQUIRED),
-        "delta": (number, REQUIRED),
-        "alpha_grid": (_list_of(number), step_grid(0.0, 1.0, 0.01, 101)),
-    },
-    "social": {"s": (number, REQUIRED), "gamma": (number, REQUIRED), "r": (number, REQUIRED)},
-    "noise": {
-        "kind": (_noise_kind, REQUIRED), "theta": (number, 0.0),
-        "gh_nodes": (integer, DEFAULT_GH_NODES),
-    },
-    "sim": {
-        "seed": (integer, None), "steps": (integer, None), "burn_in": (integer, 0),
-        "rounds": (integer, None), "alpha": (number, None),
-    },
-    "gradmap": {
-        "n_values": (_list_of(integer), DEFAULT_N_VALUES),
-        "u_abs_values": (_list_of(number), DEFAULT_U_ABS_VALUES),
-        "alpha_grid": (_list_of(number), DEFAULT_ALPHA_GRID),
-        "theta_grid": (_list_of(number), DEFAULT_THETA_GRID),
-        "beta": (number, 1.0),
-    },
-}
+SECTIONS = ("chain", "worst_case", "social", "noise", "sim", "gradmap")
+
+
+@functools.cache
+def _keys(section: str) -> dict:
+    """The keys of one config section, as key -> (check, default). Each
+    check is called as check("<section>.<key>", value) and returns the value
+    to use. A present section must set its REQUIRED keys; a None default
+    leaves the key unset. Ranges are checked by the library's constructors,
+    not here. Built on first use: a section whose defaults live in an
+    analysis module imports it then, and no other section does."""
+    match section:
+        case "chain":
+            _bind("DEFAULT_GRID")
+            return {key: (_grid, DEFAULT_GRID) for key in ("p_good", "p_accept", "p_success")}
+        case "worst_case":
+            return {
+                "n": (integer, REQUIRED),
+                "u_minus": (number, REQUIRED),
+                "u_plus": (number, REQUIRED),
+                "beta": (number, REQUIRED),
+                "delta": (number, REQUIRED),
+                "alpha_grid": (_list_of(number), step_grid(0.0, 1.0, 0.01, 101)),
+            }
+        case "social":
+            return {"s": (number, REQUIRED), "gamma": (number, REQUIRED), "r": (number, REQUIRED)}
+        case "noise":
+            _bind("DEFAULT_GH_NODES")
+            return {
+                "kind": (_noise_kind, REQUIRED), "theta": (number, 0.0),
+                "gh_nodes": (integer, DEFAULT_GH_NODES),
+            }
+        case "sim":
+            return {
+                "seed": (integer, None), "steps": (integer, None), "burn_in": (integer, 0),
+                "rounds": (integer, None), "alpha": (number, None),
+            }
+        case "gradmap":
+            _bind(
+                "DEFAULT_ALPHA_GRID", "DEFAULT_N_VALUES", "DEFAULT_THETA_GRID",
+                "DEFAULT_U_ABS_VALUES",
+            )
+            return {
+                "n_values": (_list_of(integer), DEFAULT_N_VALUES),
+                "u_abs_values": (_list_of(number), DEFAULT_U_ABS_VALUES),
+                "alpha_grid": (_list_of(number), DEFAULT_ALPHA_GRID),
+                "theta_grid": (_list_of(number), DEFAULT_THETA_GRID),
+                "beta": (number, 1.0),
+            }
 
 
 def _checked(section: str, body) -> dict:
     """`body` with every key of `section` checked and defaults filled in."""
-    keys = SCHEMA[section]
+    keys = _keys(section)
     required = [key for key, (_, default) in keys.items() if default is REQUIRED]
     json_object(f"config section {section!r}", body, keys, required)
     return {
@@ -149,8 +180,9 @@ def _checked(section: str, body) -> dict:
 
 
 def _load_config(path: str) -> dict:
-    """The config at `path`, checked against SCHEMA, with defaults filled in."""
-    doc = json_object(f"config {path}", read_json(path, "config"), SCHEMA)
+    """The config at `path`, checked against the schema, with defaults filled
+    in. Only the sections it holds are built (`_keys`)."""
+    doc = json_object(f"config {path}", read_json(path, "config"), SECTIONS)
     return {section: _checked(section, body) for section, body in doc.items()}
 
 
@@ -165,21 +197,25 @@ def _require_section(cfg: dict, name: str) -> dict:
 
 
 def _scenario(cfg: dict) -> WorstCaseScenario:
+    _bind("WorstCaseScenario")
     wc = _require_section(cfg, "worst_case")
     return WorstCaseScenario(wc["n"], wc["u_minus"], wc["u_plus"], wc["beta"], wc["delta"])
 
 
 def _social(cfg: dict) -> SocialParams | None:
+    _bind("SocialParams")
     return SocialParams(**cfg["social"]) if "social" in cfg else None
 
 
 def _noise(cfg: dict) -> NoiseSpec | None:
+    _bind("NoiseSpec")
     return NoiseSpec(**cfg["noise"]) if "noise" in cfg else None
 
 
 def _colon_grid(text: str) -> list[float]:
     """The p_good values of a lo:hi:step grid, counted and bounded before any
     is built."""
+    _bind("MAX_SWEEP_CELLS", "_validate_grid")
     try:
         lo, hi, step = map(float, text.split(":"))
     except ValueError:
@@ -199,6 +235,7 @@ def _colon_grid(text: str) -> list[float]:
 
 def cmd_steady(args) -> list:
     chain = _require_section(_load_config(args.config), "chain")
+    _bind("sweep_steady_state", "sweep_to_csv")
     # The schema keeps key order: p_good, p_accept, p_success.
     records = sweep_steady_state(*chain.values())
     if not (records["status"] == "ok").any():
@@ -211,6 +248,12 @@ def cmd_steady(args) -> list:
 
 def cmd_worst(args) -> list:
     cfg = _load_config(args.config)
+    import numpy as np
+
+    _bind(
+        "worst_case_prob", "tipping_point", "social_worst_case_prob", "social_tipping_point",
+        "noisy_worst_case_prob", "noisy_tipping_point",
+    )
     scn, soc, noise = _scenario(cfg), _social(cfg), _noise(cfg)
     alphas = cfg["worst_case"]["alpha_grid"]
 
@@ -240,6 +283,10 @@ def cmd_worst(args) -> list:
 
 def cmd_gradmap(args) -> list:
     cfg = _load_config(args.config)
+    _bind(
+        "gradient_sign_map", "gradient_cells_to_csv", "gradient_sign_map_to_csv", "NoiseKind",
+        "DEFAULT_GH_NODES",
+    )
     grids = cfg["gradmap"] if "gradmap" in cfg else _checked("gradmap", {})
     noise = _noise(cfg)
     gmap = gradient_sign_map(
@@ -262,6 +309,10 @@ def cmd_classify(args) -> list:
     for flag, value in (("--g-grid", args.g_grid), ("--steady-out", args.steady_out)):
         if value is not None and not args.calibrate:
             raise ValueError(f"{flag} needs --calibrate")
+    _bind(
+        "load_rules", "default_rules", "read_corpus_csv", "classify_corpus", "estimate_params",
+        "labeled_to_csv", "calibrated_steady_state", "sweep_to_csv",
+    )
     rules = load_rules(args.rules) if args.rules else default_rules()
     # A corpus that cannot be read is input data without a result: exit 3.
     try:
@@ -297,6 +348,12 @@ def cmd_classify(args) -> list:
 
 def cmd_simulate(args) -> list:
     cfg = _load_config(args.config)
+    import numpy as np
+
+    _bind(
+        "ChainParams", "SimConfig", "check_batch", "simulate_chain", "mixture_batch",
+        "steady_state",
+    )
     sim = _require_section(cfg, "sim")
     seed = sim["seed"] if args.seed is None else args.seed
     steps, rounds = sim["steps"], sim["rounds"]

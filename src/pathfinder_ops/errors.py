@@ -18,8 +18,6 @@ import numbers
 import reprlib
 import sys
 
-import numpy as np
-
 
 class PathfinderOpsError(Exception):
     """Valid input for which there is no result; subclasses name the case."""
@@ -49,8 +47,11 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _plain(value):
-    """A numpy scalar as the Python value it holds; anything else as it is."""
-    return value.item() if isinstance(value, np.generic) else value
+    """A numpy scalar as the Python value it holds; anything else as it is.
+    No value can be a numpy scalar before numpy is imported, so this never
+    imports it."""
+    np = sys.modules.get("numpy")
+    return value.item() if np is not None and isinstance(value, np.generic) else value
 
 
 def _within(x, lo, hi, lo_open: bool, hi_open: bool):
@@ -97,6 +98,8 @@ def number_array(name: str, values, lo=-math.inf, hi=math.inf, *, lo_open=False,
     ValueError naming `name` otherwise. Outside an int or float array, each
     entry but a plain float goes through `number`; one vectorised pass then
     checks every range. So [2.0, True] names True, not the earlier 2.0."""
+    import numpy as np
+
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         entries, arr = values, values.astype(float, copy=False)
     else:

@@ -1,15 +1,14 @@
 """Small file helpers: float column fields, grid tables filled through one `%`
 template, JSON text, atomic writes of text or of its chunks, and the one JSON
-file reader."""
+file reader. numpy is imported by the helpers that build arrays, not with
+the module, so writing JSON or text costs no numpy import."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
-from typing import Iterable, Sequence
-
-import numpy as np
+from collections.abc import Iterable, Sequence
 
 # Lines in each text block of a table written in blocks (the labelled corpus,
 # the gradient map's cells): large enough that a block costs little beyond
@@ -21,6 +20,8 @@ def column_fields(column) -> list[str]:
     """The fields of one float column, each distinct value formatted once
     with 12 significant digits and NaN as an empty field. Values are told
     apart by bit pattern, so 0.0 and -0.0 print differently."""
+    import numpy as np
+
     values = np.ascontiguousarray(column, dtype=float)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(float)
@@ -60,6 +61,8 @@ def grid_csv(header: Sequence[str], keys: Sequence, values, tails: Sequence = ()
     value that is not NaN, and filled by a single `%` with those values:
     '%.12g' % v and f"{v:.12g}" are the same routine for every float.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     lines, width = values.shape
     nan = np.isnan(values)

@@ -35,13 +35,13 @@ import contextlib
 import csv
 import enum
 import json
+import pkgutil
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ import numpy as np
 from .chain import _validate_grid, steady_state, sweep_records
 from .errors import InsufficientData, integer, json_object
 from .fileio import BLOCK_ROWS, read_json
-from .simulate import STREAM_CORPUS, make_rng
 
 
 class Label(enum.Enum):
@@ -151,9 +150,11 @@ def parse_rules(doc, where: str = "rules file") -> RuleSet:
     pattern_src = doc["flight_number_pattern"]
     if not isinstance(pattern_src, str) or not pattern_src:
         raise ValueError(f"{where}: 'flight_number_pattern' must be a non-empty string")
+    # A repetition count past the engine's limit overflows, and deep nesting
+    # exhausts the parser's recursion; both are patterns re cannot take.
     try:
         flight_number = re.compile(pattern_src)
-    except re.error as exc:
+    except (re.error, OverflowError, RecursionError) as exc:
         raise ValueError(f"{where}: 'flight_number_pattern' is not a valid regex: {exc}")
     by_value = {label.value: label for label in PRECEDENCE}
     known = [label.value for label in Label]
@@ -188,7 +189,8 @@ def load_rules(path: str) -> RuleSet:
 
 @lru_cache(maxsize=1)
 def default_rules() -> RuleSet:
-    text = resources.files("pathfinder_ops").joinpath("data/default_rules.json").read_text()
+    # pkgutil, not importlib.resources, whose import alone costs 20-35 ms.
+    text = pkgutil.get_data(__package__, "data/default_rules.json")
     return parse_rules(json.loads(text), "default rules")
 
 
@@ -279,9 +281,18 @@ CORPUS_CSV_HEADER = ["timestamp", "facility", "comment"]
 LABELED_CSV_HEADER = ["timestamp", "facility", "comment", "label", "rule"]
 
 
+# An offset sign or `Z` that follows anything but a digit. On Python 3.10 to
+# 3.13 `datetime.fromisoformat` skips one character before the offset, so
+# "00:00:00x+00:00" would pass as "00:00:00+00:00".
+_STRAY_BEFORE_OFFSET = re.compile(r"(?<![0-9])[-+Z]")
+
+
 def _timestamp_text(text: str) -> str:
     """An ISO-8601 timestamp (`Z` allowed for UTC) as `datetime.isoformat()`
-    prints it; ValueError if it does not parse. About 2 us a call."""
+    prints it; ValueError if it does not parse, or if its offset does not
+    follow the clock's last digit. About 2 us a call."""
+    if _STRAY_BEFORE_OFFSET.search(text):
+        raise ValueError(f"the offset of {text!r} does not follow a digit")
     return datetime.fromisoformat(text.replace("Z", "+00:00")).isoformat()
 
 
@@ -563,6 +574,8 @@ def generate_corpus(size: int, seed: int) -> list[tuple[LogRecord, Label]]:
     Every random column is drawn as one array, the timestamps too (whole
     minutes from 2022-12-22T00:00 UTC, strictly increasing); only the
     comments are built row by row."""
+    from .simulate import STREAM_CORPUS, make_rng
+
     size = integer("size", size, 1)
     rng = make_rng(seed, STREAM_CORPUS)
     labels = tuple(_LABEL_WEIGHTS)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import pathfinder_ops
 import pathfinder_ops.chain as chain_module
 import pathfinder_ops.cli as cli_module
 import pathfinder_ops.simulate as simulate_module
@@ -805,6 +807,10 @@ class TestClassify:
             ("time,comment\n2024-01-01T00:00:00Z,hello\n", "expected header"),
             ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY\n", "line 2: expected 3 fields"),
             ("timestamp,facility,comment\nyesterday,ZNY,hello\n", "line 2: timestamp 'yesterday'"),
+            (
+                "timestamp,facility,comment\n2024-01-01T00:00:00x+00:00,ZNY,hello\n",
+                "line 2: timestamp '2024-01-01T00:00:00x+00:00' is not ISO-8601",
+            ),
             ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,  \n", "line 2: comment must"),
             (
                 'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,"a\nb\nc"\nnot-a-time,ZNY,hello\n',
@@ -822,8 +828,8 @@ class TestClassify:
                 "line 3: not valid UTF-8",
             ),
         ],
-        ids=["empty", "header", "field-count", "timestamp", "empty-comment", "after-multi-line",
-             "oversized-field", "not-utf-8"],
+        ids=["empty", "header", "field-count", "timestamp", "stray-before-offset", "empty-comment",
+             "after-multi-line", "oversized-field", "not-utf-8"],
     )
     def test_malformed_corpus_exits_3_and_writes_nothing(self, tmp_path, capsys, text, needle):
         path = tmp_path / "corpus.csv"
@@ -1281,8 +1287,14 @@ class TestJsonInputs:
             ([], "expected a JSON object, got list"),
             (dict(RULES, labels=dict(RULES["labels"], X=["x"])), "labels: unknown key 'X'"),
             (dict(RULES, flight_number_pattern="("), "'flight_number_pattern' is not a valid regex"),
+            # re raises OverflowError for a count of 2**32 or more, and
+            # RecursionError for nesting deeper than the recursion limit.
+            (dict(RULES, flight_number_pattern="a{4294967296}"),
+             "'flight_number_pattern' is not a valid regex"),
+            (dict(RULES, flight_number_pattern="(" * 2000 + "a" + ")" * 2000),
+             "'flight_number_pattern' is not a valid regex"),
         ],
-        ids=["list", "unknown-label", "bad-regex"],
+        ids=["list", "unknown-label", "bad-regex", "huge-repeat", "deep-nesting"],
     )
     def test_rules_errors_name_the_file(self, tmp_path, capsys, doc, needle):
         corpus = tmp_path / "corpus.csv"
@@ -1720,3 +1732,136 @@ print(json.dumps(codes))
         assert exit_info.value.code == 0
         out, err = capsys.readouterr()
         assert out and err == ""
+
+
+# The names `pathfinder_ops` exported before its exports became lazy, by the
+# module that defines each.
+PACKAGE_EXPORTS = {
+    "agents": ["AgentProfile", "ControllerCandidate", "ControllerContext", "candidates_from_json",
+               "controller_payoff", "p_accept", "rank_candidates", "utility_accept"],
+    "chain": ["ChainParams", "stationary", "steady_state", "sweep_steady_state", "sweep_to_csv"],
+    "errors": ["DegenerateGradient", "InsufficientData", "NonUniqueStationary", "NoTippingPoint",
+               "PathfinderOpsError"],
+    "ntml": ["Label", "LabelCounts", "LogCorpus", "LogRecord", "Match", "RuleSet",
+             "calibrated_steady_state", "classify", "classify_corpus", "default_rules",
+             "estimate_params", "generate_corpus", "labeled_to_csv", "load_rules", "read_corpus_csv"],
+    "simulate": ["MixtureBatchResult", "SelectionOutcome", "SimConfig", "expected_offers", "make_rng",
+                 "mixture_batch", "run_selection_round", "simulate_chain"],
+    "worstcase": ["GradientSignMap", "NoiseKind", "NoiseSpec", "SocialParams", "WorstCaseScenario",
+                  "gradient_sign_map", "group_reject_probs", "noisy_tipping_point",
+                  "noisy_worst_case_prob", "social_tipping_point", "social_worst_case_prob",
+                  "tipping_point", "tipping_point_gradient", "worst_case_prob"],
+}
+
+
+class TestColdStart:
+    """A fresh process imports only what its call needs: the package and
+    every call that computes no array import no numpy, and a subcommand
+    imports only the analysis modules it uses."""
+
+    # Imports the package, runs `main` on the JSON argv given (none for the
+    # import alone) with stdout captured, and prints {"code": exit code,
+    # "imported": the watched modules that the import and the call brought
+    # in}. A module the interpreter loaded before, at start-up, is not
+    # counted: site hooks may load importlib.resources there.
+    IMPORTED_BY = r"""
+import contextlib, io, json, sys
+
+WATCHED = ["importlib.resources", "numpy", "pathfinder_ops.agents", "pathfinder_ops.chain",
+           "pathfinder_ops.ntml", "pathfinder_ops.simulate", "pathfinder_ops.worstcase"]
+before = set(sys.modules)
+argv = json.loads(sys.argv[1])
+code = None
+import pathfinder_ops
+if argv is not None:
+    from pathfinder_ops.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+new = set(sys.modules) - before
+print(json.dumps({"code": code, "imported": [m for m in WATCHED if m in new]}))
+"""
+
+    def imported_by(self, argv, cwd):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.IMPORTED_BY, json.dumps(argv)],
+            capture_output=True, text=True, env=module_env(), cwd=cwd,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (None, None),
+            (["--version"], 0),
+            (["--help"], 0),
+            (["steady", "--help"], 0),
+            (["bogus"], 2),
+            (["steady", "--config", "not-json.json"], 2),
+        ],
+        ids=["import", "version", "help", "steady-help", "unknown-subcommand", "config-not-json"],
+    )
+    def test_calls_without_arrays_import_no_numpy(self, tmp_path, argv, code):
+        (tmp_path / "not-json.json").write_text("{chain: 0.5}")
+        assert self.imported_by(argv, tmp_path) == {"code": code, "imported": []}
+
+    @pytest.mark.parametrize(
+        "command, doc, unused",
+        [
+            ("steady", {"chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9}}, "worstcase"),
+            ("worst", FIG3_WORST, "chain"),
+            ("gradmap", TestGradmap.SMALL, "chain"),
+        ],
+        ids=["steady", "worst", "gradmap"],
+    )
+    def test_config_subcommands_import_only_their_modules(self, tmp_path, command, doc, unused):
+        # Neither the subcommand nor the config sections it reads need the
+        # module `unused`.
+        cfg = write_config(tmp_path, doc)
+        got = self.imported_by([command, "--config", cfg, "--out", "out.csv"], tmp_path)
+        assert got["code"] == 0
+        assert "numpy" in got["imported"]
+        for module in ("ntml", "simulate", "agents", unused):
+            assert f"pathfinder_ops.{module}" not in got["imported"]
+
+    def test_classify_imports_only_its_modules(self, tmp_path):
+        corpus, _ = project_fixture(tmp_path)
+        got = self.imported_by(["classify", corpus, "--calibrate", "--out", "labels.csv"], tmp_path)
+        assert got["code"] == 0
+        assert "pathfinder_ops.ntml" in got["imported"]
+        for module in ("pathfinder_ops.worstcase", "pathfinder_ops.simulate", "pathfinder_ops.agents",
+                       "importlib.resources"):
+            assert module not in got["imported"]
+
+    @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+    def test_every_export_is_its_modules_object(self, module):
+        defining = importlib.import_module(f"pathfinder_ops.{module}")
+        listed = dir(pathfinder_ops)
+        for name in PACKAGE_EXPORTS[module]:
+            assert getattr(pathfinder_ops, name) is getattr(defining, name), name
+            assert name in listed and name in pathfinder_ops.__all__
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+            pathfinder_ops.bogus
+        with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+            cli_module.bogus
+
+    def test_a_name_bound_on_cli_is_kept(self, tmp_path, monkeypatch):
+        # A caller may replace a function on `cli`, as a tracer does; binding
+        # never overwrites it, so every later call calls the replacement.
+        calls = []
+        original = cli_module.sweep_steady_state
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        cfg = write_config(tmp_path, {"chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9}})
+        monkeypatch.setattr(cli_module, "sweep_steady_state", counted)
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(calls) == 2
