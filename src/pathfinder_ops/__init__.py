@@ -12,7 +12,7 @@ Every name below is exported lazily (PEP 562): the module that defines it
 is imported on first access, so `import pathfinder_ops` imports no numpy.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 _EXPORTS = {
     "agents": (

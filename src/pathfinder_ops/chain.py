@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationary, number, number_array, step_grid
-from .fileio import column_fields, grid_csv
+from .fileio import grid_csv, text_fields
 
 N_STATES = 4
 
@@ -36,10 +36,11 @@ STRUCTURAL_ZEROS = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 
 _RESIDUAL_TOL = 1e-10
 
 # Cap on the cells of one sweep, checked before anything is allocated. A sweep
-# written as CSV holds about 590 bytes per cell at peak (tracemalloc around
-# `cli.main`), so the cap bounds memory to about 150 MiB. At the cap a sweep
-# takes about 0.75 s (2-CPU machine), nearly all of it formatting: the solve
-# itself takes about 0.08 s.
+# written as CSV holds about 320 bytes per cell at peak (tracemalloc around
+# `cli.main`): the records, and the text twice, as blocks and joined. So the
+# cap bounds memory to about 80 MiB. At the cap a sweep takes about 0.26 s
+# (2-CPU machine), of which the solve takes about 0.07 s and writing the
+# floats through `fileio.float_fields` most of the rest.
 MAX_SWEEP_CELLS = 2**18
 
 
@@ -209,6 +210,6 @@ SWEEP_CSV_HEADER = "p_good,p_accept,p_success,pi0,pi1,pi2,pi3,status"
 def sweep_to_csv(records: np.ndarray) -> str:
     """Sweep records as CSV (12 significant digits, empty pi fields for
     non-unique cells, trailing newline): each line is its p_good, p_accept,
-    p_success texts, its pi values and its status."""
-    keys = [column_fields(records[name]) for name in ("p_good", "p_accept", "p_success")]
-    return grid_csv(SWEEP_CSV_HEADER.split(","), keys, records["pi"], [records["status"].tolist()])
+    p_success, its pi values and its status."""
+    columns = [records[name] for name in ("p_good", "p_accept", "p_success", "pi")]
+    return grid_csv(SWEEP_CSV_HEADER.split(","), [*columns, text_fields(records["status"])])

@@ -275,7 +275,7 @@ def cmd_worst(args) -> list:
         stars["alpha_star_noisy"] = _tip(noisy_tipping_point, scn, noise)
     columns.update((name, np.full(len(alphas), star)) for name, star in stars.items())
     block = np.column_stack(list(columns.values()))
-    return [(args.out, grid_csv(list(columns), [], block))]
+    return [(args.out, grid_csv(list(columns), [block]))]
 
 
 # --- gradmap ----------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array, step_grid
-from .fileio import BLOCK_ROWS, column_fields, grid_csv
+from .fileio import BLOCK_ROWS, csv_lines, float_fields, grid_csv, text_fields
 
 # Gradient values above -1e-12 count as zero when classifying gradient
 # signs, so round-off never masquerades as a negative gradient.
@@ -532,60 +532,49 @@ GRADMAP_CSV_HEADER = "n,u_abs,noise_kind,fraction_negative"
 GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 
-def _instance_keys(gmap: GradientSignMap) -> list[str]:
-    """The "n,u_abs,noise_kind" text of each (n, |U|) instance, n-major. The
-    n values print through str(), never through a numpy array, which would
-    turn an int64 and an n of 2**63 into floats."""
-    u_texts = column_fields(gmap.u_abs_values)
-    kind = gmap.noise_kind.value
-    return [f"{n},{u},{kind}" for n in gmap.n_values for u in u_texts]
+def _instance_fields(gmap: GradientSignMap) -> np.ndarray:
+    """The "n,u_abs,noise_kind" fields of each (n, |U|) instance, n-major,
+    one row each. The n values print through str(), never through a numpy
+    array, which would turn an int64 and an n of 2**63 into floats."""
+    u_abs = np.tile(gmap.u_abs_values, len(gmap.n_values))
+    kind = text_fields([gmap.noise_kind.value])
+    return np.concatenate([
+        np.repeat(text_fields([str(n) for n in gmap.n_values]), gmap.u_abs_values.size, axis=0),
+        float_fields(u_abs),
+        np.broadcast_to(kind, (u_abs.size, kind.shape[1])),
+    ], axis=1)
 
 
 def gradient_sign_map_to_csv(gmap: GradientSignMap) -> str:
     """One line per (n, |U|) instance, n-major."""
-    fractions = gmap.fraction_negative.reshape(-1, 1)
-    return grid_csv(GRADMAP_CSV_HEADER.split(","), [_instance_keys(gmap)], fractions)
+    fractions = gmap.fraction_negative.reshape(-1)
+    return grid_csv(GRADMAP_CSV_HEADER.split(","), [_instance_fields(gmap), fractions])
 
 
 def gradient_cells_to_csv(gmap: GradientSignMap) -> Iterator[str]:
     """Per-cell CSV: each instance's cells, theta-major, under its n, |U|
-    and noise kind. It is the header line, then text blocks of at most
-    `BLOCK_ROWS` lines, none spanning two instances, each made as it is
-    taken, so the map must not change until the last block is.
+    and noise kind. It is the header line, then text blocks of
+    `BLOCK_ROWS` lines (the last may be shorter, and a block may span
+    instances), each made as it is taken, so the map must not change until
+    the last block is.
 
-    The alpha and theta texts are formatted once per map, and each block is
-    one `%` template joined from them, so no text is kept per cell; only
+    The instance, alpha and theta fields are made once per map and
+    gathered for each block's lines, so no text is kept per cell; only
     dW/dtheta is formatted cell by cell, with an empty field for NaN."""
-    keys = _instance_keys(gmap)
-    alphas, thetas = column_fields(gmap.alphas), column_fields(gmap.thetas)
+    keys = _instance_fields(gmap)
+    alphas, thetas = float_fields(gmap.alphas), float_fields(gmap.thetas)
     width = len(alphas)
-    values = gmap.dw_dtheta.reshape(len(keys), len(thetas) * width)
-
-    def template(head: str, start: int, stop: int, nan) -> str:
-        """Lines start to stop - 1 of an instance whose key text (with any
-        "%" doubled) is `head`, each with a %.12g placeholder unless NaN."""
-        if nan.any():
-            holes = nan.tolist()
-            return "".join(
-                f"{head}{alphas[r % width]},{thetas[r // width]},{'' if hole else '%.12g'}\n"
-                for r, hole in zip(range(start, stop), holes)
-            )
-        # One join per theta over that theta's run of alphas.
-        parts = []
-        for k in range(start // width, (stop - 1) // width + 1):
-            tail = f",{thetas[k]},%.12g\n"
-            run = alphas[max(start - k * width, 0) : min(stop - k * width, width)]
-            parts.append(head + (tail + head).join(run) + tail)
-        return "".join(parts)
+    cells = width * len(thetas)
+    values = gmap.dw_dtheta.reshape(-1)
 
     def blocks() -> Iterator[str]:
         yield GRADMAP_CELLS_CSV_HEADER + "\n"
-        for key, cells in zip(keys, values):
-            head = key.replace("%", "%%") + ","
-            for start in range(0, cells.size, BLOCK_ROWS):
-                block = cells[start : start + BLOCK_ROWS]
-                nan = np.isnan(block)
-                lines = template(head, start, start + block.size, nan)
-                yield lines % tuple(block[~nan].tolist())
+        for start in range(0, values.size, BLOCK_ROWS):
+            lines = np.arange(start, min(start + BLOCK_ROWS, values.size))
+            cell = lines % cells
+            yield csv_lines([
+                keys.take(lines // cells, axis=0), alphas.take(cell % width, axis=0),
+                thetas.take(cell // width, axis=0), float_fields(values[start : start + BLOCK_ROWS]),
+            ])
 
     return blocks()

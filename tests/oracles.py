@@ -12,8 +12,8 @@ on normalized text, the per-record labeled-CSV pipeline (a parsed
 datetime, a regex label and one written row per record) instead of the
 columnar one, a fresh array per operation instead of the gradient map's
 reused work arrays, and a writer that formats each field of each row on
-its own instead of distinct values and grid tables filled through one `%`
-template, yes/no predicates per config key instead of checks that
+its own with Python instead of the array kernel that writes every float of
+a table as bytes, yes/no predicates per config key instead of checks that
 return the value, and a comprehension per default grid instead of one
 stepped-grid builder.
 """

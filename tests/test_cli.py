@@ -811,6 +811,14 @@ class TestClassify:
                 "timestamp,facility,comment\n2024-01-01T00:00:00x+00:00,ZNY,hello\n",
                 "line 2: timestamp '2024-01-01T00:00:00x+00:00' is not ISO-8601",
             ),
+            (
+                "timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,ok\n2024-01-01T00:00:001+00:00,ZNY,hi\n",
+                "line 3: timestamp '2024-01-01T00:00:001+00:00' is not ISO-8601",
+            ),
+            (
+                "timestamp,facility,comment\n2024-01-01T00:001Z,ZNY,hello\n",
+                "line 2: timestamp '2024-01-01T00:001Z' is not ISO-8601",
+            ),
             ("timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,  \n", "line 2: comment must"),
             (
                 'timestamp,facility,comment\n2024-01-01T00:00:00Z,ZNY,"a\nb\nc"\nnot-a-time,ZNY,hello\n',
@@ -828,7 +836,8 @@ class TestClassify:
                 "line 3: not valid UTF-8",
             ),
         ],
-        ids=["empty", "header", "field-count", "timestamp", "stray-before-offset", "empty-comment",
+        ids=["empty", "header", "field-count", "timestamp", "stray-before-offset",
+             "surplus-digit-before-offset", "surplus-digit-before-z", "empty-comment",
              "after-multi-line", "oversized-field", "not-utf-8"],
     )
     def test_malformed_corpus_exits_3_and_writes_nothing(self, tmp_path, capsys, text, needle):

@@ -17,71 +17,194 @@ import pathfinder_ops
 from pathfinder_ops import GradientSignMap, NoiseKind
 from pathfinder_ops.chain import sweep_records, sweep_steady_state, sweep_to_csv
 import pathfinder_ops.worstcase as worstcase_module
-from pathfinder_ops.fileio import BLOCK_ROWS, atomic_write_text, column_fields, grid_csv, json_text
+import pathfinder_ops.fileio as fileio_module
+from pathfinder_ops.fileio import (
+    BLOCK_ROWS, FIELD_BYTES, atomic_write_text, csv_lines, float_fields, grid_csv, json_text, text_fields,
+)
 from pathfinder_ops.worstcase import gradient_cells_to_csv, gradient_sign_map_to_csv
 
 from oracles import per_value_cells_csv, per_value_csv, per_value_summary_csv, per_value_sweep_csv
 
 
+def field_texts(values) -> list[str]:
+    """The text of each field `float_fields` writes for a flat array."""
+    return csv_lines([float_fields(np.ravel(values))]).split("\n")[:-1]
+
+
+def fmt12(values) -> list[str]:
+    return ["" if v != v else f"{v:.12g}" for v in np.ravel(values).tolist()]
+
+
 class TestCsvColumns:
     """The cases of the column-wise CSV writer that grid tables replaced,
-    now on `column_fields`, which formats the float key columns of every
-    grid table."""
+    now on `float_fields`, which formats every float of every table,
+    against f"{v:.12g}" value by value. Every case runs on a column of one
+    copy of its values, formatted by Python alone, and of 40 copies, long
+    enough for the array kernel."""
 
-    # Every case runs on one copy of its column and on 40 copies.
     @pytest.fixture(params=[1, 40], ids=["short", "long"])
     def reps(self, request):
         return request.param
 
     def test_float_column_matches_fmt12_for_every_value(self, reps):
         values = [0.1, 0.1, 1 / 3, 1e-300, -2.5, 1.0, 0.1, 5e-324, 1e300] * reps
-        assert column_fields(values) == [f"{v:.12g}" for v in values]
+        assert field_texts(values) == [f"{v:.12g}" for v in values]
 
     def test_signed_zeros_in_one_column_print_apart(self, reps):
-        assert column_fields(np.array([0.0, -0.0, 0.0, -0.0] * reps)) == ["0", "-0", "0", "-0"] * reps
+        assert field_texts(np.array([0.0, -0.0, 0.0, -0.0] * reps)) == ["0", "-0", "0", "-0"] * reps
+        assert field_texts(np.array([1.0, -1.0] * reps)) == ["1", "-1"] * reps
 
     def test_repeated_values_keep_their_rows(self, reps):
         alphas = np.tile([0.02, 0.5, 1 / 3], 4 * reps)
         thetas = np.repeat([0.2, 0.0, 5.2, 0.2] * reps, 3)
         for column in (alphas, thetas):
-            assert column_fields(column) == [f"{v:.12g}" for v in column.tolist()]
+            assert field_texts(column) == [f"{v:.12g}" for v in column.tolist()]
 
     def test_nan_and_none_are_empty_fields(self, reps):
-        assert column_fields(np.array([np.nan, 0.25, -np.nan] * reps)) == ["", "0.25", ""] * reps
+        assert field_texts(np.array([np.nan, 0.25, -np.nan] * reps)) == ["", "0.25", ""] * reps
         # None in a float column is NaN.
-        assert column_fields([None, 0.5, None] * reps) == ["", "0.5", ""] * reps
+        assert field_texts([None, 0.5, None] * reps) == ["", "0.5", ""] * reps
+
+    def test_rows_of_a_block_hold_their_values_in_turn(self, reps):
+        block = np.array([[0.5, np.nan, -3e-5], [1e20, 0.0, 0.125]] * reps)
+        fields = float_fields(block)
+        assert fields.shape == (2 * reps, 3 * FIELD_BYTES)
+        assert csv_lines([fields]).split("\n")[:2] == ["0.5,,-3e-05", "1e+20,0,0.125"]
 
     def test_header_only(self):
-        assert column_fields([]) == column_fields(np.array([])) == []
-        assert grid_csv(["a", "x"], [column_fields([])], np.empty((0, 1))) == "a,x\n"
+        assert float_fields([]).shape == (0, FIELD_BYTES)
+        assert float_fields(np.empty((0, 4))).shape == (0, 4 * FIELD_BYTES)
+        assert grid_csv(["a", "x"], [text_fields([]), np.empty((0, 1))]) == "a,x\n"
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError):
-            grid_csv(["a", "b", "x"], [column_fields([1.0, 2.0]), column_fields([1.0])],
-                     [[1.0], [2.0]])
+            grid_csv(["a", "b", "x"], [[1.0, 2.0], [1.0], [[1.0], [2.0]]])
+
+
+# Each power of ten from 1e-5 to 1e13 as the double nearest it and as 10**k
+# rounded from above and below, with the 3 doubles on either side.
+DECADE_EDGES = np.array([
+    x for k in range(-5, 14) for edge in (10.0**k, float(f"1e{k}"))
+    for x in np.nextafter(edge, np.inf) + np.arange(-3, 4) * np.spacing(edge)
+] + [1 - 2**-53, 1 + 2**-52, 0.99999999999949, 0.9999999999995, 0.99999999999951])
+
+
+def exact_ties():
+    """Every double below 1 and at least 1e-4 whose decimal expansion has
+    exactly 13 significant digits, the last one 5: t / 2^(12 - e) for odd t,
+    at decade e."""
+    ties = []
+    for e, lo, hi in ((-1, 820, 8192), (-2, 164, 1639), (-3, 33, 328), (-4, 7, 66)):
+        ties += [t / 2 ** (12 - e) for t in range(lo | 1, hi, 2)]
+    return np.array(ties)
+
+
+class TestFloatFieldsEdges:
+    """The kernel's fast route, where array arithmetic stands in for
+    Python's correctly rounded formatting, at the edges of its rule."""
+
+    def test_decade_edges_and_their_neighbours(self):
+        values = np.concatenate([DECADE_EDGES, -DECADE_EDGES])
+        assert field_texts(values) == fmt12(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = exact_ties()
+        assert len(ties) == 4601
+        for t in ties.tolist():
+            assert len(repr(t).split(".")[1].lstrip("0")) == 13 and repr(t).endswith("5")
+        values = np.concatenate([ties, -ties, np.nextafter(ties, 0), np.nextafter(ties, 1)])
+        assert field_texts(values) == fmt12(values)
+
+    def test_doubles_near_a_twelfth_digit_tie(self):
+        # Within 1e-3 of a tie of M (twelve digits) at every decade of the
+        # fast route, one to 2**20 ulps away on either side.
+        rng = np.random.default_rng(12)
+        values = []
+        for e in range(-4, 0):
+            ties = (rng.integers(10**11, 10**12, 4000) + 0.5) * 10.0 ** (e - 11)
+            for ulps in (-2**20, -2**10, -3, -1, 0, 1, 3, 2**10, 2**20):
+                values.append(ties + ulps * np.spacing(ties))
+        values = np.concatenate(values)
+        assert field_texts(values) == fmt12(values)
+
+    def test_specials_and_subnormals(self):
+        tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0)])
+        values = np.tile(np.concatenate([
+            tiny, -tiny, [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1 - 2**-53, -(1 - 2**-53)],
+        ]), 20)
+        assert field_texts(values) == fmt12(values)
+
+    def test_a_million_random_bit_patterns(self):
+        values = np.random.default_rng(6).integers(0, 2**64, 10**6, dtype=np.uint64).view(float)
+        assert field_texts(values) == fmt12(values)
+
+    def test_random_values_of_the_fast_route(self):
+        rng = np.random.default_rng(4)
+        values = rng.random(10**5) * 10.0 ** rng.integers(-4, 0, 10**5)
+        values[::2] *= -1
+        assert field_texts(values) == fmt12(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=400))
+    def test_any_floats(self, values):
+        assert field_texts(values) == fmt12(values)
+
+    def test_python_formats_only_what_the_kernel_cannot(self, monkeypatch):
+        # Uniform values in [0.001, 1), with zeros, ones and NaN: Python
+        # formats only the near-ties, about 0.2% of the rest.
+        seen = []
+        real = fileio_module._python_fields
+        monkeypatch.setattr(fileio_module, "_python_fields", lambda v: seen.append(v.size) or real(v))
+        values = np.random.default_rng(1).uniform(1e-3, 1, 10**5)
+        values[::10], values[1::10], values[2::10] = 0.0, 1.0, np.nan
+        assert field_texts(values) == fmt12(values)
+        assert sum(seen) < 500
+        # A call of fewer values is formatted by Python alone.
+        seen.clear()
+        few = values[: fileio_module._KERNEL_MIN_VALUES - 1]
+        assert field_texts(few) == fmt12(few)
+        assert seen == [few.size]
+
+
+class TestTextFields:
+    def test_ascii_and_utf8_texts(self):
+        for texts in (["ok", "non_unique", ""], ["é", "ok", "Zürich"]):
+            assert csv_lines([text_fields(texts)]).split("\n")[:-1] == texts
+
+    def test_a_numpy_string_column(self):
+        status = np.array(["ok", "non_unique", "ok"], dtype="U10")
+        assert csv_lines([text_fields(status)]) == "ok\nnon_unique\nok\n"
 
 
 class TestGridCsv:
     def test_keys_values_and_tails_line_by_line(self):
         text = grid_csv(
-            ["k", "x", "y", "t"], [["a", "b"]], [[0.1, np.nan], [-0.0, 1e300]], [["ok", "s"]]
+            ["k", "x", "y", "t"],
+            [text_fields(["a", "b"]), [[0.1, np.nan], [-0.0, 1e300]], text_fields(["ok", "s"])],
         )
         assert text == "k,x,y,t\na,0.1,,ok\nb,-0,1e+300,s\n"
 
-    def test_a_str_part_stands_for_every_line(self):
-        text = grid_csv(["k", "j", "x"], ["7", ["a", "b"]], [[1 / 3], [2.0]], ["z"])
-        assert text == "k,j,x\n7,a,0.333333333333,z\n7,b,2,z\n"
-
     def test_percent_signs_print_as_themselves(self):
-        text = grid_csv(["%d", "x"], [["5%", "%.12g%%"]], [[1.5], [np.nan]], ["%s"])
-        assert text == "%d,x\n5%,1.5,%s\n%.12g%%,,%s\n"
+        text = grid_csv(["%d", "x", "t"], [text_fields(["5%", "%.12g%%"]), [[1.5], [np.nan]],
+                                          text_fields(["%s", "%s"])])
+        assert text == "%d,x,t\n5%,1.5,%s\n%.12g%%,,%s\n"
 
     def test_header_only(self):
-        assert grid_csv(["a", "x"], [[]], np.empty((0, 1))) == "a,x\n"
+        assert grid_csv(["a", "x"], [text_fields([]), np.empty((0, 1))]) == "a,x\n"
 
     def test_parts_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError):
-            grid_csv(["a", "x"], [["p"]], [[1.0], [2.0]])
+            grid_csv(["a", "x"], [text_fields(["p"]), [[1.0], [2.0]]])
+        with pytest.raises(ValueError):
+            csv_lines([text_fields(["p"]), float_fields([1.0, 2.0])])
+
+    @pytest.mark.parametrize("block_rows", [1, 3, BLOCK_ROWS])
+    def test_blocks_join_into_one_table(self, block_rows):
+        values = scattered_values(8, 3 * 50).reshape(50, 3)
+        keys = [f"k{i}" for i in range(50)]
+        with mock.patch.object(fileio_module, "BLOCK_ROWS", block_rows):
+            text = grid_csv(["k", "a", "b", "c"], [text_fields(keys), values])
+        assert text == per_value_csv(["k", "a", "b", "c"], [(k, *row) for k, row in zip(keys, values.tolist())])
 
 
 # Values of every size, with the floats that print apart: signed zeros, the
@@ -191,7 +314,7 @@ class TestGridTablesMatchPerCellColumns:
         # the JSON and NaN in the block, an empty field either way.
         header = [f"c{i}" for i in range(len(columns))]
         block = np.array(columns, dtype=float).T
-        assert grid_csv(header, [], block) == per_value_csv(header, zip(*columns))
+        assert grid_csv(header, [block]) == per_value_csv(header, zip(*columns))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -223,23 +346,19 @@ class TestGridTablesMatchPerCellColumns:
 
 def per_value_blocks(gmap, block_rows):
     """The per-value cell dump cut where the writer must cut it: the header,
-    then each instance's lines in runs of `block_rows`."""
+    then the lines in runs of `block_rows`, across instances."""
     header, *lines = [line + "\n" for line in per_value_cells_csv(gmap)[:-1].split("\n")]
-    cells = gmap.alphas.size * gmap.thetas.size
-    blocks = [header]
-    for start in range(0, len(lines), cells):
-        instance = lines[start : start + cells]
-        blocks += ["".join(instance[i : i + block_rows]) for i in range(0, cells, block_rows)]
-    return blocks
+    return [header] + ["".join(lines[i : i + block_rows]) for i in range(0, len(lines), block_rows)]
 
 
 class TestGradientCellsInBlocks:
-    """`gradient_cells_to_csv` yields the header, then blocks of at most
-    BLOCK_ROWS lines of one instance each, and holds no text per cell."""
+    """`gradient_cells_to_csv` yields the header, then blocks of BLOCK_ROWS
+    lines (the last may be shorter), which may span instances, and holds no
+    text per cell."""
 
     @settings(max_examples=100, deadline=None)
     @given(gmap=gradient_maps(), block_rows=st.integers(1, 8))
-    def test_blocks_hold_at_most_block_rows_lines_of_one_instance(self, gmap, block_rows):
+    def test_blocks_hold_block_rows_lines_across_instances(self, gmap, block_rows):
         with mock.patch.object(worstcase_module, "BLOCK_ROWS", block_rows):
             blocks = list(gradient_cells_to_csv(gmap))
         assert blocks == per_value_blocks(gmap, block_rows)
@@ -261,7 +380,7 @@ class TestGradientCellsInBlocks:
         grads = scattered_values(3, 2 * len(alphas) * len(thetas))
         gmap = hand_built_map([2, 10], [1.0], alphas, thetas, grads)
         blocks = list(gradient_cells_to_csv(gmap))
-        assert [block.count("\n") for block in blocks] == [1] + [BLOCK_ROWS, BLOCK_ROWS, 808] * 2
+        assert [block.count("\n") for block in blocks] == [1] + [BLOCK_ROWS] * 4 + [1616]
         assert blocks == per_value_blocks(gmap, BLOCK_ROWS)
 
     def test_writing_a_one_instance_dump_peaks_under_32_bytes_a_cell(self, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from datetime import datetime
@@ -564,6 +565,16 @@ class TestCsvIo:
             read_corpus_csv(path)
         assert str(info.value) == f"{path}: line 7: timestamp {bad!r} is not ISO-8601"
 
+    @pytest.mark.parametrize("bad", ["2024-01-01T00:00:001+00:00", "2024-01-01T00:001+00:00",
+                                     "2024-01-01T00:00:001Z"])
+    def test_a_surplus_digit_before_the_offset_names_the_line(self, tmp_path, bad):
+        good = ["2024-01-02T03:04:05+05:30", "2024-01-02T03:04:05.5+00:00",
+                "2024-01-02T03:04:05.1234+00:00"]
+        path = write_corpus(tmp_path / "bad.csv", [(s, "ZNY", "ok") for s in [*good, bad]])
+        with pytest.raises(ValueError) as info:
+            read_corpus_csv(path)
+        assert str(info.value) == f"{path}: line 5: timestamp {bad!r} is not ISO-8601"
+
     def test_stamps_on_both_sides_of_a_block_boundary(self, tmp_path):
         stamps = ["2024-06-01T12:00:00+00:00"] * (BLOCK_ROWS + 1)
         for i, stamp in [
@@ -682,9 +693,11 @@ class TestTimestampText:
     @given(text=st.one_of(STAMPS, SHAPED_STAMPS, st.text("0123456789-:+TZ. ", max_size=30)))
     def test_matches_isoformat_and_passes_through_only_its_own_text(self, text):
         # fromisoformat skips one character before an offset; the reader
-        # refuses a stamp unless every sign and `Z` follows a digit.
-        refused = any(c in "+-Z" and not (i and text[i - 1] in "0123456789")
-                      for i, c in enumerate(text))
+        # refuses a stamp unless every sign and `Z` follows a digit, and the
+        # run of digits it follows is a fraction or of even length.
+        runs = re.finditer(r"(^|[^0-9])([0-9]*)(?=[-+Z])", text)
+        refused = any(not digits or (len(digits) % 2 and before not in ".,")
+                      for before, digits in (run.groups() for run in runs))
         try:
             expected = datetime.fromisoformat(text.replace("Z", "+00:00")).isoformat()
         except ValueError:
@@ -734,13 +747,34 @@ class TestTimestampText:
             "2024-01-01T00:00:00.-05:30",
             "2024-01-01T00:00:00 Z",
             "2024-01-01T00:00x+00:00",
+            "2024-01-01T00:00:001+00:00",
+            "2024-01-01T00:001+00:00",
+            "2024-01-01T00:00:001Z",
+            "2024-01-01T00:001Z",
+            "2024-01-01T00:00:00001-05:00",
+            "2024-01-01T001+00:00",
         ],
-        ids=["letter", "nul", "dot", "space-before-z", "after-minutes"],
+        ids=["letter", "nul", "dot", "space-before-z", "after-minutes", "surplus-second-digit",
+             "surplus-minute-digit", "surplus-digit-before-z", "surplus-minute-digit-before-z",
+             "three-surplus-digits", "surplus-hour-digit"],
     )
     def test_a_character_between_clock_and_offset_is_refused(self, text):
-        # datetime.fromisoformat skips it on Python 3.10 to 3.13.
+        # datetime.fromisoformat skips it, a digit included, on Python 3.10
+        # to 3.13.
         with pytest.raises(ValueError):
             _timestamp_text(text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2024-01-01T00:00:00.5+00:00", "2024-01-01T00:00:00.500000+00:00"),
+            ("2024-01-01T00:00:00.1234+00:00", "2024-01-01T00:00:00.123400+00:00"),
+            ("2024-01-01T00:00:00.123Z", "2024-01-01T00:00:00.123000+00:00"),
+            ("2024-01-01T00:00:00,5-05:30", "2024-01-01T00:00:00.500000-05:30"),
+        ],
+    )
+    def test_a_fraction_of_any_length_may_precede_the_offset(self, text, expected):
+        assert _timestamp_text(text) == expected
 
 
 class TestStrictStamps:
