@@ -183,7 +183,7 @@ def csv_lines(fields: Sequence) -> str:
     lines = len(fields[0])
     if any(len(part) != lines for part in fields):
         raise ValueError("every column of a table must have one field per line")
-    ends = np.cumsum([part.shape[1] for part in fields]).tolist()
+    ends = list(itertools.accumulate(part.shape[1] for part in fields))
     row = np.empty((lines, ends[-1] + 1), np.uint8)
     for part, start, end in zip(fields, [0, *ends], ends):
         row[:, start:end] = part
@@ -214,7 +214,7 @@ def grid_csv(header: Sequence[str], columns: Sequence) -> str:
         fields = []
         for text, run in runs:
             parts = [column[start : start + BLOCK_ROWS] for column in run]
-            fields += parts if text else [float_fields(np.column_stack(parts))]
+            fields += parts if text else [float_fields(parts[0] if len(parts) == 1 else np.column_stack(parts))]
         blocks.append(csv_lines(fields))
     return "".join(blocks)
 

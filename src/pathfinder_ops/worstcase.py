@@ -533,16 +533,12 @@ GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 
 def _instance_fields(gmap: GradientSignMap) -> np.ndarray:
-    """The "n,u_abs,noise_kind" fields of each (n, |U|) instance, n-major,
+    """The "n,u_abs,noise_kind" field of each (n, |U|) instance, n-major,
     one row each. The n values print through str(), never through a numpy
     array, which would turn an int64 and an n of 2**63 into floats."""
-    u_abs = np.tile(gmap.u_abs_values, len(gmap.n_values))
-    kind = text_fields([gmap.noise_kind.value])
-    return np.concatenate([
-        np.repeat(text_fields([str(n) for n in gmap.n_values]), gmap.u_abs_values.size, axis=0),
-        float_fields(u_abs),
-        np.broadcast_to(kind, (u_abs.size, kind.shape[1])),
-    ], axis=1)
+    u_texts = csv_lines([float_fields(gmap.u_abs_values)]).split("\n")[:-1]
+    kind = gmap.noise_kind.value
+    return text_fields([f"{n},{u},{kind}" for n in gmap.n_values for u in u_texts])
 
 
 def gradient_sign_map_to_csv(gmap: GradientSignMap) -> str:
