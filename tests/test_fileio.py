@@ -102,8 +102,8 @@ class TestCsvColumns:
             grid_csv(["a", "b", "x"], [[1.0, 2.0], [1.0], [[1.0], [2.0]]])
 
 
-# Each power of ten from 1e-5 to 1e13 as the double nearest it and as 10**k
-# rounded from above and below, with the 3 doubles on either side.
+# Each power of ten from 1e-5 to 1e13, taken as the double nearest it and as
+# 10.0**k (which may be an ulp away), from 2 ulps below to 4 above.
 DECADE_EDGES = np.array([
     x for k in range(-5, 14) for edge in (10.0**k, float(f"1e{k}"))
     for x in np.nextafter(edge, np.inf) + np.arange(-3, 4) * np.spacing(edge)
@@ -137,8 +137,9 @@ class TestFloatFieldsEdges:
         assert field_texts(values) == fmt12(values)
 
     def test_doubles_near_a_twelfth_digit_tie(self):
-        # Within 1e-3 of a tie of M (twelve digits) at every decade of the
-        # fast route, one to 2**20 ulps away on either side.
+        # The double nearest a tie of M (twelve digits) at every decade of
+        # the fast route, the doubles up to 3 ulps from it (within 1e-3 of
+        # the tie in m), and some 2**10 and 2**20 ulps away.
         rng = np.random.default_rng(12)
         values = []
         for e in range(-4, 0):
