@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 
 # Lines in each text block of a table written in blocks: large enough that a
 # block costs little beyond its numpy calls, small enough that no block holds
@@ -28,69 +29,98 @@ FIELD_BYTES = 20
 _WORDS = FIELD_BYTES // 4
 
 # Calls with fewer values than this format them with Python alone: below it,
-# the kernel's fixed cost of some 45 numpy calls (about 55 us) exceeds what it
-# saves over Python's 0.5-0.7 us a value (measured on a 2-CPU host).
-_KERNEL_MIN_VALUES = 80
+# the kernel's fixed cost of some 60 numpy calls (45-75 us) exceeds what it
+# saves over Python's 0.25-0.5 us a value (measured on a 2-CPU host).
+_KERNEL_MIN_VALUES = 160
+
+
+# The fast route's decades e, by index e + 99: from 10^-99, written in
+# exponent form ("1.5e-07"), to 10^-1; the last _FIXED of them, from 10^-4,
+# in fixed notation ("0.00015").
+_DECADES = 99
+_FIXED = 4
 
 
 @functools.cache
 def _kernel_tables():
-    """The kernel's constants, built on first use: the decade edges and
-    scales; the text of every four-digit group, plain and then with its
-    trailing zeros as NUL; the head of a fixed-notation field by sign and
-    decade (",0.000" to ",0." or ",-0.000" to ",-0.", right-aligned in 8
-    bytes so that the digits follow it); and the bit patterns written by
-    mask with the slots of NaN and of each. Texts are held as the native
-    uint32 words of their bytes, so that gathered words land in memory as
-    those bytes."""
+    """The kernel's constants, built on first use. Texts are held as the
+    native uint32 words of their bytes, so that gathered words land in
+    memory as those bytes."""
     import numpy as np
 
     def words(texts, width):
         data = b"".join(text.encode().ljust(width, b"\0") for text in texts)
         return np.frombuffer(data, dtype=np.uint32)
 
-    # Each edge is the double nearest its power of ten, which lies above
-    # it, so the edges at or below |v| count its decade exactly.
-    edges = np.array([1e-3, 1e-2, 1e-1])
-    scales = 10.0 ** np.arange(15, 11, -1)
+    # edges[i] is the double nearest 10^(i - 99): the edges at or below |v|
+    # count its decade, but for an edge below its power of ten, which is
+    # counted a decade high. That writes it rightly: within an ulp of the
+    # power, it rounds to it at twelve digits, M = 10^11 in either decade.
+    # A binade spans less than a decade: its values' decade is that of its
+    # least value, or the next one from the edge that follows.
+    edges = np.array([float(f"1e{k}") for k in range(-_DECADES, 1)])
+    lows = (np.searchsorted(edges, np.ldexp(1.0, np.arange(-1023, 0)), side="right") - 1).clip(0)
+    # Every four-digit group, plain and then with its trailing zeros as NUL.
     plain = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
     stripped = plain.copy()
     stripped[np.logical_and.accumulate(plain[:, ::-1] == ord("0"), axis=1)[:, ::-1]] = 0
-    quads = np.concatenate([plain, stripped]).view(np.uint32).ravel()
-    heads = words([f",{sign}0.{'0' * (3 - k)}".rjust(8, "\0") for sign in ("", "-") for k in range(4)], 8)
+    # A field's front by sign, then by decade in fixed notation (",0.000"
+    # to ",0.") or by point and lead digit in exponent form (",1" to ",9.").
+    fronts = [
+        front for sign in ("", "-") for front in [f",{sign}0.{'0' * (_FIXED - 1 - k)}" for k in range(_FIXED)]
+        + [f",{sign}{digit}{point}" for point in ("", ".") for digit in range(10)]
+    ]
     specials = (0.0, -0.0, 1.0, -1.0)
-    special_bits = np.array(specials).view(np.int64).tolist()
-    # Slot 0 is NaN's, slot k that of specials[k - 1], the last a filler.
-    special = words([","] + [f",{value:g}" for value in specials] + [""], FIELD_BYTES)
-    return edges, scales, quads, heads.reshape(8, 2).T.copy(), special_bits, special.reshape(-1, _WORDS)
+    return SimpleNamespace(
+        edges=edges,
+        # By biased binary exponent: the decade of the binade's least value
+        # and the edge of the decade after it.
+        lows=lows,
+        ups=edges.take(lows + 1),
+        # The double nearest each decade's scale 10^(11 - e).
+        scales=np.array([float(f"1e{11 + _DECADES - i}") for i in range(_DECADES)]),
+        quads=np.concatenate([plain, stripped]).view(np.uint32).ravel(),
+        # The mask that keeps all but the first byte of a group.
+        after_first=np.frombuffer(b"\0\xff\xff\xff", np.uint32)[0],
+        fronts=words(fronts, 8).reshape(-1, 2).T.copy(),
+        exponents=words([f"e-{_DECADES - i:02}" for i in range(_DECADES)], 4),
+        special_bits=np.array(specials).view(np.int64).tolist(),
+        # Slot 0 is NaN's, slot k that of specials[k - 1], the last a filler.
+        special=words([","] + [f",{value:g}" for value in specials] + [""], FIELD_BYTES).reshape(-1, _WORDS),
+    )
 
 
 def _python_fields(values):
     """`float_fields` of a flat array by Python's own formatting, as rows of
-    uint32 words."""
+    uint32 words: one `%` fill of every value, each field ended by a NUL
+    to split at. NaN prints as ",nan", of which the comma is kept."""
     import numpy as np
 
-    texts = [f",{v:.12g}" if v == v else "," for v in values.tolist()]
-    return np.array(texts, dtype=f"S{FIELD_BYTES}").view(np.uint32).reshape(-1, _WORDS)
+    texts = ((",%.12g\0" * values.size) % tuple(values.tolist())).split("\0")
+    fields = np.array(texts[:-1], dtype=f"S{FIELD_BYTES}").view(np.uint8).reshape(-1, FIELD_BYTES)
+    fields[np.isnan(values), 1:4] = 0
+    return fields.view(np.uint32)
 
 
 def float_fields(values):
     """The CSV fields of a float array, as a uint8 array with one row per
     entry of `values` (or per row, for a 2-D array): each value a slot of
-    FIELD_BYTES bytes holding its comma and the text of f"{v:.12g}",
-    exactly, as one run of bytes padded with NUL. NaN is an empty field.
+    FIELD_BYTES bytes, its first byte a comma, then the text of
+    f"{v:.12g}", exactly, in bytes that are read in turn once every NUL
+    among and after them is dropped. NaN is an empty field.
 
-    Values with 1e-4 <= |v| < 1 are written by array operations. For such a
-    v of decade e the text is "0." and -e - 1 zeros, then the digits of the
-    12-digit integer M = rint(m), m = |v|·10^(11−e), with M's trailing
-    zeros dropped. The scale is a power of ten no larger than 10^15, exact
-    in a double, and the product is rounded once, so m is within 2^-14 of
-    the true value below 10^12: rint(m) is the correctly rounded
-    significand whenever rint(m) < 10^12 and m lies more than 0.001 from
-    a half-integer. ±0, ±1 and NaN are written by mask. Every other value
-    goes through Python's own formatting: near-ties, exponent form,
-    infinities, |v| >= 1, and every call of fewer than _KERNEL_MIN_VALUES
-    values."""
+    Values with 1e-99 <= |v| < 1 are written by array operations, from the
+    12-digit integer M = rint(m), m = |v|·10^(11−e), for the decade e of
+    |v|, with M's trailing zeros dropped. From 1e-4 the text is "0." and
+    -e - 1 zeros, then those digits; below, it is M's first digit, a point
+    if more digits follow, the others, and "e-" and -e in two digits. The
+    scale is the double nearest 10^(11−e) and the product is rounded once,
+    so m is within 2^-12 of the true value below 10^12: rint(m) is the
+    correctly rounded significand whenever rint(m) < 10^12 and m lies more
+    than 0.001 from a half-integer. ±0, ±1 and NaN are written by mask.
+    Every other value goes through Python's own formatting: near-ties,
+    |v| < 1e-99, |v| >= 1, infinities, and every call of fewer than
+    _KERNEL_MIN_VALUES values."""
     import numpy as np
 
     values = np.asarray(values, dtype=float)
@@ -100,66 +130,64 @@ def float_fields(values):
     v = values.ravel()
     if v.size < _KERNEL_MIN_VALUES:
         return _python_fields(v).view(np.uint8).reshape(shape)
-    edges, scales, quads, heads, special_bits, special = _kernel_tables()
+    t = _kernel_tables()
     magnitude = np.abs(v)
-    fast = (magnitude >= 1e-4) & (magnitude < 1.0)
-    # The digits are made for every value when most take the fast route,
-    # the others' rows being overwritten below, and otherwise only for the
-    # values that take it.
-    dense = 2 * np.count_nonzero(fast) >= v.size
-    at = slice(None) if dense else np.flatnonzero(fast)
-    x = np.where(fast, magnitude, 0.5) if dense else magnitude[at]
-    decade = (x >= edges[0]).astype(np.intp)
-    for edge in edges[1:]:
-        decade += x >= edge
-    m = x * scales.take(decade)
+    fast = (magnitude >= t.edges[0]) & (magnitude < 1.0)
+    # The digits are made for every value, 0.5 standing in for each one off
+    # the fast route, whose row is overwritten below.
+    x = np.where(fast, magnitude, 0.5)
+    binade = x.view(np.int64) >> 52
+    decade = t.lows.take(binade) + (x >= t.ups.take(binade))
+    m = x * t.scales.take(decade)
     digits = np.rint(m)
-    fast[at] &= (np.abs(m - digits) < 0.499) & (digits < 1e12)
+    fast &= (np.abs(m - digits) < 0.499) & (digits < 1e12)
     # M in three groups of four digits. A group followed only by zero
-    # groups is looked up with its trailing zeros as NUL.
+    # groups is looked up with its trailing zeros as NUL. (A value rounding
+    # up to 10^12 takes clipped entries; its row is overwritten below.)
     digits = digits.astype(np.int64)
     high = digits // 10**8
     low = digits - high * 10**8
     mid = low // 10**4
     low -= mid * 10**4
-    head = decade + 4 * np.signbit(v[at])
-    words = np.empty((x.size, _WORDS), np.uint32)
-    words[:, 0] = heads[0].take(head)
-    words[:, 1] = heads[1].take(head)
-    # (A value rounding up to 10^12 takes a clipped group; its row is
-    # overwritten below.)
-    words[:, 2] = quads.take(high + 10**4 * ((mid | low) == 0), mode="clip")
-    words[:, 3] = quads.take(mid + 10**4 * (low == 0))
-    words[:, 4] = quads.take(low + 10**4)
-    # Rows are placed as whole FIELD_BYTES items, not word by word.
-    item = f"V{FIELD_BYTES}"
-    if not dense:
-        placed = np.empty((v.size, _WORDS), np.uint32)
-        placed.view(item)[at, 0] = words.view(item)[:, 0]
-        words = placed
+    groups = [
+        t.quads.take(high + 10**4 * ((mid | low) == 0), mode="clip"),
+        t.quads.take(mid + 10**4 * (low == 0)),
+        t.quads.take(low + 10**4),
+    ]
+    # Fixed notation is a front of two words and the three groups; exponent
+    # form a front of one word, holding M's first digit, the rest of the
+    # groups and the exponent.
+    fixed = decade >= _DECADES - _FIXED
+    after_first = groups[0] & t.after_first
+    front = np.where(fixed, decade - (_DECADES - _FIXED), _FIXED + 10 * (after_first != 0) + high // 1000)
+    front += (len(t.fronts[0]) // 2) * np.signbit(v)
+    words = np.empty((v.size, _WORDS), np.uint32)
+    words[:, 0] = t.fronts[0].take(front, mode="clip")
+    exponent_form = [after_first, *groups[1:], t.exponents.take(decade)]
+    for column, pair in enumerate(zip([t.fronts[1].take(front, mode="clip"), *groups], exponent_form), 1):
+        words[:, column] = np.where(fixed, *pair)
     rest = np.flatnonzero(~fast)
     if rest.size:
         # The other values by kind: NaN, each special bit pattern, and what
         # is left, which Python formats.
         others = v[rest]
-        kind = np.full(rest.size, len(special) - 1, np.intp)
+        kind = np.full(rest.size, len(t.special) - 1, np.intp)
         kind[np.isnan(others)] = 0
-        for code, bits in enumerate(special_bits, 1):
+        for code, bits in enumerate(t.special_bits, 1):
             kind[others.view(np.int64) == bits] = code
-        slots = special.take(kind, axis=0)
-        left = np.flatnonzero(kind == len(special) - 1)
+        slots = t.special.take(kind, axis=0)
+        left = np.flatnonzero(kind == len(t.special) - 1)
         if left.size:
             slots[left] = _python_fields(others[left])
-        if rest.size == v.size:
-            words = slots
-        else:
-            words.view(item)[rest, 0] = slots.view(item)[:, 0]
+        # Rows are placed as whole FIELD_BYTES items, not word by word.
+        item = f"V{FIELD_BYTES}"
+        words.view(item)[rest, 0] = slots.view(item)[:, 0]
     return words.view(np.uint8).reshape(shape)
 
 
 def text_fields(texts):
     """The CSV fields of a sequence of texts, as a uint8 array with one row
-    per text: its comma, then its UTF-8 bytes, NUL-padded to the longest.
+    per text: a comma, then its UTF-8 bytes, NUL-padded to the longest.
     No text may hold a NUL, which the table writer drops."""
     import numpy as np
 
@@ -176,8 +204,9 @@ def text_fields(texts):
 
 def csv_lines(fields: Sequence) -> str:
     """Lines of CSV text: line i is row i of each array of `fields` (uint8
-    arrays of one number of rows, from `float_fields` or `text_fields`) in
-    turn, with the first field's comma dropped, then "\\n"."""
+    arrays of one number of rows, from `float_fields` or `text_fields`,
+    each field a comma and then its text, NUL dropped) in turn, with the
+    first field's comma dropped, then "\\n"."""
     import numpy as np
 
     lines = len(fields[0])
@@ -187,8 +216,7 @@ def csv_lines(fields: Sequence) -> str:
     row = np.empty((lines, ends[-1] + 1), np.uint8)
     for part, start, end in zip(fields, [0, *ends], ends):
         row[:, start:end] = part
-    # The first field's comma is its first byte that is not NUL.
-    row[np.arange(lines), (fields[0] != 0).argmax(axis=1)] = 0
+    row[:, 0] = 0
     row[:, -1] = ord("\n")
     return str(row[row != 0], "utf-8")
 

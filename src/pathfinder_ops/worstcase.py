@@ -534,10 +534,11 @@ GRADMAP_CELLS_CSV_HEADER = "n,u_abs,noise_kind,alpha,theta,dw_dtheta"
 
 def _instance_fields(gmap: GradientSignMap) -> np.ndarray:
     """The fields "n,u_abs,noise_kind" of each (n, |U|) instance, n-major,
-    as one text field a row, with u_abs as `float_fields` writes it. The n
-    values print through str(), never through a numpy array, which would
-    turn an int64 and an n of 2**63 into floats."""
-    u_texts = csv_lines([float_fields(gmap.u_abs_values)]).split("\n")[:-1]
+    as one text field a row, with u_abs as f"{u:.12g}", the text of every
+    float in a table (NaN an empty field). The n values print through
+    str(), never through a numpy array, which would turn an int64 and an n
+    of 2**63 into floats."""
+    u_texts = ["" if u != u else f"{u:.12g}" for u in gmap.u_abs_values.tolist()]
     kind = gmap.noise_kind.value
     return text_fields([f"{n},{u},{kind}" for n in gmap.n_values for u in u_texts])
 

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import pytest
@@ -60,10 +61,10 @@ class TestCsvColumns:
     """The cases of the column-wise CSV writer that grid tables replaced,
     now on `float_fields`, which formats every float of every table,
     against f"{v:.12g}" value by value. Every case runs on a column of one
-    copy of its values, formatted by Python alone, and of 40 copies, long
+    copy of its values, formatted by Python alone, and of 80 copies, long
     enough for the array kernel."""
 
-    @pytest.fixture(params=[1, 40], ids=["short", "long"])
+    @pytest.fixture(params=[1, 80], ids=["short", "long"])
     def reps(self, request):
         return request.param
 
@@ -102,21 +103,24 @@ class TestCsvColumns:
             grid_csv(["a", "b", "x"], [[1.0, 2.0], [1.0], [[1.0], [2.0]]])
 
 
-# Each power of ten from 1e-5 to 1e13, taken as the double nearest it and as
-# 10.0**k (which may be an ulp away), from 2 ulps below to 4 above.
+# Each power of ten from 1e-101 to 1e13, taken as the double nearest it and
+# as 10.0**k (which may be an ulp away), from 2 ulps below to 4 above.
 DECADE_EDGES = np.array([
-    x for k in range(-5, 14) for edge in (10.0**k, float(f"1e{k}"))
+    x for k in range(-101, 14) for edge in (10.0**k, float(f"1e{k}"))
     for x in np.nextafter(edge, np.inf) + np.arange(-3, 4) * np.spacing(edge)
 ] + [1 - 2**-53, 1 + 2**-52, 0.99999999999949, 0.9999999999995, 0.99999999999951])
 
 
 def exact_ties():
-    """Every double below 1 and at least 1e-4 whose decimal expansion has
-    exactly 13 significant digits, the last one 5: t / 2^(12 - e) for odd t,
-    at decade e."""
+    """Every double below 1 whose decimal expansion has exactly 13
+    significant digits, the last one 5: t / 2^(12 - e) for odd t, at decade
+    e. Below 1e-6 there are none, as 5^(12 - e) would have to divide 13
+    digits."""
     ties = []
-    for e, lo, hi in ((-1, 820, 8192), (-2, 164, 1639), (-3, 33, 328), (-4, 7, 66)):
-        ties += [t / 2 ** (12 - e) for t in range(lo | 1, hi, 2)]
+    for e in range(-6, 0):
+        scale = 2 ** (12 - e)
+        lo, hi = -(-scale // 10**-e), -(-scale // 10 ** (-e - 1))
+        ties += [t / scale for t in range(lo | 1, hi, 2)]
     return np.array(ties)
 
 
@@ -130,9 +134,10 @@ class TestFloatFieldsEdges:
 
     def test_exact_ties_round_half_to_even(self):
         ties = exact_ties()
-        assert len(ties) == 4601
+        assert len(ties) == 4608
         for t in ties.tolist():
-            assert len(repr(t).split(".")[1].lstrip("0")) == 13 and repr(t).endswith("5")
+            digits = Decimal(t).as_tuple().digits
+            assert len(digits) == 13 and digits[-1] == 5
         values = np.concatenate([ties, -ties, np.nextafter(ties, 0), np.nextafter(ties, 1)])
         assert field_texts(values) == fmt12(values)
 
@@ -142,8 +147,10 @@ class TestFloatFieldsEdges:
         # the tie in m), and some 2**10 and 2**20 ulps away.
         rng = np.random.default_rng(12)
         values = []
-        for e in range(-4, 0):
-            ties = (rng.integers(10**11, 10**12, 4000) + 0.5) * 10.0 ** (e - 11)
+        for e in range(-99, 0):
+            ties = np.array([
+                float(f"{tie}5e{e - 12}") for tie in rng.integers(10**11, 10**12, 4000 if e >= -4 else 200).tolist()
+            ])
             for ulps in (-2**20, -2**10, -3, -1, 0, 1, 3, 2**10, 2**20):
                 values.append(ties + ulps * np.spacing(ties))
         values = np.concatenate(values)
@@ -153,7 +160,7 @@ class TestFloatFieldsEdges:
         # Python.
         decade = np.floor(np.log10(values))
         m = values * 10.0 ** (11 - decade)
-        assert np.count_nonzero(m - np.floor(m) == 0.5) > 1000
+        assert np.count_nonzero(m - np.floor(m) == 0.5) > 1500
         assert field_texts(values) == fmt12(values)
 
     def test_specials_and_subnormals(self):
@@ -169,7 +176,7 @@ class TestFloatFieldsEdges:
 
     def test_random_values_of_the_fast_route(self):
         rng = np.random.default_rng(4)
-        values = rng.random(10**5) * 10.0 ** rng.integers(-4, 0, 10**5)
+        values = rng.random(10**5) * 10.0 ** rng.integers(-99, 1, 10**5)
         values[::2] *= -1
         assert field_texts(values) == fmt12(values)
 
@@ -180,12 +187,12 @@ class TestFloatFieldsEdges:
         assert field_texts(values) == fmt12(values)
 
     def test_python_formats_only_what_the_kernel_cannot(self, monkeypatch):
-        # Uniform values in [0.001, 1), with zeros, ones and NaN: Python
+        # Values log-uniform in [1e-99, 1), with zeros, ones and NaN: Python
         # formats only the near-ties, about 0.2% of the rest.
         seen = []
         real = fileio_module._python_fields
         monkeypatch.setattr(fileio_module, "_python_fields", lambda v: seen.append(v.size) or real(v))
-        values = np.random.default_rng(1).uniform(1e-3, 1, 10**5)
+        values = 10.0 ** np.random.default_rng(1).uniform(-99, 0, 10**5)
         values[::10], values[1::10], values[2::10] = 0.0, 1.0, np.nan
         assert field_texts(values) == fmt12(values)
         assert sum(seen) < 500

@@ -696,7 +696,7 @@ class TestTimestampText:
         # refuses a stamp unless every sign and `Z` follows a digit, and the
         # run of digits it follows is a fraction or of even length.
         runs = re.finditer(r"(^|[^0-9])([0-9]*)(?=[-+Z])", text)
-        refused = any(not digits or (len(digits) % 2 and before not in ".,")
+        refused = any(not digits or (len(digits) % 2 and before not in (".", ","))
                       for before, digits in (run.groups() for run in runs))
         try:
             expected = datetime.fromisoformat(text.replace("Z", "+00:00")).isoformat()
