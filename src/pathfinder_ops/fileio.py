@@ -93,13 +93,11 @@ def _kernel_tables():
 def _python_fields(values):
     """`float_fields` of a flat array by Python's own formatting, as rows of
     uint32 words: one `%` fill of every value, each field ended by a NUL
-    to split at. NaN prints as ",nan", of which the comma is kept."""
+    to split at, and every "nan", which no other text holds, made empty."""
     import numpy as np
 
-    texts = ((",%.12g\0" * values.size) % tuple(values.tolist())).split("\0")
-    fields = np.array(texts[:-1], dtype=f"S{FIELD_BYTES}").view(np.uint8).reshape(-1, FIELD_BYTES)
-    fields[np.isnan(values), 1:4] = 0
-    return fields.view(np.uint32)
+    texts = ((",%.12g\0" * values.size) % tuple(values.tolist())).replace("nan", "").split("\0")
+    return np.array(texts[:-1], dtype=f"S{FIELD_BYTES}").view(np.uint32).reshape(-1, _WORDS)
 
 
 def float_fields(values):
@@ -218,7 +216,7 @@ def csv_lines(fields: Sequence) -> str:
         row[:, start:end] = part
     row[:, 0] = 0
     row[:, -1] = ord("\n")
-    return str(row[row != 0], "utf-8")
+    return row.tobytes().translate(None, b"\0").decode()
 
 
 def grid_csv(header: Sequence[str], columns: Sequence) -> str:
