@@ -1,18 +1,20 @@
 """Decision models for pathfinder flight operations.
 
-Five analysis families behind one package: the gate-state Markov chain and
-its stationary distribution (`chain`), flight/controller decision models
-(`agents`), worst-case collective-rejection analysis with selfless-behavior
-and shared-noise extensions (`worstcase`), seeded Monte Carlo oracles
-(`simulate`), and coordination-log classification plus chain calibration
-(`ntml`). The `pathfinder-ops` CLI exposes every family but `agents` as
-subcommands.
+Five analysis families behind one package: the gate-state Markov chain,
+its stationary distribution and its seeded walk (`chain`), flight/controller
+decision models (`agents`), worst-case collective-rejection analysis with
+selfless-behavior and shared-noise extensions, and the seeded offer rounds
+that check it (`worstcase`), seeded random streams and the controller's
+selection round (`simulate`), and coordination-log classification plus
+chain calibration (`ntml`). The `pathfinder-ops` CLI exposes every family but
+`agents` as subcommands; its `simulate` subcommand runs the walk and the
+rounds.
 
 Every name below is exported lazily (PEP 562): the module that defines it
 is imported on first access, so `import pathfinder_ops` imports no numpy.
 """
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 _EXPORTS = {
     "agents": (
@@ -27,6 +29,8 @@ _EXPORTS = {
     ),
     "chain": (
         "ChainParams",
+        "SimConfig",
+        "simulate_chain",
         "stationary",
         "steady_state",
         "sweep_steady_state",
@@ -57,23 +61,21 @@ _EXPORTS = {
         "read_corpus_csv",
     ),
     "simulate": (
-        "MixtureBatchResult",
         "SelectionOutcome",
-        "SimConfig",
-        "expected_offers",
         "make_rng",
-        "mixture_batch",
         "run_selection_round",
-        "simulate_chain",
     ),
     "worstcase": (
         "GradientSignMap",
+        "MixtureBatchResult",
         "NoiseKind",
         "NoiseSpec",
         "SocialParams",
         "WorstCaseScenario",
+        "expected_offers",
         "gradient_sign_map",
         "group_reject_probs",
+        "mixture_batch",
         "noisy_tipping_point",
         "noisy_worst_case_prob",
         "social_tipping_point",

@@ -47,19 +47,18 @@ EXIT_COMPUTE = 3
 # is not JSON imports no numpy either.
 _HOMES = {
     "chain": (
-        "DEFAULT_GRID", "MAX_SWEEP_CELLS", "ChainParams", "_validate_grid", "steady_state",
-        "sweep_steady_state", "sweep_to_csv",
+        "DEFAULT_GRID", "MAX_SWEEP_CELLS", "ChainParams", "SimConfig", "_validate_grid",
+        "simulate_chain", "steady_state", "sweep_steady_state", "sweep_to_csv",
     ),
     "ntml": (
         "calibrated_steady_state", "classify_corpus", "default_rules", "estimate_params",
         "labeled_to_csv", "load_rules", "read_corpus_csv",
     ),
-    "simulate": ("SimConfig", "check_batch", "mixture_batch", "simulate_chain"),
     "worstcase": (
         "DEFAULT_ALPHA_GRID", "DEFAULT_GH_NODES", "DEFAULT_N_VALUES", "DEFAULT_THETA_GRID",
         "DEFAULT_U_ABS_VALUES", "NoiseKind", "NoiseSpec", "SocialParams", "WorstCaseScenario",
-        "gradient_cells_to_csv", "gradient_sign_map", "gradient_sign_map_to_csv",
-        "noisy_tipping_point", "noisy_worst_case_prob", "social_tipping_point",
+        "check_batch", "gradient_cells_to_csv", "gradient_sign_map", "gradient_sign_map_to_csv",
+        "mixture_batch", "noisy_tipping_point", "noisy_worst_case_prob", "social_tipping_point",
         "social_worst_case_prob", "tipping_point", "worst_case_prob",
     ),
 }
@@ -350,10 +349,6 @@ def cmd_simulate(args) -> list:
     cfg = _load_config(args.config)
     import numpy as np
 
-    _bind(
-        "ChainParams", "SimConfig", "check_batch", "simulate_chain", "mixture_batch",
-        "steady_state",
-    )
     sim = _require_section(cfg, "sim")
     seed = sim["seed"] if args.seed is None else args.seed
     steps, rounds = sim["steps"], sim["rounds"]
@@ -362,8 +357,11 @@ def cmd_simulate(args) -> list:
     if steps is None and rounds is None:
         raise ValueError("sim section must set 'steps' (chain) and/or 'rounds' (selection)")
 
-    # Validate both parts before either runs.
+    # Validate both parts before either runs. Each part binds only its own
+    # model's names, so a chain-only call imports no worstcase and a
+    # rounds-only call no chain.
     if steps is not None:
+        _bind("ChainParams", "SimConfig", "simulate_chain", "steady_state")
         chain = _require_section(cfg, "chain")
         for key, value in chain.items():
             if not isinstance(value, float):
@@ -371,6 +369,7 @@ def cmd_simulate(args) -> list:
         params = ChainParams(**chain)
         sim_cfg = SimConfig(seed=seed, steps=steps, burn_in=sim["burn_in"])
     if rounds is not None:
+        _bind("check_batch", "mixture_batch")
         scn = _scenario(cfg)
         if sim["alpha"] is None:
             raise ValueError("config key 'sim.alpha' is required for selection rounds")

@@ -3,9 +3,10 @@ number is: a real value (an int, a float, a Fraction or a numpy scalar) that
 is not a bool, is finite (an int beyond the float range is not) and lies
 within its bounds. `number`, `integer` and `number_array` check it for every
 library constructor and config key, and raise ValueError for anything else;
-`number_array` checks the range of a whole list or array in one pass.
-`json_object` checks the keys of every object in a config, rules or agent file,
-and `step_grid` builds every evenly stepped grid.
+`number_array` checks the range of a whole list or array in one pass, and
+`MAX_SEED` bounds every seed. `json_object` checks the keys of every object
+in a config, rules or agent file, and `step_grid` builds every evenly
+stepped grid.
 
 Two bases classify every failure. Bad input (an out-of-range value, an
 empty grid, a duplicate id) is a ValueError. Valid input that has no result
@@ -82,6 +83,10 @@ def number(name: str, value, lo=-math.inf, hi=math.inf, *, lo_open=False, hi_ope
     if not _within(value, lo, hi, lo_open, hi_open):
         raise _out_of_range(name, value, lo, hi, lo_open, hi_open)
     return float(value)
+
+
+# The largest seed: Philox is keyed by (seed, stream) as two uint64 words.
+MAX_SEED = 2**64 - 1
 
 
 def integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:

@@ -22,6 +22,11 @@ nodes as W, using dp/dxi = -beta * p * (1 - p). They give the sensitivity
 d(alpha*)/d(theta) by the implicit function theorem, and the noise-gradient
 sign map. Both noise laws are symmetric, so dW/dtheta is exactly 0 at
 theta = 0.
+
+`mixture_batch` is the plain model's seeded Monte Carlo check: repeated
+offer rounds whose all-reject frequency estimates W(alpha) and whose mean
+offers estimate `expected_offers`, in closed form. Its generator comes from
+`simulate.make_rng`, imported when it draws.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradient, NoTippingPoint, integer, number, number_array, step_grid
+from .errors import MAX_SEED, DegenerateGradient, NoTippingPoint, integer, number, number_array
+from .errors import step_grid
 from .fileio import BLOCK_ROWS, csv_lines, float_fields, grid_csv, text_fields
 
 # Gradient values above -1e-12 count as zero when classifying gradient
@@ -308,17 +314,6 @@ def group_reject_probs(scn: WorstCaseScenario) -> tuple[float, float]:
     return float(p_rej[0]), float(p_rec[0])
 
 
-def group_worst_case_prob(n: int, alpha: float, probs: tuple[float, float]) -> float:
-    """worst_case_prob at one alpha from the (p_rejective, p_receptive) pair
-    of group_reject_probs, for a caller that holds it already: the same
-    float operations, so the same bits."""
-    p_rej, p_rec = probs
-    # The power underflows to 0 for large n, as mixture_batch's rounds allow.
-    with np.errstate(under="ignore"):
-        w = _mixture_w(n, alpha, (np.array([p_rej]), np.array([p_rec])), _POINT_NODES[1])
-    return float(w)
-
-
 def worst_case_prob(scn: WorstCaseScenario, alpha):
     """Probability that all n agents reject, for rejective fraction alpha
     (a float, or an array of them)."""
@@ -576,3 +571,219 @@ def gradient_cells_to_csv(gmap: GradientSignMap) -> Iterator[str]:
             ])
 
     return blocks()
+
+
+# --- seeded offer rounds ------------------------------------------------------
+
+# Rounds per chunk of mixture_batch, whose arrays stay in cache.
+_CHUNK = 2**14
+
+# Cap on the agent draws (rounds x n) of one mixture_batch, checked before
+# anything is allocated. mixture_batch keeps O(_CHUNK) memory, about 1-2
+# MiB, plus its Binomial table (under 5 MiB at n = 2**24), whatever the
+# request, so the cap bounds time (2-CPU machine, whose speed varied by up
+# to 2x between runs). It runs at 2.5e7 to 3.6e7 rounds/s for n = 1 and 4e7
+# to 8e7 for n = 10, so the slowest request at MAX_ROUND_DRAWS, 2**24 rounds
+# of one agent, takes 0.4 to 0.7 s; one round of 2**24 agents takes about
+# 7 ms.
+MAX_ROUND_DRAWS = 2**24
+
+
+@dataclass(frozen=True)
+class MixtureBatchResult:
+    rounds: int
+    all_reject_rate: float
+    mean_offers: float
+    # The standard error of mean_offers from the rounds' sample variance;
+    # None for a single round.
+    mean_offers_std_error: float | None
+    # What all_reject_rate and mean_offers estimate, worst_case_prob(scn,
+    # alpha) and expected_offers(scn, alpha), worked out from the batch's
+    # own group probabilities.
+    analytic_all_reject: float
+    analytic_mean_offers: float
+
+
+def check_batch(scn: WorstCaseScenario, alpha, rounds, seed) -> float:
+    """Validate mixture_batch's arguments without allocating anything;
+    return alpha as a float. rounds x scn.n must not exceed MAX_ROUND_DRAWS.
+    """
+    alpha = number("alpha", alpha, 0, 1)
+    rounds = integer("rounds", rounds, 1)
+    if rounds * scn.n > MAX_ROUND_DRAWS:
+        raise ValueError(
+            f"rounds x n must not exceed {MAX_ROUND_DRAWS} agent draws, "
+            f"got {rounds} x {scn.n}"
+        )
+    integer("seed", seed, 0, MAX_SEED)
+    return alpha
+
+
+def _geometric(exp_draws: np.ndarray, p: float, cap: int):
+    """Trials up to and including the first success, success probability p
+    per trial, one per Exp(1) draw: floor(E / -log(1 - p)) + 1 is
+    Geometric(p) on {1, 2, ...} (Devroye 1986, ch. X). Clipped to `cap`; a
+    trial that never succeeds gives `cap`, which callers choose beyond any
+    count they test. Degenerate p gives a scalar."""
+    if p == 1.0:
+        return 1.0
+    if p == 0.0:
+        return cap
+    scale = -1.0 / math.log1p(-p)
+    if math.isinf(scale):  # subnormal p: no success within the cap
+        return cap
+    # Past about 1e307 the product overflows to inf, which the cap ends.
+    with np.errstate(over="ignore"):
+        trials = exp_draws * scale
+    return np.minimum(np.floor(trials) + 1.0, cap)
+
+
+def _binomial_pmf(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, pmf): a window of k values, as floats, holding every k whose
+    Binomial(n, alpha) probability is nonzero in float64, and those
+    probabilities, summing to 1.
+
+    By Hoeffding (1963), P(|K - n alpha| >= t) <= 2 exp(-2 t^2 / n), which
+    is below 2**-1075 once t^2 >= 373 n. The window is therefore
+    n alpha +- (sqrt(373 n) + 1), clipped to [0, n]: O(sqrt(n)) entries.
+    The log-probabilities are summed outward from the mode from the ratios
+    p(k+1) / p(k), so no partial sum spans the far tails, and exponentiated
+    relative to the mode.
+    """
+    if alpha == 0.0 or alpha == 1.0:
+        return np.array([alpha * n]), np.ones(1)
+    half = math.sqrt(373 * n) + 1.0
+    lo, hi = max(0, math.floor(n * alpha - half)), min(n, math.ceil(n * alpha + half))
+    ks = np.arange(lo, hi + 1.0)
+    # log p(k+1) - log p(k), decreasing in k, so the mode follows its last positive value.
+    up = np.log((n - ks[:-1]) / (ks[:-1] + 1.0)) + (math.log(alpha) - math.log1p(-alpha))
+    mode = int(np.count_nonzero(up > 0))
+    log_p = np.zeros(ks.size)
+    log_p[mode + 1 :] = np.cumsum(up[mode:])
+    log_p[:mode] = -np.cumsum(up[:mode][::-1])[::-1]
+    # exp and the divide underflow in the far tails, which read 0.
+    with np.errstate(under="ignore"):
+        pmf = np.exp(log_p)
+        pmf /= pmf.sum()
+    return ks, pmf
+
+
+def mixture_batch(
+    scn: WorstCaseScenario, alpha: float, rounds: int, seed: int
+) -> MixtureBatchResult:
+    """Repeated offer rounds over a two-group agent pool.
+
+    Each round independently assigns each of the scn.n agents to the
+    rejective group with probability alpha, then walks the offer order
+    (receptive agents first, mirroring payoff-descending ranking) until an
+    acceptance. The all-reject frequency is the empirical counterpart of
+    worst_case_prob(scn, alpha), and the mean offers that of
+    expected_offers(scn, alpha); the result carries both, worked out from
+    the group probabilities the rounds use.
+
+    A round takes one draw, not one per agent, once its K ~ Binomial(n,
+    alpha) rejective agents are known, and a second only when every
+    receptive agent refuses. Offers within a group are independent trials,
+    so the first acceptance among the n - K receptive agents, offered first,
+    lies at g_rec ~ Geometric(1 - p_rec), drawn from an Exp(1) variate. The
+    round makes g_rec offers if g_rec <= n - K. Otherwise the first
+    acceptance among the K rejective agents lies at g_rej ~ Geometric(1 -
+    p_rej), drawn from a second Exp(1) variate for these rounds alone, and
+    the round makes (n - K) + g_rej offers if g_rej <= K, else all n agents
+    reject. This is the law of the per-agent walk.
+
+    Rounds run in chunks of _CHUNK with three running sums (all-reject
+    rounds, offers and squared offers), so memory is O(chunk + sqrt(n)) and
+    time O(rounds) plus O(sqrt(n)) a chunk. The rounds of a chunk are
+    i.i.d., so the histogram of their K values is Multinomial(chunk, pmf),
+    drawn once per chunk from the Binomial(n, alpha) probabilities, which
+    are worked out once per call. The geometric draws are i.i.d. and
+    independent of K, so pairing the g_rec draws with the K values in
+    sorted order, and the g_rej draws with the refused rounds in order,
+    keeps the joint law of the rounds; only sums over rounds are reported.
+    """
+    from .simulate import STREAM_MIXTURE, make_rng
+
+    alpha = check_batch(scn, alpha, rounds, seed)
+    rounds = int(rounds)
+    rng = make_rng(seed, STREAM_MIXTURE)
+    probs = p_rej, p_rec = group_reject_probs(scn)
+    n = scn.n
+    ks, pmf = _binomial_pmf(n, alpha)
+    all_reject = offers = offers_sq = 0
+    for start in range(0, rounds, _CHUNK):
+        size = min(_CHUNK, rounds - start)
+        rejective = np.repeat(ks, rng.multinomial(size, pmf))
+        receptive = n - rejective
+        # Capped at n + 1: beyond every group size.
+        g_rec = _geometric(rng.standard_exponential(size), 1.0 - p_rec, n + 1)
+        refused = g_rec > receptive  # every receptive agent refused
+        made = np.minimum(g_rec, receptive)
+        # Only the refused rounds read the rejective stage: receptive +
+        # g_rej offers, or n when every rejective agent refuses too (g_rej > K).
+        k_refused = rejective[refused]
+        g_rej = _geometric(rng.standard_exponential(k_refused.size), 1.0 - p_rej, n + 1)
+        made[refused] += np.minimum(g_rej, k_refused)
+        all_reject += int(np.count_nonzero(g_rej > k_refused))
+        # Whole numbers, and a chunk's sum of squares is at most
+        # size * n**2 <= MAX_ROUND_DRAWS * n <= 2**48, so both sums are exact.
+        offers += int(made.sum())
+        offers_sq += int(made @ made)
+    # The rounds' sample variance, from exact integer sums.
+    spread = rounds * offers_sq - offers * offers
+    # worst_case_prob(scn, alpha) from the probabilities the rounds use: the
+    # same float operations, so the same bits. The power underflows to 0 for
+    # large n, as the rounds allow.
+    with np.errstate(under="ignore"):
+        w = float(_mixture_w(n, alpha, probs, _POINT_NODES[1]))
+    return MixtureBatchResult(
+        rounds=rounds,
+        all_reject_rate=all_reject / rounds,
+        mean_offers=offers / rounds,
+        mean_offers_std_error=math.sqrt(spread / (rounds - 1)) / rounds if rounds > 1 else None,
+        analytic_all_reject=w,
+        analytic_mean_offers=_expected_offers(n, alpha, probs),
+    )
+
+
+def expected_offers(scn: WorstCaseScenario, alpha) -> float:
+    """Mean offers of a mixture_batch round, in closed form: the empirical
+    mean_offers estimates it.
+
+    Given K = k rejective agents, the m = n - k receptive ones are offered
+    first and all refuse with probability r**m, so E[offers | K = k] =
+    (1 - r**m)/(1 - r) + r**m (1 - q**k)/(1 - q) with r = p_rec and q =
+    p_rej. Over K ~ Binomial(n, alpha), E[r**m] = x**n with x = alpha +
+    (1 - alpha) r, and E[r**m q**k] = W = (alpha q + (1 - alpha) r)**n, so
+
+        E[offers] = (1 - x**n)/(1 - r) + (x**n - W)/(1 - q),
+
+    which takes O(1) time and memory whatever n.
+    """
+    alpha = number("alpha", alpha, 0, 1)
+    return _expected_offers(scn.n, alpha, group_reject_probs(scn))
+
+
+def _expected_offers(n: int, alpha: float, probs) -> float:
+    """expected_offers from the (p_rej, p_rec) pair of group_reject_probs,
+    where p_rec <= 0.5 <= p_rej. x**n is exp(n log1p(-(1 - alpha)(1 - r))),
+    as x rounded to a double would put an error of n ulps in its power, and
+    x**n - W is -x**n expm1(n log1p(-alpha (1 - q) / x)), so that neither
+    difference cancels. At q = 1 the second term is its limit
+    n alpha x**(n - 1)."""
+    q, r = probs
+    x = alpha + (1.0 - alpha) * r
+    accept = (1.0 - alpha) * (1.0 - r)  # 1 - x
+    # math refuses log1p(-1); 1 - x rounds to 1 only where x < 2**-53, and
+    # x**n is taken as 0 there.
+    log_x_n = n * math.log1p(-accept) if accept < 1.0 else -math.inf
+    x_n = math.exp(log_x_n)
+    receptive = -math.expm1(log_x_n) / (1.0 - r)
+    if alpha == 0.0:  # no rejective agent, and x may be 0
+        rejective = 0.0
+    elif q == 1.0:
+        rejective = n * alpha * (x_n / x)
+    else:
+        w_ratio = math.expm1(n * math.log1p(-alpha * (1.0 - q) / x))  # W / x**n - 1
+        rejective = -x_n * w_ratio / (1.0 - q)
+    return receptive + rejective

@@ -949,7 +949,7 @@ class TestSimulate:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(worstcase_module, "_reject_probs")
-        counted(simulate_module, "_binomial_pmf")
+        counted(worstcase_module, "_binomial_pmf")
         doc = dict(FIG3_WORST, sim={"seed": 1, "rounds": 1000, "alpha": 0.5})
         out = tmp_path / "sel.json"
         assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
@@ -1748,16 +1748,17 @@ print(json.dumps(codes))
 PACKAGE_EXPORTS = {
     "agents": ["AgentProfile", "ControllerCandidate", "ControllerContext", "candidates_from_json",
                "controller_payoff", "p_accept", "rank_candidates", "utility_accept"],
-    "chain": ["ChainParams", "stationary", "steady_state", "sweep_steady_state", "sweep_to_csv"],
+    "chain": ["ChainParams", "SimConfig", "simulate_chain", "stationary", "steady_state",
+              "sweep_steady_state", "sweep_to_csv"],
     "errors": ["DegenerateGradient", "InsufficientData", "NonUniqueStationary", "NoTippingPoint",
                "PathfinderOpsError"],
     "ntml": ["Label", "LabelCounts", "LogCorpus", "LogRecord", "Match", "RuleSet",
              "calibrated_steady_state", "classify", "classify_corpus", "default_rules",
              "estimate_params", "generate_corpus", "labeled_to_csv", "load_rules", "read_corpus_csv"],
-    "simulate": ["MixtureBatchResult", "SelectionOutcome", "SimConfig", "expected_offers", "make_rng",
-                 "mixture_batch", "run_selection_round", "simulate_chain"],
-    "worstcase": ["GradientSignMap", "NoiseKind", "NoiseSpec", "SocialParams", "WorstCaseScenario",
-                  "gradient_sign_map", "group_reject_probs", "noisy_tipping_point",
+    "simulate": ["SelectionOutcome", "make_rng", "run_selection_round"],
+    "worstcase": ["GradientSignMap", "MixtureBatchResult", "NoiseKind", "NoiseSpec", "SocialParams",
+                  "WorstCaseScenario", "expected_offers", "gradient_sign_map", "group_reject_probs",
+                  "mixture_batch", "noisy_tipping_point",
                   "noisy_worst_case_prob", "social_tipping_point", "social_worst_case_prob",
                   "tipping_point", "tipping_point_gradient", "worst_case_prob"],
 }
@@ -1835,6 +1836,27 @@ print(json.dumps({"code": code, "imported": [m for m in WATCHED if m in new]}))
         assert "numpy" in got["imported"]
         for module in ("ntml", "simulate", "agents", unused):
             assert f"pathfinder_ops.{module}" not in got["imported"]
+
+    @pytest.mark.parametrize(
+        "doc, unused",
+        [
+            ({"chain": {"p_good": 0.5, "p_accept": 0.8, "p_success": 0.9},
+              "sim": {"seed": 1, "steps": 1000}}, "worstcase"),
+            (dict(FIG3_WORST, sim={"seed": 1, "rounds": 1000, "alpha": 0.5}), "chain"),
+        ],
+        ids=["chain-only", "rounds-only"],
+    )
+    def test_simulate_imports_only_the_model_it_draws_from(self, tmp_path, doc, unused):
+        # The walk lives in `chain` and the rounds in `worstcase`, so a call
+        # that runs one part needs no module `unused`. Both parts import
+        # `simulate` for `make_rng`, and with it `agents`: `simulate` keeps
+        # `rank_candidates` bound for the benchmark's tracer, which wraps it
+        # there by name.
+        cfg = write_config(tmp_path, doc)
+        got = self.imported_by(["simulate", "--config", cfg, "--out", "out.json"], tmp_path)
+        assert got["code"] == 0
+        assert "pathfinder_ops.simulate" in got["imported"]
+        assert f"pathfinder_ops.{unused}" not in got["imported"]
 
     def test_classify_imports_only_its_modules(self, tmp_path):
         corpus, _ = project_fixture(tmp_path)

@@ -42,7 +42,7 @@ from pathfinder_ops.chain import transition_matrices
 from pathfinder_ops.cli import SCHEMA, main
 import pathfinder_ops.errors as errors_module
 from pathfinder_ops.errors import integer, number, number_array
-from pathfinder_ops.simulate import check_batch
+from pathfinder_ops.worstcase import check_batch
 
 SCN = dict(n=10, u_minus=-2.0, u_plus=2.0, beta=1.0, delta=0.1)
 PROFILE = dict(

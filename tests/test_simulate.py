@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import pathfinder_ops.chain as chain_module
 import pathfinder_ops.simulate as simulate_module
 from pathfinder_ops import (
     AgentProfile,
@@ -25,20 +26,19 @@ from pathfinder_ops import (
     steady_state,
     worst_case_prob,
 )
-from pathfinder_ops.chain import transition_matrices
-from pathfinder_ops.simulate import (
+from pathfinder_ops.chain import (
     _CHUNK,
     _GUESSES,
     _UNDRAWN,
-    MAX_ROUND_DRAWS,
     MAX_STEPS,
-    _binomial_pmf,
     _failures,
     _odds,
     _split,
     _split_failures,
-    check_batch,
+    transition_matrices,
 )
+from pathfinder_ops.worstcase import _CHUNK as ROUND_CHUNK
+from pathfinder_ops.worstcase import MAX_ROUND_DRAWS, _binomial_pmf, check_batch
 
 from oracles import (
     binomial_sum_w,
@@ -277,16 +277,16 @@ class TestHoldingTimeWalk:
         # ends inside the first block and the last counted step inside the
         # fourth. Without guesses each end takes 6 halvings to reach its
         # excursion; with them, fewer.
-        monkeypatch.setattr(simulate_module, "_CHUNK", 64)
-        monkeypatch.setattr(simulate_module, "_GUESSES", guesses)
+        monkeypatch.setattr(chain_module, "_CHUNK", 64)
+        monkeypatch.setattr(chain_module, "_GUESSES", guesses)
         splits = []
-        split = simulate_module._split
+        split = chain_module._split
 
         def counted_split(*args):
             splits[-1] += 1
             return split(*args)
 
-        monkeypatch.setattr(simulate_module, "_split", counted_split)
+        monkeypatch.setattr(chain_module, "_split", counted_split)
         excursion = 1 / g + 1 / a + 1 + s / (1 - g)
         steps, burn_in, runs = round(3.5 * 64 * excursion), 200, 2000
         counted = steps - burn_in
@@ -314,13 +314,13 @@ class TestHoldingTimeWalk:
         # and guessed splits can peel one excursion at a time (hundreds of
         # splits a walk). After _GUESSES of them the splits halve.
         splits = [0]
-        split = simulate_module._split
+        split = chain_module._split
 
         def counted_split(*args):
             splits[0] += 1
             return split(*args)
 
-        monkeypatch.setattr(simulate_module, "_split", counted_split)
+        monkeypatch.setattr(chain_module, "_split", counted_split)
         params = ChainParams(1 - 1e-6, 1.0, 0.001)
         for seed in range(20):
             splits[0] = 0
@@ -718,7 +718,7 @@ class TestMixtureBatchCalibration:
 
 
 class TestMixtureBatchEdges:
-    @pytest.mark.parametrize("rounds", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("rounds", [1, ROUND_CHUNK - 1, ROUND_CHUNK, ROUND_CHUNK + 1])
     def test_chunk_boundaries(self, rounds):
         n = 5
         scn = WorstCaseScenario(n=n, u_minus=-0.5, u_plus=0.5, beta=1.0, delta=0.1)
